@@ -24,10 +24,10 @@ from . import calibration
 from .dut import BodModel, Effect, FaultResponseModel
 from .errors import ConfigError, IncompleteSweep, NoIntegratedSuccess, NotFound
 from .scenarios import ScenarioSpec, load_scenario
-from .search import (RankedCombo, SearchSpace, SimContext, TrialRecord,
-                     evaluate_repeatability, exhaustive_search, fuzzyfy,
-                     integrate, run_trials, sweep, transfer_parameters,
-                     translate_to_relative)
+from .search import (SearchSpace, SimContext, TrialRecord,
+                     evaluate_repeatability, exhaustive_search, final_combo,
+                     fuzzyfy, integrate, run_trials, sweep,
+                     transfer_parameters, translate_to_relative)
 from .seeding import mix64
 from .timing import ClockDomains, FaultSpec, split_fault, ticks_from_ns
 
@@ -169,9 +169,16 @@ class CampaignConfig:
     bod: Optional[BodModel] = None
     search: SearchConfig = field(default_factory=SearchConfig)
     master_seed: int = 0
-    jobs: int = 1
+    jobs: int = 1  # accepted and echoed, ignored: trials run serially
     trials: int = 10000  # generic trial count for the evaluation campaigns
     transfer_source: Optional[str] = None  # cooperative twin for non-coop flows
+
+    def __post_init__(self):
+        # Checked here, not in from_dict: the CLI applies --trials and
+        # --jobs to a loaded config with dataclasses.replace.
+        for name in ("trials", "jobs"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
 
     @property
     def domains(self) -> ClockDomains:
@@ -383,19 +390,7 @@ def run_attack_flow(cfg: CampaignConfig, out_dir=None) -> dict:
                            mix64(cfg.master_seed, STEP_TRANSFER_FINAL))
         records.extend(final)
         transfer_trials = len(final)
-        n_targets = len(scenario.targets)
-        prefix = [0] * n_targets
-        wins = 0
-        for rec in final:
-            if rec.outcome.is_success:
-                wins += 1
-            for k in range(n_targets):
-                if all(rec.hits[: k + 1]):
-                    prefix[k] += 1
-                else:
-                    break
-        best = RankedCombo(specs=transferred.specs, trials_run=sc.n_final,
-                           successes=wins, prefix_success_counts=tuple(prefix))
+        best = final_combo(transferred.specs, final)
 
     cascade = [c / best.trials_run for c in (best.prefix_success_counts or ())]
     total = (sweep_result.trials_used + integ.trials_used

@@ -28,7 +28,8 @@ def _add_common(parser: argparse.ArgumentParser, config_required: bool = True):
     parser.add_argument("--seed", type=int, default=None,
                         help="override the config's master seed")
     parser.add_argument("--jobs", type=int, default=None,
-                        help="override the config's parallelism level")
+                        help="override the config's jobs entry (accepted and "
+                             "ignored: trials run serially)")
     parser.add_argument("--trials", type=int, default=None,
                         help="override the config's per-evaluation trial count")
 

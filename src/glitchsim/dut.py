@@ -20,9 +20,10 @@ order; draws with probability 0 or 1 never consume randomness.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from bisect import bisect_right
+from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 
 class Effect(Enum):
@@ -144,12 +145,14 @@ class RawTrialResult:
 
 def execute_trial(scenario, windows, domains, model: FaultResponseModel,
                   bod: Optional[BodModel] = None,
-                  seed: Optional[int] = None) -> RawTrialResult:
+                  seed: Optional[int] = None,
+                  cycles: Optional[Iterable[int]] = None) -> RawTrialResult:
     """Run the scenario once under the given (disjoint, ordered) windows.
 
     ``windows`` are absolute ticks on the same timeline as instruction
     occupancy: instruction at cycle c occupies [c*K, (c+1)*K) with
-    K = domains.oversampling.
+    K = domains.oversampling.  ``cycles``, when given, replaces the start
+    cycles of ``scenario.effectful_instructions`` (see :func:`stall_shift`).
     """
     if bod is not None and bod.enabled and bod.detects(windows):
         return RawTrialResult(state=SecurityState(), skipped=frozenset(),
@@ -183,9 +186,11 @@ def execute_trial(scenario, windows, domains, model: FaultResponseModel,
     shift1_seen = shift2_seen = False
     shift1_skipped = shift2_skipped = False
     state = SecurityState()
+    if cycles is None:
+        cycles = scenario.effectful_cycles
 
-    for ins in scenario.effectful_instructions:
-        ins_start = ins.cycle * K
+    for ins, cycle in zip(scenario.effectful_instructions, cycles):
+        ins_start = cycle * K
         if locked and ins_start >= lock_tick:
             break  # device froze in an erroneous state
         ins_end = ins_start + K
@@ -235,13 +240,31 @@ def execute_trial(scenario, windows, domains, model: FaultResponseModel,
     if shift1_seen and shift2_seen:
         state.lsb_cleared = not (shift1_skipped and shift2_skipped)
 
+    skipped = frozenset(skipped)
     if locked:
         state.locked_up = True
-        return RawTrialResult(state=state, skipped=frozenset(skipped),
+        return RawTrialResult(state=state, skipped=skipped,
                               response=None, locked_up=True)
 
-    response = scenario.encode_response(state, frozenset(skipped))
-    return RawTrialResult(state=state, skipped=frozenset(skipped), response=response)
+    response = scenario.encode_response(state, skipped)
+    return RawTrialResult(state=state, skipped=skipped, response=response)
+
+
+def stall_shift(scenario, max_delay_cycles: int, seed: int):
+    """Draw one stall of 0..max_delay_cycles per delay point, in time
+    order; returns the map from a cycle to its delayed position.
+
+    A stall only moves cycles: instruction indices, target membership and
+    response encoding stay those of the undelayed scenario.
+    """
+    rng = random.Random(seed)
+    points = scenario.delay_points
+    total = 0
+    before = [0]  # before[k]: total stall in front of a cycle past k points
+    for _ in points:
+        total += rng.randint(0, max_delay_cycles)
+        before.append(total)
+    return lambda cycle: cycle + before[bisect_right(points, cycle)]
 
 
 def apply_random_delays(scenario, max_delay_cycles: int, seed: int):
@@ -250,32 +273,20 @@ def apply_random_delays(scenario, max_delay_cycles: int, seed: int):
 
     One independent draw per target, so every protected assignment moves
     on its own.  Returns a new scenario; max_delay_cycles = 0 returns
-    the input unchanged.
+    the input unchanged.  Trials skip the rebuild: they run the scenario
+    at the cycles :func:`stall_shift` moves, which are the same.
     """
     if max_delay_cycles < 0:
         raise ValueError("max_delay_cycles must be >= 0")
     if max_delay_cycles == 0:
         return scenario
 
-    rng = random.Random(seed)
-    # Delay insertion points: the first cycle of each target, in time order.
-    points = sorted(min(t.cycles) for t in scenario.targets)
-    delays = [rng.randint(0, max_delay_cycles) for _ in points]
-
-    def shift_of(cycle: int) -> int:
-        total = 0
-        for point, d in zip(points, delays):
-            if cycle >= point:
-                total += d
-        return total
-
-    # Direct constructors instead of dataclasses.replace: this runs once
-    # per trial in million-trial campaigns.
+    shift = stall_shift(scenario, max_delay_cycles, seed)
     new_instructions = tuple(
-        Instruction(ins.index, ins.cycle + shift_of(ins.cycle), ins.effect)
+        Instruction(ins.index, shift(ins.cycle), ins.effect)
         for ins in scenario.instructions
     )
     new_targets = tuple(
-        replace(t, cycles=tuple(c + shift_of(c) for c in t.cycles)) for t in scenario.targets
+        replace(t, cycles=tuple(map(shift, t.cycles))) for t in scenario.targets
     )
     return replace(scenario, instructions=new_instructions, targets=new_targets)

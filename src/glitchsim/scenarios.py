@@ -60,6 +60,15 @@ class ScenarioSpec:
         return tuple(i for i in self.instructions if i.effect not in INERT_EFFECTS)
 
     @cached_property
+    def effectful_cycles(self) -> tuple[int, ...]:
+        return tuple(i.cycle for i in self.effectful_instructions)
+
+    @cached_property
+    def delay_points(self) -> tuple[int, ...]:
+        """Random-delay insertion points: each target's first cycle, in time order."""
+        return tuple(sorted(min(t.cycles) for t in self.targets))
+
+    @cached_property
     def target_indices(self) -> dict[str, frozenset[int]]:
         """Instruction indices belonging to each target label.
 

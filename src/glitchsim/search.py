@@ -10,12 +10,14 @@ exactly what the chained glitcher consumes.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .chain import ChainConfig, simulate_chain
-from .dut import BodModel, FaultResponseModel, apply_random_delays, execute_trial
+# apply_random_delays stays bound here with the other trial layers, which
+# bench/run.py traces by name; trials use stall_shift, with the same draws.
+from .dut import (BodModel, FaultResponseModel, apply_random_delays,
+                  execute_trial, stall_shift)
 from .errors import (IncompleteSweep, NoIntegratedSuccess, NotFound,
                      OverlapError, TransferInvalid)
 from .scenarios import Outcome, ScenarioSpec, classify
@@ -29,7 +31,8 @@ _DELAY_SEED_SALT = 0x5EED
 
 @dataclass(frozen=True)
 class SimContext:
-    """Everything besides the scenario needed to run one trial."""
+    """Everything besides the scenario needed to run one trial.  ``jobs``
+    is ignored: under the GIL, one serial loop beats a thread pool."""
 
     domains: ClockDomains
     model: FaultResponseModel
@@ -176,54 +179,55 @@ class RepeatabilityResult:
 # Trial execution
 # ---------------------------------------------------------------------------
 
-def _model_consumes_rng(model: FaultResponseModel) -> bool:
+def _model_consumes_rng(model: FaultResponseModel, oversampling: int) -> bool:
     probs = [model.p_max_skip, model.p_lockup_per_fault, model.p_window_burst]
     if model.per_target_override:
         probs.extend(model.per_target_override.values())
-    return any(0.0 < p < 1.0 for p in probs)
+    # p_max_skip is scaled by the covered fraction of a cycle, which lies
+    # strictly between 0 and 1 when a window covers part of an instruction.
+    return (any(0.0 < p < 1.0 for p in probs)
+            or (model.p_max_skip > 0.0 and oversampling > 1))
+
+
+def _trial(scenario: ScenarioSpec, windows, ctx: SimContext, seed: int):
+    cycles = None
+    if scenario.random_delay_max:
+        shift = stall_shift(scenario, scenario.random_delay_max,
+                            mix64(seed, _DELAY_SEED_SALT))
+        cycles = map(shift, scenario.effectful_cycles)
+    raw = execute_trial(scenario, windows, ctx.domains, ctx.model, ctx.bod,
+                        seed, cycles)
+    hits = tuple(scenario.target_hit(t.label, raw) for t in scenario.targets)
+    return raw, classify(scenario, raw), hits
+
+
+def _windows(scenario: ScenarioSpec, rel_specs: Sequence[RelSpec], ctx: SimContext):
+    trigger_tick = scenario.trigger_cycle * ctx.domains.oversampling
+    windows, _ = simulate_chain(ChainConfig(tuple(rel_specs)), trigger_tick)
+    return windows
 
 
 def run_chain_trial(scenario: ScenarioSpec, rel_specs: Sequence[RelSpec],
                     ctx: SimContext, seed: int):
-    """Fire the whole chain once; returns (raw, outcome, hits)."""
-    scen = scenario
-    if scenario.random_delay_max:
-        scen = apply_random_delays(scenario, scenario.random_delay_max,
-                                   mix64(seed, _DELAY_SEED_SALT))
-    trigger_tick = scen.trigger_cycle * ctx.domains.oversampling
-    windows, _ = simulate_chain(ChainConfig(tuple(rel_specs)), trigger_tick)
-    raw = execute_trial(scen, windows, ctx.domains, ctx.model, ctx.bod, seed)
-    outcome = classify(scen, raw)
-    hits = tuple(scen.target_hit(t.label, raw) for t in scen.targets)
-    return raw, outcome, hits
-
-
-def _run_block(scenario, combos_with_index, ctx, step, step_seed) -> list[TrialRecord]:
-    out = []
-    for index, combo in combos_with_index:
-        seed = mix64(step_seed, index)
-        _, outcome, hits = run_chain_trial(scenario, combo, ctx, seed)
-        out.append(TrialRecord(index, step, tuple(combo), outcome, hits, seed))
-    return out
+    """Fire the whole chain once; returns (raw, outcome, hits).  Random
+    stalls, if any, come from ``apply_random_delays``' draws for seed
+    ``mix64(seed, 0x5EED)``."""
+    return _trial(scenario, _windows(scenario, rel_specs, ctx), ctx, seed)
 
 
 def run_trials(scenario: ScenarioSpec, combo: Sequence[RelSpec], n: int,
                ctx: SimContext, step: str, step_seed: int,
-               block: int = 2048) -> list[TrialRecord]:
-    """Run n identically-parameterized trials; order-deterministic and
-    independent of the parallelism level."""
+               first: int = 0) -> list[TrialRecord]:
+    """Run n identically-parameterized trials with indices first..first+n-1;
+    trial i is seeded mix64(step_seed, i).  The chain fires the same
+    windows in every trial, so they are computed once."""
     combo = tuple(combo)
-    pairs = [(i, combo) for i in range(n)]
-    if ctx.jobs <= 1 or n <= block:
-        return _run_block(scenario, pairs, ctx, step, step_seed)
-    records: list[TrialRecord] = []
-    with ThreadPoolExecutor(max_workers=ctx.jobs) as ex:
-        futures = [
-            ex.submit(_run_block, scenario, pairs[s:s + block], ctx, step, step_seed)
-            for s in range(0, n, block)
-        ]
-        for fut in futures:
-            records.extend(fut.result())
+    windows = _windows(scenario, combo, ctx)
+    records = []
+    for index in range(first, first + n):
+        seed = mix64(step_seed, index)
+        _, outcome, hits = _trial(scenario, windows, ctx, seed)
+        records.append(TrialRecord(index, step, combo, outcome, hits, seed))
     return records
 
 
@@ -247,49 +251,30 @@ def sweep(scenario: ScenarioSpec, space: SearchSpace, ctx: SimContext,
     entries: dict[str, set[RelSpec]] = {label: set() for label in labels}
     records: list[TrialRecord] = []
     grid = space.grid
-    done = False
 
     index = 0
     for _ in range(pass_budget):
-        block = _run_block(scenario, [(index + g, (spec,)) for g, spec in enumerate(grid)],
-                           ctx, "sweep", seed) if ctx.jobs <= 1 else _sweep_block_parallel(
-                               scenario, grid, index, ctx, seed)
-        for rec in block:
-            records.append(rec)
-            (offset, width), = rec.combo
-            if rec.outcome.kind in ("partial_hit", "success"):
-                hit_labels = (rec.outcome.labels if rec.outcome.kind == "partial_hit"
+        for spec in grid:
+            seed_t = mix64(seed, index)
+            _, outcome, hits = run_chain_trial(scenario, (spec,), ctx, seed_t)
+            records.append(TrialRecord(index, "sweep", (spec,), outcome, hits, seed_t))
+            index += 1
+            if outcome.kind in ("partial_hit", "success"):
+                hit_labels = (outcome.labels if outcome.kind == "partial_hit"
                               else frozenset(labels))
                 for label in hit_labels:
-                    entries[label].add((offset, width))
+                    entries[label].add(spec)
             if stop_when_complete and all(entries[label] for label in labels):
-                done = True
                 break
-        index += len(grid)
-        if done or all(entries[label] for label in labels):
-            done = True
+        if all(entries[label] for label in labels):
             break
 
-    if not done:
-        missing = [label for label in labels if not entries[label]]
+    missing = [label for label in labels if not entries[label]]
+    if missing:
         raise IncompleteSweep(missing, len(records))
 
     params = AbsoluteParamSet({lbl: tuple(sorted(vals)) for lbl, vals in entries.items()})
     return SweepResult(params=params, trials_used=len(records), records=records)
-
-
-def _sweep_block_parallel(scenario, grid, base_index, ctx, step_seed,
-                          block: int = 1024) -> list[TrialRecord]:
-    pairs = [(base_index + g, (spec,)) for g, spec in enumerate(grid)]
-    records: list[TrialRecord] = []
-    with ThreadPoolExecutor(max_workers=ctx.jobs) as ex:
-        futures = [
-            ex.submit(_run_block, scenario, pairs[s:s + block], ctx, "sweep", step_seed)
-            for s in range(0, len(pairs), block)
-        ]
-        for fut in futures:
-            records.extend(fut.result())
-    return records
 
 
 # ---------------------------------------------------------------------------
@@ -352,23 +337,17 @@ def integrate(scenario: ScenarioSpec, fuzzy: Sequence[FuzzyInterval],
     ]
     records: list[TrialRecord] = []
     combos: list[RankedCombo] = []
-    index = 0
     for combo in itertools.product(*axes):
-        successes = 0
-        for t in range(trials_per_combo):
-            seed_t = mix64(seed, index)
-            _, outcome, hits = run_chain_trial(scenario, combo, ctx, seed_t)
-            records.append(TrialRecord(index, "integrate", tuple(combo), outcome,
-                                       hits, seed_t))
-            index += 1
-            if outcome.is_success:
-                successes += 1
+        recs = run_trials(scenario, combo, trials_per_combo, ctx, "integrate",
+                          seed, first=len(records))
+        records.extend(recs)
+        successes = sum(r.outcome.is_success for r in recs)
         if successes:
             combos.append(RankedCombo(specs=tuple(combo), trials_run=trials_per_combo,
                                       successes=successes))
     if not combos:
-        raise NoIntegratedSuccess(index)
-    return IntegrateResult(combos=combos, trials_used=index, records=records)
+        raise NoIntegratedSuccess(len(records))
+    return IntegrateResult(combos=combos, trials_used=len(records), records=records)
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +380,7 @@ def exhaustive_search(scenario: ScenarioSpec, space: SearchSpace, n_faults: int,
 
     # Seed derivation is skipped for fully deterministic models; no draw
     # would consume it and mixing dominates the hot loop otherwise.
-    needs_rng = _model_consumes_rng(ctx.model)
+    needs_rng = _model_consumes_rng(ctx.model, ctx.domains.oversampling)
     # Budgets routinely reach 1e7 trials, so the window construction is
     # inlined here instead of going through ChainConfig per combination.
     inline = scenario.random_delay_max == 0
@@ -467,21 +446,24 @@ def evaluate_repeatability(scenario: ScenarioSpec, combos: Sequence[RankedCombo]
     final_recs = run_trials(scenario, winner.specs, n_final, ctx, "final",
                             mix64(seed, 2))
     records.extend(final_recs)
-    n_targets = len(scenario.targets)
-    prefix_counts = [0] * n_targets
+    return RepeatabilityResult(best=final_combo(winner.specs, final_recs),
+                               ranking=ranking, trials_used=len(records),
+                               records=records)
+
+
+def final_combo(specs: tuple[RelSpec, ...], records: Sequence[TrialRecord]) -> RankedCombo:
+    """One combo's success count and its per-prefix success counts
+    (prefix k: the first k+1 targets all hit in one trial)."""
+    prefix_counts = [0] * len(records[0].hits) if records else []
     wins = 0
-    for rec in final_recs:
-        if rec.outcome.is_success:
-            wins += 1
-        for k in range(n_targets):
-            if all(rec.hits[: k + 1]):
-                prefix_counts[k] += 1
-            else:
+    for rec in records:
+        wins += rec.outcome.is_success
+        for k, hit in enumerate(rec.hits):
+            if not hit:
                 break
-    best = RankedCombo(specs=winner.specs, trials_run=n_final, successes=wins,
+            prefix_counts[k] += 1
+    return RankedCombo(specs=specs, trials_run=len(records), successes=wins,
                        prefix_success_counts=tuple(prefix_counts))
-    return RepeatabilityResult(best=best, ranking=ranking,
-                               trials_used=len(records), records=records)
 
 
 # ---------------------------------------------------------------------------

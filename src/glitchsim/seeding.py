@@ -2,8 +2,8 @@
 
 Every trial in a campaign gets its own 64-bit seed derived from the
 master seed, a step identifier and the trial index.  The derivation is
-pure integer arithmetic (splitmix64), so parallel and serial execution
-produce identical per-trial seeds.
+pure integer arithmetic (splitmix64), so a trial's seed depends on its
+index alone, never on the order trials run in.
 """
 
 _MASK = 0xFFFFFFFFFFFFFFFF

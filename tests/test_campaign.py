@@ -58,6 +58,13 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(path)
 
+    @pytest.mark.parametrize("field", ["trials", "jobs"])
+    def test_non_positive_counts_rejected(self, field):
+        with pytest.raises(ConfigError):
+            CampaignConfig.from_dict({"scenario": "dup_registers_7_43", field: 0})
+        with pytest.raises(ConfigError):
+            dup_config(**{field: -1})
+
     def test_missing_scenario_key(self):
         with pytest.raises(ConfigError):
             CampaignConfig.from_dict({"master_seed": 3})

@@ -38,6 +38,12 @@ class TestExitCodes:
     def test_unknown_command_exit_2(self, capsys):
         assert main(["frobnicate"]) == 2
 
+    @pytest.mark.parametrize("flag", ["--trials", "--jobs"])
+    def test_non_positive_count_exit_2(self, dup_cfg_path, capsys, flag):
+        assert main(["countermeasure", "--config", str(dup_cfg_path),
+                     flag, "0"]) == 2
+        assert f"{flag[2:]} must be >= 1" in capsys.readouterr().err
+
     def test_search_failure_exit_1(self, dup_cfg_path, tmp_path, capsys):
         data = json.loads(dup_cfg_path.read_text())
         data["search"]["pass_budget"] = 0

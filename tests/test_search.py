@@ -1,15 +1,22 @@
+from dataclasses import replace
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from glitchsim.calibration import deterministic_model, dup_register_model
+from glitchsim.campaign import MODEL_PRESETS
+from glitchsim.chain import ChainConfig, simulate_chain
+from glitchsim.dut import BodModel, apply_random_delays, execute_trial
 from glitchsim.errors import (IncompleteSweep, NoIntegratedSuccess, NotFound,
                               OverlapError, TransferInvalid)
-from glitchsim.scenarios import dup_registers, load_scenario
+from glitchsim.scenarios import (SCENARIO_PRESETS, classify, dup_registers,
+                                 load_scenario)
 from glitchsim.search import (RankedCombo, SearchSpace, SimContext,
                               accumulate_relative, evaluate_repeatability,
                               exhaustive_search, fuzzyfy, integrate,
-                              run_trials, sweep, transfer_parameters,
-                              translate_to_relative)
+                              run_chain_trial, run_trials, sweep,
+                              transfer_parameters, translate_to_relative)
+from glitchsim.seeding import mix64
 from glitchsim.timing import ClockDomains
 
 DOM1 = ClockDomains(oversampling=1)
@@ -188,6 +195,29 @@ class TestExhaustive:
             exhaustive_search(scen, space, 2, 10_000, perfect_ctx(DOM1))
         assert exc.value.trials_used == 25  # full grid product
 
+    def test_partial_coverage_draws_per_trial_seeds(self):
+        # Deterministic model at K = 20: a 10-tick window covers half of a
+        # store cycle, so each store is skipped with probability 0.5 and
+        # every trial needs its own seed.
+        scen = dup_registers(7, 43)
+        ctx = perfect_ctx(DOM20)
+        s1, s2 = (min(t.cycles) * 20 for t in scen.targets)
+        combo = ((s1, 10), (s2 - s1 - 10, 10))
+        # Grid {combo[0], combo[1]}: combo is the second of four products.
+        space = SearchSpace(s1, combo[1][0] + 1, width_set=(10,),
+                            stride=combo[1][0] - s1)
+        wins = 0
+        for seed in range(60):
+            try:
+                found = exhaustive_search(scen, space, 2, 4, ctx, seed=seed)
+                won = [c.specs for c in found.combos] == [combo]
+            except NotFound:
+                won = False
+            _, outcome, _ = run_chain_trial(scen, combo, ctx, mix64(seed, 1))
+            assert won == outcome.is_success, seed
+            wins += won
+        assert 0 < wins < 60
+
     def test_count_only_growth(self):
         scen = dup_registers(7, 43)
         space = SearchSpace(0, 30, width_set=(1, 2))  # 60 grid points
@@ -279,6 +309,55 @@ class TestRunTrials:
                                      for t in scen.targets])
         ctx1 = SimContext(DOM20, dup_register_model(), jobs=1)
         ctx8 = SimContext(DOM20, dup_register_model(), jobs=8)
-        r1 = run_trials(scen, rel, 5000, ctx1, "x", 77, block=512)
-        r8 = run_trials(scen, rel, 5000, ctx8, "x", 77, block=512)
+        r1 = run_trials(scen, rel, 5000, ctx1, "x", 77)
+        r8 = run_trials(scen, rel, 5000, ctx8, "x", 77)
         assert [a.to_dict() for a in r1] == [b.to_dict() for b in r8]
+
+
+def _oracle_trial(scenario, combo, ctx, seed):
+    """Reference delayed trial: rebuild the scenario with the stalls."""
+    scen = apply_random_delays(scenario, scenario.random_delay_max,
+                               mix64(seed, 0x5EED))
+    trigger = scen.trigger_cycle * ctx.domains.oversampling
+    windows, _ = simulate_chain(ChainConfig(tuple(combo)), trigger)
+    raw = execute_trial(scen, windows, ctx.domains, ctx.model, ctx.bod, seed)
+    hits = tuple(scen.target_hit(t.label, raw) for t in scen.targets)
+    return raw, classify(scen, raw), hits
+
+
+bods = st.one_of(
+    st.none(),
+    st.tuples(st.integers(1, 400), st.integers(0, 399)).map(
+        lambda pp: BodModel(enabled=True, sample_period=pp[0],
+                            sample_phase=pp[1] % pp[0])))
+
+
+class TestShiftPath:
+    """Delayed trials shift cycles instead of rebuilding the scenario;
+    both must agree trial for trial."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(preset=st.sampled_from(sorted(SCENARIO_PRESETS)),
+           model=st.sampled_from(sorted(MODEL_PRESETS)),
+           bod=bods,
+           oversampling=st.sampled_from((1, 3, 20)),
+           max_delay=st.integers(0, 12),
+           raw_combo=st.lists(st.tuples(st.integers(0, 1200), st.integers(1, 60)),
+                              min_size=1, max_size=4),
+           seed=st.integers(0, 2**64 - 1))
+    def test_matches_rebuilt_scenario(self, preset, model, bod, oversampling,
+                                      max_delay, raw_combo, seed):
+        scen = replace(SCENARIO_PRESETS[preset](), random_delay_max=max_delay)
+        K = oversampling
+        # Offsets and widths come in 1/20 cycle, so that every K spans
+        # the whole stream.
+        combo = [(o * K // 20, max(1, w * K // 20)) for o, w in raw_combo]
+        ctx = SimContext(ClockDomains(oversampling=K), MODEL_PRESETS[model](), bod)
+
+        raw, outcome, hits = run_chain_trial(scen, combo, ctx, seed)
+        assert (raw, outcome, hits) == _oracle_trial(scen, combo, ctx, seed)
+
+        for rec in run_trials(scen, combo, 3, ctx, "d", seed, first=5):
+            _, want_outcome, want_hits = _oracle_trial(scen, combo, ctx, rec.seed)
+            assert rec.seed == mix64(seed, rec.index)
+            assert (rec.outcome, rec.hits) == (want_outcome, want_hits)
