@@ -21,7 +21,7 @@ from .dut import (BodModel, Effect, FaultResponseModel, Instruction,
                   execute_trial)
 from .errors import (BadChainLength, ConfigError, EmptyChain, EmptySplit,
                      GlitchSimError, IncompleteSweep, NoIntegratedSuccess,
-                     NotFound, OverlapError, TransferInvalid)
+                     NotFound, OverlapError, SearchFailed, TransferInvalid)
 from .campaign import (CampaignConfig, SearchConfig, load_config, nominal_combo,
                        run_attack_flow, run_bod_eval, run_comparison,
                        run_countermeasure_eval, run_exhaustive, run_sweep_only,
@@ -44,7 +44,7 @@ __all__ = [
     "EmptySplit", "FaultResponseModel", "FaultSpec", "Frame", "FuzzyInterval",
     "GlitchSimError", "IncompleteSweep", "Instruction", "NoIntegratedSuccess",
     "NotFound", "Outcome", "OverlapError", "RankedCombo", "RawTrialResult",
-    "ScenarioSpec", "SearchConfig", "SearchSpace", "SecurityState",
+    "ScenarioSpec", "SearchConfig", "SearchFailed", "SearchSpace", "SecurityState",
     "SimContext", "Target", "TransferInvalid", "accumulate_relative",
     "apply_random_delays", "builtin_scenarios", "classify",
     "deterministic_model", "dup_register_model", "evaluate_repeatability",

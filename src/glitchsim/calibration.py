@@ -10,9 +10,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-from scipy import optimize
-
 from .dut import Effect, FaultResponseModel
 
 # --- duplicate-register experiment -----------------------------------------
@@ -136,6 +133,11 @@ def shift_fit_deviation(params, wide_target=None, narrow_target=None) -> float:
 
 def fit_shift_model(n_restarts: int = 50, seed: int = 0):
     """Minimax fit of the shift-pair model; returns (params, deviation)."""
+    # Imported here: nothing else in glitchsim needs numpy or scipy, and
+    # they would dominate the cost of ``import glitchsim``.
+    import numpy as np
+    from scipy import optimize
+
     rng = np.random.default_rng(seed)
     best_x, best_v = None, math.inf
     for _ in range(n_restarts):

@@ -16,13 +16,14 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field, replace
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Optional
 
 from . import calibration
 from .dut import BodModel, Effect, FaultResponseModel
-from .errors import ConfigError, IncompleteSweep, NoIntegratedSuccess, NotFound
+from .errors import ConfigError, SearchFailed
 from .scenarios import ScenarioSpec, load_scenario
 from .search import (SearchSpace, SimContext, TrialRecord,
                      evaluate_repeatability, exhaustive_search, final_combo,
@@ -76,27 +77,25 @@ class SearchConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "width_set", tuple(self.width_set))
+        lows = {**dict.fromkeys(("stride", "fuzzy_stride", "pass_budget",
+                                 "integrate_trials", "n_rank", "n_final",
+                                 "exhaustive_budget", "n_faults"), 1), "psi": 0}
+        for name, low in lows.items():
+            value = getattr(self, name)
+            if value is not None and value < low:
+                raise ConfigError(f"search {name} must be >= {low}, got {value}")
+        try:
+            self.space()
+        except ValueError as exc:
+            raise ConfigError(f"bad search space: {exc}") from exc
 
     def space(self) -> SearchSpace:
         return SearchSpace(offset_min=self.offset_min, offset_max=self.offset_max,
                            width_set=self.width_set, stride=self.stride)
 
     def to_dict(self) -> dict:
-        d = {
-            "offset_min": self.offset_min,
-            "offset_max": self.offset_max,
-            "stride": self.stride,
-            "width_set": list(self.width_set),
-            "psi": self.psi,
-            "fuzzy_stride": self.fuzzy_stride,
-            "pass_budget": self.pass_budget,
-            "integrate_trials": self.integrate_trials,
-            "n_rank": self.n_rank,
-            "n_final": self.n_final,
-            "exhaustive_budget": self.exhaustive_budget,
-        }
-        if self.n_faults is not None:
-            d["n_faults"] = self.n_faults
+        d = {k: v for k, v in asdict(self).items() if v is not None}
+        d["width_set"] = list(self.width_set)
         return d
 
     @classmethod
@@ -142,15 +141,6 @@ def model_from_dict(data: dict) -> FaultResponseModel:
         raise ConfigError(f"bad fault-response model: {exc}") from exc
 
 
-def bod_to_dict(bod: BodModel) -> dict:
-    return {
-        "enabled": bod.enabled,
-        "sample_period": bod.sample_period,
-        "sample_phase": bod.sample_phase,
-        "detect_width_threshold": bod.detect_width_threshold,
-    }
-
-
 def bod_from_dict(data: dict) -> BodModel:
     try:
         return BodModel(**data)
@@ -179,6 +169,10 @@ class CampaignConfig:
         for name in ("trials", "jobs"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        try:
+            self.domains
+        except ValueError as exc:
+            raise ConfigError(f"bad clock domains: {exc}") from exc
 
     @property
     def domains(self) -> ClockDomains:
@@ -186,12 +180,12 @@ class CampaignConfig:
                             dut_period_ns=self.dut_period_ns)
 
     def context(self) -> SimContext:
-        return SimContext(domains=self.domains, model=self.model,
-                          bod=self.bod, jobs=self.jobs)
+        return SimContext(domains=self.domains, model=self.model, bod=self.bod)
 
-    def load_scenario(self) -> ScenarioSpec:
+    def load_scenario(self, name: Optional[str] = None) -> ScenarioSpec:
+        """The scenario ``name`` (default: the config's own scenario)."""
         try:
-            return load_scenario(self.scenario)
+            return load_scenario(self.scenario if name is None else name)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -207,7 +201,7 @@ class CampaignConfig:
             "trials": self.trials,
         }
         if self.bod is not None:
-            d["bod"] = bod_to_dict(self.bod)
+            d["bod"] = asdict(self.bod)
         if self.transfer_source is not None:
             d["transfer_source"] = self.transfer_source
         return d
@@ -217,6 +211,9 @@ class CampaignConfig:
         data = dict(data)
         if "scenario" not in data:
             raise ConfigError("config needs a 'scenario' entry")
+        for key in ("model", "bod", "search"):
+            if not isinstance(data.get(key, {}), dict):
+                raise ConfigError(f"config entry {key!r} must be a JSON object")
         if "model" in data:
             data["model"] = model_from_dict(data["model"])
         if "bod" in data:
@@ -237,6 +234,8 @@ def load_config(path) -> CampaignConfig:
         data = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ConfigError(f"config file {path} does not hold a JSON object")
     return CampaignConfig.from_dict(data)
 
 
@@ -293,13 +292,73 @@ def _persist(out_dir, records: Optional[list[TrialRecord]], summary: dict) -> No
     write_summary(summary, out / "summary.json")
 
 
-def _base_summary(cfg: CampaignConfig, operation: str) -> dict:
-    return {
+def _base_summary(cfg: CampaignConfig, operation: str,
+                  scenario: Optional[ScenarioSpec] = None) -> dict:
+    summary = {
         "schema_version": SUMMARY_SCHEMA_VERSION,
         "operation": operation,
         "master_seed": cfg.master_seed,
         "config": cfg.to_dict(),
     }
+    if scenario is not None:
+        summary["scenario"] = scenario.name
+    return summary
+
+
+@contextmanager
+def _persist_on_failure(out_dir, records: Optional[list[TrialRecord]],
+                        summary: dict):
+    """On a failed search step, persist the trials recorded so far and a
+    summary carrying the error; ``total_trials`` adds the failed step's
+    trials to them.  The error propagates."""
+    try:
+        yield
+    except SearchFailed as exc:
+        summary["error"] = exc.summary
+        summary["total_trials"] = len(records or ()) + exc.trials_used
+        _persist(out_dir, records, summary)
+        raise
+
+
+# ---------------------------------------------------------------------------
+# Search steps, each with its fixed per-step seed
+# ---------------------------------------------------------------------------
+
+def _sweep(scenario: ScenarioSpec, cfg: CampaignConfig, ctx: SimContext):
+    if not scenario.cooperative:
+        raise ConfigError(f"scenario {scenario.name!r} is non-cooperative; "
+                          "sweeping needs its partial success functions")
+    return sweep(scenario, cfg.search.space(), ctx,
+                 seed=mix64(cfg.master_seed, STEP_SWEEP),
+                 pass_budget=cfg.search.pass_budget)
+
+
+def _exhaustive(scenario: ScenarioSpec, cfg: CampaignConfig, ctx: SimContext,
+                max_successes: Optional[int]):
+    n_faults = cfg.search.n_faults or len(scenario.targets)
+    return exhaustive_search(scenario, cfg.search.space(), n_faults,
+                             cfg.search.exhaustive_budget, ctx,
+                             seed=mix64(cfg.master_seed, STEP_EXHAUSTIVE),
+                             max_successes=max_successes)
+
+
+def _locate(scenario: ScenarioSpec, cfg: CampaignConfig, ctx: SimContext,
+            records: list[TrialRecord]):
+    """Sweep -> pick -> translate -> fuzzyfy -> integrate.  Appends each
+    step's trials to ``records`` as soon as the step succeeds; returns
+    (sweep result, relative combo, fuzzy intervals, integrate result)."""
+    sc = cfg.search
+    swept = _sweep(scenario, cfg, ctx)
+    records.extend(swept.records)
+    picked = sorted((swept.params.pick(t.label) for t in scenario.targets),
+                    key=lambda ow: ow[0])
+    relative = translate_to_relative(picked)
+    fuzzy = fuzzyfy(relative, sc.psi)
+    integ = integrate(scenario, fuzzy, sc.integrate_trials, ctx,
+                      seed=mix64(cfg.master_seed, STEP_INTEGRATE),
+                      stride=sc.fuzzy_stride)
+    records.extend(integ.records)
+    return swept, relative, fuzzy, integ
 
 
 # ---------------------------------------------------------------------------
@@ -334,47 +393,17 @@ def run_attack_flow(cfg: CampaignConfig, out_dir=None) -> dict:
             raise ConfigError(
                 f"scenario {scenario.name!r} is non-cooperative; "
                 "a cooperative 'transfer_source' is required")
-        flow_scenario = load_scenario(cfg.transfer_source)
+        flow_scenario = cfg.load_scenario(cfg.transfer_source)
         if not flow_scenario.cooperative:
             raise ConfigError("transfer_source must be a cooperative scenario")
 
     ctx = cfg.context()
     sc = cfg.search
-    summary = _base_summary(cfg, "flow")
-    summary["scenario"] = scenario.name
+    summary = _base_summary(cfg, "flow", scenario)
     records: list[TrialRecord] = []
 
-    try:
-        sweep_result = sweep(flow_scenario, sc.space(), ctx,
-                             seed=mix64(cfg.master_seed, STEP_SWEEP),
-                             pass_budget=sc.pass_budget)
-    except IncompleteSweep as exc:
-        summary["error"] = {"kind": "incomplete_sweep",
-                            "missing": list(exc.missing),
-                            "trials_used": exc.trials_used}
-        summary["total_trials"] = exc.trials_used
-        _persist(out_dir, [], summary)
-        raise
-    records.extend(sweep_result.records)
-
-    picked = sorted(
-        (sweep_result.params.pick(t.label) for t in flow_scenario.targets),
-        key=lambda ow: ow[0],
-    )
-    relative = translate_to_relative(picked)
-    fuzzy = fuzzyfy(relative, sc.psi)
-
-    try:
-        integ = integrate(flow_scenario, fuzzy, sc.integrate_trials, ctx,
-                          seed=mix64(cfg.master_seed, STEP_INTEGRATE),
-                          stride=sc.fuzzy_stride)
-    except NoIntegratedSuccess as exc:
-        summary["error"] = {"kind": "no_integrated_success",
-                            "trials_used": exc.trials_used}
-        summary["total_trials"] = sweep_result.trials_used + exc.trials_used
-        _persist(out_dir, records, summary)
-        raise
-    records.extend(integ.records)
+    with _persist_on_failure(out_dir, records, summary):
+        swept, relative, fuzzy, integ = _locate(flow_scenario, cfg, ctx, records)
 
     evaluation = evaluate_repeatability(flow_scenario, integ.combos, sc.n_rank,
                                         sc.n_final, ctx,
@@ -393,17 +422,15 @@ def run_attack_flow(cfg: CampaignConfig, out_dir=None) -> dict:
         best = final_combo(transferred.specs, final)
 
     cascade = [c / best.trials_run for c in (best.prefix_success_counts or ())]
-    total = (sweep_result.trials_used + integ.trials_used
-             + evaluation.trials_used + transfer_trials)
     summary.update({
         "steps": {
-            "sweep": {"trials_used": sweep_result.trials_used},
+            "sweep": {"trials_used": swept.trials_used},
             "integrate": {"trials_used": integ.trials_used,
                           "combos_found": len(integ.combos)},
             "evaluate": {"trials_used": evaluation.trials_used},
             "transfer_final": {"trials_used": transfer_trials},
         },
-        "absolute_params": sweep_result.params.to_dict(),
+        "absolute_params": swept.params.to_dict(),
         "relative_combo": [list(s) for s in relative],
         "fuzzy_intervals": [
             {"center": f.center, "psi": f.psi, "width": f.width} for f in fuzzy
@@ -412,7 +439,7 @@ def run_attack_flow(cfg: CampaignConfig, out_dir=None) -> dict:
         "best": best.to_dict(),
         "cascade_rates": cascade,
         "target_order": [t.label for t in scenario.targets],
-        "total_trials": total,
+        "total_trials": len(records),
     })
     _persist(out_dir, records, summary)
     return summary
@@ -425,20 +452,9 @@ def run_attack_flow(cfg: CampaignConfig, out_dir=None) -> dict:
 def run_sweep_only(cfg: CampaignConfig, out_dir=None) -> dict:
     """Just the sweeping step; summary carries the absolute sets."""
     scenario = cfg.load_scenario()
-    ctx = cfg.context()
-    summary = _base_summary(cfg, "sweep")
-    summary["scenario"] = scenario.name
-    try:
-        result = sweep(scenario, cfg.search.space(), ctx,
-                       seed=mix64(cfg.master_seed, STEP_SWEEP),
-                       pass_budget=cfg.search.pass_budget)
-    except IncompleteSweep as exc:
-        summary["error"] = {"kind": "incomplete_sweep",
-                            "missing": list(exc.missing),
-                            "trials_used": exc.trials_used}
-        summary["total_trials"] = exc.trials_used
-        _persist(out_dir, [], summary)
-        raise
+    summary = _base_summary(cfg, "sweep", scenario)
+    with _persist_on_failure(out_dir, [], summary):
+        result = _sweep(scenario, cfg, cfg.context())
     summary["absolute_params"] = result.params.to_dict()
     summary["total_trials"] = result.trials_used
     _persist(out_dir, result.records, summary)
@@ -449,20 +465,9 @@ def run_exhaustive(cfg: CampaignConfig, out_dir=None,
                    max_successes: Optional[int] = 1) -> dict:
     """The conventional grid-search baseline as a standalone campaign."""
     scenario = cfg.load_scenario()
-    ctx = cfg.context()
-    n_faults = cfg.search.n_faults or len(scenario.targets)
-    summary = _base_summary(cfg, "exhaustive")
-    summary["scenario"] = scenario.name
-    try:
-        result = exhaustive_search(scenario, cfg.search.space(), n_faults,
-                                   cfg.search.exhaustive_budget, ctx,
-                                   seed=mix64(cfg.master_seed, STEP_EXHAUSTIVE),
-                                   max_successes=max_successes)
-    except NotFound as exc:
-        summary["error"] = {"kind": "not_found", "trials_used": exc.trials_used}
-        summary["total_trials"] = exc.trials_used
-        _persist(out_dir, None, summary)
-        raise
+    summary = _base_summary(cfg, "exhaustive", scenario)
+    with _persist_on_failure(out_dir, None, summary):
+        result = _exhaustive(scenario, cfg, cfg.context(), max_successes)
     summary["combos"] = [c.to_dict() for c in result.combos]
     summary["total_trials"] = result.trials_used
     _persist(out_dir, None, summary)
@@ -471,51 +476,38 @@ def run_exhaustive(cfg: CampaignConfig, out_dir=None,
 
 def run_comparison(cfg: CampaignConfig, out_dir=None) -> dict:
     """Trial-count comparison of the exhaustive baseline against the
-    sweep + integrate flow on an identical scenario and seed."""
+    sweep + integrate flow on an identical scenario and seed.  A side
+    that fails still reports every trial it spent."""
     scenario = cfg.load_scenario()
     ctx = cfg.context()
-    sc = cfg.search
-    n_faults = sc.n_faults or len(scenario.targets)
-    summary = _base_summary(cfg, "compare")
-    summary["scenario"] = scenario.name
+    summary = _base_summary(cfg, "compare", scenario)
 
-    exhaustive_trials: Optional[int] = None
-    exhaustive_found = False
+    flow_records: list[TrialRecord] = []
     try:
-        ex = exhaustive_search(scenario, sc.space(), n_faults, sc.exhaustive_budget,
-                               ctx, seed=mix64(cfg.master_seed, STEP_EXHAUSTIVE),
-                               max_successes=1)
-        exhaustive_trials = ex.trials_used
-        exhaustive_found = True
-    except NotFound as exc:
-        exhaustive_trials = exc.trials_used
-
-    flow_trials: Optional[int] = None
-    flow_found = False
-    try:
-        sw = sweep(scenario, sc.space(), ctx,
-                   seed=mix64(cfg.master_seed, STEP_SWEEP),
-                   pass_budget=sc.pass_budget)
-        picked = sorted((sw.params.pick(t.label) for t in scenario.targets),
-                        key=lambda ow: ow[0])
-        fuzzy = fuzzyfy(translate_to_relative(picked), sc.psi)
-        integ = integrate(scenario, fuzzy, sc.integrate_trials, ctx,
-                          seed=mix64(cfg.master_seed, STEP_INTEGRATE),
-                          stride=sc.fuzzy_stride)
-        flow_trials = sw.trials_used + integ.trials_used
+        _locate(scenario, cfg, ctx, flow_records)
+        failed_step_trials = 0
         flow_found = True
-    except (IncompleteSweep, NoIntegratedSuccess) as exc:
-        flow_trials = exc.trials_used
+    except SearchFailed as exc:
+        failed_step_trials = exc.trials_used
+        flow_found = False
+    flow_trials = len(flow_records) + failed_step_trials
+
+    try:
+        exhaustive_trials = _exhaustive(scenario, cfg, ctx, max_successes=1).trials_used
+        exhaustive_found = True
+    except SearchFailed as exc:
+        exhaustive_trials = exc.trials_used
+        exhaustive_found = False
 
     ratio = None
     if exhaustive_found and flow_found and flow_trials:
         ratio = exhaustive_trials / flow_trials
     summary.update({
-        "n_faults": n_faults,
+        "n_faults": cfg.search.n_faults or len(scenario.targets),
         "exhaustive": {"trials_used": exhaustive_trials, "found": exhaustive_found},
         "flow": {"trials_used": flow_trials, "found": flow_found},
         "ratio": ratio,
-        "total_trials": (exhaustive_trials or 0) + (flow_trials or 0),
+        "total_trials": exhaustive_trials + flow_trials,
     })
     _persist(out_dir, None, summary)
     return summary
@@ -571,9 +563,8 @@ def run_wide_vs_narrow(cfg: CampaignConfig, out_dir=None) -> dict:
             counts[_shift_column(rec.outcome)] += 1
         table[row] = {col: counts[col] / cfg.trials for col in DISTRIBUTION_COLUMNS}
 
-    summary = _base_summary(cfg, "wide-vs-narrow")
+    summary = _base_summary(cfg, "wide-vs-narrow", scenario)
     summary.update({
-        "scenario": scenario.name,
         "columns": list(DISTRIBUTION_COLUMNS),
         "distributions": table,
         "combos": {"wide": [list(s) for s in wide_combo],
@@ -613,9 +604,8 @@ def run_countermeasure_eval(cfg: CampaignConfig, max_delay_cycles: int,
     rate_delayed = sum(r.outcome.is_success for r in delayed) / cfg.trials
     factor = rate_base / rate_delayed if rate_delayed else None
 
-    summary = _base_summary(cfg, "countermeasure")
+    summary = _base_summary(cfg, "countermeasure", scenario)
     summary.update({
-        "scenario": scenario.name,
         "combo": [list(s) for s in combo],
         "max_delay_cycles": max_delay_cycles,
         "trials_per_arm": cfg.trials,

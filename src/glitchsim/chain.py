@@ -6,10 +6,12 @@ signal of its predecessor, which coincides with the tick its fault
 window ends (zero-latency chaining).  The crowbar output is the OR of
 all unit outputs, so touching or overlapping windows merge.
 
-``simulate_chain`` is the fast closed-form model used by searches and
-campaigns.  ``simulate_chain_stepped`` drives actual per-tick unit
-state machines and exists as an independent cross-check of the
-closed form.
+``chain_windows`` is the one closed form: the exhaustive baseline calls
+it per combo, every other trial through ``simulate_chain``, which
+validates a :class:`ChainConfig` first.  Offsets are never negative, so
+the OR-merge reduces to joining a window onto its predecessor when its
+offset is 0.  ``simulate_chain_stepped`` drives actual per-tick unit
+state machines as an independent cross-check of the closed form.
 """
 
 from __future__ import annotations
@@ -71,20 +73,32 @@ def merge_windows(windows) -> list[Window]:
     return [(s, e) for s, e in merged]
 
 
-def simulate_chain(cfg: ChainConfig, trigger_tick: int) -> tuple[list[Window], int]:
-    """Return the crowbar windows and the done tick for one trigger."""
+def chain_windows(units, trigger_tick: int) -> tuple[list[Window], int]:
+    """Crowbar windows and done tick of (offset, width) units chained
+    from ``trigger_tick``; offsets must be >= 0 and widths >= 1."""
+    windows: list[Window] = []
+    end = trigger_tick
+    for offset, width in units:
+        start = end + offset
+        end = start + width
+        if offset == 0 and windows:  # touches its predecessor: OR-merge
+            windows[-1] = (windows[-1][0], end)
+        else:
+            windows.append((start, end))
+    return windows, end
+
+
+def _check_firing(cfg: ChainConfig, trigger_tick: int) -> None:
     if cfg.enabled_count == 0:
         raise EmptyChain("at least one fault unit must be enabled")
     if trigger_tick < 0:
         raise ValueError("trigger_tick must be non-negative")
 
-    raw = []
-    start = trigger_tick
-    for offset, width in cfg.enabled_units:
-        start += offset
-        raw.append((start, start + width))
-        start += width
-    return merge_windows(raw), start
+
+def simulate_chain(cfg: ChainConfig, trigger_tick: int) -> tuple[list[Window], int]:
+    """Return the crowbar windows and the done tick for one trigger."""
+    _check_firing(cfg, trigger_tick)
+    return chain_windows(cfg.enabled_units, trigger_tick)
 
 
 class SfuPhase(Enum):
@@ -130,10 +144,7 @@ class SingleFaultUnit:
 
 def simulate_chain_stepped(cfg: ChainConfig, trigger_tick: int) -> tuple[list[Window], int]:
     """Reference implementation driving real unit state machines."""
-    if cfg.enabled_count == 0:
-        raise EmptyChain("at least one fault unit must be enabled")
-    if trigger_tick < 0:
-        raise ValueError("trigger_tick must be non-negative")
+    _check_firing(cfg, trigger_tick)
 
     units = [SingleFaultUnit(o, w) for o, w in cfg.enabled_units]
     horizon = trigger_tick + sum(o + w for o, w in cfg.enabled_units) + 1

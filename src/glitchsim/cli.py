@@ -11,8 +11,7 @@ import sys
 from dataclasses import replace
 
 from . import campaign
-from .errors import (ConfigError, GlitchSimError, IncompleteSweep,
-                     NoIntegratedSuccess, NotFound)
+from .errors import ConfigError, GlitchSimError, SearchFailed
 from .scenarios import SCENARIO_PRESETS
 
 EXIT_OK = 0
@@ -144,7 +143,7 @@ def main(argv=None) -> int:
             parser.error(f"unknown command {args.command!r}")
         return EXIT_OK
 
-    except (NotFound, IncompleteSweep, NoIntegratedSuccess) as exc:
+    except SearchFailed as exc:
         print(f"search failed: {exc}", file=sys.stderr)
         return EXIT_SEARCH_FAILED
     except ConfigError as exc:

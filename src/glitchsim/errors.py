@@ -21,30 +21,41 @@ class OverlapError(GlitchSimError):
     """Absolute fault windows overlap or are out of order."""
 
 
-class NotFound(GlitchSimError):
+class SearchFailed(GlitchSimError):
+    """A search step spent its budget without a result.  ``trials_used``
+    counts that step's trials; ``summary`` is the error's entry in
+    summary.json."""
+
+    def __init__(self, kind: str, message: str, trials_used: int, **details):
+        super().__init__(message)
+        self.trials_used = trials_used
+        self.summary = {"kind": kind, "trials_used": trials_used, **details}
+
+
+class NotFound(SearchFailed):
     """Exhaustive search exhausted its budget without a success."""
 
     def __init__(self, trials_used: int):
-        super().__init__(f"no successful combination within {trials_used} trials")
-        self.trials_used = trials_used
+        super().__init__("not_found", f"no successful combination within "
+                         f"{trials_used} trials", trials_used)
 
 
-class IncompleteSweep(GlitchSimError):
+class IncompleteSweep(SearchFailed):
     """Sweeping ran out of passes before locating every fault target."""
 
     def __init__(self, missing, trials_used: int):
-        missing = tuple(missing)
-        super().__init__(f"sweep exhausted its pass budget; missing targets: {missing}")
-        self.missing = missing
-        self.trials_used = trials_used
+        self.missing = tuple(missing)
+        super().__init__("incomplete_sweep", f"sweep exhausted its pass budget; "
+                         f"missing targets: {self.missing}", trials_used,
+                         missing=list(self.missing))
 
 
-class NoIntegratedSuccess(GlitchSimError):
+class NoIntegratedSuccess(SearchFailed):
     """Integration found no combination that satisfies the success function."""
 
     def __init__(self, trials_used: int):
-        super().__init__(f"no integrated combination succeeded in {trials_used} trials")
-        self.trials_used = trials_used
+        super().__init__("no_integrated_success", f"no integrated combination "
+                         f"succeeded in {trials_used} trials", trials_used)
 
 
 class TransferInvalid(GlitchSimError):

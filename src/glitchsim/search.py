@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .chain import ChainConfig, simulate_chain
+from .chain import ChainConfig, chain_windows, simulate_chain
 # apply_random_delays stays bound here with the other trial layers, which
 # bench/run.py traces by name; trials use stall_shift, with the same draws.
 from .dut import (BodModel, FaultResponseModel, apply_random_delays,
@@ -31,18 +31,17 @@ _DELAY_SEED_SALT = 0x5EED
 
 @dataclass(frozen=True)
 class SimContext:
-    """Everything besides the scenario needed to run one trial.  ``jobs``
-    is ignored: under the GIL, one serial loop beats a thread pool."""
+    """Everything besides the scenario needed to run one trial."""
 
     domains: ClockDomains
     model: FaultResponseModel
     bod: Optional[BodModel] = None
-    jobs: int = 1
 
 
 @dataclass(frozen=True)
 class SearchSpace:
-    """Offset/width grid swept by the searches (ticks)."""
+    """Offset/width grid swept by the searches (ticks).  Offsets are never
+    negative and widths at least 1, so every combo is a valid chain."""
 
     offset_min: int
     offset_max: int  # exclusive
@@ -51,10 +50,14 @@ class SearchSpace:
 
     def __post_init__(self):
         object.__setattr__(self, "width_set", tuple(self.width_set))
+        if self.offset_min < 0:
+            raise ValueError("offset_min must be >= 0")
         if self.offset_max <= self.offset_min:
             raise ValueError("offset_max must exceed offset_min")
         if not self.width_set:
             raise ValueError("width_set must be non-empty")
+        if min(self.width_set) < 1:
+            raise ValueError("widths must be >= 1")
         if self.stride < 1:
             raise ValueError("stride must be >= 1")
 
@@ -179,24 +182,34 @@ class RepeatabilityResult:
 # Trial execution
 # ---------------------------------------------------------------------------
 
-def _model_consumes_rng(model: FaultResponseModel, oversampling: int) -> bool:
+def _seed_matters(scenario: ScenarioSpec, ctx: SimContext) -> bool:
+    """Whether a trial's seed can change its result: random stalls or a
+    fault-response probability strictly between 0 and 1."""
+    model = ctx.model
     probs = [model.p_max_skip, model.p_lockup_per_fault, model.p_window_burst]
     if model.per_target_override:
         probs.extend(model.per_target_override.values())
     # p_max_skip is scaled by the covered fraction of a cycle, which lies
     # strictly between 0 and 1 when a window covers part of an instruction.
-    return (any(0.0 < p < 1.0 for p in probs)
-            or (model.p_max_skip > 0.0 and oversampling > 1))
+    return (scenario.random_delay_max > 0
+            or any(0.0 < p < 1.0 for p in probs)
+            or (model.p_max_skip > 0.0 and ctx.domains.oversampling > 1))
 
 
-def _trial(scenario: ScenarioSpec, windows, ctx: SimContext, seed: int):
+def _execute(scenario: ScenarioSpec, windows, ctx: SimContext, seed: int):
+    """One execution under ``windows``.  Random stalls only move cycles, so
+    they shift the effectful instructions' start cycles."""
     cycles = None
     if scenario.random_delay_max:
         shift = stall_shift(scenario, scenario.random_delay_max,
                             mix64(seed, _DELAY_SEED_SALT))
         cycles = map(shift, scenario.effectful_cycles)
-    raw = execute_trial(scenario, windows, ctx.domains, ctx.model, ctx.bod,
-                        seed, cycles)
+    return execute_trial(scenario, windows, ctx.domains, ctx.model, ctx.bod,
+                         seed, cycles)
+
+
+def _trial(scenario: ScenarioSpec, windows, ctx: SimContext, seed: int):
+    raw = _execute(scenario, windows, ctx, seed)
     hits = tuple(scenario.target_hit(t.label, raw) for t in scenario.targets)
     return raw, classify(scenario, raw), hits
 
@@ -236,8 +249,7 @@ def run_trials(scenario: ScenarioSpec, combo: Sequence[RelSpec], n: int,
 # ---------------------------------------------------------------------------
 
 def sweep(scenario: ScenarioSpec, space: SearchSpace, ctx: SimContext,
-          seed: int = 0, pass_budget: int = 10,
-          stop_when_complete: bool = True) -> SweepResult:
+          seed: int = 0, pass_budget: int = 10) -> SweepResult:
     """Locate every target's absolute parameters with one fault per trial.
 
     Only the PSFs are consulted; the overall SF plays no role here.
@@ -250,24 +262,18 @@ def sweep(scenario: ScenarioSpec, space: SearchSpace, ctx: SimContext,
     labels = [t.label for t in scenario.targets]
     entries: dict[str, set[RelSpec]] = {label: set() for label in labels}
     records: list[TrialRecord] = []
-    grid = space.grid
-
-    index = 0
-    for _ in range(pass_budget):
-        for spec in grid:
-            seed_t = mix64(seed, index)
-            _, outcome, hits = run_chain_trial(scenario, (spec,), ctx, seed_t)
-            records.append(TrialRecord(index, "sweep", (spec,), outcome, hits, seed_t))
-            index += 1
-            if outcome.kind in ("partial_hit", "success"):
-                hit_labels = (outcome.labels if outcome.kind == "partial_hit"
-                              else frozenset(labels))
-                for label in hit_labels:
-                    entries[label].add(spec)
-            if stop_when_complete and all(entries[label] for label in labels):
+    passes = itertools.chain.from_iterable(itertools.repeat(space.grid, pass_budget))
+    for index, spec in enumerate(passes):
+        seed_t = mix64(seed, index)
+        _, outcome, hits = run_chain_trial(scenario, (spec,), ctx, seed_t)
+        records.append(TrialRecord(index, "sweep", (spec,), outcome, hits, seed_t))
+        if outcome.kind in ("partial_hit", "success"):
+            hit_labels = (outcome.labels if outcome.kind == "partial_hit"
+                          else frozenset(labels))
+            for label in hit_labels:
+                entries[label].add(spec)
+            if all(entries.values()):
                 break
-        if all(entries[label] for label in labels):
-            break
 
     missing = [label for label in labels if not entries[label]]
     if missing:
@@ -354,59 +360,34 @@ def integrate(scenario: ScenarioSpec, fuzzy: Sequence[FuzzyInterval],
 # Exhaustive baseline (the conventional grid search)
 # ---------------------------------------------------------------------------
 
-def exhaustive_grid_size(space: SearchSpace, n_faults: int) -> int:
-    return len(space.grid) ** n_faults
-
-
 def exhaustive_search(scenario: ScenarioSpec, space: SearchSpace, n_faults: int,
                       budget: int, ctx: SimContext, seed: int = 0,
-                      max_successes: Optional[int] = None,
-                      count_only: bool = False) -> ExhaustiveResult:
+                      max_successes: Optional[int] = None) -> ExhaustiveResult:
     """Conventional baseline: enumerate the Cartesian product of
     per-fault (offset, width) grids in lexicographic order, judging each
-    combination by the overall SF only.
-
-    ``count_only`` performs the trial accounting without touching the
-    DUT model (for cost comparisons on grids too large to execute).
+    combination by the overall SF only.  Trial i is ``run_chain_trial``
+    of the i-th combo at seed ``mix64(seed, i)``.
     """
     if n_faults < 1:
         raise ValueError("n_faults must be >= 1")
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    grid = space.grid
-    total = len(grid) ** n_faults
-    if count_only:
-        return ExhaustiveResult(combos=[], trials_used=min(total, budget))
-
-    # Seed derivation is skipped for fully deterministic models; no draw
-    # would consume it and mixing dominates the hot loop otherwise.
-    needs_rng = _model_consumes_rng(ctx.model, ctx.domains.oversampling)
-    # Budgets routinely reach 1e7 trials, so the window construction is
-    # inlined here instead of going through ChainConfig per combination.
-    inline = scenario.random_delay_max == 0
+    # Budgets reach 1e7 trials.  The space only holds valid chains, so
+    # the closed form runs without a ChainConfig per combo, and seeds are
+    # derived only when a draw can consume them: mixing would dominate
+    # the loop otherwise.
+    needs_rng = _seed_matters(scenario, ctx)
     trigger_tick = scenario.trigger_cycle * ctx.domains.oversampling
-    sf = scenario.sf
 
     successes: list[RankedCombo] = []
     trials_used = 0
-    for combo in itertools.product(grid, repeat=n_faults):
+    for combo in itertools.product(space.grid, repeat=n_faults):
         if trials_used >= budget:
             break
-        seed_t = mix64(seed, trials_used) if needs_rng else 0
-        if inline:
-            windows = []
-            cursor = trigger_tick
-            for o, w in combo:
-                start = cursor + o
-                windows.append((start, start + w))
-                cursor = start + w
-            raw = execute_trial(scenario, windows, ctx.domains, ctx.model,
-                                ctx.bod, seed_t)
-            won = (not raw.locked_up and not raw.bod_tripped
-                   and raw.response is not None and sf(raw))
-        else:
-            _, outcome, _ = run_chain_trial(scenario, combo, ctx, seed_t)
-            won = outcome.is_success
+        windows, _ = chain_windows(combo, trigger_tick)
+        raw = _execute(scenario, windows, ctx,
+                       mix64(seed, trials_used) if needs_rng else 0)
+        won = classify(scenario, raw).is_success
         trials_used += 1
         if won:
             successes.append(RankedCombo(specs=tuple(combo), trials_run=1, successes=1))

@@ -58,12 +58,22 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(path)
 
-    @pytest.mark.parametrize("field", ["trials", "jobs"])
+    @pytest.mark.parametrize("field", ["trials", "jobs", "oversampling"])
     def test_non_positive_counts_rejected(self, field):
         with pytest.raises(ConfigError):
             CampaignConfig.from_dict({"scenario": "dup_registers_7_43", field: 0})
         with pytest.raises(ConfigError):
             dup_config(**{field: -1})
+
+    @pytest.mark.parametrize("field, value", [
+        ("n_rank", 0), ("n_final", 0), ("integrate_trials", 0),
+        ("pass_budget", 0), ("stride", 0), ("fuzzy_stride", 0),
+        ("exhaustive_budget", 0), ("n_faults", 0), ("psi", -1),
+        ("offset_min", -1), ("offset_max", 0), ("width_set", (1, 0)),
+    ])
+    def test_bad_search_config_rejected(self, field, value):
+        with pytest.raises(ConfigError):
+            SearchConfig.from_dict({"offset_max": 100, field: value})
 
     def test_missing_scenario_key(self):
         with pytest.raises(ConfigError):
@@ -105,13 +115,14 @@ class TestAttackFlow:
         assert rates == sorted(rates, reverse=True)
 
     def test_incomplete_sweep_persists_summary(self, tmp_path):
-        cfg = dup_config(search=SearchConfig(offset_min=0, offset_max=100,
-                                             width_set=(1,), pass_budget=0))
+        # Both targets lie beyond the grid: two passes of 5 trials miss them.
+        cfg = dup_config(search=SearchConfig(offset_min=0, offset_max=5,
+                                             width_set=(1,), pass_budget=2))
         with pytest.raises(IncompleteSweep):
             run_attack_flow(cfg, tmp_path)
         stored = json.loads((tmp_path / "summary.json").read_text())
         assert stored["error"]["kind"] == "incomplete_sweep"
-        assert stored["total_trials"] == 0
+        assert stored["total_trials"] == 10
 
     def test_noncoop_requires_transfer_source(self):
         cfg = dup_config(scenario="dup_registers_noncoop")
@@ -160,6 +171,21 @@ class TestComparison:
         summary = run_comparison(cfg)
         assert summary["exhaustive"]["found"] and summary["flow"]["found"]
         assert summary["ratio"] >= 20
+
+    def test_failed_integration_counts_sweep_trials(self):
+        cfg = CampaignConfig(
+            scenario="dup_registers_7_43", oversampling=20,
+            model=dup_register_model(),
+            search=SearchConfig(offset_min=0, offset_max=1200, stride=20,
+                                width_set=(20,), psi=0, integrate_trials=1,
+                                exhaustive_budget=10),
+            master_seed=0)
+        summary = run_comparison(cfg)
+        assert not summary["flow"]["found"]
+        # psi = 0 leaves one combo: one integration trial after the sweep.
+        swept = run_sweep_only(cfg)["total_trials"]
+        assert summary["flow"]["trials_used"] == swept + 1
+        assert summary["total_trials"] == 10 + swept + 1
 
     def test_capped_exhaustive_recorded(self):
         cfg = dup_config(search=SearchConfig(offset_min=0, offset_max=100,

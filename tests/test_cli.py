@@ -46,11 +46,43 @@ class TestExitCodes:
 
     def test_search_failure_exit_1(self, dup_cfg_path, tmp_path, capsys):
         data = json.loads(dup_cfg_path.read_text())
-        data["search"]["pass_budget"] = 0
+        data["search"]["offset_max"] = 5  # both targets lie further out
         bad = tmp_path / "hopeless.json"
         bad.write_text(json.dumps(data))
         assert main(["flow", "--config", str(bad)]) == 1
         assert "search failed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, section, key, value", [
+        ("flow", "search", "n_rank", 0),
+        ("flow", "search", "n_final", 0),
+        ("flow", "search", "integrate_trials", 0),
+        ("flow", "search", "pass_budget", 0),
+        ("flow", "search", "stride", 0),
+        ("flow", "search", "fuzzy_stride", 0),
+        ("flow", "search", "psi", -1),
+        ("flow", "search", "offset_max", 0),
+        ("flow", "search", "offset_min", -1),
+        ("flow", "search", "width_set", [0]),
+        ("exhaustive", "search", "exhaustive_budget", 0),
+        ("exhaustive", "search", "n_faults", 0),
+        ("flow", None, "oversampling", 0),
+        ("flow", None, "dut_period_ns", 0),
+        ("sweep", None, "scenario", "dup_registers_noncoop"),
+        ("compare", None, "scenario", "dup_registers_noncoop"),
+        ("flow", None, "transfer_source", "no_such_scenario"),
+        ("flow", None, "search", []),
+        ("flow", None, "model", "tzm"),
+    ])
+    def test_malformed_config_exit_2(self, dup_cfg_path, tmp_path, capsys,
+                                     command, section, key, value):
+        data = json.loads(dup_cfg_path.read_text())
+        if key == "transfer_source":
+            data["scenario"] = "dup_registers_noncoop"
+        (data[section] if section else data)[key] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        assert main([command, "--config", str(bad)]) == 2
+        assert "config error" in capsys.readouterr().err
 
 
 class TestCommands:

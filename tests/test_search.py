@@ -1,9 +1,11 @@
+import itertools
 from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from glitchsim.calibration import deterministic_model, dup_register_model
+from glitchsim.calibration import (deterministic_model, dup_register_model,
+                                   shift_model)
 from glitchsim.campaign import MODEL_PRESETS
 from glitchsim.chain import ChainConfig, simulate_chain
 from glitchsim.dut import BodModel, apply_random_delays, execute_trial
@@ -23,8 +25,8 @@ DOM1 = ClockDomains(oversampling=1)
 DOM20 = ClockDomains(oversampling=20)
 
 
-def perfect_ctx(dom=DOM1, jobs=1):
-    return SimContext(domains=dom, model=deterministic_model(), jobs=jobs)
+def perfect_ctx(dom=DOM1):
+    return SimContext(domains=dom, model=deterministic_model())
 
 
 def _build(raw):
@@ -124,14 +126,15 @@ class TestSweep:
                   pass_budget=2)
         assert exc.value.missing == ("SECOND",)
 
-    def test_parallel_matches_serial(self):
+    def test_rerun_is_identical(self):
         scen = dup_registers(7, 43)
         space = SearchSpace(0, 1200, width_set=(20,), stride=20)
-        r1 = sweep(scen, space, SimContext(DOM20, dup_register_model(), jobs=1), seed=9)
-        r8 = sweep(scen, space, SimContext(DOM20, dup_register_model(), jobs=8), seed=9)
-        assert r1.params.entries == r8.params.entries
+        ctx = SimContext(DOM20, dup_register_model())
+        r1 = sweep(scen, space, ctx, seed=9)
+        r2 = sweep(scen, space, ctx, seed=9)
+        assert r1.params.entries == r2.params.entries
         assert [rec.to_dict() for rec in r1.records] == \
-               [rec.to_dict() for rec in r8.records]
+               [rec.to_dict() for rec in r2.records]
 
 
 class TestIntegrate:
@@ -218,15 +221,43 @@ class TestExhaustive:
             wins += won
         assert 0 < wins < 60
 
-    def test_count_only_growth(self):
-        scen = dup_registers(7, 43)
-        space = SearchSpace(0, 30, width_set=(1, 2))  # 60 grid points
-        one = exhaustive_search(scen, space, 1, 10**9, perfect_ctx(DOM1),
-                                count_only=True)
-        two = exhaustive_search(scen, space, 2, 10**9, perfect_ctx(DOM1),
-                                count_only=True)
-        assert one.trials_used == 60
-        assert two.trials_used == 60 ** 2
+    @pytest.mark.parametrize("case, seed", [
+        # Touching windows (offset 0) merge at the crowbar: one burst and
+        # one lockup draw, not two.
+        ("merged_windows", 9),
+        # Random stalls draw from the trial seed under a deterministic model.
+        ("random_delays", 0),
+        ("random_delays", 2),
+        # A 10-tick window covers half a store cycle at K = 20.
+        ("partial_coverage", 0),
+        ("partial_coverage", 6),
+    ])
+    def test_agrees_with_run_chain_trial(self, case, seed):
+        """Exhaustive trial i judges combo i exactly as run_chain_trial
+        does at seed mix64(seed, i)."""
+        if case == "merged_windows":
+            scen = load_scenario("successive_shifts")
+            ctx = SimContext(DOM1, shift_model())
+            space = SearchSpace(0, 8, width_set=(1,))
+        elif case == "random_delays":
+            scen = replace(dup_registers(7, 43), random_delay_max=9)
+            ctx = perfect_ctx(DOM1)
+            space = SearchSpace(0, 70, width_set=(1,))
+        else:
+            scen = dup_registers(7, 43)
+            ctx = perfect_ctx(DOM20)
+            s1, s2 = (min(t.cycles) * 20 for t in scen.targets)
+            r2 = s2 - s1 - 10  # half-windows at s1 and s2: grid {s1, r2}
+            space = SearchSpace(s1, r2 + 1, width_set=(10,), stride=r2 - s1)
+        combos = list(itertools.product(space.grid, repeat=2))
+        want = [c for i, c in enumerate(combos)
+                if run_chain_trial(scen, c, ctx, mix64(seed, i))[1].is_success]
+        try:
+            result = exhaustive_search(scen, space, 2, len(combos), ctx, seed=seed)
+            got = [c.specs for c in result.combos]
+        except NotFound:
+            got = []
+        assert got == want
 
 
 class TestEvaluateRepeatability:
@@ -303,15 +334,14 @@ class TestTransfer:
 
 
 class TestRunTrials:
-    def test_parallel_equals_serial(self):
+    def test_rerun_is_identical(self):
         scen = dup_registers(7, 43)
         rel = translate_to_relative([(min(t.cycles) * 20, 20)
                                      for t in scen.targets])
-        ctx1 = SimContext(DOM20, dup_register_model(), jobs=1)
-        ctx8 = SimContext(DOM20, dup_register_model(), jobs=8)
-        r1 = run_trials(scen, rel, 5000, ctx1, "x", 77)
-        r8 = run_trials(scen, rel, 5000, ctx8, "x", 77)
-        assert [a.to_dict() for a in r1] == [b.to_dict() for b in r8]
+        ctx = SimContext(DOM20, dup_register_model())
+        r1 = run_trials(scen, rel, 5000, ctx, "x", 77)
+        r2 = run_trials(scen, rel, 5000, ctx, "x", 77)
+        assert [a.to_dict() for a in r1] == [b.to_dict() for b in r2]
 
 
 def _oracle_trial(scenario, combo, ctx, seed):
