@@ -243,13 +243,58 @@ def load_config(path) -> CampaignConfig:
 # Persistence
 # ---------------------------------------------------------------------------
 
+def _by_key(records: list[TrialRecord], build):
+    """Yield (position, record, build(record)), calling ``build`` once per
+    (step, combo, outcome, hits): all a persisted line or row holds
+    besides its seed and position."""
+    built = {}
+    for i, rec in enumerate(records):
+        key = (rec.step, rec.combo, rec.outcome, rec.hits)
+        value = built.get(key)
+        if value is None:
+            value = built[key] = build(rec)
+        yield i, rec, value
+
+
+def _line_parts(rec: TrialRecord) -> tuple[str, str]:
+    """The JSON line of ``rec`` split around its seed and trial values.
+
+    With sorted keys, "seed", "step" and "trial" come after "combo",
+    "hits" and "outcome", so everything up to the seed value and between
+    it and the trial value depends on the record key alone.  A quote
+    inside a string is escaped, so only the key matches '"seed": 0'.
+    """
+    text = json.dumps(rec.to_dict() | {"seed": 0, "trial": 0}, sort_keys=True)
+    cut = text.index('"seed": 0') + len('"seed": ')
+    return text[:cut], text[cut + 1:-2]
+
+
 def write_results(records: list[TrialRecord], path) -> None:
     """Append-order line-delimited JSON with dense trial indices."""
     with open(path, "w") as fh:
-        for i, rec in enumerate(records):
-            d = rec.to_dict()
-            d["trial"] = i
-            fh.write(json.dumps(d, sort_keys=True) + "\n")
+        for i, rec, (head, middle) in _by_key(records, _line_parts):
+            fh.write(f"{head}{rec.seed}{middle}{i}}}\n")
+
+
+def read_results(path) -> list[TrialRecord]:
+    """The records of a results.jsonl (the inverse of write_results, with
+    ``index`` read from ``trial``).  A missing file or a line that is not
+    a trial record raises ConfigError naming the file and the line."""
+    try:
+        fh = open(path, "rb")  # bytes: a bad encoding fails on its own line
+    except OSError as exc:
+        raise ConfigError(f"cannot read results file {path}: {exc}") from exc
+    records = []
+    with fh:
+        for lineno, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                records.append(TrialRecord.from_dict(json.loads(line)))
+            except (ValueError, KeyError, TypeError, AttributeError) as exc:
+                raise ConfigError(f"{path} line {lineno} is not a trial "
+                                  f"record: {exc!r}") from exc
+    return records
 
 
 def write_summary(summary: dict, path) -> None:
@@ -259,26 +304,22 @@ def write_summary(summary: dict, path) -> None:
 REPORT_COLUMNS = ["trial", "step", "outcome", "success", "hits", "combo", "seed"]
 
 
-def results_to_report(results_path, csv_path) -> int:
-    """Flatten results.jsonl into report.csv; returns the row count."""
-    rows = 0
-    with open(results_path) as src, open(csv_path, "w", newline="") as dst:
+def _report_cells(rec: TrialRecord) -> tuple:
+    kind = rec.outcome.kind
+    return (rec.step, kind, int(kind == "success"),
+            "|".join("1" if h else "0" for h in rec.hits),
+            ";".join(f"{r}+{w}" for r, w in rec.combo))
+
+
+def results_to_report(records: list[TrialRecord], csv_path) -> int:
+    """Flatten the records into report.csv, one row per trial with the
+    same dense ``trial`` as results.jsonl; returns the row count."""
+    with open(csv_path, "w", newline="") as dst:
         writer = csv.writer(dst)
         writer.writerow(REPORT_COLUMNS)
-        for line in src:
-            if not line.strip():
-                continue
-            rec = json.loads(line)
-            outcome = rec["outcome"]["kind"]
-            writer.writerow([
-                rec["trial"], rec["step"], outcome,
-                int(outcome == "success"),
-                "|".join("1" if h else "0" for h in rec["hits"]),
-                ";".join(f"{r}+{w}" for r, w in rec["combo"]),
-                rec["seed"],
-            ])
-            rows += 1
-    return rows
+        for i, rec, cells in _by_key(records, _report_cells):
+            writer.writerow((i, *cells, rec.seed))
+    return len(records)
 
 
 def _persist(out_dir, records: Optional[list[TrialRecord]], summary: dict) -> None:
@@ -288,7 +329,7 @@ def _persist(out_dir, records: Optional[list[TrialRecord]], summary: dict) -> No
     out.mkdir(parents=True, exist_ok=True)
     if records is not None:
         write_results(records, out / "results.jsonl")
-        results_to_report(out / "results.jsonl", out / "report.csv")
+        results_to_report(records, out / "report.csv")
     write_summary(summary, out / "summary.json")
 
 

@@ -90,7 +90,8 @@ def main(argv=None) -> int:
             return EXIT_OK
 
         if args.command == "report":
-            rows = campaign.results_to_report(args.results, args.out)
+            rows = campaign.results_to_report(campaign.read_results(args.results),
+                                              args.out)
             print(f"wrote {rows} rows to {args.out}")
             return EXIT_OK
 

@@ -54,6 +54,7 @@ class ScenarioSpec:
             raise ValueError("instruction cycles must be strictly increasing")
         if self.response_kind not in RESPONSE_ENCODERS:
             raise ValueError(f"unknown response_kind {self.response_kind!r}")
+        self.target_indices  # every target must name instructions of the stream
 
     @cached_property
     def effectful_instructions(self) -> tuple[Instruction, ...]:
@@ -81,9 +82,16 @@ class ScenarioSpec:
                 i.index for i in self.effectful_instructions if i.cycle in t.cycles
             )
             if len(idx) != len(t.cycles):
-                raise ValueError(f"target {t.label} does not match the stream")
+                raise ValueError(f"target {t.label} does not match the stream: "
+                                 f"no effectful instruction at some of the "
+                                 f"cycles {list(t.cycles)}")
             out[t.label] = idx
         return out
+
+    @cached_property
+    def target_sets(self) -> tuple[tuple[str, frozenset[int]], ...]:
+        """(label, instruction indices) of every target, in target order."""
+        return tuple((t.label, self.target_indices[t.label]) for t in self.targets)
 
     @cached_property
     def _effect_index(self) -> dict[Effect, int]:
@@ -91,13 +99,6 @@ class ScenarioSpec:
 
     def target_hit(self, label: str, raw: RawTrialResult) -> bool:
         return self.target_indices[label] <= raw.skipped
-
-    def hit_labels(self, raw: RawTrialResult) -> frozenset[str]:
-        return frozenset(t.label for t in self.targets if self.target_hit(t.label, raw))
-
-    def sf(self, raw: RawTrialResult) -> bool:
-        """Overall success function: every fault target hit at once."""
-        return all(self.target_hit(t.label, raw) for t in self.targets)
 
     def psf(self, label: str) -> Callable[[RawTrialResult], bool]:
         """Partial success function for one target (cooperative only)."""
@@ -187,6 +188,13 @@ class Outcome:
             d["labels"] = sorted(self.labels)
         return d
 
+    @classmethod
+    def from_dict(cls, d: dict) -> "Outcome":
+        labels = d.get("labels", [])
+        if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
+            raise ValueError(f"outcome labels must be a list of strings, got {labels!r}")
+        return cls(d["kind"], labels)
+
 
 FAILURE = Outcome("failure")
 SUCCESS = Outcome("success")
@@ -198,8 +206,9 @@ BOD_RESET = Outcome("bod_reset")
 def classify(scenario: ScenarioSpec, raw: RawTrialResult) -> Outcome:
     """Map one raw trial onto exactly one outcome class.
 
-    PartialHit is only reachable in cooperative scenarios, where PSFs
-    exist to tell individual targets apart.
+    Success is the SF: every target hit at once.  PartialHit is only
+    reachable in cooperative scenarios, where PSFs exist to tell
+    individual targets apart.  Each target is checked once.
     """
     if raw.bod_tripped:
         return BOD_RESET
@@ -207,12 +216,12 @@ def classify(scenario: ScenarioSpec, raw: RawTrialResult) -> Outcome:
         return INVALID
     if raw.response is None:
         return NO_RESPONSE
-    if scenario.sf(raw):
+    skipped = raw.skipped
+    labels = [label for label, idx in scenario.target_sets if idx <= skipped]
+    if len(labels) == len(scenario.targets):
         return SUCCESS
-    if scenario.cooperative:
-        labels = scenario.hit_labels(raw)
-        if labels:
-            return Outcome("partial_hit", labels)
+    if labels and scenario.cooperative:
+        return Outcome("partial_hit", labels)
     return FAILURE
 
 
@@ -452,5 +461,9 @@ def load_scenario(name_or_path) -> ScenarioSpec:
         return SCENARIO_PRESETS[key]()
     path = Path(key)
     if path.exists():
-        return scenario_from_dict(json.loads(path.read_text()))
+        try:
+            return scenario_from_dict(json.loads(path.read_text()))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"bad scenario file {path}: "
+                             f"{type(exc).__name__}: {exc}") from exc
     raise ValueError(f"unknown scenario {key!r} (not a preset, not a file)")

@@ -149,6 +149,18 @@ class TrialRecord:
             "seed": self.seed,
         }
 
+    @classmethod
+    def from_dict(cls, d: dict) -> "TrialRecord":
+        """Inverse of to_dict; a field of the wrong type raises ValueError."""
+        rec = cls(d["trial"], d["step"], tuple(tuple(s) for s in d["combo"]),
+                  Outcome.from_dict(d["outcome"]), tuple(d["hits"]), d["seed"])
+        ints = (rec.index, rec.seed, *itertools.chain.from_iterable(rec.combo))
+        if (not isinstance(rec.step, str) or any(len(s) != 2 for s in rec.combo)
+                or not all(isinstance(v, int) for v in ints)
+                or not all(isinstance(h, bool) for h in rec.hits)):
+            raise ValueError(f"a field of {d!r} has the wrong type")
+        return rec
+
 
 @dataclass
 class SweepResult:
@@ -210,7 +222,7 @@ def _execute(scenario: ScenarioSpec, windows, ctx: SimContext, seed: int):
 
 def _trial(scenario: ScenarioSpec, windows, ctx: SimContext, seed: int):
     raw = _execute(scenario, windows, ctx, seed)
-    hits = tuple(scenario.target_hit(t.label, raw) for t in scenario.targets)
+    hits = tuple(idx <= raw.skipped for _, idx in scenario.target_sets)
     return raw, classify(scenario, raw), hits
 
 

@@ -4,7 +4,7 @@ import pytest
 
 from glitchsim.calibration import deterministic_model, dup_register_model
 from glitchsim.campaign import (CampaignConfig, SearchConfig, load_config,
-                                model_from_dict, nominal_combo,
+                                model_from_dict, nominal_combo, read_results,
                                 results_to_report, run_attack_flow,
                                 run_bod_eval, run_comparison,
                                 run_countermeasure_eval, run_exhaustive,
@@ -289,7 +289,7 @@ class TestHelpers:
 
     def test_report_csv(self, tmp_path):
         run_attack_flow(dup_config(), tmp_path)
-        rows = results_to_report(tmp_path / "results.jsonl",
+        rows = results_to_report(read_results(tmp_path / "results.jsonl"),
                                  tmp_path / "again.csv")
         header, *body = (tmp_path / "again.csv").read_text().splitlines()
         assert header.startswith("trial,step,outcome,success")

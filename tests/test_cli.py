@@ -5,6 +5,7 @@ import pytest
 from glitchsim.calibration import deterministic_model
 from glitchsim.campaign import CampaignConfig, SearchConfig, model_to_dict
 from glitchsim.cli import main
+from glitchsim.scenarios import dup_registers, scenario_to_dict
 
 
 @pytest.fixture
@@ -83,6 +84,36 @@ class TestExitCodes:
         bad.write_text(json.dumps(data))
         assert main([command, "--config", str(bad)]) == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["flow", "exhaustive", "countermeasure"])
+    def test_target_outside_stream_exit_2(self, dup_cfg_path, tmp_path, capsys,
+                                          command):
+        scen = scenario_to_dict(dup_registers(7, 43))
+        scen["targets"][1]["cycles"] = [999]
+        save = tmp_path / "scen.json"
+        save.write_text(json.dumps(scen))
+        data = json.loads(dup_cfg_path.read_text())
+        data["scenario"] = str(save)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        assert main([command, "--config", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err
+        assert "target SECOND does not match the stream" in err
+
+    @pytest.mark.parametrize("content, where", [
+        (None, "cannot read"),
+        ('{"trial": 0}\n', "line 1 "),
+        ("\nnot json\n", "line 2 "),
+    ])
+    def test_report_bad_results_exit_2(self, tmp_path, capsys, content, where):
+        results = tmp_path / "results.jsonl"
+        if content is not None:
+            results.write_text(content)
+        assert main(["report", "--results", str(results),
+                     "--out", str(tmp_path / "r.csv")]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and str(results) in err and where in err
 
 
 class TestCommands:

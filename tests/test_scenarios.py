@@ -1,8 +1,12 @@
 import json
+import random
+from dataclasses import replace
 
 import pytest
 
+from glitchsim.campaign import CampaignConfig
 from glitchsim.dut import FaultResponseModel, execute_trial
+from glitchsim.errors import ConfigError
 from glitchsim.scenarios import (SCENARIO_PRESETS, Outcome, builtin_scenarios,
                                  classify, dup_registers,
                                  dup_registers_from_seed, load_scenario,
@@ -107,6 +111,34 @@ class TestClassify:
             kinds.add(out.kind)
         assert "invalid" in kinds  # lockups do occur at p=0.2
 
+    def test_one_pass_agrees_with_sf_then_hit_labels(self):
+        # The two-pass form classify had: the SF over every target, then
+        # the set of hit labels on a cooperative scenario.
+        def reference(scen, raw):
+            if raw.bod_tripped or raw.locked_up or raw.response is None:
+                return None
+            if all(scen.target_hit(t.label, raw) for t in scen.targets):
+                return Outcome("success")
+            labels = frozenset(t.label for t in scen.targets
+                               if scen.target_hit(t.label, raw))
+            if scen.cooperative and labels:
+                return Outcome("partial_hit", labels)
+            return Outcome("failure")
+
+        model = FaultResponseModel(p_max_skip=0.7, p_lockup_per_fault=0.02)
+        rng = random.Random(4)
+        kinds = set()
+        for scen in builtin_scenarios():
+            cycles = sorted({c for t in scen.targets for c in t.cycles})
+            for seed in range(300):
+                picked = [c for c in cycles if rng.random() < 0.6]
+                windows = [(c * 20, (c + 1) * 20) for c in picked]
+                raw = execute_trial(scen, windows, DOM, model, seed=seed)
+                out = classify(scen, raw)
+                kinds.add(out.kind)
+                assert reference(scen, raw) in (out, None)
+        assert {"success", "partial_hit", "failure", "invalid"} <= kinds
+
     def test_pe_target_needs_both_shifts(self):
         scen = load_scenario("tzm_full_attack")
         pe_first = min(scen.targets[3].cycles)
@@ -139,3 +171,28 @@ class TestSerialization:
     def test_unknown_name(self):
         with pytest.raises(ValueError):
             load_scenario("no_such_scenario")
+
+
+class TestTargetsInStream:
+    @pytest.mark.parametrize("cycle", [999, 9])  # past the end; a Delay cycle
+    def test_rejected_at_construction(self, cycle):
+        base = dup_registers(7, 43)
+        moved = replace(base.targets[1], cycles=(cycle,))
+        with pytest.raises(ValueError, match="target SECOND does not match"):
+            replace(base, targets=(base.targets[0], moved))
+
+    def test_file_error_names_the_file(self, tmp_path):
+        data = scenario_to_dict(dup_registers(7, 43))
+        data["targets"][1]["cycles"] = [999]
+        path = tmp_path / "scen.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match=r"scen\.json.*target SECOND"):
+            load_scenario(path)
+
+    def test_campaign_load_raises_config_error(self, tmp_path):
+        data = scenario_to_dict(dup_registers(7, 43))
+        del data["instructions"]
+        path = tmp_path / "scen.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ConfigError, match="instructions"):
+            CampaignConfig(scenario=str(path)).load_scenario()
