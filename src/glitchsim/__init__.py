@@ -5,7 +5,7 @@ Layers, bottom up:
 
 - :mod:`glitchsim.timing` — tick arithmetic, fault windows, splitting.
 - :mod:`glitchsim.chain` — the chained fault-unit glitcher model.
-- :mod:`glitchsim.dut` — instruction stream, security state, fault response.
+- :mod:`glitchsim.dut` — instruction stream, fault response, one trial.
 - :mod:`glitchsim.scenarios` — firmware scenarios, success functions, outcomes.
 - :mod:`glitchsim.calibration` — fitted noise-model presets.
 - :mod:`glitchsim.search` — sweep / translate / fuzzyfy / integrate / evaluate.
@@ -17,8 +17,7 @@ from .calibration import (deterministic_model, dup_register_model, shift_model,
                           tzm_model)
 from .chain import ChainConfig, merge_windows, set_enabled, simulate_chain
 from .dut import (BodModel, Effect, FaultResponseModel, Instruction,
-                  RawTrialResult, SecurityState, apply_random_delays,
-                  execute_trial)
+                  RawTrialResult, apply_random_delays, execute_trial)
 from .errors import (BadChainLength, ConfigError, EmptyChain, EmptySplit,
                      GlitchSimError, IncompleteSweep, NoIntegratedSuccess,
                      NotFound, OverlapError, SearchFailed, TransferInvalid)
@@ -44,7 +43,7 @@ __all__ = [
     "EmptySplit", "FaultResponseModel", "FaultSpec", "Frame", "FuzzyInterval",
     "GlitchSimError", "IncompleteSweep", "Instruction", "NoIntegratedSuccess",
     "NotFound", "Outcome", "OverlapError", "RankedCombo", "RawTrialResult",
-    "ScenarioSpec", "SearchConfig", "SearchFailed", "SearchSpace", "SecurityState",
+    "ScenarioSpec", "SearchConfig", "SearchFailed", "SearchSpace",
     "SimContext", "Target", "TransferInvalid", "accumulate_relative",
     "apply_random_delays", "builtin_scenarios", "classify",
     "deterministic_model", "dup_register_model", "evaluate_repeatability",

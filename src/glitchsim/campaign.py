@@ -142,6 +142,9 @@ def model_from_dict(data: dict) -> FaultResponseModel:
 
 
 def bod_from_dict(data: dict) -> BodModel:
+    data = dict(data)
+    # Retired knob that never gated detection; older configs still carry it.
+    data.pop("detect_width_threshold", None)
     try:
         return BodModel(**data)
     except (TypeError, ValueError) as exc:
@@ -562,7 +565,7 @@ DISTRIBUTION_COLUMNS = ("none", "only_lsls", "only_lsrs", "both", "invalid")
 
 
 def _shift_column(outcome) -> str:
-    if outcome.kind in ("invalid", "no_response", "bod_reset"):
+    if outcome.kind in ("invalid", "bod_reset"):
         return "invalid"
     if outcome.kind == "success":
         return "both"
@@ -683,9 +686,7 @@ def run_bod_eval(cfg: CampaignConfig, out_dir=None, wide_ns: float = 400,
     period = cfg.bod.sample_period
     phases = []
     for phase in range(period):
-        bod = BodModel(enabled=cfg.bod.enabled, sample_period=period,
-                       sample_phase=phase,
-                       detect_width_threshold=cfg.bod.detect_width_threshold)
+        bod = replace(cfg.bod, sample_phase=phase)
         phases.append({
             "phase": phase,
             "wide_detected": bod.detects(wide_windows),

@@ -150,7 +150,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    except GlitchSimError as exc:
+    except (GlitchSimError, OSError) as exc:
+        # OSError: an --out path that cannot be written, e.g. a missing
+        # parent directory or an existing file where a directory goes.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
 

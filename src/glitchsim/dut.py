@@ -1,5 +1,9 @@
-"""Device-under-test model: instruction stream, security state and the
-probabilistic response to voltage-fault windows.
+"""Device-under-test model: instruction stream and the probabilistic
+response to voltage-fault windows.
+
+A trial returns the set of skipped instructions and whether the device
+locked up or the brown-out detector reset it; the firmware's return word
+is a pure function of the skipped set (``ScenarioSpec.response``).
 
 The fault effect is an instruction-skip model.  For every instruction
 whose occupancy interval intersects a fault window the skip probability
@@ -40,7 +44,8 @@ class Effect(Enum):
 
 
 # Skipping a delay / filler instruction changes nothing observable, so
-# no skip draw is spent on them.
+# no skip draw is spent on them.  BRANCH_NONSECURE is no target either,
+# but it keeps its skip draw: dropping it would shift the draw stream.
 INERT_EFFECTS = frozenset({Effect.DELAY, Effect.PLAIN})
 
 
@@ -53,15 +58,6 @@ class Instruction:
     def __post_init__(self):
         if self.cycle < 0:
             raise ValueError("cycle must be non-negative")
-
-
-@dataclass
-class SecurityState:
-    sau_active: bool = False
-    ahb_original: bool = False
-    ahb_duplicate: bool = False
-    lsb_cleared: bool = False
-    locked_up: bool = False
 
 
 @dataclass(frozen=True)
@@ -100,17 +96,14 @@ class FaultResponseModel:
 @dataclass(frozen=True)
 class BodModel:
     """Sampling brown-out detector: the supply is probed every
-    ``sample_period`` ticks starting at ``sample_phase``.
-
-    ``detect_width_threshold`` is kept for config compatibility but does
-    not gate detection; a sample landing inside any fault window trips
-    the detector regardless of the window's width.
+    ``sample_period`` ticks starting at ``sample_phase``.  A sample
+    landing inside any fault window trips the detector, whatever the
+    window's width.
     """
 
     enabled: bool = False
     sample_period: int = 1
     sample_phase: int = 0
-    detect_width_threshold: int = 1
 
     def __post_init__(self):
         if self.sample_period < 1:
@@ -134,11 +127,11 @@ class BodModel:
 
 @dataclass(frozen=True)
 class RawTrialResult:
-    """Outcome of one firmware execution under a set of fault windows."""
+    """One firmware execution under a set of fault windows: the indices
+    of the skipped instructions (up to the lock tick, if the device locked
+    up) and whether the brown-out detector reset it (nothing skipped)."""
 
-    state: SecurityState
-    skipped: frozenset[int]  # instruction indices skipped by faults
-    response: Optional[int]
+    skipped: frozenset[int]
     locked_up: bool = False
     bod_tripped: bool = False
 
@@ -155,8 +148,7 @@ def execute_trial(scenario, windows, domains, model: FaultResponseModel,
     cycles of ``scenario.effectful_instructions`` (see :func:`stall_shift`).
     """
     if bod is not None and bod.enabled and bod.detects(windows):
-        return RawTrialResult(state=SecurityState(), skipped=frozenset(),
-                              response=None, bod_tripped=True)
+        return RawTrialResult(frozenset(), bod_tripped=True)
 
     rng = None
     if seed is None:
@@ -183,9 +175,6 @@ def execute_trial(scenario, windows, domains, model: FaultResponseModel,
 
     K = domains.oversampling
     skipped = set()
-    shift1_seen = shift2_seen = False
-    shift1_skipped = shift2_skipped = False
-    state = SecurityState()
     if cycles is None:
         cycles = scenario.effectful_cycles
 
@@ -210,44 +199,10 @@ def execute_trial(scenario, windows, domains, model: FaultResponseModel,
             else:
                 p_noskip *= 1.0 - model.skip_probability(ins.effect, overlap / K)
 
-        if burst_hit:
-            is_skipped = True
-        elif covered == 0:
-            is_skipped = False
-        else:
-            is_skipped = draw(1.0 - p_noskip)
-
-        if is_skipped:
+        if burst_hit or (covered and draw(1.0 - p_noskip)):
             skipped.add(ins.index)
 
-        effect = ins.effect
-        if effect is Effect.CLEAR_LSB_SHIFT1:
-            shift1_seen = True
-            shift1_skipped = is_skipped
-        elif effect is Effect.CLEAR_LSB_SHIFT2:
-            shift2_seen = True
-            shift2_skipped = is_skipped
-        elif not is_skipped:
-            if effect is Effect.STORE_SAU_CTRL:
-                state.sau_active = True
-            elif effect is Effect.STORE_AHB_ORIGINAL:
-                state.ahb_original = True
-            elif effect is Effect.STORE_AHB_DUPLICATE:
-                state.ahb_duplicate = True
-
-    # The LSB of the branch destination stays set only when the whole
-    # shift-out-shift-in pair was skipped.
-    if shift1_seen and shift2_seen:
-        state.lsb_cleared = not (shift1_skipped and shift2_skipped)
-
-    skipped = frozenset(skipped)
-    if locked:
-        state.locked_up = True
-        return RawTrialResult(state=state, skipped=skipped,
-                              response=None, locked_up=True)
-
-    response = scenario.encode_response(state, skipped)
-    return RawTrialResult(state=state, skipped=skipped, response=response)
+    return RawTrialResult(frozenset(skipped), locked_up=locked)
 
 
 def stall_shift(scenario, max_delay_cycles: int, seed: int):

@@ -10,13 +10,12 @@ observable in cooperative scenarios.
 from __future__ import annotations
 
 import json
-import random
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Callable, Optional
 
-from .dut import Effect, INERT_EFFECTS, Instruction, RawTrialResult, SecurityState
+from .dut import Effect, INERT_EFFECTS, Instruction, RawTrialResult
 
 SCHEMA_VERSION = 1
 
@@ -97,24 +96,16 @@ class ScenarioSpec:
     def _effect_index(self) -> dict[Effect, int]:
         return {i.effect: i.index for i in self.effectful_instructions}
 
-    def target_hit(self, label: str, raw: RawTrialResult) -> bool:
-        return self.target_indices[label] <= raw.skipped
-
-    def psf(self, label: str) -> Callable[[RawTrialResult], bool]:
-        """Partial success function for one target (cooperative only)."""
-        if not self.cooperative:
-            raise ValueError(f"{self.name}: no PSFs definable in a non-cooperative setup")
-        return lambda raw: self.target_hit(label, raw)
-
-    def encode_response(self, state: SecurityState, skipped: frozenset[int]) -> int:
-        return RESPONSE_ENCODERS[self.response_kind](self, state, skipped)
+    def response(self, skipped: frozenset[int]) -> int:
+        """Return word of a trial that neither locked up nor reset."""
+        return RESPONSE_ENCODERS[self.response_kind](self, skipped)
 
 
 # ---------------------------------------------------------------------------
 # Response-word encoders
 # ---------------------------------------------------------------------------
 
-def _encode_dup_ladder(scenario, state, skipped) -> int:
+def _encode_dup_ladder(scenario, skipped) -> int:
     """Duplicate-register experiment ladder: FAILURE/FIRST/SECOND/SUCCESS."""
     first, second = scenario.targets[0], scenario.targets[1]
     f = scenario.target_indices[first.label] <= skipped
@@ -138,21 +129,28 @@ _SHIFT_RESPONSES = {
 }
 
 
-def _encode_shift_value(scenario, state, skipped) -> int:
+def _encode_shift_value(scenario, skipped) -> int:
     i1 = scenario._effect_index[Effect.CLEAR_LSB_SHIFT1]
     i2 = scenario._effect_index[Effect.CLEAR_LSB_SHIFT2]
     return _SHIFT_RESPONSES[(i1 in skipped, i2 in skipped)]
 
 
-def _encode_state_bits(scenario, state, skipped) -> int:
-    """Security flags packed into one word (documented in the schema)."""
-    return (
-        (state.sau_active << 0)
-        | (state.ahb_original << 1)
-        | (state.ahb_duplicate << 2)
-        | (state.lsb_cleared << 3)
-        | (state.locked_up << 4)
-    )
+def _encode_state_bits(scenario, skipped) -> int:
+    """Security flags packed into one word (documented in the schema).
+
+    A store sets its flag unless every instance of it was skipped; the
+    shift pair clears the LSB unless both halves were skipped.  Bit 4
+    (locked up) never shows: a locked-up trial has no word.
+    """
+    ran = {i.effect for i in scenario.effectful_instructions
+           if i.index not in skipped}
+    shifts = {scenario._effect_index.get(e)
+              for e in (Effect.CLEAR_LSB_SHIFT1, Effect.CLEAR_LSB_SHIFT2)}
+    lsb_cleared = None not in shifts and not shifts <= skipped
+    return ((Effect.STORE_SAU_CTRL in ran)
+            | (Effect.STORE_AHB_ORIGINAL in ran) << 1
+            | (Effect.STORE_AHB_DUPLICATE in ran) << 2
+            | lsb_cleared << 3)
 
 
 RESPONSE_ENCODERS = {
@@ -168,10 +166,10 @@ RESPONSE_ENCODERS = {
 
 @dataclass(frozen=True)
 class Outcome:
-    kind: str  # failure | partial_hit | success | invalid | no_response | bod_reset
+    kind: str  # failure | partial_hit | success | invalid | bod_reset
     labels: frozenset[str] = frozenset()
 
-    KINDS = ("failure", "partial_hit", "success", "invalid", "no_response", "bod_reset")
+    KINDS = ("failure", "partial_hit", "success", "invalid", "bod_reset")
 
     def __post_init__(self):
         if self.kind not in self.KINDS:
@@ -199,7 +197,6 @@ class Outcome:
 FAILURE = Outcome("failure")
 SUCCESS = Outcome("success")
 INVALID = Outcome("invalid")
-NO_RESPONSE = Outcome("no_response")
 BOD_RESET = Outcome("bod_reset")
 
 
@@ -214,8 +211,6 @@ def classify(scenario: ScenarioSpec, raw: RawTrialResult) -> Outcome:
         return BOD_RESET
     if raw.locked_up:
         return INVALID
-    if raw.response is None:
-        return NO_RESPONSE
     skipped = raw.skipped
     labels = [label for label, idx in scenario.target_sets if idx <= skipped]
     if len(labels) == len(scenario.targets):
@@ -275,19 +270,6 @@ def dup_registers(delay1: int, delay2: int, cooperative: bool = True,
         response_kind="dup_ladder",
         meta={"delays": [delay1, delay2], "boot_cycles": b},
     )
-
-
-def dup_registers_from_seed(seed: int, cooperative: bool = True,
-                            max_delay: int = 60) -> ScenarioSpec:
-    """Dup-register scenario with seed-derived compile-time delays, so
-    parameters found for one build are very unlikely to fit another."""
-    rng = random.Random(seed)
-    d1 = rng.randint(1, max_delay)
-    d2 = rng.randint(1, max_delay)
-    spec = dup_registers(d1, d2, cooperative=cooperative,
-                         name=f"dup_registers_seed_{seed}")
-    spec.meta["seed"] = seed
-    return spec
 
 
 def successive_shifts(lead_cycles: int = 5) -> ScenarioSpec:

@@ -43,6 +43,15 @@ class TestConfig:
         assert clone.to_dict() == cfg.to_dict()
         assert clone.model == cfg.model
 
+    def test_bod_config_with_retired_threshold_loads(self):
+        cfg = CampaignConfig.from_dict({
+            "scenario": "bod_scenario",
+            "bod": {"enabled": True, "sample_period": 80,
+                    "detect_width_threshold": 3},
+        })
+        assert cfg.bod == BodModel(enabled=True, sample_period=80)
+        assert "detect_width_threshold" not in cfg.to_dict()["bod"]
+
     def test_load_config_file(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(dup_config().to_dict()))

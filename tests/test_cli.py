@@ -115,6 +115,29 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "config error" in err and str(results) in err and where in err
 
+    def test_report_out_in_missing_dir_exit_2(self, dup_cfg_path, tmp_path,
+                                              capsys):
+        run = tmp_path / "run"
+        assert main(["flow", "--config", str(dup_cfg_path),
+                     "--out", str(run)]) == 0
+        out = tmp_path / "nodir" / "r.csv"
+        assert main(["report", "--results", str(run / "results.jsonl"),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(out) in err
+
+    def test_out_is_existing_file_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "bod.json"
+        cfg.write_text(json.dumps({
+            "scenario": "bod_scenario",
+            "bod": {"enabled": True, "sample_period": 80, "sample_phase": 0},
+        }))
+        out = tmp_path / "taken"
+        out.write_text("")
+        assert main(["bod", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(out) in err
+
 
 class TestCommands:
     def test_flow_writes_artifacts(self, dup_cfg_path, tmp_path, capsys):

@@ -26,26 +26,27 @@ class TestExecuteTrial:
     def test_no_windows_nominal_response(self):
         scen = successive_shifts()
         raw = execute_trial(scen, [], DOM, PERFECT, seed=1)
-        assert raw.response == 0x12
+        assert scen.response(raw.skipped) == 0x12
         assert raw.skipped == frozenset()
         assert not raw.locked_up
 
     def test_both_shifts_skipped(self):
         scen = successive_shifts()
         raw = execute_trial(scen, shift_window(scen, "both"), DOM, PERFECT, seed=1)
-        assert raw.response == 0x13
-        assert not raw.state.lsb_cleared
+        assert raw.skipped == scen.target_indices["LSRS"] | scen.target_indices["LSLS"]
+        assert scen.response(raw.skipped) == 0x13
 
     def test_only_first_shift_skipped(self):
         scen = successive_shifts()
         raw = execute_trial(scen, shift_window(scen, "first"), DOM, PERFECT, seed=1)
-        assert raw.response == 0x38
-        assert raw.state.lsb_cleared  # one surviving shift still clears it
+        assert raw.skipped == scen.target_indices["LSRS"]
+        assert scen.response(raw.skipped) == 0x38
 
     def test_only_second_shift_skipped(self):
         scen = successive_shifts()
         raw = execute_trial(scen, shift_window(scen, "second"), DOM, PERFECT, seed=1)
-        assert raw.response == 0x9
+        assert raw.skipped == scen.target_indices["LSLS"]
+        assert scen.response(raw.skipped) == 0x9
 
     def test_deterministic_given_seed(self):
         scen = successive_shifts()
@@ -58,7 +59,8 @@ class TestExecuteTrial:
         scen = successive_shifts()
         model = FaultResponseModel(p_max_skip=0.5, p_lockup_per_fault=0.0)
         windows = shift_window(scen, "both")
-        responses = {execute_trial(scen, windows, DOM, model, seed=s).response
+        responses = {scen.response(execute_trial(scen, windows, DOM, model,
+                                                 seed=s).skipped)
                      for s in range(64)}
         assert len(responses) > 1
 
@@ -67,17 +69,18 @@ class TestExecuteTrial:
         far = [(10_000, 10_020)]
         raw = execute_trial(scen, far, DOM, PERFECT, seed=1)
         nominal = execute_trial(scen, [], DOM, PERFECT, seed=1)
+        assert raw == nominal
         assert raw.skipped == frozenset()
-        assert raw.state == nominal.state
 
     def test_lockup_freezes_state(self):
         scen = load_scenario("tzm_full_attack")
-        model = FaultResponseModel(p_max_skip=0.0, p_lockup_per_fault=1.0)
-        # Window before any instruction: lockup from tick 0 freezes all.
-        raw = execute_trial(scen, [(0, 5)], DOM, model, seed=1)
+        model = FaultResponseModel(p_max_skip=1.0, p_lockup_per_fault=1.0)
+        # A window over the whole stream locks up from tick 0: the device
+        # freezes before the first instruction, so nothing is skipped.
+        end = (scen.instructions[-1].cycle + 1) * DOM.oversampling
+        raw = execute_trial(scen, [(0, end)], DOM, model, seed=1)
         assert raw.locked_up
-        assert raw.response is None
-        assert not raw.state.sau_active and not raw.state.ahb_original
+        assert raw.skipped == frozenset()
 
     def test_partial_coverage_scales_probability(self):
         scen = successive_shifts()
@@ -127,8 +130,8 @@ class TestBodModel:
         bod = BodModel(enabled=True, sample_period=1)
         raw = execute_trial(scen, shift_window(scen, "both"), DOM, PERFECT,
                             bod=bod, seed=1)
-        assert raw.bod_tripped
-        assert raw.response is None
+        assert raw.bod_tripped and not raw.locked_up
+        assert raw.skipped == frozenset()
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -194,7 +197,7 @@ class TestApplyRandomDelays:
         for i in range(trials):
             moved = apply_random_delays(scen, 9, seed=i)
             raw = execute_trial(moved, window, DOM, PERFECT, seed=i)
-            hits += moved.target_hit("FIRST", raw)
+            hits += moved.target_indices["FIRST"] <= raw.skipped
         rate = hits / trials
         assert abs(rate - 0.1) < 3 * (0.1 * 0.9 / trials) ** 0.5 + 1e-9
 

@@ -8,8 +8,7 @@ from glitchsim.campaign import CampaignConfig
 from glitchsim.dut import FaultResponseModel, execute_trial
 from glitchsim.errors import ConfigError
 from glitchsim.scenarios import (SCENARIO_PRESETS, Outcome, builtin_scenarios,
-                                 classify, dup_registers,
-                                 dup_registers_from_seed, load_scenario,
+                                 classify, dup_registers, load_scenario,
                                  save_scenario, scenario_from_dict,
                                  scenario_to_dict)
 from glitchsim.timing import ClockDomains
@@ -48,32 +47,29 @@ class TestBuiltins:
         gaps = lambda s: [min(s.targets[1].cycles) - min(s.targets[0].cycles)]
         assert gaps(coop) == gaps(noncoop)
 
-    def test_seed_derived_delays_differ(self):
-        cycles = {
-            seed: tuple(min(t.cycles) for t in dup_registers_from_seed(seed).targets)
-            for seed in range(20)
-        }
-        assert len(set(cycles.values())) > 10
-
 
 class TestClassify:
     def test_both_stores_skipped_is_success(self):
         scen = load_scenario("dup_registers_7_43")
         raw = run_on_cycles(scen, [min(t.cycles) for t in scen.targets])
         assert classify(scen, raw).kind == "success"
-        assert raw.response == 3
+        assert scen.response(raw.skipped) == 3
 
     def test_only_first_is_partial(self):
         scen = load_scenario("dup_registers_7_43")
         raw = run_on_cycles(scen, [min(scen.targets[0].cycles)])
         out = classify(scen, raw)
         assert out.kind == "partial_hit" and out.labels == {"FIRST"}
-        assert raw.response == 1
+        assert scen.response(raw.skipped) == 1
 
     def test_only_second_response(self):
         scen = load_scenario("dup_registers_7_43")
         raw = run_on_cycles(scen, [min(scen.targets[1].cycles)])
-        assert raw.response == 2
+        assert scen.response(raw.skipped) == 2
+
+    def test_nothing_skipped_response(self):
+        scen = load_scenario("dup_registers_7_43")
+        assert scen.response(run_on_cycles(scen, []).skipped) == 0
 
     def test_tzm_subset_partial(self):
         scen = load_scenario("tzm_full_attack")
@@ -93,11 +89,6 @@ class TestClassify:
         raw = run_on_cycles(scen, [min(t.cycles) for t in scen.targets])
         assert classify(scen, raw).kind == "success"
 
-    def test_psf_requires_cooperative(self):
-        scen = load_scenario("dup_registers_noncoop")
-        with pytest.raises(ValueError):
-            scen.psf("FIRST")
-
     def test_every_trial_maps_to_one_class(self):
         scen = load_scenario("successive_shifts")
         model = FaultResponseModel(p_max_skip=0.5, p_lockup_per_fault=0.2)
@@ -115,12 +106,13 @@ class TestClassify:
         # The two-pass form classify had: the SF over every target, then
         # the set of hit labels on a cooperative scenario.
         def reference(scen, raw):
-            if raw.bod_tripped or raw.locked_up or raw.response is None:
+            if raw.bod_tripped or raw.locked_up:
                 return None
-            if all(scen.target_hit(t.label, raw) for t in scen.targets):
+            hit = [scen.target_indices[t.label] <= raw.skipped
+                   for t in scen.targets]
+            if all(hit):
                 return Outcome("success")
-            labels = frozenset(t.label for t in scen.targets
-                               if scen.target_hit(t.label, raw))
+            labels = frozenset(t.label for t, h in zip(scen.targets, hit) if h)
             if scen.cooperative and labels:
                 return Outcome("partial_hit", labels)
             return Outcome("failure")
@@ -143,9 +135,29 @@ class TestClassify:
         scen = load_scenario("tzm_full_attack")
         pe_first = min(scen.targets[3].cycles)
         raw = run_on_cycles(scen, [pe_first])
-        assert not scen.target_hit("PE", raw)
+        assert not scen.target_indices["PE"] <= raw.skipped
         raw = run_on_cycles(scen, [pe_first, pe_first + 1])
-        assert scen.target_hit("PE", raw)
+        assert scen.target_indices["PE"] <= raw.skipped
+
+
+class TestStateBits:
+    # Bits: 0 SAU store ran, 1 bus-controller store ran, 2 its duplicate
+    # ran, 3 LSB cleared by the shift pair.  ``skip`` maps a target to how
+    # many of its leading cycles get skipped.
+    @pytest.mark.parametrize("preset, skip, word", [
+        ("tzm_full_attack", {}, 15),
+        ("tzm_full_attack", {"SAU": 1}, 14),
+        ("tzm_full_attack", {"PE": 2}, 7),
+        ("tzm_full_attack", {"PE": 1}, 15),
+        ("bod_scenario", {"REGION": 3}, 2),
+        ("bod_scenario", {"REGION": 4}, 0),
+    ])
+    def test_word_from_skipped_set(self, preset, skip, word):
+        scen = load_scenario(preset)
+        raw = run_on_cycles(scen, [c for t in scen.targets
+                                   for c in t.cycles[:skip.get(t.label, 0)]])
+        assert not raw.locked_up
+        assert scen.response(raw.skipped) == word
 
 
 class TestSerialization:

@@ -351,7 +351,7 @@ def _oracle_trial(scenario, combo, ctx, seed):
     trigger = scen.trigger_cycle * ctx.domains.oversampling
     windows, _ = simulate_chain(ChainConfig(tuple(combo)), trigger)
     raw = execute_trial(scen, windows, ctx.domains, ctx.model, ctx.bod, seed)
-    hits = tuple(scen.target_hit(t.label, raw) for t in scen.targets)
+    hits = tuple(scen.target_indices[t.label] <= raw.skipped for t in scen.targets)
     return raw, classify(scen, raw), hits
 
 
