@@ -19,6 +19,13 @@ Everything is deterministic given the trial seed.  The draw order is
 fixed: first burst then lockup per window (in window order), then a
 skip draw for every effectful instruction a window touches, in stream
 order; draws with probability 0 or 1 never consume randomness.
+
+A trial runs in two steps.  :func:`trial_plan` does the work no draw
+decides: the BOD verdict, the window × instruction overlaps and each
+covered instruction's skip probability.  :func:`run_plan` makes only the
+draws, in the order above, so a plan compiled once can run many seeds;
+a plan with no probability strictly between 0 and 1 holds its result.
+:func:`execute_trial` is the two steps in one call.
 """
 
 from __future__ import annotations
@@ -136,73 +143,103 @@ class RawTrialResult:
     bod_tripped: bool = False
 
 
-def execute_trial(scenario, windows, domains, model: FaultResponseModel,
-                  bod: Optional[BodModel] = None,
-                  seed: Optional[int] = None,
-                  cycles: Optional[Iterable[int]] = None) -> RawTrialResult:
-    """Run the scenario once under the given (disjoint, ordered) windows.
+@dataclass(slots=True)
+class TrialPlan:
+    """What no draw decides about a trial: one ``(index, start tick, window
+    bitmask, p_skip)`` entry per effectful instruction a window touches, in
+    stream order, and ``fixed``, the result when nothing can draw."""
+
+    starts: tuple[int, ...]
+    p_window_burst: float
+    p_lockup_per_fault: float
+    entries: tuple[tuple[int, int, int, float], ...]
+    fixed: Optional[RawTrialResult] = None
+
+
+def trial_plan(scenario, windows, domains, model: FaultResponseModel,
+               bod: Optional[BodModel] = None,
+               cycles: Optional[Iterable[int]] = None) -> TrialPlan:
+    """Compile the (disjoint, ordered) windows against the scenario.
 
     ``windows`` are absolute ticks on the same timeline as instruction
     occupancy: instruction at cycle c occupies [c*K, (c+1)*K) with
     K = domains.oversampling.  ``cycles``, when given, replaces the start
-    cycles of ``scenario.effectful_instructions`` (see :func:`stall_shift`).
+    cycles of ``scenario.effectful_instructions``; they must ascend, as
+    :func:`stall_shift` keeps them, for the lock tick to end a trial.
     """
     if bod is not None and bod.enabled and bod.detects(windows):
-        return RawTrialResult(frozenset(), bod_tripped=True)
-
-    rng = None
-    if seed is None:
-        seed = model.rng_seed
-
-    def draw(p: float) -> bool:
-        nonlocal rng
-        if p <= 0.0:
-            return False
-        if p >= 1.0:
-            return True
-        if rng is None:
-            rng = random.Random(seed)
-        return rng.random() < p
-
-    # Per-window burst and lockup draws, in window order.
-    bursts = []
-    lock_tick = None
-    for start, end in windows:
-        bursts.append(draw(model.p_window_burst))
-        if draw(model.p_lockup_per_fault) and lock_tick is None:
-            lock_tick = start
-    locked = lock_tick is not None
+        return TrialPlan((), 0.0, 0.0, (), RawTrialResult(frozenset(), bod_tripped=True))
 
     K = domains.oversampling
-    skipped = set()
     if cycles is None:
         cycles = scenario.effectful_cycles
-
+    draws = bool(windows) and (0.0 < model.p_window_burst < 1.0
+                               or 0.0 < model.p_lockup_per_fault < 1.0)
+    entries = []
     for ins, cycle in zip(scenario.effectful_instructions, cycles):
         ins_start = cycle * K
-        if locked and ins_start >= lock_tick:
-            break  # device froze in an erroneous state
         ins_end = ins_start + K
-
-        covered = 0
-        burst_hit = False
+        mask = 0
         p_noskip = 1.0
         for w, (start, end) in enumerate(windows):
             if start >= ins_end:
                 break
-            overlap = min(end, ins_end) - max(start, ins_start)
-            if overlap <= 0:
-                continue
-            covered += overlap
-            if bursts[w]:
-                burst_hit = True
-            else:
+            overlap = min(end, ins_end) - max(start, ins_start) if end > ins_start else 0
+            if overlap > 0:
+                mask |= 1 << w
                 p_noskip *= 1.0 - model.skip_probability(ins.effect, overlap / K)
+        if mask:
+            p_skip = 1.0 - p_noskip
+            draws = draws or 0.0 < p_skip < 1.0
+            entries.append((ins.index, ins_start, mask, p_skip))
 
-        if burst_hit or (covered and draw(1.0 - p_noskip)):
-            skipped.add(ins.index)
+    plan = TrialPlan(tuple(start for start, _ in windows), model.p_window_burst,
+                     model.p_lockup_per_fault, tuple(entries))
+    if not draws:
+        plan.fixed = run_plan(plan, None)
+    return plan
 
-    return RawTrialResult(frozenset(skipped), locked_up=locked)
+
+def run_plan(plan: TrialPlan, seed) -> RawTrialResult:
+    """Make the plan's draws for one trial seed: burst then lockup per
+    window, in window order, then one skip draw per covered instruction
+    that no burst took, in stream order, up to the first lock tick.  A
+    draw with probability 0 or 1 consumes no randomness."""
+    if plan.fixed is not None:
+        return plan.fixed
+    rng = None
+    p_burst, p_lockup = plan.p_window_burst, plan.p_lockup_per_fault
+    bursts = (1 << len(plan.starts)) - 1 if p_burst >= 1.0 else 0
+    lock_tick = plan.starts[0] if p_lockup >= 1.0 and plan.starts else None
+    if 0.0 < p_burst < 1.0 or 0.0 < p_lockup < 1.0:
+        rng = random.Random(seed)
+        for w, start in enumerate(plan.starts):
+            if 0.0 < p_burst < 1.0 and rng.random() < p_burst:
+                bursts |= 1 << w
+            if 0.0 < p_lockup < 1.0 and rng.random() < p_lockup and lock_tick is None:
+                lock_tick = start
+
+    skipped = []
+    for index, start, mask, p_skip in plan.entries:
+        if lock_tick is not None and start >= lock_tick:
+            break  # device froze in an erroneous state
+        if mask & bursts or p_skip >= 1.0:
+            skipped.append(index)
+        elif p_skip > 0.0:
+            if rng is None:
+                rng = random.Random(seed)
+            if rng.random() < p_skip:
+                skipped.append(index)
+    return RawTrialResult(frozenset(skipped), lock_tick is not None)
+
+
+def execute_trial(scenario, windows, domains, model: FaultResponseModel,
+                  bod: Optional[BodModel] = None, seed: Optional[int] = None,
+                  cycles: Optional[Iterable[int]] = None) -> RawTrialResult:
+    """Run the scenario once under the given windows (see
+    :func:`trial_plan`); ``seed`` defaults to ``model.rng_seed``."""
+    return run_plan(trial_plan(scenario, windows, domains, model, bod, cycles),
+                    model.rng_seed if seed is None else seed)
 
 
 def stall_shift(scenario, max_delay_cycles: int, seed: int):

@@ -51,6 +51,9 @@ class ScenarioSpec:
         cycles = [ins.cycle for ins in self.instructions]
         if sorted(cycles) != cycles or len(set(cycles)) != len(cycles):
             raise ValueError("instruction cycles must be strictly increasing")
+        for name in ("trigger_cycle", "random_delay_max"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
         if self.response_kind not in RESPONSE_ENCODERS:
             raise ValueError(f"unknown response_kind {self.response_kind!r}")
         self.target_indices  # every target must name instructions of the stream

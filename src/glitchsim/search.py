@@ -16,8 +16,8 @@ from typing import Optional, Sequence
 from .chain import ChainConfig, chain_windows, simulate_chain
 # apply_random_delays stays bound here with the other trial layers, which
 # bench/run.py traces by name; trials use stall_shift, with the same draws.
-from .dut import (BodModel, FaultResponseModel, apply_random_delays,
-                  execute_trial, stall_shift)
+from .dut import (BodModel, FaultResponseModel, TrialPlan, apply_random_delays,
+                  execute_trial, run_plan, stall_shift, trial_plan)
 from .errors import (IncompleteSweep, NoIntegratedSuccess, NotFound,
                      OverlapError, TransferInvalid)
 from .scenarios import Outcome, ScenarioSpec, classify
@@ -194,36 +194,23 @@ class RepeatabilityResult:
 # Trial execution
 # ---------------------------------------------------------------------------
 
-def _seed_matters(scenario: ScenarioSpec, ctx: SimContext) -> bool:
-    """Whether a trial's seed can change its result: random stalls or a
-    fault-response probability strictly between 0 and 1."""
-    model = ctx.model
-    probs = [model.p_max_skip, model.p_lockup_per_fault, model.p_window_burst]
-    if model.per_target_override:
-        probs.extend(model.per_target_override.values())
-    # p_max_skip is scaled by the covered fraction of a cycle, which lies
-    # strictly between 0 and 1 when a window covers part of an instruction.
-    return (scenario.random_delay_max > 0
-            or any(0.0 < p < 1.0 for p in probs)
-            or (model.p_max_skip > 0.0 and ctx.domains.oversampling > 1))
+def _cycles(scenario: ScenarioSpec, seed: int) -> tuple[int, ...]:
+    """Start cycles of the effectful instructions in the trial at ``seed``:
+    random stalls, drawn from ``mix64(seed, 0x5EED)``, only move cycles."""
+    if not scenario.random_delay_max:
+        return scenario.effectful_cycles
+    shift = stall_shift(scenario, scenario.random_delay_max,
+                        mix64(seed, _DELAY_SEED_SALT))
+    return tuple(map(shift, scenario.effectful_cycles))
 
 
-def _execute(scenario: ScenarioSpec, windows, ctx: SimContext, seed: int):
-    """One execution under ``windows``.  Random stalls only move cycles, so
-    they shift the effectful instructions' start cycles."""
-    cycles = None
-    if scenario.random_delay_max:
-        shift = stall_shift(scenario, scenario.random_delay_max,
-                            mix64(seed, _DELAY_SEED_SALT))
-        cycles = map(shift, scenario.effectful_cycles)
-    return execute_trial(scenario, windows, ctx.domains, ctx.model, ctx.bod,
-                         seed, cycles)
-
-
-def _trial(scenario: ScenarioSpec, windows, ctx: SimContext, seed: int):
-    raw = _execute(scenario, windows, ctx, seed)
-    hits = tuple(idx <= raw.skipped for _, idx in scenario.target_sets)
-    return raw, classify(scenario, raw), hits
+def _judge(scenario: ScenarioSpec, raw, verdicts: dict):
+    """(outcome, hits) of a raw result, memoised in the caller's dict."""
+    verdict = verdicts.get(raw)
+    if verdict is None:
+        hits = tuple(idx <= raw.skipped for _, idx in scenario.target_sets)
+        verdict = verdicts[raw] = (classify(scenario, raw), hits)
+    return verdict
 
 
 def _windows(scenario: ScenarioSpec, rel_specs: Sequence[RelSpec], ctx: SimContext):
@@ -237,21 +224,31 @@ def run_chain_trial(scenario: ScenarioSpec, rel_specs: Sequence[RelSpec],
     """Fire the whole chain once; returns (raw, outcome, hits).  Random
     stalls, if any, come from ``apply_random_delays``' draws for seed
     ``mix64(seed, 0x5EED)``."""
-    return _trial(scenario, _windows(scenario, rel_specs, ctx), ctx, seed)
+    raw = execute_trial(scenario, _windows(scenario, rel_specs, ctx), ctx.domains,
+                        ctx.model, ctx.bod, seed, _cycles(scenario, seed))
+    return (raw, *_judge(scenario, raw, {}))
 
 
 def run_trials(scenario: ScenarioSpec, combo: Sequence[RelSpec], n: int,
                ctx: SimContext, step: str, step_seed: int,
                first: int = 0) -> list[TrialRecord]:
     """Run n identically-parameterized trials with indices first..first+n-1;
-    trial i is seeded mix64(step_seed, i).  The chain fires the same
-    windows in every trial, so they are computed once."""
+    trial i is seeded mix64(step_seed, i).  The windows are the same in
+    every trial, so they are compiled once per stall vector and each
+    trial only makes its draws."""
     combo = tuple(combo)
     windows = _windows(scenario, combo, ctx)
+    plans: dict[tuple[int, ...], TrialPlan] = {}
+    verdicts: dict = {}
     records = []
     for index in range(first, first + n):
         seed = mix64(step_seed, index)
-        _, outcome, hits = _trial(scenario, windows, ctx, seed)
+        cycles = _cycles(scenario, seed)
+        plan = plans.get(cycles)
+        if plan is None:
+            plan = plans[cycles] = trial_plan(scenario, windows, ctx.domains,
+                                              ctx.model, ctx.bod, cycles)
+        outcome, hits = _judge(scenario, run_plan(plan, seed), verdicts)
         records.append(TrialRecord(index, step, combo, outcome, hits, seed))
     return records
 
@@ -385,11 +382,12 @@ def exhaustive_search(scenario: ScenarioSpec, space: SearchSpace, n_faults: int,
     if budget < 1:
         raise ValueError("budget must be >= 1")
     # Budgets reach 1e7 trials.  The space only holds valid chains, so
-    # the closed form runs without a ChainConfig per combo, and seeds are
-    # derived only when a draw can consume them: mixing would dominate
-    # the loop otherwise.
-    needs_rng = _seed_matters(scenario, ctx)
+    # the closed form runs without a ChainConfig per combo, and a trial
+    # seed is derived only when something can draw from it: a fixed plan
+    # ignores its seed, and mixing would dominate the loop otherwise.
+    stalled = scenario.random_delay_max > 0
     trigger_tick = scenario.trigger_cycle * ctx.domains.oversampling
+    verdicts: dict = {}
 
     successes: list[RankedCombo] = []
     trials_used = 0
@@ -397,9 +395,12 @@ def exhaustive_search(scenario: ScenarioSpec, space: SearchSpace, n_faults: int,
         if trials_used >= budget:
             break
         windows, _ = chain_windows(combo, trigger_tick)
-        raw = _execute(scenario, windows, ctx,
-                       mix64(seed, trials_used) if needs_rng else 0)
-        won = classify(scenario, raw).is_success
+        trial_seed = mix64(seed, trials_used) if stalled else None
+        plan = trial_plan(scenario, windows, ctx.domains, ctx.model, ctx.bod,
+                          _cycles(scenario, trial_seed))
+        if plan.fixed is None and trial_seed is None:
+            trial_seed = mix64(seed, trials_used)
+        won = _judge(scenario, run_plan(plan, trial_seed), verdicts)[0].is_success
         trials_used += 1
         if won:
             successes.append(RankedCombo(specs=tuple(combo), trials_run=1, successes=1))

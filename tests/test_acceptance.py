@@ -10,8 +10,6 @@ import math
 import random
 from dataclasses import replace
 
-import pytest
-
 import glitchsim as g
 from glitchsim.campaign import (CampaignConfig, SearchConfig, nominal_combo,
                                 run_attack_flow, run_bod_eval, run_comparison,
@@ -20,11 +18,10 @@ from glitchsim.chain import ChainConfig, merge_windows, simulate_chain
 from glitchsim.calibration import (NARROW_FAULT_DISTRIBUTION,
                                    WIDE_FAULT_DISTRIBUTION)
 from glitchsim.dut import BodModel
-from glitchsim.errors import NotFound
 from glitchsim.scenarios import load_scenario
 from glitchsim.search import (RankedCombo, SearchSpace, SimContext,
                               accumulate_relative, evaluate_repeatability,
-                              exhaustive_search, sweep, translate_to_relative)
+                              sweep, translate_to_relative)
 from glitchsim.timing import ClockDomains
 
 

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from glitchsim.calibration import deterministic_model
-from glitchsim.campaign import CampaignConfig, SearchConfig, model_to_dict
+from glitchsim.campaign import model_to_dict
 from glitchsim.cli import main
 from glitchsim.scenarios import dup_registers, scenario_to_dict
 
@@ -100,6 +100,24 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "config error" in err
         assert "target SECOND does not match the stream" in err
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("random_delay_max", -3, "random_delay_max must be >= 0"),
+        ("trigger_cycle", -5, "trigger_cycle must be >= 0"),
+    ])
+    def test_negative_scenario_field_exit_2(self, dup_cfg_path, tmp_path, capsys,
+                                            key, value, message):
+        scen = scenario_to_dict(dup_registers(7, 43))
+        scen[key] = value
+        save = tmp_path / "scen.json"
+        save.write_text(json.dumps(scen))
+        data = json.loads(dup_cfg_path.read_text())
+        data["scenario"] = str(save)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        assert main(["flow", "--config", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and message in err
 
     @pytest.mark.parametrize("content, where", [
         (None, "cannot read"),

@@ -1,8 +1,6 @@
-import random
-
 import pytest
 
-from glitchsim.dut import (BodModel, Effect, FaultResponseModel, Instruction,
+from glitchsim.dut import (BodModel, Effect, FaultResponseModel,
                            apply_random_delays, execute_trial)
 from glitchsim.scenarios import load_scenario, successive_shifts
 from glitchsim.timing import ClockDomains

@@ -1,4 +1,5 @@
 import itertools
+import random
 from dataclasses import replace
 
 import pytest
@@ -8,7 +9,8 @@ from glitchsim.calibration import (deterministic_model, dup_register_model,
                                    shift_model)
 from glitchsim.campaign import MODEL_PRESETS
 from glitchsim.chain import ChainConfig, simulate_chain
-from glitchsim.dut import BodModel, apply_random_delays, execute_trial
+from glitchsim.dut import (BodModel, RawTrialResult, apply_random_delays,
+                           run_plan, stall_shift, trial_plan)
 from glitchsim.errors import (IncompleteSweep, NoIntegratedSuccess, NotFound,
                               OverlapError, TransferInvalid)
 from glitchsim.scenarios import (SCENARIO_PRESETS, classify, dup_registers,
@@ -344,13 +346,76 @@ class TestRunTrials:
         assert [a.to_dict() for a in r1] == [b.to_dict() for b in r2]
 
 
+def _reference_execute_trial(scenario, windows, domains, model,
+                             bod=None, seed=None, cycles=None):
+    """The one-step kernel that trial_plan/run_plan replaced, kept verbatim
+    as the oracle of their draw order and results."""
+    if bod is not None and bod.enabled and bod.detects(windows):
+        return RawTrialResult(frozenset(), bod_tripped=True)
+
+    rng = None
+    if seed is None:
+        seed = model.rng_seed
+
+    def draw(p: float) -> bool:
+        nonlocal rng
+        if p <= 0.0:
+            return False
+        if p >= 1.0:
+            return True
+        if rng is None:
+            rng = random.Random(seed)
+        return rng.random() < p
+
+    # Per-window burst and lockup draws, in window order.
+    bursts = []
+    lock_tick = None
+    for start, end in windows:
+        bursts.append(draw(model.p_window_burst))
+        if draw(model.p_lockup_per_fault) and lock_tick is None:
+            lock_tick = start
+    locked = lock_tick is not None
+
+    K = domains.oversampling
+    skipped = set()
+    if cycles is None:
+        cycles = scenario.effectful_cycles
+
+    for ins, cycle in zip(scenario.effectful_instructions, cycles):
+        ins_start = cycle * K
+        if locked and ins_start >= lock_tick:
+            break  # device froze in an erroneous state
+        ins_end = ins_start + K
+
+        covered = 0
+        burst_hit = False
+        p_noskip = 1.0
+        for w, (start, end) in enumerate(windows):
+            if start >= ins_end:
+                break
+            overlap = min(end, ins_end) - max(start, ins_start)
+            if overlap <= 0:
+                continue
+            covered += overlap
+            if bursts[w]:
+                burst_hit = True
+            else:
+                p_noskip *= 1.0 - model.skip_probability(ins.effect, overlap / K)
+
+        if burst_hit or (covered and draw(1.0 - p_noskip)):
+            skipped.add(ins.index)
+
+    return RawTrialResult(frozenset(skipped), locked_up=locked)
+
+
 def _oracle_trial(scenario, combo, ctx, seed):
     """Reference delayed trial: rebuild the scenario with the stalls."""
     scen = apply_random_delays(scenario, scenario.random_delay_max,
                                mix64(seed, 0x5EED))
     trigger = scen.trigger_cycle * ctx.domains.oversampling
     windows, _ = simulate_chain(ChainConfig(tuple(combo)), trigger)
-    raw = execute_trial(scen, windows, ctx.domains, ctx.model, ctx.bod, seed)
+    raw = _reference_execute_trial(scen, windows, ctx.domains, ctx.model,
+                                   ctx.bod, seed)
     hits = tuple(scen.target_indices[t.label] <= raw.skipped for t in scen.targets)
     return raw, classify(scen, raw), hits
 
@@ -391,3 +456,52 @@ class TestShiftPath:
             _, want_outcome, want_hits = _oracle_trial(scen, combo, ctx, rec.seed)
             assert rec.seed == mix64(seed, rec.index)
             assert (rec.outcome, rec.hits) == (want_outcome, want_hits)
+
+
+class TestTrialPlan:
+    """A plan compiled once and run per seed makes the same draws as the
+    one-step reference kernel."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(preset=st.sampled_from(sorted(SCENARIO_PRESETS)),
+           model=st.sampled_from(sorted(MODEL_PRESETS)),
+           bod=bods,
+           oversampling=st.sampled_from((1, 3, 20)),
+           max_delay=st.integers(0, 12),
+           stall_seed=st.integers(0, 2**64 - 1),
+           # (gap, width) in 1/20 cycle; a gap of 0 makes touching windows.
+           raw_windows=st.lists(st.tuples(st.integers(0, 400), st.integers(1, 60)),
+                                min_size=1, max_size=4),
+           seeds=st.lists(st.integers(0, 2**64 - 1), min_size=2, max_size=2))
+    def test_matches_reference_kernel(self, preset, model, bod, oversampling,
+                                      max_delay, stall_seed, raw_windows, seeds):
+        scen = SCENARIO_PRESETS[preset]()
+        K = oversampling
+        windows, cursor = [], 0
+        for gap, width in raw_windows:
+            start = cursor + gap * K // 20
+            cursor = start + max(1, width * K // 20)
+            windows.append((start, cursor))
+        shift = stall_shift(scen, max_delay, stall_seed)
+        cycles = tuple(map(shift, scen.effectful_cycles))
+        dom = ClockDomains(oversampling=K)
+        fault_model = MODEL_PRESETS[model]()
+
+        plan = trial_plan(scen, windows, dom, fault_model, bod, cycles)
+        for seed in seeds:
+            got = run_plan(plan, seed)
+            want = _reference_execute_trial(scen, windows, dom, fault_model, bod,
+                                            seed, cycles)
+            assert (got.skipped, got.locked_up, got.bod_tripped) == (
+                want.skipped, want.locked_up, want.bod_tripped)
+
+    def test_memoised_run_trials_match_per_trial_oracle(self):
+        scen = replace(dup_registers(7, 43), random_delay_max=9)
+        combo = translate_to_relative([(min(t.cycles) * 20 + 5, 15)
+                                       for t in scen.targets])
+        ctx = SimContext(DOM20, dup_register_model())
+        records = run_trials(scen, combo, 1500, ctx, "delayed", 41)
+        for rec in records:
+            _, outcome, hits = _oracle_trial(scen, combo, ctx, rec.seed)
+            assert (rec.outcome, rec.hits) == (outcome, hits), rec.index
+        assert len({rec.outcome for rec in records}) > 1
