@@ -12,7 +12,7 @@ from glitchsim import (ChainConfig, ClockDomains, FaultSpec, set_enabled,
 
 domains = ClockDomains(oversampling=20, dut_period_ns=100)
 print(f"tick period: {domains.tick_period_ns} ns "
-      f"({domains.ticks_per_cycle} ticks per DUT cycle)\n")
+      f"({domains.oversampling} ticks per DUT cycle)\n")
 
 # Two faults placed absolutely at ticks 100 and 200, then translated to
 # the relative frame the hardware consumes (offset from predecessor end).

@@ -33,14 +33,14 @@ from .search import (AbsoluteParamSet, FuzzyInterval, RankedCombo, SearchSpace,
                      run_trials, sweep, transfer_parameters,
                      translate_to_relative)
 from .seeding import mix64
-from .timing import ClockDomains, FaultSpec, Frame, split_fault, ticks_from_ns
+from .timing import ClockDomains, FaultSpec, split_fault, ticks_from_ns
 
 __version__ = "1.0.0"
 
 __all__ = [
     "AbsoluteParamSet", "BadChainLength", "BodModel", "CampaignConfig",
     "ChainConfig", "ClockDomains", "ConfigError", "Effect", "EmptyChain",
-    "EmptySplit", "FaultResponseModel", "FaultSpec", "Frame", "FuzzyInterval",
+    "EmptySplit", "FaultResponseModel", "FaultSpec", "FuzzyInterval",
     "GlitchSimError", "IncompleteSweep", "Instruction", "NoIntegratedSuccess",
     "NotFound", "Outcome", "OverlapError", "RankedCombo", "RawTrialResult",
     "ScenarioSpec", "SearchConfig", "SearchFailed", "SearchSpace",

@@ -121,13 +121,11 @@ def predict_shift_distributions(pr: float, pl: float, burst: float, lockup: floa
     return wide, narrow
 
 
-def shift_fit_deviation(params, wide_target=None, narrow_target=None) -> float:
-    """Worst-cell absolute deviation of the model from the target tables."""
-    wide_target = wide_target or WIDE_FAULT_DISTRIBUTION
-    narrow_target = narrow_target or NARROW_FAULT_DISTRIBUTION
+def shift_fit_deviation(params) -> float:
+    """Worst-cell absolute deviation of the model from the measured tables."""
     wide, narrow = predict_shift_distributions(*params)
-    devs = [abs(wide[k] - wide_target[k]) for k in wide_target]
-    devs += [abs(narrow[k] - narrow_target[k]) for k in narrow_target]
+    devs = [abs(wide[k] - v) for k, v in WIDE_FAULT_DISTRIBUTION.items()]
+    devs += [abs(narrow[k] - v) for k, v in NARROW_FAULT_DISTRIBUTION.items()]
     return max(devs)
 
 

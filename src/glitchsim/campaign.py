@@ -23,7 +23,7 @@ from typing import Optional
 
 from . import calibration
 from .dut import BodModel, Effect, FaultResponseModel
-from .errors import ConfigError, SearchFailed
+from .errors import ConfigError, SearchFailed, check_type
 from .scenarios import ScenarioSpec, load_scenario
 from .search import (SearchSpace, SimContext, TrialRecord,
                      evaluate_repeatability, exhaustive_search, final_combo,
@@ -77,6 +77,10 @@ class SearchConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "width_set", tuple(self.width_set))
+        for name, value in asdict(self).items():
+            if name != "n_faults" or value is not None:  # unset: one per target
+                for v in value if name == "width_set" else (value,):
+                    check_type(int, f"search {name}", v)
         lows = {**dict.fromkeys(("stride", "fuzzy_stride", "pass_budget",
                                  "integrate_trials", "n_rank", "n_final",
                                  "exhaustive_budget", "n_faults"), 1), "psi": 0}
@@ -124,18 +128,19 @@ def model_from_dict(data: dict) -> FaultResponseModel:
     data = dict(data)
     preset = data.pop("preset", None)
     if preset is not None:
-        if preset not in MODEL_PRESETS:
+        if type(preset) is not str or preset not in MODEL_PRESETS:
             raise ConfigError(f"unknown model preset {preset!r}")
         if data:
             raise ConfigError("model preset cannot be combined with explicit fields")
         return MODEL_PRESETS[preset]()
-    override = data.pop("per_target_override", None)
-    if override is not None:
-        try:
-            data["per_target_override"] = {Effect(k): v for k, v in override.items()}
-        except ValueError as exc:
-            raise ConfigError(f"bad per_target_override: {exc}") from exc
     try:
+        for key, value in data.items():
+            check_type(dict if key == "per_target_override" else float,
+                       f"model {key}", value)
+        if "per_target_override" in data:
+            data["per_target_override"] = {
+                Effect(k): check_type(float, f"model override {k}", v)
+                for k, v in data["per_target_override"].items()}
         return FaultResponseModel(**data)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad fault-response model: {exc}") from exc
@@ -146,6 +151,8 @@ def bod_from_dict(data: dict) -> BodModel:
     # Retired knob that never gated detection; older configs still carry it.
     data.pop("detect_width_threshold", None)
     try:
+        for key, value in data.items():
+            check_type(bool if key == "enabled" else int, f"bod {key}", value)
         return BodModel(**data)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad BOD model: {exc}") from exc
@@ -167,8 +174,11 @@ class CampaignConfig:
     transfer_source: Optional[str] = None  # cooperative twin for non-coop flows
 
     def __post_init__(self):
-        # Checked here, not in from_dict: the CLI applies --trials and
-        # --jobs to a loaded config with dataclasses.replace.
+        # Checked here, not in from_dict: the CLI applies --seed and
+        # --trials to a loaded config with dataclasses.replace.
+        for name in ("oversampling", "master_seed", "trials", "jobs"):
+            check_type(int, name, getattr(self, name))
+        check_type(float, "dut_period_ns", self.dut_period_ns)
         for name in ("trials", "jobs"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
@@ -214,15 +224,12 @@ class CampaignConfig:
         data = dict(data)
         if "scenario" not in data:
             raise ConfigError("config needs a 'scenario' entry")
-        for key in ("model", "bod", "search"):
-            if not isinstance(data.get(key, {}), dict):
-                raise ConfigError(f"config entry {key!r} must be a JSON object")
-        if "model" in data:
-            data["model"] = model_from_dict(data["model"])
-        if "bod" in data:
-            data["bod"] = bod_from_dict(data["bod"])
-        if "search" in data:
-            data["search"] = SearchConfig.from_dict(data["search"])
+        for key, parse in (("model", model_from_dict), ("bod", bod_from_dict),
+                           ("search", SearchConfig.from_dict)):
+            if key in data:
+                if not isinstance(data[key], dict):
+                    raise ConfigError(f"config entry {key!r} must be a JSON object")
+                data[key] = parse(data[key])
         try:
             return cls(**data)
         except (TypeError, ValueError) as exc:
@@ -377,13 +384,13 @@ def _sweep(scenario: ScenarioSpec, cfg: CampaignConfig, ctx: SimContext):
                  pass_budget=cfg.search.pass_budget)
 
 
-def _exhaustive(scenario: ScenarioSpec, cfg: CampaignConfig, ctx: SimContext,
-                max_successes: Optional[int]):
+def _exhaustive(scenario: ScenarioSpec, cfg: CampaignConfig, ctx: SimContext):
+    """The grid search up to its first success."""
     n_faults = cfg.search.n_faults or len(scenario.targets)
     return exhaustive_search(scenario, cfg.search.space(), n_faults,
                              cfg.search.exhaustive_budget, ctx,
                              seed=mix64(cfg.master_seed, STEP_EXHAUSTIVE),
-                             max_successes=max_successes)
+                             max_successes=1)
 
 
 def _locate(scenario: ScenarioSpec, cfg: CampaignConfig, ctx: SimContext,
@@ -505,13 +512,12 @@ def run_sweep_only(cfg: CampaignConfig, out_dir=None) -> dict:
     return summary
 
 
-def run_exhaustive(cfg: CampaignConfig, out_dir=None,
-                   max_successes: Optional[int] = 1) -> dict:
+def run_exhaustive(cfg: CampaignConfig, out_dir=None) -> dict:
     """The conventional grid-search baseline as a standalone campaign."""
     scenario = cfg.load_scenario()
     summary = _base_summary(cfg, "exhaustive", scenario)
     with _persist_on_failure(out_dir, None, summary):
-        result = _exhaustive(scenario, cfg, cfg.context(), max_successes)
+        result = _exhaustive(scenario, cfg, cfg.context())
     summary["combos"] = [c.to_dict() for c in result.combos]
     summary["total_trials"] = result.trials_used
     _persist(out_dir, None, summary)
@@ -537,7 +543,7 @@ def run_comparison(cfg: CampaignConfig, out_dir=None) -> dict:
     flow_trials = len(flow_records) + failed_step_trials
 
     try:
-        exhaustive_trials = _exhaustive(scenario, cfg, ctx, max_successes=1).trials_used
+        exhaustive_trials = _exhaustive(scenario, cfg, ctx).trials_used
         exhaustive_found = True
     except SearchFailed as exc:
         exhaustive_trials = exc.trials_used
@@ -666,20 +672,26 @@ def run_countermeasure_eval(cfg: CampaignConfig, max_delay_cycles: int,
 # Brown-out-detector evasion study
 # ---------------------------------------------------------------------------
 
-def run_bod_eval(cfg: CampaignConfig, out_dir=None, wide_ns: float = 400,
-                 split_widths_ns: tuple[float, ...] = (170, 140),
-                 split_gaps_ns: tuple[float, ...] = (100,),
-                 offset_ns: float = 0) -> dict:
+# The paper's detector-evading split: a 400 ns fault at the trigger
+# becomes 170 ns + 140 ns with a 100 ns gap.
+BOD_WIDE_NS = 400
+BOD_SPLIT_WIDTHS_NS = (170, 140)
+BOD_SPLIT_GAPS_NS = (100,)
+
+
+def run_bod_eval(cfg: CampaignConfig, out_dir=None) -> dict:
     """Detection of one wide fault vs its split counterpart, swept over
     every sampling phase of the configured detector period."""
     if cfg.bod is None:
         raise ConfigError("bod evaluation needs a 'bod' section in the config")
     domains = cfg.domains
-    offset = ticks_from_ns(domains, offset_ns)
-    wide = FaultSpec(offset, ticks_from_ns(domains, wide_ns))
-    parts = split_fault(wide,
-                        [ticks_from_ns(domains, w) for w in split_widths_ns],
-                        [ticks_from_ns(domains, g) for g in split_gaps_ns])
+    try:
+        wide = FaultSpec(0, ticks_from_ns(domains, BOD_WIDE_NS))
+        parts = split_fault(wide,
+                            [ticks_from_ns(domains, w) for w in BOD_SPLIT_WIDTHS_NS],
+                            [ticks_from_ns(domains, g) for g in BOD_SPLIT_GAPS_NS])
+    except ValueError as exc:  # a tick so coarse that a width rounds to 0
+        raise ConfigError(f"bod fault shapes do not fit the tick: {exc}") from exc
     wide_windows = [(wide.offset, wide.end)]
     split_windows = [(p.offset, p.end) for p in parts]
 

@@ -19,16 +19,12 @@ EXIT_SEARCH_FAILED = 1
 EXIT_CONFIG_ERROR = 2
 
 
-def _add_common(parser: argparse.ArgumentParser, config_required: bool = True):
-    parser.add_argument("--config", required=config_required,
-                        help="campaign config JSON file")
+def _add_common(parser: argparse.ArgumentParser):
+    parser.add_argument("--config", required=True, help="campaign config JSON file")
     parser.add_argument("--out", default=None,
                         help="output directory for results.jsonl / summary.json / report.csv")
     parser.add_argument("--seed", type=int, default=None,
                         help="override the config's master seed")
-    parser.add_argument("--jobs", type=int, default=None,
-                        help="override the config's jobs entry (accepted and "
-                             "ignored: trials run serially)")
     parser.add_argument("--trials", type=int, default=None,
                         help="override the config's per-evaluation trial count")
 
@@ -64,17 +60,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config(args) -> campaign.CampaignConfig:
-    cfg = campaign.load_config(args.config)
-    if args.seed is not None:
-        cfg = replace(cfg, master_seed=args.seed)
-    if args.jobs is not None:
-        cfg = replace(cfg, jobs=args.jobs)
-    if args.trials is not None:
-        cfg = replace(cfg, trials=args.trials)
-    return cfg
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -95,7 +80,9 @@ def main(argv=None) -> int:
             print(f"wrote {rows} rows to {args.out}")
             return EXIT_OK
 
-        cfg = _load_config(args)
+        overrides = {"master_seed": args.seed, "trials": args.trials}
+        cfg = replace(campaign.load_config(args.config),
+                      **{k: v for k, v in overrides.items() if v is not None})
         out = args.out
 
         if args.command == "sweep":

@@ -80,7 +80,6 @@ class FaultResponseModel:
     p_lockup_per_fault: float = 0.05
     p_window_burst: float = 0.0
     per_target_override: Optional[Mapping[Effect, float]] = None
-    rng_seed: int = 0
 
     def __post_init__(self):
         for name in ("p_max_skip", "p_lockup_per_fault", "p_window_burst"):
@@ -234,12 +233,11 @@ def run_plan(plan: TrialPlan, seed) -> RawTrialResult:
 
 
 def execute_trial(scenario, windows, domains, model: FaultResponseModel,
-                  bod: Optional[BodModel] = None, seed: Optional[int] = None,
+                  bod: Optional[BodModel] = None, *, seed: int,
                   cycles: Optional[Iterable[int]] = None) -> RawTrialResult:
-    """Run the scenario once under the given windows (see
-    :func:`trial_plan`); ``seed`` defaults to ``model.rng_seed``."""
-    return run_plan(trial_plan(scenario, windows, domains, model, bod, cycles),
-                    model.rng_seed if seed is None else seed)
+    """Run the scenario once under the given windows with the trial's
+    seed (see :func:`trial_plan`)."""
+    return run_plan(trial_plan(scenario, windows, domains, model, bod, cycles), seed)
 
 
 def stall_shift(scenario, max_delay_cycles: int, seed: int):

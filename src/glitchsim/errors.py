@@ -1,4 +1,16 @@
-"""Exception types shared across the library."""
+"""Exception types, and the type check of loaded values, shared across
+the library."""
+
+_KINDS = {int: "an integer", float: "a number", bool: "true or false",
+          str: "a string", dict: "a JSON object"}
+
+
+def check_type(kind: type, where: str, value):
+    """``value`` if its type is exactly ``kind``, where a float may also be
+    an int: a JSON true is no integer and no number.  TypeError otherwise."""
+    if type(value) is kind or (kind is float and type(value) is int):
+        return value
+    raise TypeError(f"{where} must be {_KINDS[kind]}, got {value!r}")
 
 
 class GlitchSimError(Exception):

@@ -16,6 +16,7 @@ from pathlib import Path
 from typing import Callable, Optional
 
 from .dut import Effect, INERT_EFFECTS, Instruction, RawTrialResult
+from .errors import check_type
 
 SCHEMA_VERSION = 1
 
@@ -88,6 +89,8 @@ class ScenarioSpec:
                                  f"no effectful instruction at some of the "
                                  f"cycles {list(t.cycles)}")
             out[t.label] = idx
+        if not out or len(out) != len(self.targets):
+            raise ValueError("a scenario needs one or more targets with distinct labels")
         return out
 
     @cached_property
@@ -275,10 +278,10 @@ def dup_registers(delay1: int, delay2: int, cooperative: bool = True,
     )
 
 
-def successive_shifts(lead_cycles: int = 5) -> ScenarioSpec:
+def successive_shifts() -> ScenarioSpec:
     """Privilege-escalation mock: the back-to-back LSRS/LSLS pair that
     clears the LSB of the non-secure branch destination."""
-    s1 = lead_cycles
+    s1 = 5
     instructions = _filled(
         {
             0: Effect.PLAIN,  # trigger
@@ -302,7 +305,7 @@ def successive_shifts(lead_cycles: int = 5) -> ScenarioSpec:
 
 
 def tzm_attack(cooperative: bool = True, boot_cycles: int = 0,
-               randomized: bool = False, name: Optional[str] = None) -> ScenarioSpec:
+               randomized: bool = False) -> ScenarioSpec:
     """Four-target TrustZone-M setup-plus-handover stream.
 
     Targets in reporting order: SAU activation, secure bus-controller
@@ -334,12 +337,9 @@ def tzm_attack(cooperative: bool = True, boot_cycles: int = 0,
         # PE is the whole shift pair; hitting it means skipping both.
         Target("PE", Effect.CLEAR_LSB_SHIFT1, (pe1, pe1 + 1)),
     )
-    if name is None:
-        name = "tzm_full_attack" if not randomized else "tzm_randomized"
-        if not cooperative:
-            name += "_noncoop"
+    name = "tzm_randomized" if randomized else "tzm_full_attack"
     return ScenarioSpec(
-        name=name,
+        name=name if cooperative else name + "_noncoop",
         instructions=instructions,
         targets=targets,
         cooperative=cooperative,
@@ -350,9 +350,9 @@ def tzm_attack(cooperative: bool = True, boot_cycles: int = 0,
     )
 
 
-def bod_region(width_cycles: int = 4) -> ScenarioSpec:
+def bod_region() -> ScenarioSpec:
     """Single critical region used by the brown-out-detector studies."""
-    region = tuple(range(1, width_cycles + 1))
+    region = (1, 2, 3, 4)
     entries = [(0, Effect.PLAIN)]
     entries += [(c, Effect.STORE_AHB_ORIGINAL) for c in region]
     entries += [(region[-1] + 1, Effect.DELAY), (region[-1] + 2, Effect.DELAY)]
@@ -412,25 +412,30 @@ def scenario_to_dict(spec: ScenarioSpec) -> dict:
 
 
 def scenario_from_dict(data: dict) -> ScenarioSpec:
-    version = data.get("schema_version")
+    """The scenario a JSON object describes; a value of the wrong type
+    raises TypeError, for no field is coerced."""
+    version = check_type(dict, "a scenario", data).get("schema_version")
     if version != SCHEMA_VERSION:
         raise ValueError(f"unsupported scenario schema_version {version!r}")
     instructions = tuple(
-        Instruction(i, entry["cycle"], Effect(entry["effect"]))
+        Instruction(i, check_type(int, "instruction cycle", entry["cycle"]),
+                    Effect(entry["effect"]))
         for i, entry in enumerate(data["instructions"])
     )
     targets = tuple(
-        Target(t["label"], Effect(t["effect"]), tuple(t["cycles"]))
+        Target(check_type(str, "target label", t["label"]), Effect(t["effect"]),
+               tuple(check_type(int, "target cycle", c) for c in t["cycles"]))
         for t in data["targets"]
     )
     return ScenarioSpec(
-        name=data["name"],
+        name=check_type(str, "name", data["name"]),
         instructions=instructions,
         targets=targets,
-        cooperative=bool(data["cooperative"]),
-        trigger_cycle=int(data.get("trigger_cycle", 0)),
+        cooperative=check_type(bool, "cooperative", data["cooperative"]),
+        trigger_cycle=check_type(int, "trigger_cycle", data.get("trigger_cycle", 0)),
         response_kind=data.get("response_kind", "state_bits"),
-        random_delay_max=int(data.get("random_delay_max", 0)),
+        random_delay_max=check_type(int, "random_delay_max",
+                                    data.get("random_delay_max", 0)),
         meta=data.get("meta") or None,
     )
 

@@ -225,7 +225,7 @@ def run_chain_trial(scenario: ScenarioSpec, rel_specs: Sequence[RelSpec],
     stalls, if any, come from ``apply_random_delays``' draws for seed
     ``mix64(seed, 0x5EED)``."""
     raw = execute_trial(scenario, _windows(scenario, rel_specs, ctx), ctx.domains,
-                        ctx.model, ctx.bod, seed, _cycles(scenario, seed))
+                        ctx.model, ctx.bod, seed=seed, cycles=_cycles(scenario, seed))
     return (raw, *_judge(scenario, raw, {}))
 
 

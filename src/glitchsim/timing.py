@@ -8,7 +8,6 @@ only appear at the configuration boundary.  One DUT cycle spans
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from typing import Union
 
@@ -23,13 +22,6 @@ def _as_fraction(value: Rational) -> Fraction:
     if isinstance(value, float):
         return Fraction(repr(value))
     return Fraction(value)
-
-
-class Frame(Enum):
-    """Reference point of a fault offset."""
-
-    ABSOLUTE = "absolute"  # measured from the trigger tick
-    RELATIVE = "relative"  # measured from the end of the predecessor fault
 
 
 @dataclass(frozen=True)
@@ -50,18 +42,13 @@ class ClockDomains:
     def tick_period_ns(self) -> Fraction:
         return self.dut_period_ns / self.oversampling
 
-    @property
-    def ticks_per_cycle(self) -> int:
-        return self.oversampling
-
 
 @dataclass(frozen=True)
 class FaultSpec:
-    """One voltage fault window in ticks."""
+    """One voltage fault window in ticks, offset from the trigger tick."""
 
     offset: int
     width: int
-    frame: Frame = Frame.ABSOLUTE
 
     def __post_init__(self):
         if self.offset < 0:
@@ -71,7 +58,7 @@ class FaultSpec:
 
     @property
     def end(self) -> int:
-        """End tick for an absolute spec (exclusive)."""
+        """End tick (exclusive)."""
         return self.offset + self.width
 
 
@@ -99,8 +86,6 @@ def split_fault(fault: FaultSpec, widths, gaps) -> list[FaultSpec]:
     gaps = list(gaps)
     if not widths:
         raise EmptySplit("cannot split a fault into zero sub-faults")
-    if fault.frame is not Frame.ABSOLUTE:
-        raise ValueError("split_fault requires an absolute-frame fault")
     if len(gaps) != len(widths) - 1:
         raise ValueError("need exactly len(widths) - 1 gaps")
     if any(w < 1 for w in widths):
@@ -111,7 +96,7 @@ def split_fault(fault: FaultSpec, widths, gaps) -> list[FaultSpec]:
     out = []
     start = fault.offset
     for i, width in enumerate(widths):
-        out.append(FaultSpec(start, width, Frame.ABSOLUTE))
+        out.append(FaultSpec(start, width))
         start += width
         if i < len(gaps):
             start += gaps[i]

@@ -280,6 +280,14 @@ class TestBodEval:
         assert summary["wide_detection_rate"] == 1.0
         assert summary["split_detection_rate"] == 1.0
 
+    def test_tick_too_coarse_for_split(self):
+        # 1000 ns ticks round the 170 ns and 140 ns sub-faults to 0 ticks.
+        cfg = CampaignConfig(scenario="bod_scenario", oversampling=1,
+                             dut_period_ns=1000,
+                             bod=BodModel(enabled=True, sample_period=3))
+        with pytest.raises(ConfigError, match="do not fit the tick"):
+            run_bod_eval(cfg)
+
 
 class TestHelpers:
     def test_nominal_combo_exactly_covers_targets(self):

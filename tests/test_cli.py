@@ -1,6 +1,11 @@
+import io
 import json
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from glitchsim.calibration import deterministic_model
 from glitchsim.campaign import model_to_dict
@@ -39,7 +44,11 @@ class TestExitCodes:
     def test_unknown_command_exit_2(self, capsys):
         assert main(["frobnicate"]) == 2
 
-    @pytest.mark.parametrize("flag", ["--trials", "--jobs"])
+    def test_retired_jobs_flag_exit_2(self, dup_cfg_path, capsys):
+        assert main(["flow", "--config", str(dup_cfg_path), "--jobs", "2"]) == 2
+        assert "unrecognized arguments: --jobs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--trials"])
     def test_non_positive_count_exit_2(self, dup_cfg_path, capsys, flag):
         assert main(["countermeasure", "--config", str(dup_cfg_path),
                      flag, "0"]) == 2
@@ -73,13 +82,25 @@ class TestExitCodes:
         ("flow", None, "transfer_source", "no_such_scenario"),
         ("flow", None, "search", []),
         ("flow", None, "model", "tzm"),
+        ("countermeasure", None, "jobs", 0),
+        ("flow", "model", "rng_seed", 1),
+        ("flow", None, "master_seed", "x"),
+        ("flow", None, "master_seed", 1.5),
+        ("flow", None, "master_seed", True),
+        ("flow", None, "oversampling", 2.5),
+        ("flow", "model", "per_target_override", [1]),
+        ("flow", "search", "psi", 1.5),
+        ("flow", "search", "offset_min", 0.5),
+        ("flow", "search", "n_final", 2.5),
+        ("flow", "search", "width_set", [20.5]),
+        ("bod", "bod", "enabled", "yes"),
     ])
     def test_malformed_config_exit_2(self, dup_cfg_path, tmp_path, capsys,
                                      command, section, key, value):
         data = json.loads(dup_cfg_path.read_text())
         if key == "transfer_source":
             data["scenario"] = "dup_registers_noncoop"
-        (data[section] if section else data)[key] = value
+        (data.setdefault(section, {}) if section else data)[key] = value
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(data))
         assert main([command, "--config", str(bad)]) == 2
@@ -116,6 +137,33 @@ class TestExitCodes:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(data))
         assert main(["flow", "--config", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and message in err
+
+    @pytest.mark.parametrize("path, value, message", [
+        (("cooperative",), "false", "cooperative must be true or false"),
+        (("random_delay_max",), 2.9, "random_delay_max must be an integer"),
+        (("trigger_cycle",), 1.0, "trigger_cycle must be an integer"),
+        (("instructions", 3, "cycle"), 3.5, "instruction cycle must be an integer"),
+        (("targets", 1, "cycles", 0), True, "target cycle must be an integer"),
+        ((), [], "a scenario must be a JSON object"),
+        (("targets",), [], "one or more targets with distinct labels"),
+        (("targets", 1, "label"), "FIRST", "one or more targets with distinct labels"),
+    ])
+    def test_malformed_scenario_field_exit_2(self, dup_cfg_path, tmp_path, capsys,
+                                             path, value, message):
+        scen = scenario_to_dict(dup_registers(7, 43))
+        if path:
+            _entry(scen, path[:-1])[path[-1]] = value
+        else:
+            scen = value
+        save = tmp_path / "scen.json"
+        save.write_text(json.dumps(scen))
+        data = json.loads(dup_cfg_path.read_text())
+        data["scenario"] = str(save)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        assert main(["exhaustive", "--config", str(bad)]) == 2
         err = capsys.readouterr().err
         assert "config error" in err and message in err
 
@@ -224,3 +272,79 @@ class TestCommands:
         main(["flow", "--config", str(dup_cfg_path), "--out", str(a)])
         main(["flow", "--config", str(dup_cfg_path), "--out", str(b)])
         assert (a / "summary.json").read_bytes() == (b / "summary.json").read_bytes()
+
+
+def _entry(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def _paths(doc, prefix=()):
+    """The key path of every entry of a JSON document, nested ones too."""
+    items = (doc.items() if isinstance(doc, dict)
+             else enumerate(doc) if isinstance(doc, list) else ())
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _paths(value, prefix + (key,))
+
+
+# A small config whose every command runs in milliseconds: deterministic
+# stores, a 55 x 55 exhaustive grid whose success lies at combo 483, and
+# small trial counts.  The scenario entry is filled in per example.
+FUZZ_CONFIG = {
+    "oversampling": 2,
+    "dut_period_ns": 100,
+    "model": {"p_max_skip": 0.0, "p_lockup_per_fault": 0.0, "p_window_burst": 0.0,
+              "per_target_override": {"store_ahb_original": 1.0,
+                                      "store_ahb_duplicate": 1.0}},
+    "bod": {"enabled": False, "sample_period": 80, "sample_phase": 0},
+    "search": {"offset_min": 0, "offset_max": 110, "stride": 2, "width_set": [2],
+               "psi": 1, "fuzzy_stride": 1, "pass_budget": 2, "integrate_trials": 2,
+               "n_rank": 5, "n_final": 20, "exhaustive_budget": 1000},
+    "master_seed": 7,
+    "jobs": 1,
+    "trials": 50,
+}
+FUZZ_POOL = (None, True, "x", 2.5, -1, 0, [], {})
+FUZZ_COMMANDS = ("sweep", "flow", "exhaustive", "compare", "countermeasure",
+                 "wide-vs-narrow", "bod")
+
+
+def _fuzz_docs(tmp):
+    """Fresh copies of FUZZ_CONFIG and of the scenario file it names."""
+    cfg = json.loads(json.dumps(FUZZ_CONFIG))
+    cfg["scenario"] = str(Path(tmp) / "scen.json")
+    return cfg, scenario_to_dict(dup_registers(7, 43))
+
+
+def _run_fuzz(command, cfg, scen, tmp):
+    (Path(tmp) / "scen.json").write_text(json.dumps(scen))
+    (Path(tmp) / "cfg.json").write_text(json.dumps(cfg))
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        return main([command, "--config", str(Path(tmp) / "cfg.json"),
+                     "--out", str(Path(tmp) / "run")])
+
+
+@pytest.mark.parametrize("command", FUZZ_COMMANDS)
+def test_fuzz_base_config_succeeds(tmp_path, command):
+    # Unmutated, every command succeeds, so the fuzz starts from working input.
+    assert _run_fuzz(command, *_fuzz_docs(tmp_path), tmp_path) == 0
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data(), mutate_scenario=st.booleans(),
+       command=st.sampled_from(FUZZ_COMMANDS))
+def test_fuzzed_config_never_raises(data, mutate_scenario, command):
+    """One entry of the config or of its scenario file is deleted or set to
+    a value of FUZZ_POOL; every command exits 0, 1 or 2 and never raises."""
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, scen = _fuzz_docs(tmp)
+        doc = scen if mutate_scenario else cfg
+        path = data.draw(st.sampled_from(list(_paths(doc))), label="entry")
+        value = data.draw(st.sampled_from(("<delete>",) + FUZZ_POOL), label="value")
+        if value == "<delete>":
+            del _entry(doc, path[:-1])[path[-1]]
+        else:
+            _entry(doc, path[:-1])[path[-1]] = value
+        assert _run_fuzz(command, cfg, scen, tmp) in (0, 1, 2)

@@ -4,15 +4,13 @@ from fractions import Fraction
 from hypothesis import given, strategies as st
 
 from glitchsim.errors import EmptySplit
-from glitchsim.timing import (ClockDomains, FaultSpec, Frame, split_fault,
-                              ticks_from_ns)
+from glitchsim.timing import ClockDomains, FaultSpec, split_fault, ticks_from_ns
 
 
 class TestClockDomains:
     def test_tick_period(self):
         d = ClockDomains(oversampling=20, dut_period_ns=100)
         assert d.tick_period_ns == Fraction(5)
-        assert d.ticks_per_cycle == 20
 
     def test_rejects_bad_oversampling(self):
         with pytest.raises(ValueError):
@@ -83,7 +81,6 @@ class TestSplitFault:
         f = FaultSpec(0, 80)
         parts = split_fault(f, [34, 28], [20])
         assert [(p.offset, p.width) for p in parts] == [(0, 34), (54, 28)]
-        assert all(p.frame is Frame.ABSOLUTE for p in parts)
 
     def test_identity_split(self):
         f = FaultSpec(7, 5)
@@ -97,10 +94,6 @@ class TestSplitFault:
     def test_empty_widths(self):
         with pytest.raises(EmptySplit):
             split_fault(FaultSpec(0, 4), [], [])
-
-    def test_requires_absolute_frame(self):
-        with pytest.raises(ValueError):
-            split_fault(FaultSpec(0, 4, Frame.RELATIVE), [4], [])
 
     def test_gap_count_mismatch(self):
         with pytest.raises(ValueError):
