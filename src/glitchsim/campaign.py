@@ -29,7 +29,7 @@ from .search import (SearchSpace, SimContext, TrialRecord,
                      evaluate_repeatability, exhaustive_search, final_combo,
                      fuzzyfy, integrate, run_trials, sweep,
                      transfer_parameters, translate_to_relative)
-from .seeding import mix64
+from .seeding import RNG_SCHEME, mix64
 from .timing import ClockDomains, FaultSpec, split_fault, ticks_from_ns
 
 SUMMARY_SCHEMA_VERSION = 1
@@ -349,6 +349,7 @@ def _base_summary(cfg: CampaignConfig, operation: str,
         "schema_version": SUMMARY_SCHEMA_VERSION,
         "operation": operation,
         "master_seed": cfg.master_seed,
+        "rng_scheme": RNG_SCHEME,
         "config": cfg.to_dict(),
     }
     if scenario is not None:

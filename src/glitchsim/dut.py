@@ -15,26 +15,38 @@ the empirically higher joint skip rate of one wide fault over two
 adjacent instructions.  Each window independently causes a lockup with
 probability ``p_lockup_per_fault``.
 
-Everything is deterministic given the trial seed.  The draw order is
-fixed: first burst then lockup per window (in window order), then a
-skip draw for every effectful instruction a window touches, in stream
-order; draws with probability 0 or 1 never consume randomness.
+Everything is deterministic given the trial seed.  Each draw reads its
+own fixed slot of the seed (:func:`glitchsim.seeding.slot`, a 53-bit
+integer m read as u = m / 2**53), so no draw moves another.  With W
+windows, window w bursts when slot 2w gives u < ``p_window_burst`` and
+locks up when slot 2w+1 gives u < ``p_lockup_per_fault``; a covered
+instruction with index i is skipped when a bursting window touches it or
+slot 2W+i gives u below its skip probability; the stall before the d-th
+delay point is (m·(max+1)) >> 53 for slot ``STALL_SLOT0 + d``.  The
+first window that locks up sets the lock tick; no instruction starting
+at or after it is skipped.  A probability of 0 or 1 decides without
+reading its slot.
 
 A trial runs in two steps.  :func:`trial_plan` does the work no draw
 decides: the BOD verdict, the window × instruction overlaps and each
 covered instruction's skip probability.  :func:`run_plan` makes only the
-draws, in the order above, so a plan compiled once can run many seeds;
-a plan with no probability strictly between 0 and 1 holds its result.
+draws, so a plan compiled once can run many seeds; a plan with no
+probability strictly between 0 and 1 holds its result.
 :func:`execute_trial` is the two steps in one call.
 """
 
 from __future__ import annotations
 
-import random
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Iterable, Mapping, Optional, Sequence
+
+from .seeding import SLOT_ONE, slot
+
+# First stall slot: far past any window or skip slot, so the ranges are
+# disjoint.
+STALL_SLOT0 = 1 << 32
 
 
 class Effect(Enum):
@@ -52,7 +64,7 @@ class Effect(Enum):
 
 # Skipping a delay / filler instruction changes nothing observable, so
 # no skip draw is spent on them.  BRANCH_NONSECURE is no target either,
-# but it keeps its skip draw: dropping it would shift the draw stream.
+# but it keeps its skip draw, which reads a slot of its own.
 INERT_EFFECTS = frozenset({Effect.DELAY, Effect.PLAIN})
 
 
@@ -63,8 +75,8 @@ class Instruction:
     effect: Effect
 
     def __post_init__(self):
-        if self.cycle < 0:
-            raise ValueError("cycle must be non-negative")
+        if self.index < 0 or self.cycle < 0:
+            raise ValueError("index and cycle must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -200,22 +212,20 @@ def trial_plan(scenario, windows, domains, model: FaultResponseModel,
 
 
 def run_plan(plan: TrialPlan, seed) -> RawTrialResult:
-    """Make the plan's draws for one trial seed: burst then lockup per
-    window, in window order, then one skip draw per covered instruction
-    that no burst took, in stream order, up to the first lock tick.  A
-    draw with probability 0 or 1 consumes no randomness."""
+    """Make the plan's draws for one trial seed: burst (slot 2w) and
+    lockup (slot 2w+1) per window, then a skip draw (slot 2W + index) per
+    covered instruction that no burst took, up to the first lock tick."""
     if plan.fixed is not None:
         return plan.fixed
-    rng = None
     p_burst, p_lockup = plan.p_window_burst, plan.p_lockup_per_fault
     bursts = (1 << len(plan.starts)) - 1 if p_burst >= 1.0 else 0
     lock_tick = plan.starts[0] if p_lockup >= 1.0 and plan.starts else None
     if 0.0 < p_burst < 1.0 or 0.0 < p_lockup < 1.0:
-        rng = random.Random(seed)
         for w, start in enumerate(plan.starts):
-            if 0.0 < p_burst < 1.0 and rng.random() < p_burst:
+            if 0.0 < p_burst < 1.0 and slot(seed, 2 * w) < p_burst * SLOT_ONE:
                 bursts |= 1 << w
-            if 0.0 < p_lockup < 1.0 and rng.random() < p_lockup and lock_tick is None:
+            if (0.0 < p_lockup < 1.0 and lock_tick is None
+                    and slot(seed, 2 * w + 1) < p_lockup * SLOT_ONE):
                 lock_tick = start
 
     skipped = []
@@ -224,11 +234,8 @@ def run_plan(plan: TrialPlan, seed) -> RawTrialResult:
             break  # device froze in an erroneous state
         if mask & bursts or p_skip >= 1.0:
             skipped.append(index)
-        elif p_skip > 0.0:
-            if rng is None:
-                rng = random.Random(seed)
-            if rng.random() < p_skip:
-                skipped.append(index)
+        elif p_skip > 0.0 and slot(seed, 2 * len(plan.starts) + index) < p_skip * SLOT_ONE:
+            skipped.append(index)
     return RawTrialResult(frozenset(skipped), lock_tick is not None)
 
 
@@ -241,25 +248,27 @@ def execute_trial(scenario, windows, domains, model: FaultResponseModel,
 
 
 def stall_shift(scenario, max_delay_cycles: int, seed: int):
-    """Draw one stall of 0..max_delay_cycles per delay point, in time
-    order; returns the map from a cycle to its delayed position.
+    """Draw one stall of 0..max_delay_cycles per delay point from the
+    trial seed's stall slots; returns the map from a cycle to its delayed
+    position.
 
     A stall only moves cycles: instruction indices, target membership and
     response encoding stay those of the undelayed scenario.
     """
-    rng = random.Random(seed)
+    span = max_delay_cycles + 1
     points = scenario.delay_points
     total = 0
-    before = [0]  # before[k]: total stall in front of a cycle past k points
-    for _ in points:
-        total += rng.randint(0, max_delay_cycles)
+    before = [0]  # before[d]: total stall in front of a cycle past d points
+    for d in range(len(points)):
+        total += (slot(seed, STALL_SLOT0 + d) * span) >> 53
         before.append(total)
     return lambda cycle: cycle + before[bisect_right(points, cycle)]
 
 
 def apply_random_delays(scenario, max_delay_cycles: int, seed: int):
     """Insert a uniform-random stall of 0..max_delay_cycles DUT cycles
-    before each fault target, re-deriving all cycle positions.
+    before each fault target, drawn from the stall slots of the trial
+    ``seed``, re-deriving all cycle positions.
 
     One independent draw per target, so every protected assignment moves
     on its own.  Returns a new scenario; max_delay_cycles = 0 returns

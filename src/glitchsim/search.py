@@ -21,12 +21,10 @@ from .dut import (BodModel, FaultResponseModel, TrialPlan, apply_random_delays,
 from .errors import (IncompleteSweep, NoIntegratedSuccess, NotFound,
                      OverlapError, TransferInvalid)
 from .scenarios import Outcome, ScenarioSpec, classify
-from .seeding import mix64
+from .seeding import _splitmix64, mix64
 from .timing import ClockDomains
 
 RelSpec = tuple[int, int]  # (relative offset, width) in ticks
-
-_DELAY_SEED_SALT = 0x5EED
 
 
 @dataclass(frozen=True)
@@ -196,11 +194,10 @@ class RepeatabilityResult:
 
 def _cycles(scenario: ScenarioSpec, seed: int) -> tuple[int, ...]:
     """Start cycles of the effectful instructions in the trial at ``seed``:
-    random stalls, drawn from ``mix64(seed, 0x5EED)``, only move cycles."""
+    random stalls, drawn from the seed's stall slots, only move cycles."""
     if not scenario.random_delay_max:
         return scenario.effectful_cycles
-    shift = stall_shift(scenario, scenario.random_delay_max,
-                        mix64(seed, _DELAY_SEED_SALT))
+    shift = stall_shift(scenario, scenario.random_delay_max, seed)
     return tuple(map(shift, scenario.effectful_cycles))
 
 
@@ -222,8 +219,7 @@ def _windows(scenario: ScenarioSpec, rel_specs: Sequence[RelSpec], ctx: SimConte
 def run_chain_trial(scenario: ScenarioSpec, rel_specs: Sequence[RelSpec],
                     ctx: SimContext, seed: int):
     """Fire the whole chain once; returns (raw, outcome, hits).  Random
-    stalls, if any, come from ``apply_random_delays``' draws for seed
-    ``mix64(seed, 0x5EED)``."""
+    stalls, if any, are ``apply_random_delays``' draws for ``seed``."""
     raw = execute_trial(scenario, _windows(scenario, rel_specs, ctx), ctx.domains,
                         ctx.model, ctx.bod, seed=seed, cycles=_cycles(scenario, seed))
     return (raw, *_judge(scenario, raw, {}))
@@ -241,8 +237,9 @@ def run_trials(scenario: ScenarioSpec, combo: Sequence[RelSpec], n: int,
     plans: dict[tuple[int, ...], TrialPlan] = {}
     verdicts: dict = {}
     records = []
+    step_hash = mix64(step_seed)  # mix64(a, i) == _splitmix64(mix64(a) ^ i)
     for index in range(first, first + n):
-        seed = mix64(step_seed, index)
+        seed = _splitmix64(step_hash ^ index)
         cycles = _cycles(scenario, seed)
         plan = plans.get(cycles)
         if plan is None:

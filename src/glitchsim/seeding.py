@@ -1,19 +1,39 @@
-"""Deterministic seed derivation.
+"""Deterministic seed derivation and the per-trial draws.
 
 Every trial in a campaign gets its own 64-bit seed derived from the
 master seed, a step identifier and the trial index.  The derivation is
 pure integer arithmetic (splitmix64), so a trial's seed depends on its
 index alone, never on the order trials run in.
+
+A trial's random draws are counter-based: draw slot k of the trial at
+seed s is the (k+1)-th output of a splitmix64 stream started at s, so
+any slot can be read without the ones before it.
 """
 
 _MASK = 0xFFFFFFFFFFFFFFFF
+_GAMMA = 0x9E3779B97F4A7C15
+
+# Version of the draw scheme recorded in every summary.json: 2 is the
+# counter-based slots below (1 was a random.Random stream per trial).
+RNG_SCHEME = 2
+
+# A slot value m is uniform on [0, 2**53); m < p * SLOT_ONE is u < p for
+# u = m / 2**53, exactly.
+SLOT_ONE = float(1 << 53)
 
 
 def _splitmix64(x: int) -> int:
-    x = (x + 0x9E3779B97F4A7C15) & _MASK
+    x = (x + _GAMMA) & _MASK
     x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
     x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK
     return x ^ (x >> 31)
+
+
+def slot(seed: int, k: int) -> int:
+    """Draw slot k of the trial at ``seed``: the top 53 bits of the
+    splitmix64 output mix of (seed + (k+1)·γ) mod 2**64 (``_splitmix64``
+    adds one γ itself)."""
+    return _splitmix64((seed + k * _GAMMA) & _MASK) >> 11
 
 
 def mix64(*parts: int) -> int:

@@ -1,4 +1,5 @@
 import io
+import itertools
 import json
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
@@ -8,9 +9,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from glitchsim.calibration import deterministic_model
-from glitchsim.campaign import model_to_dict
+from glitchsim.campaign import load_config, model_to_dict
+from glitchsim.chain import chain_windows
 from glitchsim.cli import main
+from glitchsim.dut import trial_plan
 from glitchsim.scenarios import dup_registers, scenario_to_dict
+
+DEMO_CONFIGS = Path(__file__).resolve().parent.parent / "demos" / "configs"
 
 
 @pytest.fixture
@@ -203,6 +208,35 @@ class TestExitCodes:
         assert main(["bod", "--config", str(cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(out) in err
+
+
+def _covering_combos(config_name):
+    """Combos of a checked-in config's exhaustive grid whose windows touch
+    every target instruction."""
+    cfg = load_config(DEMO_CONFIGS / config_name)
+    scenario, ctx = cfg.load_scenario(), cfg.context()
+    trigger = scenario.trigger_cycle * ctx.domains.oversampling
+    wanted = frozenset().union(*scenario.target_indices.values())
+    n_faults = cfg.search.n_faults or len(scenario.targets)
+    covering = []
+    for combo in itertools.product(cfg.search.space().grid, repeat=n_faults):
+        windows, _ = chain_windows(combo, trigger)
+        plan = trial_plan(scenario, windows, ctx.domains, ctx.model, ctx.bod)
+        if wanted <= {index for index, *_ in plan.entries}:
+            covering.append(combo)
+    return covering
+
+
+class TestStructuralMiss:
+    """CI's exit-1 exhaustive case must not rest on a draw."""
+
+    def test_exhaustive_miss_grid_covers_no_target_set(self, capsys):
+        assert _covering_combos("exhaustive_miss.json") == []
+        path = DEMO_CONFIGS / "exhaustive_miss.json"
+        assert main(["exhaustive", "--config", str(path)]) == 1
+
+    def test_dup_flow_grid_holds_a_covering_combo(self):
+        assert ((160, 20), (860, 20)) in _covering_combos("dup_flow.json")
 
 
 class TestCommands:

@@ -1,8 +1,9 @@
 import pytest
 
 from glitchsim.dut import (BodModel, Effect, FaultResponseModel,
-                           apply_random_delays, execute_trial)
+                           apply_random_delays, execute_trial, stall_shift)
 from glitchsim.scenarios import load_scenario, successive_shifts
+from glitchsim.seeding import mix64
 from glitchsim.timing import ClockDomains
 
 DOM = ClockDomains(oversampling=20, dut_period_ns=100)
@@ -203,3 +204,18 @@ class TestApplyRandomDelays:
         scen = load_scenario("dup_registers_7_43")
         with pytest.raises(ValueError):
             apply_random_delays(scen, -1, seed=0)
+
+    def test_stall_draws_are_uniform(self):
+        # 10^5 stalls on 0..9: both delay points of 5 * 10^4 trial seeds
+        # derived as a campaign step derives them.
+        scen = load_scenario("dup_registers_7_43")
+        first, second = scen.delay_points
+        counts = [0] * 10
+        for i in range(50_000):
+            shift = stall_shift(scen, 9, mix64(0xC0FFEE, i))
+            stall = shift(first) - first
+            counts[stall] += 1
+            counts[shift(second) - second - stall] += 1
+        expected = 100_000 / 10
+        chi2 = sum((c - expected) ** 2 / expected for c in counts)
+        assert chi2 < 44.81  # P(chi-square with 9 dof > 44.81) = 1e-6

@@ -1,6 +1,7 @@
 """Golden artifacts: the sha256 of summary.json and results.jsonl of small
-campaigns at fixed seeds.  A kernel change that keeps the draw order and
-the RNG scheme must reproduce them byte for byte."""
+campaigns at fixed seeds.  A kernel change that keeps the RNG scheme
+(``rng_scheme`` in summary.json) and its draw slots must reproduce them
+byte for byte."""
 
 import hashlib
 
@@ -40,20 +41,20 @@ CASES = {
 
 GOLDEN = {
     "dup_flow": {
-        "summary.json": "86e7db4a52bfa877ee5519d3c0725b4bd7ae3bf37ca4c1113c54e004b0ebe95f",
-        "results.jsonl": "5bcde7b7f6ba69230556c4673f4301c9a2a5c4bb2f32e0872c27950439a28a16",
+        "summary.json": "9d9ba014e95fabdfb047b39382ca0e393b55d962a0dd76b20765cf5b8a536dc2",
+        "results.jsonl": "f44a7b51fdc49709bf8ca88b0b7a2d554a181a9fe313b5884bbebeb770af3666",
     },
     "wide_vs_narrow": {
-        "summary.json": "d99d8d2fa0b817ba546959411f796df2ad2a045f5452a5611cd7957cb1a6b3a5",
-        "results.jsonl": "91adfe6922a3bc69f38f3c4c4331c15bc40ca4e51d67b69ddeeed329a1dbec6f",
+        "summary.json": "248d43ac151ab6e63a5b63ca16c7608644dd9abf003fcc4a188f2cb71a19d0d2",
+        "results.jsonl": "eb140c43f129268195551684754095dcb1b5ce4148d31761ef0df85e550fcccc",
     },
     "countermeasure": {
-        "summary.json": "5c451155036a169f20452ee8bed5a582c8c23a796d0d651f23aa26a9b41106ca",
-        "results.jsonl": "cc0eb7babd07aff8dd8c625b7490121cc1f86c7f863cac0304edf7ecf80e1046",
+        "summary.json": "b91e496f46bae9a92e4089bffab682219ae3d66acb96cc7814cc0d3077cb443b",
+        "results.jsonl": "5b11bd8a645d595ffb18980381c2d1a718b91f06d6a06c40315ec61ea0275a0f",
     },
     # An exhaustive campaign writes no results.jsonl.
     "exhaustive": {
-        "summary.json": "72a742706dae848683421fc7cd722f38ed8c6752dfbe68f02f62299377e5d692",
+        "summary.json": "c0db81450b33a3be0395ec943bc5ac3bd70a0c486ea0471d9c99c56deffcdca5",
     },
 }
 

@@ -1,5 +1,4 @@
 import itertools
-import random
 from dataclasses import replace
 
 import pytest
@@ -9,8 +8,9 @@ from glitchsim.calibration import (deterministic_model, dup_register_model,
                                    shift_model)
 from glitchsim.campaign import MODEL_PRESETS
 from glitchsim.chain import ChainConfig, simulate_chain
-from glitchsim.dut import (BodModel, RawTrialResult, apply_random_delays,
-                           run_plan, stall_shift, trial_plan)
+from glitchsim.dut import (BodModel, FaultResponseModel, RawTrialResult,
+                           apply_random_delays, run_plan, stall_shift,
+                           trial_plan)
 from glitchsim.errors import (IncompleteSweep, NoIntegratedSuccess, NotFound,
                               OverlapError, TransferInvalid)
 from glitchsim.scenarios import (SCENARIO_PRESETS, classify, dup_registers,
@@ -346,72 +346,81 @@ class TestRunTrials:
         assert [a.to_dict() for a in r1] == [b.to_dict() for b in r2]
 
 
+_STALL_SLOT0 = 2**32  # first stall slot
+
+
+def _reference_slot(seed, k):
+    """Slot k of the trial at seed: the top 53 bits of the (k+1)-th
+    output of a splitmix64 stream started at seed."""
+    z = (seed + (k + 1) * 0x9E3779B97F4A7C15) % 2**64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) % 2**64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) % 2**64
+    return (z ^ (z >> 31)) >> 11
+
+
 def _reference_execute_trial(scenario, windows, domains, model,
                              bod=None, seed=None, cycles=None):
-    """The one-step kernel that trial_plan/run_plan replaced, kept verbatim
-    as the oracle of their draw order and results."""
+    """The slot rule stated plainly: with W windows, window w bursts when
+    u(2w) < p_window_burst and locks up when u(2w+1) < p_lockup_per_fault;
+    an effectful instruction with index i, if a window touches it and it
+    starts before the first lock tick, is skipped when a touching window
+    bursts or u(2W+i) < its skip probability.  u(k) = slot k / 2**53."""
     if bod is not None and bod.enabled and bod.detects(windows):
         return RawTrialResult(frozenset(), bod_tripped=True)
 
-    rng = None
-    if seed is None:
-        seed = model.rng_seed
+    def u(k):
+        return _reference_slot(seed, k) / 2**53
 
-    def draw(p: float) -> bool:
-        nonlocal rng
-        if p <= 0.0:
-            return False
-        if p >= 1.0:
-            return True
-        if rng is None:
-            rng = random.Random(seed)
-        return rng.random() < p
-
-    # Per-window burst and lockup draws, in window order.
-    bursts = []
-    lock_tick = None
-    for start, end in windows:
-        bursts.append(draw(model.p_window_burst))
-        if draw(model.p_lockup_per_fault) and lock_tick is None:
-            lock_tick = start
-    locked = lock_tick is not None
+    W = len(windows)
+    bursts = [u(2 * w) < model.p_window_burst for w in range(W)]
+    lock_ticks = [start for w, (start, _) in enumerate(windows)
+                  if u(2 * w + 1) < model.p_lockup_per_fault]
+    lock_tick = lock_ticks[0] if lock_ticks else None
 
     K = domains.oversampling
-    skipped = set()
     if cycles is None:
         cycles = scenario.effectful_cycles
-
+    skipped = set()
     for ins, cycle in zip(scenario.effectful_instructions, cycles):
-        ins_start = cycle * K
-        if locked and ins_start >= lock_tick:
-            break  # device froze in an erroneous state
-        ins_end = ins_start + K
-
-        covered = 0
-        burst_hit = False
+        ins_start, ins_end = cycle * K, (cycle + 1) * K
+        if lock_tick is not None and ins_start >= lock_tick:
+            continue  # device froze in an erroneous state
+        touching = [w for w, (start, end) in enumerate(windows)
+                    if min(end, ins_end) > max(start, ins_start)]
+        if not touching:
+            continue
         p_noskip = 1.0
-        for w, (start, end) in enumerate(windows):
-            if start >= ins_end:
-                break
+        for w in touching:
+            start, end = windows[w]
             overlap = min(end, ins_end) - max(start, ins_start)
-            if overlap <= 0:
-                continue
-            covered += overlap
-            if bursts[w]:
-                burst_hit = True
-            else:
-                p_noskip *= 1.0 - model.skip_probability(ins.effect, overlap / K)
-
-        if burst_hit or (covered and draw(1.0 - p_noskip)):
+            p_noskip *= 1.0 - model.skip_probability(ins.effect, overlap / K)
+        if any(bursts[w] for w in touching) or u(2 * W + ins.index) < 1.0 - p_noskip:
             skipped.add(ins.index)
 
-    return RawTrialResult(frozenset(skipped), locked_up=locked)
+    return RawTrialResult(frozenset(skipped), locked_up=lock_tick is not None)
+
+
+def _reference_delays(scenario, max_delay, seed):
+    """The scenario rebuilt with the stall before delay point d,
+    (slot(STALL_SLOT0 + d) * (max_delay + 1)) >> 53, added to every cycle
+    at or after that point."""
+    points = scenario.delay_points
+    stalls = [(_reference_slot(seed, _STALL_SLOT0 + d) * (max_delay + 1)) >> 53
+              for d in range(len(points))]
+
+    def moved(cycle):
+        return cycle + sum(s for point, s in zip(points, stalls) if point <= cycle)
+
+    return replace(
+        scenario,
+        instructions=tuple(replace(i, cycle=moved(i.cycle)) for i in scenario.instructions),
+        targets=tuple(replace(t, cycles=tuple(map(moved, t.cycles)))
+                      for t in scenario.targets))
 
 
 def _oracle_trial(scenario, combo, ctx, seed):
     """Reference delayed trial: rebuild the scenario with the stalls."""
-    scen = apply_random_delays(scenario, scenario.random_delay_max,
-                               mix64(seed, 0x5EED))
+    scen = _reference_delays(scenario, scenario.random_delay_max, seed)
     trigger = scen.trigger_cycle * ctx.domains.oversampling
     windows, _ = simulate_chain(ChainConfig(tuple(combo)), trigger)
     raw = _reference_execute_trial(scen, windows, ctx.domains, ctx.model,
@@ -451,11 +460,29 @@ class TestShiftPath:
 
         raw, outcome, hits = run_chain_trial(scen, combo, ctx, seed)
         assert (raw, outcome, hits) == _oracle_trial(scen, combo, ctx, seed)
+        moved = apply_random_delays(scen, max_delay, seed)
+        want = _reference_delays(scen, max_delay, seed)
+        assert (moved.instructions, moved.targets) == (want.instructions, want.targets)
 
         for rec in run_trials(scen, combo, 3, ctx, "d", seed, first=5):
             _, want_outcome, want_hits = _oracle_trial(scen, combo, ctx, rec.seed)
             assert rec.seed == mix64(seed, rec.index)
             assert (rec.outcome, rec.hits) == (want_outcome, want_hits)
+
+
+def _scaled_windows(raw_windows, K):
+    """Disjoint ordered windows from (gap, width) pairs in 1/20 cycle; a
+    gap of 0 makes touching windows."""
+    windows, cursor = [], 0
+    for gap, width in raw_windows:
+        start = cursor + gap * K // 20
+        cursor = start + max(1, width * K // 20)
+        windows.append((start, cursor))
+    return windows
+
+
+raw_window_lists = st.lists(st.tuples(st.integers(0, 400), st.integers(1, 60)),
+                            min_size=1, max_size=4)
 
 
 class TestTrialPlan:
@@ -469,19 +496,13 @@ class TestTrialPlan:
            oversampling=st.sampled_from((1, 3, 20)),
            max_delay=st.integers(0, 12),
            stall_seed=st.integers(0, 2**64 - 1),
-           # (gap, width) in 1/20 cycle; a gap of 0 makes touching windows.
-           raw_windows=st.lists(st.tuples(st.integers(0, 400), st.integers(1, 60)),
-                                min_size=1, max_size=4),
+           raw_windows=raw_window_lists,
            seeds=st.lists(st.integers(0, 2**64 - 1), min_size=2, max_size=2))
     def test_matches_reference_kernel(self, preset, model, bod, oversampling,
                                       max_delay, stall_seed, raw_windows, seeds):
         scen = SCENARIO_PRESETS[preset]()
         K = oversampling
-        windows, cursor = [], 0
-        for gap, width in raw_windows:
-            start = cursor + gap * K // 20
-            cursor = start + max(1, width * K // 20)
-            windows.append((start, cursor))
+        windows = _scaled_windows(raw_windows, K)
         shift = stall_shift(scen, max_delay, stall_seed)
         cycles = tuple(map(shift, scen.effectful_cycles))
         dom = ClockDomains(oversampling=K)
@@ -505,3 +526,52 @@ class TestTrialPlan:
             _, outcome, hits = _oracle_trial(scen, combo, ctx, rec.seed)
             assert (rec.outcome, rec.hits) == (outcome, hits), rec.index
         assert len({rec.outcome for rec in records}) > 1
+
+
+class TestDrawSlots:
+    """Every draw reads its own slot of the trial seed."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(preset=st.sampled_from(sorted(SCENARIO_PRESETS)),
+           oversampling=st.sampled_from((1, 3, 20)),
+           raw_windows=raw_window_lists,
+           p_max_skip=st.floats(0.05, 0.95),
+           p_burst=st.sampled_from((0.0, 0.3)),
+           p_lockup=st.sampled_from((0.0, 0.3)),
+           seed=st.integers(0, 2**64 - 1))
+    def test_burst_and_lockup_draws_move_no_skip_draw(
+            self, preset, oversampling, raw_windows, p_max_skip, p_burst, p_lockup, seed):
+        """Turning bursts or lockups on changes a covered instruction's skip
+        decision only where a burst or the lock tick takes it: the trial
+        is the no-burst, no-lockup trial, plus everything some set of
+        windows touches, cut at some window start if it locked up."""
+        scen = SCENARIO_PRESETS[preset]()
+        K = oversampling
+        windows = _scaled_windows(raw_windows, K)
+        dom = ClockDomains(oversampling=K)
+        quiet = FaultResponseModel(p_max_skip=p_max_skip, p_lockup_per_fault=0.0)
+        noisy = replace(quiet, p_window_burst=p_burst, p_lockup_per_fault=p_lockup)
+        plan = trial_plan(scen, windows, dom, quiet)
+        noisy_plan = trial_plan(scen, windows, dom, noisy)
+        start_of = {index: start for index, start, *_ in plan.entries}
+        touched_by = [{index for index, _, mask, *_ in plan.entries if mask >> w & 1}
+                      for w in range(len(windows))]
+        burst_sets = [set().union(*(t for t, b in zip(touched_by, bursting) if b))
+                      for bursting in itertools.product((False, True), repeat=len(windows))
+                      if p_burst or not any(bursting)]
+        for j in range(32):
+            trial_seed = mix64(seed, j)
+            base = run_plan(plan, trial_seed).skipped
+            got = run_plan(noisy_plan, trial_seed)
+            cuts = [start for start, _ in windows] if got.locked_up else [None]
+            assert any({i for i in base | burst if cut is None or start_of[i] < cut}
+                       == got.skipped for burst in burst_sets for cut in cuts), j
+
+    @settings(max_examples=100, deadline=None)
+    @given(step_seed=st.integers(-2**70, 2**70), first=st.integers(0, 2**66))
+    def test_run_trials_seeds_are_mix64_of_the_index(self, step_seed, first):
+        scen = dup_registers(7, 43)
+        combo = ((min(scen.targets[0].cycles), 1),)
+        records = run_trials(scen, combo, 3, perfect_ctx(), "s", step_seed, first=first)
+        assert [(r.index, r.seed) for r in records] == [
+            (i, mix64(step_seed, i)) for i in range(first, first + 3)]
