@@ -6,9 +6,8 @@ ends.  This demo shows the offset/width arithmetic, window merging, and
 splitting one wide fault into narrower ones.
 """
 
-from glitchsim import (ChainConfig, ClockDomains, FaultSpec, set_enabled,
-                       simulate_chain, split_fault, ticks_from_ns,
-                       translate_to_relative)
+from glitchsim import (ChainConfig, ClockDomains, FaultSpec, simulate_chain,
+                       split_fault, ticks_from_ns, translate_to_relative)
 
 domains = ClockDomains(oversampling=20, dut_period_ns=100)
 print(f"tick period: {domains.tick_period_ns} ns "
@@ -30,8 +29,8 @@ print(f"chain output windows:     {windows}, done at tick {done}\n")
 merged, _ = simulate_chain(ChainConfig(((0, 4), (0, 4))), trigger_tick=5)
 print(f"two back-to-back 4-tick faults from tick 5 merge into: {merged}")
 
-# Deactivating units keeps their parameters but shortens the chain.
-short = set_enabled(cfg, 1)
+# A shorter chain is fewer units: firing only the first one.
+short = ChainConfig(cfg.units[:1])
 print(f"chain shortened to 1 unit: {simulate_chain(short, 0)[0]}\n")
 
 # Splitting a 400 ns fault into 170 ns + 140 ns with a 100 ns gap

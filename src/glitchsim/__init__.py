@@ -15,12 +15,12 @@ Layers, bottom up:
 
 from .calibration import (deterministic_model, dup_register_model, shift_model,
                           tzm_model)
-from .chain import ChainConfig, merge_windows, set_enabled, simulate_chain
+from .chain import ChainConfig, merge_windows, simulate_chain
 from .dut import (BodModel, Effect, FaultResponseModel, Instruction,
                   RawTrialResult, apply_random_delays, execute_trial)
-from .errors import (BadChainLength, ConfigError, EmptyChain, EmptySplit,
-                     GlitchSimError, IncompleteSweep, NoIntegratedSuccess,
-                     NotFound, OverlapError, SearchFailed, TransferInvalid)
+from .errors import (ConfigError, EmptyChain, EmptySplit, GlitchSimError,
+                     IncompleteSweep, NoIntegratedSuccess, NotFound,
+                     OverlapError, SearchFailed, TransferInvalid)
 from .campaign import (CampaignConfig, SearchConfig, load_config, nominal_combo,
                        run_attack_flow, run_bod_eval, run_comparison,
                        run_countermeasure_eval, run_exhaustive, run_sweep_only,
@@ -38,9 +38,9 @@ from .timing import ClockDomains, FaultSpec, split_fault, ticks_from_ns
 __version__ = "1.0.0"
 
 __all__ = [
-    "AbsoluteParamSet", "BadChainLength", "BodModel", "CampaignConfig",
-    "ChainConfig", "ClockDomains", "ConfigError", "Effect", "EmptyChain",
-    "EmptySplit", "FaultResponseModel", "FaultSpec", "FuzzyInterval",
+    "AbsoluteParamSet", "BodModel", "CampaignConfig", "ChainConfig",
+    "ClockDomains", "ConfigError", "Effect", "EmptyChain", "EmptySplit",
+    "FaultResponseModel", "FaultSpec", "FuzzyInterval",
     "GlitchSimError", "IncompleteSweep", "Instruction", "NoIntegratedSuccess",
     "NotFound", "Outcome", "OverlapError", "RankedCombo", "RawTrialResult",
     "ScenarioSpec", "SearchConfig", "SearchFailed", "SearchSpace",
@@ -51,8 +51,8 @@ __all__ = [
     "load_config", "load_scenario", "merge_windows", "mix64", "nominal_combo",
     "run_attack_flow", "run_bod_eval", "run_chain_trial", "run_comparison",
     "run_countermeasure_eval", "run_exhaustive", "run_sweep_only",
-    "run_trials", "run_wide_vs_narrow", "save_scenario", "set_enabled",
-    "shift_model", "simulate_chain", "split_fault", "sweep",
+    "run_trials", "run_wide_vs_narrow", "save_scenario", "shift_model",
+    "simulate_chain", "split_fault", "sweep",
     "ticks_from_ns", "transfer_parameters", "translate_to_relative",
     "tzm_model",
 ]

@@ -17,7 +17,8 @@ from __future__ import annotations
 import csv
 import json
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
+from enum import Enum
 from pathlib import Path
 from typing import Optional
 
@@ -58,6 +59,21 @@ MODEL_PRESETS = {
 # Configuration
 # ---------------------------------------------------------------------------
 
+def _echo(value):
+    """The JSON echo of a config value: a dataclass becomes an object of
+    its non-None fields, an enum its value and a tuple a list."""
+    if is_dataclass(value):
+        return {f.name: _echo(getattr(value, f.name)) for f in fields(value)
+                if getattr(value, f.name) is not None}
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, tuple):
+        return [_echo(v) for v in value]
+    if isinstance(value, dict):
+        return {_echo(k): _echo(v) for k, v in value.items()}
+    return value
+
+
 @dataclass(frozen=True)
 class SearchConfig:
     """Knobs of the parameter-search flow (all times in ticks)."""
@@ -97,11 +113,6 @@ class SearchConfig:
         return SearchSpace(offset_min=self.offset_min, offset_max=self.offset_max,
                            width_set=self.width_set, stride=self.stride)
 
-    def to_dict(self) -> dict:
-        d = {k: v for k, v in asdict(self).items() if v is not None}
-        d["width_set"] = list(self.width_set)
-        return d
-
     @classmethod
     def from_dict(cls, data: dict) -> "SearchConfig":
         try:
@@ -109,19 +120,6 @@ class SearchConfig:
                           for k, v in data.items()})
         except TypeError as exc:
             raise ConfigError(f"bad search config: {exc}") from exc
-
-
-def model_to_dict(model: FaultResponseModel) -> dict:
-    d = {
-        "p_max_skip": model.p_max_skip,
-        "p_lockup_per_fault": model.p_lockup_per_fault,
-        "p_window_burst": model.p_window_burst,
-    }
-    if model.per_target_override:
-        d["per_target_override"] = {
-            eff.value: p for eff, p in model.per_target_override.items()
-        }
-    return d
 
 
 def model_from_dict(data: dict) -> FaultResponseModel:
@@ -203,21 +201,7 @@ class CampaignConfig:
             raise ConfigError(str(exc)) from exc
 
     def to_dict(self) -> dict:
-        d = {
-            "scenario": self.scenario,
-            "oversampling": self.oversampling,
-            "dut_period_ns": self.dut_period_ns,
-            "model": model_to_dict(self.model),
-            "search": self.search.to_dict(),
-            "master_seed": self.master_seed,
-            "jobs": self.jobs,
-            "trials": self.trials,
-        }
-        if self.bod is not None:
-            d["bod"] = asdict(self.bod)
-        if self.transfer_source is not None:
-            d["transfer_source"] = self.transfer_source
-        return d
+        return _echo(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "CampaignConfig":
@@ -420,13 +404,8 @@ def _locate(scenario: ScenarioSpec, cfg: CampaignConfig, ctx: SimContext,
 def nominal_combo(scenario: ScenarioSpec, domains: ClockDomains) -> list[tuple[int, int]]:
     """The relative combo that exactly covers every target's occupancy
     (the ground-truth parameters, useful for calibrated evaluations)."""
-    absolute = []
-    for t in sorted(scenario.targets, key=lambda t: min(t.cycles)):
-        first, last = min(t.cycles), max(t.cycles)
-        start = first * domains.oversampling - scenario.trigger_cycle * domains.oversampling
-        width = (last - first + 1) * domains.oversampling
-        absolute.append((start, width))
-    return translate_to_relative(absolute)
+    K = domains.oversampling
+    return translate_to_relative([(first * K, n * K) for first, n in scenario.spans])
 
 
 def run_attack_flow(cfg: CampaignConfig, out_dir=None) -> dict:
@@ -571,31 +550,34 @@ def run_comparison(cfg: CampaignConfig, out_dir=None) -> dict:
 DISTRIBUTION_COLUMNS = ("none", "only_lsls", "only_lsrs", "both", "invalid")
 
 
-def _shift_column(outcome) -> str:
+def _shift_column(outcome, earlier: str) -> str:
+    """The column of one trial; ``earlier`` labels the target that runs
+    first (the LSRS of the shift pair)."""
     if outcome.kind in ("invalid", "bod_reset"):
         return "invalid"
     if outcome.kind == "success":
         return "both"
     if outcome.kind == "partial_hit":
-        if outcome.labels == frozenset({"LSRS"}):
-            return "only_lsrs"
-        if outcome.labels == frozenset({"LSLS"}):
-            return "only_lsls"
+        return "only_lsrs" if earlier in outcome.labels else "only_lsls"
     return "none"
 
 
 def run_wide_vs_narrow(cfg: CampaignConfig, out_dir=None) -> dict:
     """One wide fault spanning both shift instructions vs two narrow
-    back-to-back faults; emits the five-column outcome distributions."""
+    back-to-back faults; emits the five-column outcome distributions.
+    The scenario needs two one-cycle targets on consecutive cycles."""
     scenario = cfg.load_scenario()
-    if len(scenario.targets) != 2:
-        raise ConfigError("wide-vs-narrow needs a two-target shift scenario")
+    spans = scenario.spans
+    if len(spans) != 2 or spans[0][1] != 1 or spans[1] != (spans[0][0] + 1, 1):
+        raise ConfigError("wide-vs-narrow needs two one-cycle targets on "
+                          f"consecutive cycles, unlike {scenario.name!r}")
     ctx = cfg.context()
     K = cfg.domains.oversampling
     if K < 2:
         raise ConfigError("wide-vs-narrow needs oversampling >= 2 so the two "
                           "narrow faults stay electrically separate")
-    first_cycle = min(min(t.cycles) for t in scenario.targets)
+    first_cycle = spans[0][0]
+    earlier = min(scenario.targets, key=lambda t: t.cycles).label
     wide_combo = [(first_cycle * K, 2 * K)]
     # Two chained faults with zero inter-fault gap would OR-merge into
     # one wide window at the crowbar; a one-tick gap keeps them distinct
@@ -611,7 +593,7 @@ def run_wide_vs_narrow(cfg: CampaignConfig, out_dir=None) -> dict:
         records.extend(recs)
         counts = {col: 0 for col in DISTRIBUTION_COLUMNS}
         for rec in recs:
-            counts[_shift_column(rec.outcome)] += 1
+            counts[_shift_column(rec.outcome, earlier)] += 1
         table[row] = {col: counts[col] / cfg.trials for col in DISTRIBUTION_COLUMNS}
 
     summary = _base_summary(cfg, "wide-vs-narrow", scenario)

@@ -16,50 +16,33 @@ state machines as an independent cross-check of the closed form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
-from .errors import BadChainLength, EmptyChain
+from .errors import EmptyChain, check_type
 
 Window = tuple[int, int]  # [start_tick, end_tick)
 
 
 @dataclass(frozen=True)
 class ChainConfig:
-    """Demux state of the glitcher: unit parameters plus chain length.
+    """Demux state of the glitcher: one (offset, width) per chained unit;
+    the chain's length is the number of units.
 
     Unit offsets are relative-frame values (ticks from the predecessor's
     done signal; the first unit counts from the trigger).
     """
 
     units: tuple[tuple[int, int], ...]  # (offset, width) per unit
-    enabled_count: int | None = None
 
     def __post_init__(self):
-        units = tuple((int(o), int(w)) for o, w in self.units)
+        units = tuple((o, w) for o, w in self.units)
         object.__setattr__(self, "units", units)
-        if self.enabled_count is None:
-            object.__setattr__(self, "enabled_count", len(units))
-        if not 0 <= self.enabled_count <= len(units):
-            raise BadChainLength(
-                f"enabled_count {self.enabled_count} out of range for {len(units)} units"
-            )
         for o, w in units:
-            if o < 0:
+            if check_type(int, "unit offset", o) < 0:
                 raise ValueError("unit offsets must be non-negative")
-            if w < 1:
+            if check_type(int, "unit width", w) < 1:
                 raise ValueError("unit widths must be >= 1")
-
-    @property
-    def enabled_units(self) -> tuple[tuple[int, int], ...]:
-        return self.units[: self.enabled_count]
-
-
-def set_enabled(cfg: ChainConfig, n: int) -> ChainConfig:
-    """Select how many chained units fire; parameters stay untouched."""
-    if not 0 <= n <= len(cfg.units):
-        raise BadChainLength(f"cannot enable {n} of {len(cfg.units)} units")
-    return replace(cfg, enabled_count=n)
 
 
 def merge_windows(windows) -> list[Window]:
@@ -89,8 +72,8 @@ def chain_windows(units, trigger_tick: int) -> tuple[list[Window], int]:
 
 
 def _check_firing(cfg: ChainConfig, trigger_tick: int) -> None:
-    if cfg.enabled_count == 0:
-        raise EmptyChain("at least one fault unit must be enabled")
+    if not cfg.units:
+        raise EmptyChain("a chain needs at least one fault unit")
     if trigger_tick < 0:
         raise ValueError("trigger_tick must be non-negative")
 
@@ -98,7 +81,7 @@ def _check_firing(cfg: ChainConfig, trigger_tick: int) -> None:
 def simulate_chain(cfg: ChainConfig, trigger_tick: int) -> tuple[list[Window], int]:
     """Return the crowbar windows and the done tick for one trigger."""
     _check_firing(cfg, trigger_tick)
-    return chain_windows(cfg.enabled_units, trigger_tick)
+    return chain_windows(cfg.units, trigger_tick)
 
 
 class SfuPhase(Enum):
@@ -146,8 +129,8 @@ def simulate_chain_stepped(cfg: ChainConfig, trigger_tick: int) -> tuple[list[Wi
     """Reference implementation driving real unit state machines."""
     _check_firing(cfg, trigger_tick)
 
-    units = [SingleFaultUnit(o, w) for o, w in cfg.enabled_units]
-    horizon = trigger_tick + sum(o + w for o, w in cfg.enabled_units) + 1
+    units = [SingleFaultUnit(o, w) for o, w in cfg.units]
+    horizon = trigger_tick + sum(o + w for o, w in cfg.units) + 1
 
     windows = []
     open_start = None

@@ -85,7 +85,8 @@ class FaultResponseModel:
 
     ``per_target_override`` maps an :class:`Effect` to a fixed skip
     probability used whenever a window touches an instruction of that
-    kind (calibration hook for reproducing measured rates).
+    kind (calibration hook for reproducing measured rates); an empty map
+    is stored as None.
     """
 
     p_max_skip: float = 0.5
@@ -98,7 +99,9 @@ class FaultResponseModel:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1]")
-        if self.per_target_override:
+        if not self.per_target_override:
+            object.__setattr__(self, "per_target_override", None)
+        else:
             for eff, p in self.per_target_override.items():
                 if not 0.0 <= p <= 1.0:
                     raise ValueError(f"override for {eff} must be in [0, 1]")

@@ -22,11 +22,7 @@ class EmptySplit(GlitchSimError):
 
 
 class EmptyChain(GlitchSimError):
-    """simulate_chain was called with zero enabled fault units."""
-
-
-class BadChainLength(GlitchSimError):
-    """Requested enabled-unit count is outside [0, len(units)]."""
+    """simulate_chain was called with a chain of no fault units."""
 
 
 class OverlapError(GlitchSimError):

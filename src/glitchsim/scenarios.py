@@ -23,10 +23,10 @@ SCHEMA_VERSION = 1
 
 @dataclass(frozen=True)
 class Target:
-    """One fault target: the instruction(s) the adversary aims to skip."""
+    """One fault target: the instruction(s) the adversary aims to skip,
+    named by their cycles."""
 
     label: str
-    effect: Effect
     cycles: tuple[int, ...]
 
     def __post_init__(self):
@@ -44,7 +44,6 @@ class ScenarioSpec:
     trigger_cycle: int = 0
     response_kind: str = "state_bits"
     random_delay_max: int = 0  # per-trial stall countermeasure, in cycles
-    meta: Optional[dict] = None
 
     def __post_init__(self):
         object.__setattr__(self, "instructions", tuple(self.instructions))
@@ -68,17 +67,22 @@ class ScenarioSpec:
         return tuple(i.cycle for i in self.effectful_instructions)
 
     @cached_property
+    def spans(self) -> tuple[tuple[int, int], ...]:
+        """(first cycle after the trigger, cycles spanned) of every target,
+        in time order: where a fault must land to cover it."""
+        return tuple(sorted((min(t.cycles) - self.trigger_cycle,
+                             max(t.cycles) - min(t.cycles) + 1)
+                            for t in self.targets))
+
+    @cached_property
     def delay_points(self) -> tuple[int, ...]:
         """Random-delay insertion points: each target's first cycle, in time order."""
-        return tuple(sorted(min(t.cycles) for t in self.targets))
+        return tuple(self.trigger_cycle + first for first, _ in self.spans)
 
     @cached_property
     def target_indices(self) -> dict[str, frozenset[int]]:
-        """Instruction indices belonging to each target label.
-
-        Matching is by cycle; the target's effect field is the anchor of
-        its first instruction (and the calibration-override key).
-        """
+        """Instruction indices belonging to each target label, matched by
+        cycle."""
         out = {}
         for t in self.targets:
             idx = frozenset(
@@ -93,10 +97,10 @@ class ScenarioSpec:
             raise ValueError("a scenario needs one or more targets with distinct labels")
         return out
 
-    @cached_property
-    def target_sets(self) -> tuple[tuple[str, frozenset[int]], ...]:
-        """(label, instruction indices) of every target, in target order."""
-        return tuple((t.label, self.target_indices[t.label]) for t in self.targets)
+    def hits(self, skipped: frozenset[int]) -> tuple[bool, ...]:
+        """Whether each target, in target order, had all its instructions
+        skipped."""
+        return tuple(self.target_indices[t.label] <= skipped for t in self.targets)
 
     @cached_property
     def _effect_index(self) -> dict[Effect, int]:
@@ -112,17 +116,10 @@ class ScenarioSpec:
 # ---------------------------------------------------------------------------
 
 def _encode_dup_ladder(scenario, skipped) -> int:
-    """Duplicate-register experiment ladder: FAILURE/FIRST/SECOND/SUCCESS."""
-    first, second = scenario.targets[0], scenario.targets[1]
-    f = scenario.target_indices[first.label] <= skipped
-    s = scenario.target_indices[second.label] <= skipped
-    if f and s:
-        return 3  # SUCCESS
-    if f:
-        return 1  # FIRST
-    if s:
-        return 2  # SECOND
-    return 0  # FAILURE
+    """Duplicate-register experiment ladder: FAILURE (0), FIRST (1),
+    SECOND (2) or SUCCESS (3), by which of the first two targets were hit."""
+    first, second = scenario.hits(skipped)[:2]
+    return first | second << 1
 
 
 # Observed return words of the shift-pair firmware, keyed by which of
@@ -217,11 +214,11 @@ def classify(scenario: ScenarioSpec, raw: RawTrialResult) -> Outcome:
         return BOD_RESET
     if raw.locked_up:
         return INVALID
-    skipped = raw.skipped
-    labels = [label for label, idx in scenario.target_sets if idx <= skipped]
-    if len(labels) == len(scenario.targets):
+    hits = scenario.hits(raw.skipped)
+    if all(hits):
         return SUCCESS
-    if labels and scenario.cooperative:
+    if any(hits) and scenario.cooperative:
+        labels = [t.label for t, hit in zip(scenario.targets, hits) if hit]
         return Outcome("partial_hit", labels)
     return FAILURE
 
@@ -261,8 +258,8 @@ def dup_registers(delay1: int, delay2: int, cooperative: bool = True,
         store2 + 3,
     )
     targets = (
-        Target("FIRST", Effect.STORE_AHB_ORIGINAL, (store1,)),
-        Target("SECOND", Effect.STORE_AHB_DUPLICATE, (store2,)),
+        Target("FIRST", (store1,)),
+        Target("SECOND", (store2,)),
     )
     if name is None:
         kind = "coop" if cooperative else "noncoop"
@@ -274,7 +271,6 @@ def dup_registers(delay1: int, delay2: int, cooperative: bool = True,
         cooperative=cooperative,
         trigger_cycle=0,
         response_kind="dup_ladder",
-        meta={"delays": [delay1, delay2], "boot_cycles": b},
     )
 
 
@@ -291,8 +287,8 @@ def successive_shifts() -> ScenarioSpec:
         s1 + 4,
     )
     targets = (
-        Target("LSRS", Effect.CLEAR_LSB_SHIFT1, (s1,)),
-        Target("LSLS", Effect.CLEAR_LSB_SHIFT2, (s1 + 1,)),
+        Target("LSRS", (s1,)),
+        Target("LSLS", (s1 + 1,)),
     )
     return ScenarioSpec(
         name="successive_shifts",
@@ -331,11 +327,11 @@ def tzm_attack(cooperative: bool = True, boot_cycles: int = 0,
         b + 31,
     )
     targets = (
-        Target("SAU", Effect.STORE_SAU_CTRL, (sau,)),
-        Target("AHB_CTRL", Effect.STORE_AHB_ORIGINAL, (ahb,)),
-        Target("DUPL", Effect.STORE_AHB_DUPLICATE, (dupl,)),
+        Target("SAU", (sau,)),
+        Target("AHB_CTRL", (ahb,)),
+        Target("DUPL", (dupl,)),
         # PE is the whole shift pair; hitting it means skipping both.
-        Target("PE", Effect.CLEAR_LSB_SHIFT1, (pe1, pe1 + 1)),
+        Target("PE", (pe1, pe1 + 1)),
     )
     name = "tzm_randomized" if randomized else "tzm_full_attack"
     return ScenarioSpec(
@@ -346,7 +342,6 @@ def tzm_attack(cooperative: bool = True, boot_cycles: int = 0,
         trigger_cycle=0,
         response_kind="state_bits",
         random_delay_max=9 if randomized else 0,
-        meta={"boot_cycles": b},
     )
 
 
@@ -357,7 +352,7 @@ def bod_region() -> ScenarioSpec:
     entries += [(c, Effect.STORE_AHB_ORIGINAL) for c in region]
     entries += [(region[-1] + 1, Effect.DELAY), (region[-1] + 2, Effect.DELAY)]
     instructions = _stream(entries)
-    targets = (Target("REGION", Effect.STORE_AHB_ORIGINAL, region),)
+    targets = (Target("REGION", region),)
     return ScenarioSpec(
         name="bod_scenario",
         instructions=instructions,
@@ -404,16 +399,15 @@ def scenario_to_dict(spec: ScenarioSpec) -> dict:
             {"cycle": i.cycle, "effect": i.effect.value} for i in spec.instructions
         ],
         "targets": [
-            {"label": t.label, "effect": t.effect.value, "cycles": list(t.cycles)}
-            for t in spec.targets
+            {"label": t.label, "cycles": list(t.cycles)} for t in spec.targets
         ],
-        "meta": spec.meta or {},
     }
 
 
 def scenario_from_dict(data: dict) -> ScenarioSpec:
     """The scenario a JSON object describes; a value of the wrong type
-    raises TypeError, for no field is coerced."""
+    raises TypeError, for no field is coerced.  The ``effect`` of a target
+    and a ``meta`` object, which older files carry, are not read."""
     version = check_type(dict, "a scenario", data).get("schema_version")
     if version != SCHEMA_VERSION:
         raise ValueError(f"unsupported scenario schema_version {version!r}")
@@ -423,7 +417,7 @@ def scenario_from_dict(data: dict) -> ScenarioSpec:
         for i, entry in enumerate(data["instructions"])
     )
     targets = tuple(
-        Target(check_type(str, "target label", t["label"]), Effect(t["effect"]),
+        Target(check_type(str, "target label", t["label"]),
                tuple(check_type(int, "target cycle", c) for c in t["cycles"]))
         for t in data["targets"]
     )
@@ -436,7 +430,6 @@ def scenario_from_dict(data: dict) -> ScenarioSpec:
         response_kind=data.get("response_kind", "state_bits"),
         random_delay_max=check_type(int, "random_delay_max",
                                     data.get("random_delay_max", 0)),
-        meta=data.get("meta") or None,
     )
 
 

@@ -205,8 +205,7 @@ def _judge(scenario: ScenarioSpec, raw, verdicts: dict):
     """(outcome, hits) of a raw result, memoised in the caller's dict."""
     verdict = verdicts.get(raw)
     if verdict is None:
-        hits = tuple(idx <= raw.skipped for _, idx in scenario.target_sets)
-        verdict = verdicts[raw] = (classify(scenario, raw), hits)
+        verdict = verdicts[raw] = (classify(scenario, raw), scenario.hits(raw.skipped))
     return verdict
 
 
@@ -461,10 +460,6 @@ def final_combo(specs: tuple[RelSpec, ...], records: Sequence[TrialRecord]) -> R
 # Cooperative -> non-cooperative transfer
 # ---------------------------------------------------------------------------
 
-def _target_cycle_layout(scenario: ScenarioSpec) -> list[int]:
-    return sorted(min(t.cycles) for t in scenario.targets)
-
-
 def transfer_parameters(source: ScenarioSpec, combo: RankedCombo,
                         target: ScenarioSpec, domains: ClockDomains) -> RankedCombo:
     """Rebase a cooperative scenario's winning combo onto a scenario with
@@ -473,8 +468,8 @@ def transfer_parameters(source: ScenarioSpec, combo: RankedCombo,
     Only the first relative offset changes (by the trigger shift); every
     later fault is timed off its predecessor and carries over verbatim.
     """
-    src = _target_cycle_layout(source)
-    dst = _target_cycle_layout(target)
+    src = [first for first, _ in source.spans]
+    dst = [first for first, _ in target.spans]
     if [t.label for t in source.targets] != [t.label for t in target.targets]:
         raise TransferInvalid("target labels or ordering differ between scenarios")
     src_gaps = [b - a for a, b in zip(src, src[1:])]
@@ -483,8 +478,7 @@ def transfer_parameters(source: ScenarioSpec, combo: RankedCombo,
         raise TransferInvalid(
             f"inter-target distances differ: {src_gaps} vs {dst_gaps}")
 
-    delta_cycles = (dst[0] - target.trigger_cycle) - (src[0] - source.trigger_cycle)
-    shift = delta_cycles * domains.oversampling
+    shift = (dst[0] - src[0]) * domains.oversampling
     first_r, first_w = combo.specs[0]
     new_first = first_r + shift
     if new_first < 0:

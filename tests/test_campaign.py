@@ -1,8 +1,10 @@
 import json
+from dataclasses import replace
 
 import pytest
 
-from glitchsim.calibration import deterministic_model, dup_register_model
+from glitchsim.calibration import (deterministic_model, dup_register_model,
+                                   shift_model)
 from glitchsim.campaign import (CampaignConfig, SearchConfig, load_config,
                                 model_from_dict, nominal_combo, read_results,
                                 results_to_report, run_attack_flow,
@@ -11,7 +13,7 @@ from glitchsim.campaign import (CampaignConfig, SearchConfig, load_config,
                                 run_sweep_only, run_wide_vs_narrow)
 from glitchsim.dut import BodModel, Effect, FaultResponseModel
 from glitchsim.errors import ConfigError, IncompleteSweep
-from glitchsim.scenarios import load_scenario
+from glitchsim.scenarios import load_scenario, save_scenario, successive_shifts
 from glitchsim.timing import ClockDomains
 
 
@@ -65,6 +67,12 @@ class TestConfig:
         path = tmp_path / "bad.json"
         path.write_text("{")
         with pytest.raises(ConfigError):
+            load_config(path)
+
+    def test_json_array_rejected(self, tmp_path):
+        path = tmp_path / "array.json"
+        path.write_text(json.dumps([dup_config().to_dict()]))
+        with pytest.raises(ConfigError, match="does not hold a JSON object"):
             load_config(path)
 
     @pytest.mark.parametrize("field", ["trials", "jobs", "oversampling"])
@@ -232,9 +240,26 @@ class TestWideVsNarrow:
         assert summary["distributions"]["narrow"]["none"] == 1.0
 
     def test_needs_two_targets(self):
-        cfg = CampaignConfig(scenario="bod_scenario")
-        with pytest.raises(ConfigError):
-            run_wide_vs_narrow(cfg)
+        # One four-cycle target; two targets 44 cycles apart.
+        for scenario in ("bod_scenario", "dup_registers_7_43"):
+            with pytest.raises(ConfigError, match="consecutive cycles"):
+                run_wide_vs_narrow(CampaignConfig(scenario=scenario))
+
+    def test_needs_oversampling_two(self):
+        with pytest.raises(ConfigError, match="oversampling >= 2"):
+            run_wide_vs_narrow(CampaignConfig(scenario="successive_shifts",
+                                              oversampling=1))
+
+    def test_trigger_cycle_moves_nothing(self, tmp_path):
+        # The faults are timed from the trigger, so a trigger three cycles
+        # later in the same stream must hit the same instructions.
+        path = tmp_path / "late_trigger.json"
+        save_scenario(replace(successive_shifts(), trigger_cycle=3), path)
+        runs = [run_wide_vs_narrow(CampaignConfig(scenario=name, model=shift_model(),
+                                                  trials=4000, master_seed=1))
+                for name in ("successive_shifts", str(path))]
+        assert runs[0]["distributions"] == runs[1]["distributions"]
+        assert runs[1]["combos"]["wide"] == [[2 * 20, 2 * 20]]
 
 
 class TestCountermeasure:

@@ -1,10 +1,13 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from glitchsim.chain import (ChainConfig, merge_windows, set_enabled,
-                             simulate_chain, simulate_chain_stepped)
-from glitchsim.errors import BadChainLength, EmptyChain
-from glitchsim.search import translate_to_relative
+from glitchsim.calibration import deterministic_model
+from glitchsim.chain import (ChainConfig, merge_windows, simulate_chain,
+                             simulate_chain_stepped)
+from glitchsim.errors import EmptyChain
+from glitchsim.scenarios import load_scenario
+from glitchsim.search import SimContext, run_trials, translate_to_relative
+from glitchsim.timing import ClockDomains
 
 
 def windows_of(units, trigger=0):
@@ -23,9 +26,8 @@ class TestSimulateChain:
         assert windows_of([(0, 4), (0, 4)], trigger=5) == ([(5, 13)], 13)
 
     def test_empty_chain(self):
-        cfg = set_enabled(ChainConfig(((1, 1), (1, 1))), 0)
         with pytest.raises(EmptyChain):
-            simulate_chain(cfg, 0)
+            simulate_chain(ChainConfig(()), 0)
 
     def test_negative_trigger(self):
         with pytest.raises(ValueError):
@@ -36,25 +38,14 @@ class TestSimulateChain:
         assert done > 7
 
 
-class TestSetEnabled:
-    def test_partial(self):
-        cfg = ChainConfig(((1, 1), (2, 2), (3, 3), (4, 4)))
-        assert set_enabled(cfg, 2).enabled_units == ((1, 1), (2, 2))
-
-    def test_all(self):
-        cfg = ChainConfig(((1, 1), (2, 2), (3, 3), (4, 4)))
-        assert len(set_enabled(cfg, 4).enabled_units) == 4
-
-    def test_out_of_range(self):
-        cfg = ChainConfig(((1, 1),))
-        with pytest.raises(BadChainLength):
-            set_enabled(cfg, 2)
-        with pytest.raises(BadChainLength):
-            set_enabled(cfg, -1)
-
-    def test_parameters_untouched(self):
-        cfg = ChainConfig(((5, 6), (7, 8)))
-        assert set_enabled(cfg, 1).units == cfg.units
+class TestChainConfig:
+    @pytest.mark.parametrize("unit", [(8.9, 1.7), (8, 1.0), (True, 1), (0, False)])
+    def test_non_integer_unit_rejected(self, unit):
+        with pytest.raises(TypeError, match="must be an integer"):
+            ChainConfig(((1, 1), unit))
+        ctx = SimContext(ClockDomains(1), deterministic_model())
+        with pytest.raises(TypeError, match="must be an integer"):
+            run_trials(load_scenario("dup_registers_7_43"), [unit], 1, ctx, "t", 0)
 
 
 class TestMergeWindows:

@@ -8,12 +8,11 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from glitchsim.calibration import deterministic_model
-from glitchsim.campaign import load_config, model_to_dict
+from glitchsim.campaign import load_config
 from glitchsim.chain import chain_windows
 from glitchsim.cli import main
 from glitchsim.dut import trial_plan
-from glitchsim.scenarios import dup_registers, scenario_to_dict
+from glitchsim.scenarios import dup_registers, scenario_to_dict, successive_shifts
 
 DEMO_CONFIGS = Path(__file__).resolve().parent.parent / "demos" / "configs"
 
@@ -23,7 +22,7 @@ def dup_cfg_path(tmp_path):
     cfg = {
         "scenario": "dup_registers_7_43",
         "oversampling": 1,
-        "model": model_to_dict(deterministic_model()),
+        "model": {"p_max_skip": 1.0, "p_lockup_per_fault": 0.0, "p_window_burst": 0.0},
         "search": {"offset_min": 0, "offset_max": 100, "width_set": [1],
                    "psi": 2, "n_rank": 5, "n_final": 20},
         "master_seed": 7,
@@ -99,6 +98,7 @@ class TestExitCodes:
         ("flow", "search", "n_final", 2.5),
         ("flow", "search", "width_set", [20.5]),
         ("bod", "bod", "enabled", "yes"),
+        ("flow", None, "transfer_source", "tzm_full_attack_noncoop"),
     ])
     def test_malformed_config_exit_2(self, dup_cfg_path, tmp_path, capsys,
                                      command, section, key, value):
@@ -154,6 +154,9 @@ class TestExitCodes:
         ((), [], "a scenario must be a JSON object"),
         (("targets",), [], "one or more targets with distinct labels"),
         (("targets", 1, "label"), "FIRST", "one or more targets with distinct labels"),
+        (("instructions", 3, "cycle"), 2, "instruction cycles must be strictly increasing"),
+        (("targets", 1, "cycles"), [], "a target needs at least one cycle"),
+        (("response_kind",), "bogus", "unknown response_kind 'bogus'"),
     ])
     def test_malformed_scenario_field_exit_2(self, dup_cfg_path, tmp_path, capsys,
                                              path, value, message):
@@ -345,11 +348,13 @@ FUZZ_COMMANDS = ("sweep", "flow", "exhaustive", "compare", "countermeasure",
                  "wide-vs-narrow", "bod")
 
 
-def _fuzz_docs(tmp):
-    """Fresh copies of FUZZ_CONFIG and of the scenario file it names."""
+def _fuzz_docs(tmp, command):
+    """Fresh copies of FUZZ_CONFIG and of the scenario file it names: the
+    shift pair for wide-vs-narrow, which needs one, else duplicate registers."""
     cfg = json.loads(json.dumps(FUZZ_CONFIG))
     cfg["scenario"] = str(Path(tmp) / "scen.json")
-    return cfg, scenario_to_dict(dup_registers(7, 43))
+    scen = successive_shifts() if command == "wide-vs-narrow" else dup_registers(7, 43)
+    return cfg, scenario_to_dict(scen)
 
 
 def _run_fuzz(command, cfg, scen, tmp):
@@ -363,7 +368,7 @@ def _run_fuzz(command, cfg, scen, tmp):
 @pytest.mark.parametrize("command", FUZZ_COMMANDS)
 def test_fuzz_base_config_succeeds(tmp_path, command):
     # Unmutated, every command succeeds, so the fuzz starts from working input.
-    assert _run_fuzz(command, *_fuzz_docs(tmp_path), tmp_path) == 0
+    assert _run_fuzz(command, *_fuzz_docs(tmp_path, command), tmp_path) == 0
 
 
 @settings(max_examples=400, deadline=None)
@@ -373,7 +378,7 @@ def test_fuzzed_config_never_raises(data, mutate_scenario, command):
     """One entry of the config or of its scenario file is deleted or set to
     a value of FUZZ_POOL; every command exits 0, 1 or 2 and never raises."""
     with tempfile.TemporaryDirectory() as tmp:
-        cfg, scen = _fuzz_docs(tmp)
+        cfg, scen = _fuzz_docs(tmp, command)
         doc = scen if mutate_scenario else cfg
         path = data.draw(st.sampled_from(list(_paths(doc))), label="entry")
         value = data.draw(st.sampled_from(("<delete>",) + FUZZ_POOL), label="value")

@@ -1,7 +1,8 @@
 import pytest
 
 from glitchsim.dut import (BodModel, Effect, FaultResponseModel,
-                           apply_random_delays, execute_trial, stall_shift)
+                           apply_random_delays, execute_trial, run_plan,
+                           stall_shift, trial_plan)
 from glitchsim.scenarios import load_scenario, successive_shifts
 from glitchsim.seeding import mix64
 from glitchsim.timing import ClockDomains
@@ -186,17 +187,28 @@ class TestApplyRandomDelays:
 
     def test_monte_carlo_hit_rate_one_in_ten(self):
         # Fixed fault at the nominal target cycle, p=1 skip, 0-9 delays:
-        # the target is hit only when its delay draw is 0.
+        # the target is hit only when its delay draw is 0.  Trials run as
+        # run_trials runs them, on one plan per stall vector; the first
+        # 1 000 also on the scenario apply_random_delays rebuilds.
         scen = load_scenario("dup_registers_7_43")
         K = DOM.oversampling
         c1 = min(scen.targets[0].cycles)
         window = [(c1 * K, (c1 + 1) * K)]
+        first = scen.target_indices["FIRST"]
         trials = 100_000
+        plans = {}
         hits = 0
         for i in range(trials):
-            moved = apply_random_delays(scen, 9, seed=i)
-            raw = execute_trial(moved, window, DOM, PERFECT, seed=i)
-            hits += moved.target_indices["FIRST"] <= raw.skipped
+            cycles = tuple(map(stall_shift(scen, 9, i), scen.effectful_cycles))
+            plan = plans.get(cycles)
+            if plan is None:
+                plan = plans[cycles] = trial_plan(scen, window, DOM, PERFECT,
+                                                  cycles=cycles)
+            raw = run_plan(plan, i)
+            if i < 1000:
+                moved = apply_random_delays(scen, 9, seed=i)
+                assert execute_trial(moved, window, DOM, PERFECT, seed=i) == raw
+            hits += first <= raw.skipped
         rate = hits / trials
         assert abs(rate - 0.1) < 3 * (0.1 * 0.9 / trials) ** 0.5 + 1e-9
 
