@@ -116,8 +116,7 @@ class SearchConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "SearchConfig":
         try:
-            return cls(**{k: (tuple(v) if k == "width_set" else v)
-                          for k, v in data.items()})
+            return cls(**data)
         except TypeError as exc:
             raise ConfigError(f"bad search config: {exc}") from exc
 
@@ -264,16 +263,16 @@ def _line_parts(rec: TrialRecord) -> tuple[str, str]:
 
 
 def write_results(records: list[TrialRecord], path) -> None:
-    """Append-order line-delimited JSON with dense trial indices."""
+    """Append-order line-delimited JSON; a record's ``trial`` is its position."""
     with open(path, "w") as fh:
         for i, rec, (head, middle) in _by_key(records, _line_parts):
             fh.write(f"{head}{rec.seed}{middle}{i}}}\n")
 
 
 def read_results(path) -> list[TrialRecord]:
-    """The records of a results.jsonl (the inverse of write_results, with
-    ``index`` read from ``trial``).  A missing file or a line that is not
-    a trial record raises ConfigError naming the file and the line."""
+    """The records of a results.jsonl (the inverse of write_results).  A
+    missing file or a line that is not a trial record raises ConfigError
+    naming the file and the line."""
     try:
         fh = open(path, "rb")  # bytes: a bad encoding fails on its own line
     except OSError as exc:
@@ -565,8 +564,11 @@ def _shift_column(outcome, earlier: str) -> str:
 def run_wide_vs_narrow(cfg: CampaignConfig, out_dir=None) -> dict:
     """One wide fault spanning both shift instructions vs two narrow
     back-to-back faults; emits the five-column outcome distributions.
-    The scenario needs two one-cycle targets on consecutive cycles."""
+    The scenario needs PSFs and two one-cycle targets on consecutive cycles."""
     scenario = cfg.load_scenario()
+    if not scenario.cooperative:
+        raise ConfigError(f"scenario {scenario.name!r} is non-cooperative; "
+                          "wide-vs-narrow needs its partial success functions")
     spans = scenario.spans
     if len(spans) != 2 or spans[0][1] != 1 or spans[1] != (spans[0][0] + 1, 1):
         raise ConfigError("wide-vs-narrow needs two one-cycle targets on "

@@ -181,7 +181,7 @@ def trial_plan(scenario, windows, domains, model: FaultResponseModel,
     cycles of ``scenario.effectful_instructions``; they must ascend, as
     :func:`stall_shift` keeps them, for the lock tick to end a trial.
     """
-    if bod is not None and bod.enabled and bod.detects(windows):
+    if bod is not None and bod.detects(windows):
         return TrialPlan((), 0.0, 0.0, (), RawTrialResult(frozenset(), bod_tripped=True))
 
     K = domains.oversampling

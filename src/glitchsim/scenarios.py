@@ -57,6 +57,8 @@ class ScenarioSpec:
         if self.response_kind not in RESPONSE_ENCODERS:
             raise ValueError(f"unknown response_kind {self.response_kind!r}")
         self.target_indices  # every target must name instructions of the stream
+        if any(c < self.trigger_cycle for t in self.targets for c in t.cycles):
+            raise ValueError("every target cycle must lie at or after trigger_cycle")
 
     @cached_property
     def effectful_instructions(self) -> tuple[Instruction, ...]:

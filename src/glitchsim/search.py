@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .chain import ChainConfig, chain_windows, simulate_chain
-# apply_random_delays stays bound here with the other trial layers, which
-# bench/run.py traces by name; trials use stall_shift, with the same draws.
+# apply_random_delays and execute_trial stay bound for bench/run.py, which
+# traces the trial layers here by name; trials run on the plan instead.
 from .dut import (BodModel, FaultResponseModel, TrialPlan, apply_random_delays,
                   execute_trial, run_plan, stall_shift, trial_plan)
 from .errors import (IncompleteSweep, NoIntegratedSuccess, NotFound,
@@ -128,9 +128,8 @@ class AbsoluteParamSet:
 
 @dataclass(frozen=True)
 class TrialRecord:
-    """One persisted trial."""
+    """One persisted trial; its number is its position in the records."""
 
-    index: int
     step: str
     combo: tuple[RelSpec, ...]
     outcome: Outcome
@@ -139,7 +138,6 @@ class TrialRecord:
 
     def to_dict(self) -> dict:
         return {
-            "trial": self.index,
             "step": self.step,
             "combo": [list(s) for s in self.combo],
             "outcome": self.outcome.to_dict(),
@@ -149,10 +147,11 @@ class TrialRecord:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrialRecord":
-        """Inverse of to_dict; a field of the wrong type raises ValueError."""
-        rec = cls(d["trial"], d["step"], tuple(tuple(s) for s in d["combo"]),
+        """Inverse of to_dict; ``trial`` must be an integer and is dropped.
+        A field of the wrong type raises ValueError."""
+        rec = cls(d["step"], tuple(tuple(s) for s in d["combo"]),
                   Outcome.from_dict(d["outcome"]), tuple(d["hits"]), d["seed"])
-        ints = (rec.index, rec.seed, *itertools.chain.from_iterable(rec.combo))
+        ints = (d["trial"], rec.seed, *itertools.chain.from_iterable(rec.combo))
         if (not isinstance(rec.step, str) or any(len(s) != 2 for s in rec.combo)
                 or not all(isinstance(v, int) for v in ints)
                 or not all(isinstance(h, bool) for h in rec.hits)):
@@ -219,8 +218,9 @@ def run_chain_trial(scenario: ScenarioSpec, rel_specs: Sequence[RelSpec],
                     ctx: SimContext, seed: int):
     """Fire the whole chain once; returns (raw, outcome, hits).  Random
     stalls, if any, are ``apply_random_delays``' draws for ``seed``."""
-    raw = execute_trial(scenario, _windows(scenario, rel_specs, ctx), ctx.domains,
-                        ctx.model, ctx.bod, seed=seed, cycles=_cycles(scenario, seed))
+    plan = trial_plan(scenario, _windows(scenario, rel_specs, ctx), ctx.domains,
+                      ctx.model, ctx.bod, _cycles(scenario, seed))
+    raw = run_plan(plan, seed)
     return (raw, *_judge(scenario, raw, {}))
 
 
@@ -245,7 +245,7 @@ def run_trials(scenario: ScenarioSpec, combo: Sequence[RelSpec], n: int,
             plan = plans[cycles] = trial_plan(scenario, windows, ctx.domains,
                                               ctx.model, ctx.bod, cycles)
         outcome, hits = _judge(scenario, run_plan(plan, seed), verdicts)
-        records.append(TrialRecord(index, step, combo, outcome, hits, seed))
+        records.append(TrialRecord(step, combo, outcome, hits, seed))
     return records
 
 
@@ -259,7 +259,8 @@ def sweep(scenario: ScenarioSpec, space: SearchSpace, ctx: SimContext,
 
     Only the PSFs are consulted; the overall SF plays no role here.
     Passes over the grid repeat until every target has at least one
-    recorded (offset, width) entry or the pass budget runs out.
+    recorded (offset, width) entry or the pass budget runs out.  Trial i
+    is ``run_trials`` trial i of the i-th grid point of the passes.
     """
     if not scenario.cooperative:
         raise ValueError("sweeping needs a cooperative scenario (PSFs required)")
@@ -269,14 +270,12 @@ def sweep(scenario: ScenarioSpec, space: SearchSpace, ctx: SimContext,
     records: list[TrialRecord] = []
     passes = itertools.chain.from_iterable(itertools.repeat(space.grid, pass_budget))
     for index, spec in enumerate(passes):
-        seed_t = mix64(seed, index)
-        _, outcome, hits = run_chain_trial(scenario, (spec,), ctx, seed_t)
-        records.append(TrialRecord(index, "sweep", (spec,), outcome, hits, seed_t))
-        if outcome.kind in ("partial_hit", "success"):
-            hit_labels = (outcome.labels if outcome.kind == "partial_hit"
-                          else frozenset(labels))
-            for label in hit_labels:
-                entries[label].add(spec)
+        (rec,) = run_trials(scenario, (spec,), 1, ctx, "sweep", seed, first=index)
+        records.append(rec)
+        if rec.outcome.kind in ("partial_hit", "success"):
+            for label, hit in zip(labels, rec.hits):
+                if hit:
+                    entries[label].add(spec)
             if all(entries.values()):
                 break
 

@@ -245,6 +245,13 @@ class TestWideVsNarrow:
             with pytest.raises(ConfigError, match="consecutive cycles"):
                 run_wide_vs_narrow(CampaignConfig(scenario=scenario))
 
+    def test_needs_cooperative_scenario(self, tmp_path):
+        # Without PSFs a partial hit reads as a failure and lands in "none".
+        path = tmp_path / "noncoop_shifts.json"
+        save_scenario(replace(successive_shifts(), cooperative=False), path)
+        with pytest.raises(ConfigError, match="non-cooperative"):
+            run_wide_vs_narrow(CampaignConfig(scenario=str(path), model=shift_model()))
+
     def test_needs_oversampling_two(self):
         with pytest.raises(ConfigError, match="oversampling >= 2"):
             run_wide_vs_narrow(CampaignConfig(scenario="successive_shifts",

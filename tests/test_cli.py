@@ -157,6 +157,7 @@ class TestExitCodes:
         (("instructions", 3, "cycle"), 2, "instruction cycles must be strictly increasing"),
         (("targets", 1, "cycles"), [], "a target needs at least one cycle"),
         (("response_kind",), "bogus", "unknown response_kind 'bogus'"),
+        (("trigger_cycle",), 12, "must lie at or after trigger_cycle"),
     ])
     def test_malformed_scenario_field_exit_2(self, dup_cfg_path, tmp_path, capsys,
                                              path, value, message):
@@ -343,7 +344,7 @@ FUZZ_CONFIG = {
     "jobs": 1,
     "trials": 50,
 }
-FUZZ_POOL = (None, True, "x", 2.5, -1, 0, [], {})
+FUZZ_POOL = (None, True, "x", 2.5, -1, 0, 50, [], {})
 FUZZ_COMMANDS = ("sweep", "flow", "exhaustive", "compare", "countermeasure",
                  "wide-vs-narrow", "bod")
 

@@ -64,7 +64,7 @@ def persisted_records(monkeypatch, run):
 
 def escaped_records():
     """Labels and a step name that JSON and CSV must escape, partial hits
-    on them, and indices that are neither dense nor in order."""
+    on them, and two runs starting at trials 1000 and 7, in reverse order."""
     base = dup_registers(7, 43)
     labels = ('say "hi"', "back\\slash", "ünï, cødé→")
     scen = replace(base, targets=tuple(replace(t, label=label)
@@ -108,9 +108,7 @@ SOURCES = {
 
 @pytest.fixture(params=list(SOURCES))
 def records(request, monkeypatch, tmp_path):
-    recs = SOURCES[request.param](monkeypatch, tmp_path)
-    assert any(rec.index != i for i, rec in enumerate(recs))
-    return recs
+    return SOURCES[request.param](monkeypatch, tmp_path)
 
 
 class TestAgainstOracle:
@@ -127,8 +125,7 @@ class TestAgainstOracle:
 
     def test_read_results_round_trips(self, records, tmp_path):
         write_results(records, tmp_path / "results.jsonl")
-        dense = [replace(rec, index=i) for i, rec in enumerate(records)]
-        assert read_results(tmp_path / "results.jsonl") == dense
+        assert read_results(tmp_path / "results.jsonl") == records
 
     def test_empty(self, tmp_path):
         write_results([], tmp_path / "results.jsonl")
@@ -151,6 +148,10 @@ class TestReadResults:
         '{"trial": 0, "step": "final", "combo": [[1, 2]], '
         '"outcome": {"kind": "partial_hit", "labels": "A"}, "hits": [true], "seed": 5}',
         '{"trial": 0, "step": "\xff"}',
+        '{"trial": "0", "step": "final", "combo": [[1, 2]], '
+        '"outcome": {"kind": "success"}, "hits": [true], "seed": 5}',
+        '{"step": "final", "combo": [[1, 2]], '
+        '"outcome": {"kind": "success"}, "hits": [true], "seed": 5}',
     ])
     def test_bad_line_names_file_and_line(self, line, tmp_path):
         good = escaped_records()[:1]

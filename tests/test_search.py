@@ -2,7 +2,7 @@ import itertools
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from glitchsim.calibration import (deterministic_model, dup_register_model,
                                    shift_model)
@@ -464,10 +464,76 @@ class TestShiftPath:
         want = _reference_delays(scen, max_delay, seed)
         assert (moved.instructions, moved.targets) == (want.instructions, want.targets)
 
-        for rec in run_trials(scen, combo, 3, ctx, "d", seed, first=5):
+        for index, rec in enumerate(run_trials(scen, combo, 3, ctx, "d", seed,
+                                               first=5), 5):
             _, want_outcome, want_hits = _oracle_trial(scen, combo, ctx, rec.seed)
-            assert rec.seed == mix64(seed, rec.index)
+            assert rec.seed == mix64(seed, index)
             assert (rec.outcome, rec.hits) == (want_outcome, want_hits)
+
+
+COOPERATIVE_PRESETS = sorted(name for name, factory in SCENARIO_PRESETS.items()
+                             if factory().cooperative)
+# The model presets, and one under which every trial locks up, so that a
+# window starting inside a target can hit it in a trial that tags nothing.
+SWEEP_MODELS = [MODEL_PRESETS[name]() for name in sorted(MODEL_PRESETS)] + [
+    FaultResponseModel(p_max_skip=1.0, p_lockup_per_fault=1.0)]
+
+
+class TestSweepOracle:
+    """The sweep's trials, tags and stop, trial for trial against the
+    rebuilt-scenario oracle and the tagging rule stated on outcomes: a
+    partial hit tags its labels, a success tags every label."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(preset=st.sampled_from(COOPERATIVE_PRESETS),
+           model=st.sampled_from(SWEEP_MODELS),
+           bod=st.one_of(bods, st.just(BodModel())),
+           oversampling=st.sampled_from((1, 3, 20)),
+           phase=st.integers(0, 19),
+           widths=st.lists(st.integers(1, 100), min_size=1, max_size=2, unique=True),
+           pass_budget=st.integers(1, 3),
+           seed=st.integers(0, 2**64 - 1))
+    # Each window starts one tick into an instruction and locks up there.
+    @example(preset="dup_registers_7_43", model=SWEEP_MODELS[-1], bod=None,
+             oversampling=20, phase=1, widths=[20], pass_budget=1, seed=0)
+    # One two-cycle window covers the shift pair: a success tags both.
+    @example(preset="successive_shifts", model=deterministic_model(), bod=None,
+             oversampling=20, phase=0, widths=[40], pass_budget=1, seed=0)
+    def test_matches_oracle(self, preset, model, bod, oversampling, phase, widths,
+                            pass_budget, seed):
+        scen = SCENARIO_PRESETS[preset]()
+        K = oversampling
+        last = max(c for t in scen.targets for c in t.cycles)
+        # Phase and widths come in 1/20 cycle; one offset per cycle up to the
+        # last target.
+        space = SearchSpace(phase * K // 20, (last + 1) * K,
+                            tuple(max(1, w * K // 20) for w in widths), stride=K)
+        ctx = SimContext(ClockDomains(oversampling=K), model, bod)
+
+        labels = [t.label for t in scen.targets]
+        entries = {label: set() for label in labels}
+        want, stop = [], None
+        for i, spec in enumerate(space.grid * pass_budget):
+            trial_seed = mix64(seed, i)
+            _, outcome, hits = _oracle_trial(scen, (spec,), ctx, trial_seed)
+            want.append((trial_seed, (spec,), outcome, hits))
+            for label in labels if outcome.is_success else outcome.labels:
+                entries[label].add(spec)
+            if all(entries.values()):
+                stop = i
+                break
+
+        if stop is None:
+            with pytest.raises(IncompleteSweep) as exc:
+                sweep(scen, space, ctx, seed=seed, pass_budget=pass_budget)
+            assert exc.value.trials_used == len(want)
+            assert exc.value.missing == tuple(lb for lb in labels if not entries[lb])
+            return
+        result = sweep(scen, space, ctx, seed=seed, pass_budget=pass_budget)
+        assert result.trials_used == stop + 1
+        assert [(r.seed, r.combo, r.outcome, r.hits) for r in result.records] == want
+        assert {r.step for r in result.records} == {"sweep"}
+        assert result.params.entries == {lb: tuple(sorted(v)) for lb, v in entries.items()}
 
 
 def _scaled_windows(raw_windows, K):
@@ -522,9 +588,9 @@ class TestTrialPlan:
                                        for t in scen.targets])
         ctx = SimContext(DOM20, dup_register_model())
         records = run_trials(scen, combo, 1500, ctx, "delayed", 41)
-        for rec in records:
+        for index, rec in enumerate(records):
             _, outcome, hits = _oracle_trial(scen, combo, ctx, rec.seed)
-            assert (rec.outcome, rec.hits) == (outcome, hits), rec.index
+            assert (rec.outcome, rec.hits) == (outcome, hits), index
         assert len({rec.outcome for rec in records}) > 1
 
 
@@ -573,5 +639,5 @@ class TestDrawSlots:
         scen = dup_registers(7, 43)
         combo = ((min(scen.targets[0].cycles), 1),)
         records = run_trials(scen, combo, 3, perfect_ctx(), "s", step_seed, first=first)
-        assert [(r.index, r.seed) for r in records] == [
-            (i, mix64(step_seed, i)) for i in range(first, first + 3)]
+        assert [r.seed for r in records] == [
+            mix64(step_seed, i) for i in range(first, first + 3)]
