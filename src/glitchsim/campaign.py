@@ -667,6 +667,7 @@ BOD_SPLIT_GAPS_NS = (100,)
 def run_bod_eval(cfg: CampaignConfig, out_dir=None) -> dict:
     """Detection of one wide fault vs its split counterpart, swept over
     every sampling phase of the configured detector period."""
+    cfg.load_scenario()  # validated like every campaign's, though not run
     if cfg.bod is None:
         raise ConfigError("bod evaluation needs a 'bod' section in the config")
     domains = cfg.domains

@@ -2,8 +2,8 @@
 response to voltage-fault windows.
 
 A trial returns the set of skipped instructions and whether the device
-locked up or the brown-out detector reset it; the firmware's return word
-is a pure function of the skipped set (``ScenarioSpec.response``).
+locked up or the brown-out detector reset it; its outcome is decided
+from the skipped set alone (``ScenarioSpec.hits``).
 
 The fault effect is an instruction-skip model.  For every instruction
 whose occupancy interval intersects a fault window the skip probability
@@ -255,8 +255,8 @@ def stall_shift(scenario, max_delay_cycles: int, seed: int):
     trial seed's stall slots; returns the map from a cycle to its delayed
     position.
 
-    A stall only moves cycles: instruction indices, target membership and
-    response encoding stay those of the undelayed scenario.
+    A stall only moves cycles: instruction indices and target membership
+    stay those of the undelayed scenario.
     """
     span = max_delay_cycles + 1
     points = scenario.delay_points

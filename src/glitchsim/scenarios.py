@@ -42,7 +42,6 @@ class ScenarioSpec:
     targets: tuple[Target, ...]
     cooperative: bool
     trigger_cycle: int = 0
-    response_kind: str = "state_bits"
     random_delay_max: int = 0  # per-trial stall countermeasure, in cycles
 
     def __post_init__(self):
@@ -54,8 +53,6 @@ class ScenarioSpec:
         for name in ("trigger_cycle", "random_delay_max"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
-        if self.response_kind not in RESPONSE_ENCODERS:
-            raise ValueError(f"unknown response_kind {self.response_kind!r}")
         self.target_indices  # every target must name instructions of the stream
         if any(c < self.trigger_cycle for t in self.targets for c in t.cycles):
             raise ValueError("every target cycle must lie at or after trigger_cycle")
@@ -103,66 +100,6 @@ class ScenarioSpec:
         """Whether each target, in target order, had all its instructions
         skipped."""
         return tuple(self.target_indices[t.label] <= skipped for t in self.targets)
-
-    @cached_property
-    def _effect_index(self) -> dict[Effect, int]:
-        return {i.effect: i.index for i in self.effectful_instructions}
-
-    def response(self, skipped: frozenset[int]) -> int:
-        """Return word of a trial that neither locked up nor reset."""
-        return RESPONSE_ENCODERS[self.response_kind](self, skipped)
-
-
-# ---------------------------------------------------------------------------
-# Response-word encoders
-# ---------------------------------------------------------------------------
-
-def _encode_dup_ladder(scenario, skipped) -> int:
-    """Duplicate-register experiment ladder: FAILURE (0), FIRST (1),
-    SECOND (2) or SUCCESS (3), by which of the first two targets were hit."""
-    first, second = scenario.hits(skipped)[:2]
-    return first | second << 1
-
-
-# Observed return words of the shift-pair firmware, keyed by which of
-# the (LSRS, LSLS) pair got skipped.
-_SHIFT_RESPONSES = {
-    (False, False): 0x12,  # both executed, LSB cleared
-    (True, True): 0x13,    # both skipped, value untouched
-    (False, True): 0x9,    # only LSLS skipped
-    (True, False): 0x38,   # only LSRS skipped
-}
-
-
-def _encode_shift_value(scenario, skipped) -> int:
-    i1 = scenario._effect_index[Effect.CLEAR_LSB_SHIFT1]
-    i2 = scenario._effect_index[Effect.CLEAR_LSB_SHIFT2]
-    return _SHIFT_RESPONSES[(i1 in skipped, i2 in skipped)]
-
-
-def _encode_state_bits(scenario, skipped) -> int:
-    """Security flags packed into one word (documented in the schema).
-
-    A store sets its flag unless every instance of it was skipped; the
-    shift pair clears the LSB unless both halves were skipped.  Bit 4
-    (locked up) never shows: a locked-up trial has no word.
-    """
-    ran = {i.effect for i in scenario.effectful_instructions
-           if i.index not in skipped}
-    shifts = {scenario._effect_index.get(e)
-              for e in (Effect.CLEAR_LSB_SHIFT1, Effect.CLEAR_LSB_SHIFT2)}
-    lsb_cleared = None not in shifts and not shifts <= skipped
-    return ((Effect.STORE_SAU_CTRL in ran)
-            | (Effect.STORE_AHB_ORIGINAL in ran) << 1
-            | (Effect.STORE_AHB_DUPLICATE in ran) << 2
-            | lsb_cleared << 3)
-
-
-RESPONSE_ENCODERS = {
-    "dup_ladder": _encode_dup_ladder,
-    "shift_value": _encode_shift_value,
-    "state_bits": _encode_state_bits,
-}
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +209,6 @@ def dup_registers(delay1: int, delay2: int, cooperative: bool = True,
         targets=targets,
         cooperative=cooperative,
         trigger_cycle=0,
-        response_kind="dup_ladder",
     )
 
 
@@ -298,7 +234,6 @@ def successive_shifts() -> ScenarioSpec:
         targets=targets,
         cooperative=True,
         trigger_cycle=0,
-        response_kind="shift_value",
     )
 
 
@@ -342,7 +277,6 @@ def tzm_attack(cooperative: bool = True, boot_cycles: int = 0,
         targets=targets,
         cooperative=cooperative,
         trigger_cycle=0,
-        response_kind="state_bits",
         random_delay_max=9 if randomized else 0,
     )
 
@@ -361,7 +295,6 @@ def bod_region() -> ScenarioSpec:
         targets=targets,
         cooperative=True,
         trigger_cycle=0,
-        response_kind="state_bits",
     )
 
 
@@ -395,7 +328,6 @@ def scenario_to_dict(spec: ScenarioSpec) -> dict:
         "name": spec.name,
         "cooperative": spec.cooperative,
         "trigger_cycle": spec.trigger_cycle,
-        "response_kind": spec.response_kind,
         "random_delay_max": spec.random_delay_max,
         "instructions": [
             {"cycle": i.cycle, "effect": i.effect.value} for i in spec.instructions
@@ -408,8 +340,9 @@ def scenario_to_dict(spec: ScenarioSpec) -> dict:
 
 def scenario_from_dict(data: dict) -> ScenarioSpec:
     """The scenario a JSON object describes; a value of the wrong type
-    raises TypeError, for no field is coerced.  The ``effect`` of a target
-    and a ``meta`` object, which older files carry, are not read."""
+    raises TypeError, for no field is coerced.  The ``effect`` of a target,
+    a ``meta`` object and a ``response_kind``, which older files carry, are
+    not read."""
     version = check_type(dict, "a scenario", data).get("schema_version")
     if version != SCHEMA_VERSION:
         raise ValueError(f"unsupported scenario schema_version {version!r}")
@@ -429,7 +362,6 @@ def scenario_from_dict(data: dict) -> ScenarioSpec:
         targets=targets,
         cooperative=check_type(bool, "cooperative", data["cooperative"]),
         trigger_cycle=check_type(int, "trigger_cycle", data.get("trigger_cycle", 0)),
-        response_kind=data.get("response_kind", "state_bits"),
         random_delay_max=check_type(int, "random_delay_max",
                                     data.get("random_delay_max", 0)),
     )

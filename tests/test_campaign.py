@@ -170,8 +170,7 @@ class TestComparison:
         from dataclasses import replace
         from glitchsim.scenarios import save_scenario
         scen = load_scenario("dup_registers_7_43")
-        solo = replace(scen, targets=(scen.targets[0],), name="solo",
-                       response_kind="state_bits")
+        solo = replace(scen, targets=(scen.targets[0],), name="solo")
         path = tmp_path / "solo.json"
         save_scenario(solo, path)
         cfg = dup_config(scenario=str(path),

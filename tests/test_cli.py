@@ -156,7 +156,7 @@ class TestExitCodes:
         (("targets", 1, "label"), "FIRST", "one or more targets with distinct labels"),
         (("instructions", 3, "cycle"), 2, "instruction cycles must be strictly increasing"),
         (("targets", 1, "cycles"), [], "a target needs at least one cycle"),
-        (("response_kind",), "bogus", "unknown response_kind 'bogus'"),
+        (("instructions", 3, "effect"), "bogus", "'bogus' is not a valid Effect"),
         (("trigger_cycle",), 12, "must lie at or after trigger_cycle"),
     ])
     def test_malformed_scenario_field_exit_2(self, dup_cfg_path, tmp_path, capsys,
@@ -175,6 +175,15 @@ class TestExitCodes:
         assert main(["exhaustive", "--config", str(bad)]) == 2
         err = capsys.readouterr().err
         assert "config error" in err and message in err
+
+    def test_bod_unknown_scenario_exit_2(self, tmp_path, capsys):
+        data = json.loads((DEMO_CONFIGS / "bod_eval.json").read_text())
+        data["scenario"] = "no_such_scenario"
+        bad = tmp_path / "bod.json"
+        bad.write_text(json.dumps(data))
+        assert main(["bod", "--config", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "no_such_scenario" in err
 
     @pytest.mark.parametrize("content, where", [
         (None, "cannot read"),
@@ -264,6 +273,20 @@ class TestCommands:
 
     def test_sweep_command(self, dup_cfg_path, capsys):
         assert main(["sweep", "--config", str(dup_cfg_path)]) == 0
+        assert "FIRST" in capsys.readouterr().out
+
+    def test_retired_response_kind_is_ignored(self, dup_cfg_path, tmp_path, capsys):
+        # Files saved before the return-word model was retired carry the key.
+        scen = scenario_to_dict(dup_registers(7, 43))
+        assert "response_kind" not in scen
+        scen["response_kind"] = "bogus"
+        save = tmp_path / "scen.json"
+        save.write_text(json.dumps(scen))
+        data = json.loads(dup_cfg_path.read_text())
+        data["scenario"] = str(save)
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps(data))
+        assert main(["sweep", "--config", str(old)]) == 0
         assert "FIRST" in capsys.readouterr().out
 
     def test_exhaustive_command(self, dup_cfg_path, capsys):

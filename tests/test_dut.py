@@ -26,27 +26,27 @@ class TestExecuteTrial:
     def test_no_windows_nominal_response(self):
         scen = successive_shifts()
         raw = execute_trial(scen, [], DOM, PERFECT, seed=1)
-        assert scen.response(raw.skipped) == 0x12
         assert raw.skipped == frozenset()
+        assert scen.hits(raw.skipped) == (False, False)
         assert not raw.locked_up
 
     def test_both_shifts_skipped(self):
         scen = successive_shifts()
         raw = execute_trial(scen, shift_window(scen, "both"), DOM, PERFECT, seed=1)
         assert raw.skipped == scen.target_indices["LSRS"] | scen.target_indices["LSLS"]
-        assert scen.response(raw.skipped) == 0x13
+        assert scen.hits(raw.skipped) == (True, True)
 
     def test_only_first_shift_skipped(self):
         scen = successive_shifts()
         raw = execute_trial(scen, shift_window(scen, "first"), DOM, PERFECT, seed=1)
         assert raw.skipped == scen.target_indices["LSRS"]
-        assert scen.response(raw.skipped) == 0x38
+        assert scen.hits(raw.skipped) == (True, False)
 
     def test_only_second_shift_skipped(self):
         scen = successive_shifts()
         raw = execute_trial(scen, shift_window(scen, "second"), DOM, PERFECT, seed=1)
         assert raw.skipped == scen.target_indices["LSLS"]
-        assert scen.response(raw.skipped) == 0x9
+        assert scen.hits(raw.skipped) == (False, True)
 
     def test_deterministic_given_seed(self):
         scen = successive_shifts()
@@ -59,10 +59,9 @@ class TestExecuteTrial:
         scen = successive_shifts()
         model = FaultResponseModel(p_max_skip=0.5, p_lockup_per_fault=0.0)
         windows = shift_window(scen, "both")
-        responses = {scen.response(execute_trial(scen, windows, DOM, model,
-                                                 seed=s).skipped)
-                     for s in range(64)}
-        assert len(responses) > 1
+        skipped_sets = {execute_trial(scen, windows, DOM, model, seed=s).skipped
+                        for s in range(64)}
+        assert len(skipped_sets) > 1
 
     def test_window_missing_everything_changes_nothing(self):
         scen = load_scenario("tzm_full_attack")

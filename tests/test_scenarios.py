@@ -53,23 +53,28 @@ class TestClassify:
         scen = load_scenario("dup_registers_7_43")
         raw = run_on_cycles(scen, [min(t.cycles) for t in scen.targets])
         assert classify(scen, raw).kind == "success"
-        assert scen.response(raw.skipped) == 3
+        assert scen.hits(raw.skipped) == (True, True)
 
     def test_only_first_is_partial(self):
         scen = load_scenario("dup_registers_7_43")
         raw = run_on_cycles(scen, [min(scen.targets[0].cycles)])
         out = classify(scen, raw)
         assert out.kind == "partial_hit" and out.labels == {"FIRST"}
-        assert scen.response(raw.skipped) == 1
+        assert scen.hits(raw.skipped) == (True, False)
 
     def test_only_second_response(self):
         scen = load_scenario("dup_registers_7_43")
         raw = run_on_cycles(scen, [min(scen.targets[1].cycles)])
-        assert scen.response(raw.skipped) == 2
+        out = classify(scen, raw)
+        assert out.kind == "partial_hit" and out.labels == {"SECOND"}
+        assert scen.hits(raw.skipped) == (False, True)
 
     def test_nothing_skipped_response(self):
         scen = load_scenario("dup_registers_7_43")
-        assert scen.response(run_on_cycles(scen, []).skipped) == 0
+        raw = run_on_cycles(scen, [])
+        assert raw.skipped == frozenset()
+        assert scen.hits(raw.skipped) == (False, False)
+        assert classify(scen, raw).kind == "failure"
 
     def test_tzm_subset_partial(self):
         scen = load_scenario("tzm_full_attack")
@@ -140,24 +145,24 @@ class TestClassify:
         assert scen.target_indices["PE"] <= raw.skipped
 
 
-class TestStateBits:
-    # Bits: 0 SAU store ran, 1 bus-controller store ran, 2 its duplicate
-    # ran, 3 LSB cleared by the shift pair.  ``skip`` maps a target to how
-    # many of its leading cycles get skipped.
-    @pytest.mark.parametrize("preset, skip, word", [
-        ("tzm_full_attack", {}, 15),
-        ("tzm_full_attack", {"SAU": 1}, 14),
-        ("tzm_full_attack", {"PE": 2}, 7),
-        ("tzm_full_attack", {"PE": 1}, 15),
-        ("bod_scenario", {"REGION": 3}, 2),
-        ("bod_scenario", {"REGION": 4}, 0),
+class TestHits:
+    # ``skip`` maps a target to how many of its leading cycles get
+    # skipped; a target is hit only when all of its cycles are.
+    @pytest.mark.parametrize("preset, skip, hits", [
+        ("tzm_full_attack", {}, (False, False, False, False)),
+        ("tzm_full_attack", {"SAU": 1}, (True, False, False, False)),
+        ("tzm_full_attack", {"PE": 2}, (False, False, False, True)),
+        ("tzm_full_attack", {"PE": 1}, (False, False, False, False)),
+        ("bod_scenario", {"REGION": 3}, (False,)),
+        ("bod_scenario", {"REGION": 4}, (True,)),
     ])
-    def test_word_from_skipped_set(self, preset, skip, word):
+    def test_hits_from_skipped_set(self, preset, skip, hits):
         scen = load_scenario(preset)
-        raw = run_on_cycles(scen, [c for t in scen.targets
-                                   for c in t.cycles[:skip.get(t.label, 0)]])
+        cycles = [c for t in scen.targets for c in t.cycles[:skip.get(t.label, 0)]]
+        raw = run_on_cycles(scen, cycles)
         assert not raw.locked_up
-        assert scen.response(raw.skipped) == word
+        assert raw.skipped == {i.index for i in scen.instructions if i.cycle in cycles}
+        assert scen.hits(raw.skipped) == hits
 
 
 class TestSerialization:

@@ -176,8 +176,7 @@ class TestExhaustive:
         # Single-fault search can only satisfy a single-target view; use a
         # one-target scenario by searching for the first store alone.
         from dataclasses import replace
-        solo = replace(scen, targets=(scen.targets[0],),
-                       response_kind="state_bits")
+        solo = replace(scen, targets=(scen.targets[0],))
         space = SearchSpace(0, 60, width_set=(1,))
         result = exhaustive_search(solo, space, 1, 10_000, perfect_ctx(DOM1))
         assert result.trials_used <= 60
