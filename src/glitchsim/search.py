@@ -367,10 +367,18 @@ def integrate(scenario: ScenarioSpec, fuzzy: Sequence[FuzzyInterval],
 def exhaustive_search(scenario: ScenarioSpec, space: SearchSpace, n_faults: int,
                       budget: int, ctx: SimContext, seed: int = 0,
                       max_successes: Optional[int] = None) -> ExhaustiveResult:
-    """Conventional baseline: enumerate the Cartesian product of
-    per-fault (offset, width) grids in lexicographic order, judging each
-    combination by the overall SF only.  Trial i is ``run_chain_trial``
-    of the i-th combo at seed ``mix64(seed, i)``.
+    """Conventional baseline: walk the Cartesian product of per-fault
+    (offset, width) grids depth first in lexicographic order, judging each
+    combination by the overall SF only.  A combo that runs is trial i,
+    ``run_chain_trial`` of the i-th combo at seed ``mix64(seed, i)``.
+
+    Without random stalls, a prefix of the combo is pruned when one of
+    its target instructions ends at or before the prefix's done tick and
+    no window of the prefix touches it: later windows start at or after
+    that tick and only a touching window skips an instruction, so no
+    combo below the prefix can succeed.  Its combos are charged to
+    ``trials_used`` (up to the budget) but never run.  With random stalls
+    the targets move from trial to trial and every combo runs.
     """
     if n_faults < 1:
         raise ValueError("n_faults must be >= 1")
@@ -381,29 +389,55 @@ def exhaustive_search(scenario: ScenarioSpec, space: SearchSpace, n_faults: int,
     # seed is derived only when something can draw from it: a fixed plan
     # ignores its seed, and mixing would dominate the loop otherwise.
     stalled = scenario.random_delay_max > 0
-    trigger_tick = scenario.trigger_cycle * ctx.domains.oversampling
+    K = ctx.domains.oversampling
+    trigger_tick = scenario.trigger_cycle * K
+    # [start, end) ticks of the target instructions; stalls move them.
+    target_ticks = () if stalled else tuple(
+        (c * K, (c + 1) * K) for t in scenario.targets for c in t.cycles)
+    grid = space.grid
     verdicts: dict = {}
 
     successes: list[RankedCombo] = []
-    trials_used = 0
-    for combo in itertools.product(space.grid, repeat=n_faults):
-        if trials_used >= budget:
-            break
+    trials_used = min(budget, len(grid) ** n_faults)
+    for index, combo in _live_combos(grid, n_faults, budget, trigger_tick, target_ticks):
         windows, _ = chain_windows(combo, trigger_tick)
-        trial_seed = mix64(seed, trials_used) if stalled else None
+        trial_seed = mix64(seed, index) if stalled else None
         plan = trial_plan(scenario, windows, ctx.domains, ctx.model, ctx.bod,
                           _cycles(scenario, trial_seed))
         if plan.fixed is None and trial_seed is None:
-            trial_seed = mix64(seed, trials_used)
-        won = _judge(scenario, run_plan(plan, trial_seed), verdicts)[0].is_success
-        trials_used += 1
-        if won:
-            successes.append(RankedCombo(specs=tuple(combo), trials_run=1, successes=1))
+            trial_seed = mix64(seed, index)
+        if _judge(scenario, run_plan(plan, trial_seed), verdicts)[0].is_success:
+            successes.append(RankedCombo(specs=combo, trials_run=1, successes=1))
             if max_successes is not None and len(successes) >= max_successes:
+                trials_used = index + 1
                 break
     if not successes:
         raise NotFound(trials_used)
     return ExhaustiveResult(combos=successes, trials_used=trials_used)
+
+
+def _live_combos(grid: Sequence[RelSpec], n_faults: int, budget: int,
+                 trigger_tick: int, target_ticks: Sequence[tuple[int, int]]):
+    """(i, combo) for each combo i < budget of ``grid ** n_faults``, in
+    lexicographic order, that lies below no doomed prefix."""
+    def walk(prefix, first, size):  # size: combos below each child
+        for spec in grid:
+            if first >= budget:
+                return
+            child = prefix + (spec,)
+            if size == 1:
+                yield first, child
+            elif not _doomed(target_ticks, *chain_windows(child, trigger_tick)):
+                yield from walk(child, first, size // len(grid))
+            first += size
+    return walk((), 0, len(grid) ** (n_faults - 1))
+
+
+def _doomed(target_ticks, windows, cursor: int) -> bool:
+    """Whether a [start, end) target instruction ends at or before
+    ``cursor`` with no window touching it."""
+    return any(end <= cursor and not any(lo < end and start < hi for lo, hi in windows)
+               for start, end in target_ticks)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from glitchsim import search
 from glitchsim.calibration import (deterministic_model, dup_register_model,
                                    shift_model)
 from glitchsim.campaign import MODEL_PRESETS
@@ -533,6 +534,120 @@ class TestSweepOracle:
         assert [(r.seed, r.combo, r.outcome, r.hits) for r in result.records] == want
         assert {r.step for r in result.records} == {"sweep"}
         assert result.params.entries == {lb: tuple(sorted(v)) for lb, v in entries.items()}
+
+
+def _exhaustive_oracle(scen, space, n_faults, budget, ctx, seed, max_successes):
+    """The exhaustive search stated per combo: combo i of the grid's
+    product runs as ``run_chain_trial`` at seed mix64(seed, i).  Returns
+    the trials used and the successful combos."""
+    used, wins = 0, []
+    combos = itertools.product(space.grid, repeat=n_faults)
+    for i, combo in enumerate(itertools.islice(combos, budget)):
+        used = i + 1
+        if run_chain_trial(scen, combo, ctx, mix64(seed, i))[1].is_success:
+            wins.append(combo)
+            if len(wins) == max_successes:
+                break
+    return used, wins
+
+
+EXHAUSTIVE_PRESETS = sorted(name for name in SCENARIO_PRESETS
+                            if name.startswith("dup_registers")) + [
+    "bod_scenario", "successive_shifts", "tzm_full_attack"]
+
+
+@st.composite
+def exhaustive_cases(draw):
+    """(preset, model, bod, K, random_delay_max, n_faults, space, budget,
+    max_successes, seed) with a small grid that often holds what a chain
+    needs to hit every target."""
+    preset = draw(st.sampled_from(EXHAUSTIVE_PRESETS))
+    K = draw(st.sampled_from((1, 2, 5)))
+    scen = SCENARIO_PRESETS[preset]()
+    widths = draw(st.lists(st.integers(1, 2 * K), min_size=1, max_size=2, unique=True))
+    ticks = sorted(c * K for t in scen.targets for c in t.cycles)
+    # A chain lands on the target instructions in time order when its first
+    # offset is 0 or the first one's tick and each later offset is a gap
+    # less a width, or 0 (a merge).  The grid runs from one such first
+    # offset to one such later offset, give or take a few ticks.
+    first = draw(st.sampled_from((ticks[0] - scen.trigger_cycle * K, 0)))
+    later = draw(st.sampled_from([max(0, b - a - w) for a, b in zip(ticks, ticks[1:])
+                                  for w in widths] + [0]))
+    a, b = sorted((first, later))
+    nudges = st.one_of(st.just(0), st.just(0), st.integers(-K, K))
+    lo = max(0, a + draw(nudges))
+    stride = max(1, b - a + draw(nudges))
+    space = SearchSpace(lo, lo + stride * draw(st.integers(1, 2)) + 1,
+                        tuple(widths), stride)
+    n_faults = draw(st.sampled_from((2, 3, 1)))
+    combos = len(space.grid) ** n_faults
+    return (preset, draw(st.sampled_from(SWEEP_MODELS)), draw(bods), K,
+            draw(st.sampled_from((0, 0, 0, 2))), n_faults, space,
+            draw(st.one_of(st.just(combos), st.integers(1, combos + 1))),
+            draw(st.sampled_from((None, 1))), draw(st.integers(0, 2**64 - 1)))
+
+
+class TestExhaustivePruning:
+    """The pruned walk against the per-combo oracle: outcome, trials used
+    and the successful combos."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(case=exhaustive_cases())
+    # successive_shifts at K = 1: LSRS is cycle 5, LSLS cycle 6.  A prefix
+    # window [6, 7) ends where LSLS ends (the last window always touches
+    # what ends at the cursor) and leaves LSRS, ending at 6, untouched:
+    # pruned.  [5, 7) covers both, so its completions all succeed.
+    @example(case=("successive_shifts", deterministic_model(), None, 1, 0, 2,
+                   SearchSpace(5, 7, (1, 2)), 16, None, 0))
+    # [5, 6) leaves LSLS, ending one tick after the cursor, untouched but
+    # not pruned: an offset-0 window merges onto it and covers LSLS.
+    @example(case=("successive_shifts", deterministic_model(), None, 1, 0, 2,
+                   SearchSpace(0, 6, (1,), 5), 4, None, 0))
+    # The offset-0 merge inside a three-fault prefix, and a budget that
+    # ends inside the pruned subtree of ((5, 1), (5, 1)).
+    @example(case=("successive_shifts", deterministic_model(), None, 1, 0, 3,
+                   SearchSpace(0, 6, (1,), 5), 7, None, 0))
+    # A model that bursts and locks up, over windows that cover the pair.
+    @example(case=("successive_shifts", shift_model(), None, 2, 0, 2,
+                   SearchSpace(0, 11, (2, 4), 10), 16, None, 3))
+    # Random stalls move store 1 to cycle 8 + d: the first window at
+    # cycle 9 lies past the unstalled store, yet combo 1 succeeds at this
+    # seed, so nothing may be pruned.
+    @example(case=("dup_registers_7_43", deterministic_model(), None, 1, 2, 2,
+                   SearchSpace(9, 44, (1,), 34), 4, None, 4))
+    def test_matches_per_combo_oracle(self, case):
+        (preset, model, bod, K, stalls, n_faults, space, budget, max_successes,
+         seed) = case
+        scen = replace(SCENARIO_PRESETS[preset](), random_delay_max=stalls)
+        ctx = SimContext(ClockDomains(oversampling=K), model, bod)
+        used, wins = _exhaustive_oracle(scen, space, n_faults, budget, ctx, seed,
+                                        max_successes)
+        try:
+            result = exhaustive_search(scen, space, n_faults, budget, ctx, seed,
+                                       max_successes)
+        except NotFound as exc:
+            assert (exc.trials_used, []) == (used, wins)
+        else:
+            assert (result.trials_used, [c.specs for c in result.combos]) == (used, wins)
+            assert wins
+
+    def test_criterion_4_grid_runs_few_combos(self, monkeypatch):
+        """Criterion 4's 4-fault grid charges its 1e7-trial cap but runs
+        only the combos below prefixes that can still succeed."""
+        runs = 0
+
+        def counted(plan, seed):
+            nonlocal runs
+            runs += 1
+            return run_plan(plan, seed)
+
+        monkeypatch.setattr(search, "run_plan", counted)
+        with pytest.raises(NotFound) as exc:
+            exhaustive_search(load_scenario("tzm_full_attack"),
+                              SearchSpace(0, 100, (1, 2)), 4, 10_000_000,
+                              perfect_ctx(DOM1), max_successes=1)
+        assert exc.value.trials_used == 10_000_000
+        assert runs <= 40_000
 
 
 def _scaled_windows(raw_windows, K):
