@@ -15,6 +15,7 @@ Artifacts written per run directory:
 from __future__ import annotations
 
 import csv
+import io
 import json
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
@@ -26,7 +27,7 @@ from . import calibration
 from .dut import BodModel, Effect, FaultResponseModel
 from .errors import ConfigError, SearchFailed, check_type
 from .scenarios import ScenarioSpec, load_scenario
-from .search import (SearchSpace, SimContext, TrialRecord,
+from .search import (SearchSpace, SimContext, TrialBlock, TrialRecord,
                      evaluate_repeatability, exhaustive_search, final_combo,
                      fuzzyfy, integrate, run_trials, sweep,
                      transfer_parameters, translate_to_relative)
@@ -236,37 +237,44 @@ def load_config(path) -> CampaignConfig:
 # Persistence
 # ---------------------------------------------------------------------------
 
-def _by_key(records: list[TrialRecord], build):
-    """Yield (position, record, build(record)), calling ``build`` once per
-    (step, combo, outcome, hits): all a persisted line or row holds
-    besides its seed and position."""
+def _rows(data, build):
+    """Yield (seed, build(step, combo, outcome, hits)) for every trial of
+    ``data``, a sequence of trial blocks or of records: all a persisted
+    line or row holds besides its seed and position.  ``build`` runs once
+    per verdict in a block's table, and once per distinct key of the
+    records."""
     built = {}
-    for i, rec in enumerate(records):
-        key = (rec.step, rec.combo, rec.outcome, rec.hits)
-        value = built.get(key)
-        if value is None:
-            value = built[key] = build(rec)
-        yield i, rec, value
+    for item in data:
+        if isinstance(item, TrialBlock):
+            values = [build(item.step, item.combo, *verdict) for verdict in item.table]
+            yield from zip(item.seeds(), map(values.__getitem__, item.code_column()))
+        else:
+            key = (item.step, item.combo, item.outcome, item.hits)
+            if key not in built:
+                built[key] = build(*key)
+            yield item.seed, built[key]
 
 
-def _line_parts(rec: TrialRecord) -> tuple[str, str]:
-    """The JSON line of ``rec`` split around its seed and trial values.
+def _line_parts(step, combo, outcome, hits) -> tuple[str, str]:
+    """The JSON line of a trial split around its seed and trial values.
 
     With sorted keys, "seed", "step" and "trial" come after "combo",
     "hits" and "outcome", so everything up to the seed value and between
-    it and the trial value depends on the record key alone.  A quote
-    inside a string is escaped, so only the key matches '"seed": 0'.
+    it and the trial value depends on (step, combo, outcome, hits) alone.
+    A quote inside a string is escaped, so only the key matches '"seed": 0'.
     """
-    text = json.dumps(rec.to_dict() | {"seed": 0, "trial": 0}, sort_keys=True)
+    rec = TrialRecord(step, combo, outcome, hits, 0)
+    text = json.dumps(rec.to_dict() | {"trial": 0}, sort_keys=True)
     cut = text.index('"seed": 0') + len('"seed": ')
     return text[:cut], text[cut + 1:-2]
 
 
-def write_results(records: list[TrialRecord], path) -> None:
-    """Append-order line-delimited JSON; a record's ``trial`` is its position."""
+def write_results(data, path) -> None:
+    """Append-order line-delimited JSON of ``data``, trial blocks or
+    records; a trial's ``trial`` is its position."""
     with open(path, "w") as fh:
-        for i, rec, (head, middle) in _by_key(records, _line_parts):
-            fh.write(f"{head}{rec.seed}{middle}{i}}}\n")
+        for i, (seed, (head, middle)) in enumerate(_rows(data, _line_parts)):
+            fh.write(f"{head}{seed}{middle}{i}}}\n")
 
 
 def read_results(path) -> list[TrialRecord]:
@@ -297,32 +305,37 @@ def write_summary(summary: dict, path) -> None:
 REPORT_COLUMNS = ["trial", "step", "outcome", "success", "hits", "combo", "seed"]
 
 
-def _report_cells(rec: TrialRecord) -> tuple:
-    kind = rec.outcome.kind
-    return (rec.step, kind, int(kind == "success"),
-            "|".join("1" if h else "0" for h in rec.hits),
-            ";".join(f"{r}+{w}" for r, w in rec.combo))
+def _report_cells(step, combo, outcome, hits) -> str:
+    """The CSV text of a trial's row between its trial and seed values,
+    which are integers and never quoted."""
+    kind = outcome.kind
+    text = io.StringIO()
+    csv.writer(text).writerow((step, kind, int(kind == "success"),
+                               "|".join("1" if h else "0" for h in hits),
+                               ";".join(f"{r}+{w}" for r, w in combo)))
+    return text.getvalue()[:-2]  # the "\r\n" line end
 
 
-def results_to_report(records: list[TrialRecord], csv_path) -> int:
-    """Flatten the records into report.csv, one row per trial with the
-    same dense ``trial`` as results.jsonl; returns the row count."""
+def results_to_report(data, csv_path) -> int:
+    """Flatten ``data``, trial blocks or records, into report.csv, one row
+    per trial with the same dense ``trial`` as results.jsonl; returns the
+    row count."""
+    rows = 0
     with open(csv_path, "w", newline="") as dst:
-        writer = csv.writer(dst)
-        writer.writerow(REPORT_COLUMNS)
-        for i, rec, cells in _by_key(records, _report_cells):
-            writer.writerow((i, *cells, rec.seed))
-    return len(records)
+        csv.writer(dst).writerow(REPORT_COLUMNS)
+        for rows, (seed, cells) in enumerate(_rows(data, _report_cells), 1):
+            dst.write(f"{rows - 1},{cells},{seed}\r\n")
+    return rows
 
 
-def _persist(out_dir, records: Optional[list[TrialRecord]], summary: dict) -> None:
+def _persist(out_dir, blocks: Optional[list[TrialBlock]], summary: dict) -> None:
     if out_dir is None:
         return
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    if records is not None:
-        write_results(records, out / "results.jsonl")
-        results_to_report(records, out / "report.csv")
+    if blocks is not None:
+        write_results(blocks, out / "results.jsonl")
+        results_to_report(blocks, out / "report.csv")
     write_summary(summary, out / "summary.json")
 
 
@@ -341,17 +354,17 @@ def _base_summary(cfg: CampaignConfig, operation: str,
 
 
 @contextmanager
-def _persist_on_failure(out_dir, records: Optional[list[TrialRecord]],
+def _persist_on_failure(out_dir, blocks: Optional[list[TrialBlock]],
                         summary: dict):
-    """On a failed search step, persist the trials recorded so far and a
+    """On a failed search step, persist the trials run so far and a
     summary carrying the error; ``total_trials`` adds the failed step's
     trials to them.  The error propagates."""
     try:
         yield
     except SearchFailed as exc:
         summary["error"] = exc.summary
-        summary["total_trials"] = len(records or ()) + exc.trials_used
-        _persist(out_dir, records, summary)
+        summary["total_trials"] = sum(map(len, blocks or ())) + exc.trials_used
+        _persist(out_dir, blocks, summary)
         raise
 
 
@@ -378,13 +391,14 @@ def _exhaustive(scenario: ScenarioSpec, cfg: CampaignConfig, ctx: SimContext):
 
 
 def _locate(scenario: ScenarioSpec, cfg: CampaignConfig, ctx: SimContext,
-            records: list[TrialRecord]):
+            blocks: list[TrialBlock]):
     """Sweep -> pick -> translate -> fuzzyfy -> integrate.  Appends each
-    step's trials to ``records`` as soon as the step succeeds; returns
-    (sweep result, relative combo, fuzzy intervals, integrate result)."""
+    step's trial blocks to ``blocks`` as soon as the step succeeds;
+    returns (sweep result, relative combo, fuzzy intervals, integrate
+    result)."""
     sc = cfg.search
     swept = _sweep(scenario, cfg, ctx)
-    records.extend(swept.records)
+    blocks.extend(swept.blocks)
     picked = sorted((swept.params.pick(t.label) for t in scenario.targets),
                     key=lambda ow: ow[0])
     relative = translate_to_relative(picked)
@@ -392,7 +406,7 @@ def _locate(scenario: ScenarioSpec, cfg: CampaignConfig, ctx: SimContext,
     integ = integrate(scenario, fuzzy, sc.integrate_trials, ctx,
                       seed=mix64(cfg.master_seed, STEP_INTEGRATE),
                       stride=sc.fuzzy_stride)
-    records.extend(integ.records)
+    blocks.extend(integ.blocks)
     return swept, relative, fuzzy, integ
 
 
@@ -430,15 +444,15 @@ def run_attack_flow(cfg: CampaignConfig, out_dir=None) -> dict:
     ctx = cfg.context()
     sc = cfg.search
     summary = _base_summary(cfg, "flow", scenario)
-    records: list[TrialRecord] = []
+    blocks: list[TrialBlock] = []
 
-    with _persist_on_failure(out_dir, records, summary):
-        swept, relative, fuzzy, integ = _locate(flow_scenario, cfg, ctx, records)
+    with _persist_on_failure(out_dir, blocks, summary):
+        swept, relative, fuzzy, integ = _locate(flow_scenario, cfg, ctx, blocks)
 
     evaluation = evaluate_repeatability(flow_scenario, integ.combos, sc.n_rank,
                                         sc.n_final, ctx,
                                         seed=mix64(cfg.master_seed, STEP_EVALUATE))
-    records.extend(evaluation.records)
+    blocks.extend(evaluation.blocks)
     best = evaluation.best
     transfer_trials = 0
 
@@ -447,7 +461,7 @@ def run_attack_flow(cfg: CampaignConfig, out_dir=None) -> dict:
         final = run_trials(scenario, transferred.specs, sc.n_final, ctx,
                            "transfer_final",
                            mix64(cfg.master_seed, STEP_TRANSFER_FINAL))
-        records.extend(final)
+        blocks.append(final)
         transfer_trials = len(final)
         best = final_combo(transferred.specs, final)
 
@@ -469,9 +483,9 @@ def run_attack_flow(cfg: CampaignConfig, out_dir=None) -> dict:
         "best": best.to_dict(),
         "cascade_rates": cascade,
         "target_order": [t.label for t in scenario.targets],
-        "total_trials": len(records),
+        "total_trials": sum(map(len, blocks)),
     })
-    _persist(out_dir, records, summary)
+    _persist(out_dir, blocks, summary)
     return summary
 
 
@@ -487,7 +501,7 @@ def run_sweep_only(cfg: CampaignConfig, out_dir=None) -> dict:
         result = _sweep(scenario, cfg, cfg.context())
     summary["absolute_params"] = result.params.to_dict()
     summary["total_trials"] = result.trials_used
-    _persist(out_dir, result.records, summary)
+    _persist(out_dir, result.blocks, summary)
     return summary
 
 
@@ -511,15 +525,15 @@ def run_comparison(cfg: CampaignConfig, out_dir=None) -> dict:
     ctx = cfg.context()
     summary = _base_summary(cfg, "compare", scenario)
 
-    flow_records: list[TrialRecord] = []
+    flow_blocks: list[TrialBlock] = []
     try:
-        _locate(scenario, cfg, ctx, flow_records)
+        _locate(scenario, cfg, ctx, flow_blocks)
         failed_step_trials = 0
         flow_found = True
     except SearchFailed as exc:
         failed_step_trials = exc.trials_used
         flow_found = False
-    flow_trials = len(flow_records) + failed_step_trials
+    flow_trials = sum(map(len, flow_blocks)) + failed_step_trials
 
     try:
         exhaustive_trials = _exhaustive(scenario, cfg, ctx).trials_used
@@ -561,6 +575,14 @@ def _shift_column(outcome, earlier: str) -> str:
     return "none"
 
 
+def _distribution(block: TrialBlock, earlier: str) -> dict[str, int]:
+    """The block's trial count in each of DISTRIBUTION_COLUMNS."""
+    counts = dict.fromkeys(DISTRIBUTION_COLUMNS, 0)
+    for (outcome, _), n in block.counts.items():
+        counts[_shift_column(outcome, earlier)] += n
+    return counts
+
+
 def run_wide_vs_narrow(cfg: CampaignConfig, out_dir=None) -> dict:
     """One wide fault spanning both shift instructions vs two narrow
     back-to-back faults; emits the five-column outcome distributions.
@@ -586,16 +608,14 @@ def run_wide_vs_narrow(cfg: CampaignConfig, out_dir=None) -> dict:
     # while each still covers (almost all of) its own instruction cycle.
     narrow_combo = [(first_cycle * K, K - 1), (1, K - 1)]
 
-    records: list[TrialRecord] = []
+    blocks: list[TrialBlock] = []
     table: dict[str, dict[str, float]] = {}
     for row, combo, step_id in (("wide", wide_combo, STEP_WIDE),
                                 ("narrow", narrow_combo, STEP_NARROW)):
-        recs = run_trials(scenario, combo, cfg.trials, ctx, row,
-                          mix64(cfg.master_seed, step_id))
-        records.extend(recs)
-        counts = {col: 0 for col in DISTRIBUTION_COLUMNS}
-        for rec in recs:
-            counts[_shift_column(rec.outcome, earlier)] += 1
+        block = run_trials(scenario, combo, cfg.trials, ctx, row,
+                           mix64(cfg.master_seed, step_id))
+        blocks.append(block)
+        counts = _distribution(block, earlier)
         table[row] = {col: counts[col] / cfg.trials for col in DISTRIBUTION_COLUMNS}
 
     summary = _base_summary(cfg, "wide-vs-narrow", scenario)
@@ -605,9 +625,9 @@ def run_wide_vs_narrow(cfg: CampaignConfig, out_dir=None) -> dict:
         "combos": {"wide": [list(s) for s in wide_combo],
                    "narrow": [list(s) for s in narrow_combo]},
         "trials_per_row": cfg.trials,
-        "total_trials": len(records),
+        "total_trials": 2 * cfg.trials,
     })
-    _persist(out_dir, records, summary)
+    _persist(out_dir, blocks, summary)
     return summary
 
 
@@ -635,8 +655,8 @@ def run_countermeasure_eval(cfg: CampaignConfig, max_delay_cycles: int,
     base = run_trials(baseline_scenario, combo, cfg.trials, ctx, "baseline", step_seed)
     delayed = run_trials(delayed_scenario, combo, cfg.trials, ctx, "delayed", step_seed)
 
-    rate_base = sum(r.outcome.is_success for r in base) / cfg.trials
-    rate_delayed = sum(r.outcome.is_success for r in delayed) / cfg.trials
+    rate_base = base.successes / cfg.trials
+    rate_delayed = delayed.successes / cfg.trials
     factor = rate_base / rate_delayed if rate_delayed else None
 
     summary = _base_summary(cfg, "countermeasure", scenario)
@@ -649,7 +669,7 @@ def run_countermeasure_eval(cfg: CampaignConfig, max_delay_cycles: int,
         "degradation_factor": factor,
         "total_trials": len(base) + len(delayed),
     })
-    _persist(out_dir, base + delayed, summary)
+    _persist(out_dir, [base, delayed], summary)
     return summary
 
 

@@ -40,6 +40,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from enum import Enum
+from itertools import accumulate
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .seeding import SLOT_ONE, slot
@@ -250,22 +251,27 @@ def execute_trial(scenario, windows, domains, model: FaultResponseModel,
     return run_plan(trial_plan(scenario, windows, domains, model, bod, cycles), seed)
 
 
-def stall_shift(scenario, max_delay_cycles: int, seed: int):
-    """Draw one stall of 0..max_delay_cycles per delay point from the
-    trial seed's stall slots; returns the map from a cycle to its delayed
-    position.
-
-    A stall only moves cycles: instruction indices and target membership
-    stay those of the undelayed scenario.
-    """
+def stall_vector(scenario, max_delay_cycles: int, seed: int) -> tuple[int, ...]:
+    """One stall of 0..max_delay_cycles per delay point: the stall before
+    point d is (m·(max+1)) >> 53 of the trial seed's slot STALL_SLOT0 + d."""
     span = max_delay_cycles + 1
+    return tuple([(slot(seed, k) * span) >> 53
+                  for k in range(STALL_SLOT0, STALL_SLOT0 + len(scenario.delay_points))])
+
+
+def shift_by(scenario, stalls: Sequence[int]):
+    """The map from a cycle to its position under one stall per delay
+    point.  A stall only moves cycles: instruction indices and target
+    membership stay those of the undelayed scenario."""
     points = scenario.delay_points
-    total = 0
-    before = [0]  # before[d]: total stall in front of a cycle past d points
-    for d in range(len(points)):
-        total += (slot(seed, STALL_SLOT0 + d) * span) >> 53
-        before.append(total)
+    before = (0, *accumulate(stalls))  # before[d]: stall in front of a cycle past d points
     return lambda cycle: cycle + before[bisect_right(points, cycle)]
+
+
+def stall_shift(scenario, max_delay_cycles: int, seed: int):
+    """The cycle map of the trial at ``seed``: :func:`shift_by` its
+    :func:`stall_vector`."""
+    return shift_by(scenario, stall_vector(scenario, max_delay_cycles, seed))
 
 
 def apply_random_delays(scenario, max_delay_cycles: int, seed: int):

@@ -10,14 +10,17 @@ exactly what the chained glitcher consumes.
 from __future__ import annotations
 
 import itertools
+from array import array
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from functools import cached_property
+from typing import Optional, Sequence, Union
 
 from .chain import ChainConfig, chain_windows, simulate_chain
 # apply_random_delays and execute_trial stay bound for bench/run.py, which
 # traces the trial layers here by name; trials run on the plan instead.
-from .dut import (BodModel, FaultResponseModel, TrialPlan, apply_random_delays,
-                  execute_trial, run_plan, stall_shift, trial_plan)
+from .dut import (BodModel, FaultResponseModel, apply_random_delays,
+                  execute_trial, run_plan, shift_by, stall_vector, trial_plan)
 from .errors import (IncompleteSweep, NoIntegratedSuccess, NotFound,
                      OverlapError, TransferInvalid)
 from .scenarios import Outcome, ScenarioSpec, classify
@@ -159,11 +162,82 @@ class TrialRecord:
         return rec
 
 
+Verdict = tuple[Outcome, tuple[bool, ...]]  # (outcome, hits) of a trial
+
+# Code column types, narrowest first: a block widens its column when a
+# code no longer fits.
+_WIDER = {"B": "H", "H": "Q"}
+
+
+@dataclass(eq=False)
+class TrialBlock:
+    """``n`` trials of one combo in one step, stored as columns.
+
+    Trial ``first + k`` has the verdict ``table[codes[k]]`` and the seed
+    ``mix64(step_seed, first + k)``.  ``codes`` is one int when every
+    trial has the same verdict.  Seeds the trials drew from are kept;
+    otherwise they are derived when first read.  Iterating a block yields
+    its trials as records.
+    """
+
+    step: str
+    combo: tuple[RelSpec, ...]
+    step_seed: int
+    first: int
+    n: int
+    table: list[Verdict]
+    codes: Union[int, array]
+    _seeds: Optional[array] = field(default=None, repr=False)
+
+    def __len__(self) -> int:
+        return self.n
+
+    def code_column(self):
+        """The code of every trial, in order."""
+        if isinstance(self.codes, int):
+            return itertools.repeat(self.codes, self.n)
+        return self.codes
+
+    def seeds(self) -> array:
+        """The seed of every trial, in order."""
+        if self._seeds is None:
+            step_hash = mix64(self.step_seed)  # mix64(a, i) == _splitmix64(mix64(a) ^ i)
+            self._seeds = array("Q", [_splitmix64(step_hash ^ i)
+                                      for i in range(self.first, self.first + self.n)])
+        return self._seeds
+
+    @cached_property
+    def counts(self) -> dict[Verdict, int]:
+        """The number of trials of each verdict that occurs."""
+        if isinstance(self.codes, int):
+            return {self.table[self.codes]: self.n} if self.n else {}
+        return {self.table[code]: k for code, k in Counter(self.codes).items()}
+
+    @property
+    def successes(self) -> int:
+        return sum(k for (outcome, _), k in self.counts.items() if outcome.is_success)
+
+    def __iter__(self):
+        for seed, code in zip(self.seeds(), self.code_column()):
+            yield TrialRecord(self.step, self.combo, *self.table[code], seed)
+
+
+class _Trials:
+    """A step result whose trials are kept as blocks, in run order."""
+
+    blocks: list[TrialBlock]
+
+    @property
+    def records(self) -> list[TrialRecord]:
+        """The trials as records, in run order."""
+        return [rec for block in self.blocks for rec in block]
+
+
 @dataclass
-class SweepResult:
+class SweepResult(_Trials):
     params: AbsoluteParamSet
     trials_used: int
-    records: list[TrialRecord] = field(default_factory=list)
+    blocks: list[TrialBlock] = field(default_factory=list)
 
 
 @dataclass
@@ -173,18 +247,18 @@ class ExhaustiveResult:
 
 
 @dataclass
-class IntegrateResult:
+class IntegrateResult(_Trials):
     combos: list[RankedCombo]
     trials_used: int
-    records: list[TrialRecord] = field(default_factory=list)
+    blocks: list[TrialBlock] = field(default_factory=list)
 
 
 @dataclass
-class RepeatabilityResult:
+class RepeatabilityResult(_Trials):
     best: RankedCombo
     ranking: list[RankedCombo]
     trials_used: int
-    records: list[TrialRecord] = field(default_factory=list)
+    blocks: list[TrialBlock] = field(default_factory=list)
 
 
 # ---------------------------------------------------------------------------
@@ -196,8 +270,15 @@ def _cycles(scenario: ScenarioSpec, seed: int) -> tuple[int, ...]:
     random stalls, drawn from the seed's stall slots, only move cycles."""
     if not scenario.random_delay_max:
         return scenario.effectful_cycles
-    shift = stall_shift(scenario, scenario.random_delay_max, seed)
-    return tuple(map(shift, scenario.effectful_cycles))
+    return _stalled(scenario, stall_vector(scenario, scenario.random_delay_max, seed))
+
+
+def _stalled(scenario: ScenarioSpec, stalls: tuple[int, ...]) -> tuple[int, ...]:
+    """Start cycles of the effectful instructions under a stall vector;
+    the empty vector leaves them where they are."""
+    if not stalls:
+        return scenario.effectful_cycles
+    return tuple(map(shift_by(scenario, stalls), scenario.effectful_cycles))
 
 
 def _judge(scenario: ScenarioSpec, raw, verdicts: dict):
@@ -226,27 +307,64 @@ def run_chain_trial(scenario: ScenarioSpec, rel_specs: Sequence[RelSpec],
 
 def run_trials(scenario: ScenarioSpec, combo: Sequence[RelSpec], n: int,
                ctx: SimContext, step: str, step_seed: int,
-               first: int = 0) -> list[TrialRecord]:
+               first: int = 0) -> TrialBlock:
     """Run n identically-parameterized trials with indices first..first+n-1;
-    trial i is seeded mix64(step_seed, i).  The windows are the same in
-    every trial, so they are compiled once per stall vector and each
-    trial only makes its draws."""
+    trial i is seeded mix64(step_seed, i).
+
+    The windows are the same in every trial, so they are compiled once
+    per stall vector.  A vector whose plan holds its result has one
+    verdict code, so such a trial costs its seed and stall draws only;
+    without stalls, a plan that holds its result makes the block one
+    constant code and runs no trial at all.
+    """
     combo = tuple(combo)
     windows = _windows(scenario, combo, ctx)
-    plans: dict[tuple[int, ...], TrialPlan] = {}
-    verdicts: dict = {}
-    records = []
+    max_delay = scenario.random_delay_max
+    table: list[Verdict] = []
+    positions: dict[Verdict, int] = {}
+    known: dict = {}  # raw result -> code
+
+    def code_of(raw) -> int:
+        verdict = _judge(scenario, raw, {})
+        code = known[raw] = positions.setdefault(verdict, len(table))
+        if code == len(table):
+            table.append(verdict)
+        return code
+
+    def entry(stalls):
+        """The code of the stall vector's plan if it holds its result,
+        else the plan."""
+        plan = trial_plan(scenario, windows, ctx.domains, ctx.model, ctx.bod,
+                          _stalled(scenario, stalls))
+        return plan if plan.fixed is None else code_of(plan.fixed)
+
+    by_stalls: dict = {}  # stall vector -> entry(stall vector)
+    if not max_delay:
+        by_stalls[()] = entry(())
+        if isinstance(by_stalls[()], int):
+            return TrialBlock(step, combo, step_seed, first, n, table, by_stalls[()])
+
+    seeds = array("Q")
+    codes = array("B")
     step_hash = mix64(step_seed)  # mix64(a, i) == _splitmix64(mix64(a) ^ i)
     for index in range(first, first + n):
         seed = _splitmix64(step_hash ^ index)
-        cycles = _cycles(scenario, seed)
-        plan = plans.get(cycles)
-        if plan is None:
-            plan = plans[cycles] = trial_plan(scenario, windows, ctx.domains,
-                                              ctx.model, ctx.bod, cycles)
-        outcome, hits = _judge(scenario, run_plan(plan, seed), verdicts)
-        records.append(TrialRecord(step, combo, outcome, hits, seed))
-    return records
+        seeds.append(seed)
+        stalls = stall_vector(scenario, max_delay, seed) if max_delay else ()
+        code = by_stalls.get(stalls)
+        if code is None:
+            code = by_stalls[stalls] = entry(stalls)
+        if not isinstance(code, int):
+            raw = run_plan(code, seed)
+            code = known.get(raw)
+            if code is None:
+                code = code_of(raw)
+        try:
+            codes.append(code)
+        except OverflowError:
+            codes = array(_WIDER[codes.typecode], codes)
+            codes.append(code)
+    return TrialBlock(step, combo, step_seed, first, n, table, codes, seeds)
 
 
 # ---------------------------------------------------------------------------
@@ -267,13 +385,14 @@ def sweep(scenario: ScenarioSpec, space: SearchSpace, ctx: SimContext,
 
     labels = [t.label for t in scenario.targets]
     entries: dict[str, set[RelSpec]] = {label: set() for label in labels}
-    records: list[TrialRecord] = []
+    blocks: list[TrialBlock] = []
     passes = itertools.chain.from_iterable(itertools.repeat(space.grid, pass_budget))
     for index, spec in enumerate(passes):
-        (rec,) = run_trials(scenario, (spec,), 1, ctx, "sweep", seed, first=index)
-        records.append(rec)
-        if rec.outcome.kind in ("partial_hit", "success"):
-            for label, hit in zip(labels, rec.hits):
+        block = run_trials(scenario, (spec,), 1, ctx, "sweep", seed, first=index)
+        blocks.append(block)
+        ((outcome, hits),) = block.counts  # one trial, one verdict
+        if outcome.kind in ("partial_hit", "success"):
+            for label, hit in zip(labels, hits):
                 if hit:
                     entries[label].add(spec)
             if all(entries.values()):
@@ -281,10 +400,10 @@ def sweep(scenario: ScenarioSpec, space: SearchSpace, ctx: SimContext,
 
     missing = [label for label in labels if not entries[label]]
     if missing:
-        raise IncompleteSweep(missing, len(records))
+        raise IncompleteSweep(missing, len(blocks))
 
     params = AbsoluteParamSet({lbl: tuple(sorted(vals)) for lbl, vals in entries.items()})
-    return SweepResult(params=params, trials_used=len(records), records=records)
+    return SweepResult(params=params, trials_used=len(blocks), blocks=blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -345,19 +464,19 @@ def integrate(scenario: ScenarioSpec, fuzzy: Sequence[FuzzyInterval],
         [(o, f.width) for o in range(f.lo, f.hi + 1, stride)]
         for f in fuzzy
     ]
-    records: list[TrialRecord] = []
+    blocks: list[TrialBlock] = []
     combos: list[RankedCombo] = []
-    for combo in itertools.product(*axes):
-        recs = run_trials(scenario, combo, trials_per_combo, ctx, "integrate",
-                          seed, first=len(records))
-        records.extend(recs)
-        successes = sum(r.outcome.is_success for r in recs)
-        if successes:
+    for i, combo in enumerate(itertools.product(*axes)):
+        block = run_trials(scenario, combo, trials_per_combo, ctx, "integrate",
+                           seed, first=i * trials_per_combo)
+        blocks.append(block)
+        if block.successes:
             combos.append(RankedCombo(specs=tuple(combo), trials_run=trials_per_combo,
-                                      successes=successes))
+                                      successes=block.successes))
+    trials_used = len(blocks) * trials_per_combo
     if not combos:
-        raise NoIntegratedSuccess(len(records))
-    return IntegrateResult(combos=combos, trials_used=len(records), records=records)
+        raise NoIntegratedSuccess(trials_used)
+    return IntegrateResult(combos=combos, trials_used=trials_used, blocks=blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -372,11 +491,11 @@ def exhaustive_search(scenario: ScenarioSpec, space: SearchSpace, n_faults: int,
     combination by the overall SF only.  A combo that runs is trial i,
     ``run_chain_trial`` of the i-th combo at seed ``mix64(seed, i)``.
 
-    Without random stalls, a prefix of the combo is pruned when one of
-    its target instructions ends at or before the prefix's done tick and
-    no window of the prefix touches it: later windows start at or after
-    that tick and only a touching window skips an instruction, so no
-    combo below the prefix can succeed.  Its combos are charged to
+    Without random stalls, a combo or a prefix of it is pruned when one
+    of its target instructions ends at or before the prefix's done tick
+    and no window of the prefix touches it: later windows start at or
+    after that tick and only a touching window skips an instruction, so
+    no combo below the prefix can succeed.  Its combos are charged to
     ``trials_used`` (up to the budget) but never run.  With random stalls
     the targets move from trial to trial and every combo runs.
     """
@@ -399,8 +518,8 @@ def exhaustive_search(scenario: ScenarioSpec, space: SearchSpace, n_faults: int,
 
     successes: list[RankedCombo] = []
     trials_used = min(budget, len(grid) ** n_faults)
-    for index, combo in _live_combos(grid, n_faults, budget, trigger_tick, target_ticks):
-        windows, _ = chain_windows(combo, trigger_tick)
+    for index, combo, windows in _live_combos(grid, n_faults, budget, trigger_tick,
+                                              target_ticks):
         trial_seed = mix64(seed, index) if stalled else None
         plan = trial_plan(scenario, windows, ctx.domains, ctx.model, ctx.bod,
                           _cycles(scenario, trial_seed))
@@ -418,17 +537,20 @@ def exhaustive_search(scenario: ScenarioSpec, space: SearchSpace, n_faults: int,
 
 def _live_combos(grid: Sequence[RelSpec], n_faults: int, budget: int,
                  trigger_tick: int, target_ticks: Sequence[tuple[int, int]]):
-    """(i, combo) for each combo i < budget of ``grid ** n_faults``, in
-    lexicographic order, that lies below no doomed prefix."""
+    """(i, combo, windows) for each combo i < budget of ``grid ** n_faults``,
+    in lexicographic order, that is not doomed and lies below no doomed
+    prefix."""
     def walk(prefix, first, size):  # size: combos below each child
         for spec in grid:
             if first >= budget:
                 return
             child = prefix + (spec,)
-            if size == 1:
-                yield first, child
-            elif not _doomed(target_ticks, *chain_windows(child, trigger_tick)):
-                yield from walk(child, first, size // len(grid))
+            windows, cursor = chain_windows(child, trigger_tick)
+            if not _doomed(target_ticks, windows, cursor):
+                if size == 1:
+                    yield first, child, windows
+                else:
+                    yield from walk(child, first, size // len(grid))
             first += size
     return walk((), 0, len(grid) ** (n_faults - 1))
 
@@ -454,38 +576,35 @@ def evaluate_repeatability(scenario: ScenarioSpec, combos: Sequence[RankedCombo]
     if n_rank < 1 or n_final < 1:
         raise ValueError("n_rank and n_final must be >= 1")
 
-    records: list[TrialRecord] = []
+    blocks: list[TrialBlock] = []
     ranking: list[RankedCombo] = []
     for c_idx, combo in enumerate(combos):
-        recs = run_trials(scenario, combo.specs, n_rank, ctx, "rank",
-                          mix64(seed, 1, c_idx))
-        records.extend(recs)
-        wins = sum(1 for r in recs if r.outcome.is_success)
-        ranking.append(RankedCombo(specs=combo.specs, trials_run=n_rank, successes=wins))
+        block = run_trials(scenario, combo.specs, n_rank, ctx, "rank",
+                           mix64(seed, 1, c_idx))
+        blocks.append(block)
+        ranking.append(RankedCombo(specs=combo.specs, trials_run=n_rank,
+                                   successes=block.successes))
 
     best_idx = max(range(len(ranking)), key=lambda i: (ranking[i].success_rate, -i))
     winner = ranking[best_idx]
 
-    final_recs = run_trials(scenario, winner.specs, n_final, ctx, "final",
-                            mix64(seed, 2))
-    records.extend(final_recs)
-    return RepeatabilityResult(best=final_combo(winner.specs, final_recs),
-                               ranking=ranking, trials_used=len(records),
-                               records=records)
+    final = run_trials(scenario, winner.specs, n_final, ctx, "final", mix64(seed, 2))
+    blocks.append(final)
+    return RepeatabilityResult(best=final_combo(winner.specs, final), ranking=ranking,
+                               trials_used=len(combos) * n_rank + n_final,
+                               blocks=blocks)
 
 
-def final_combo(specs: tuple[RelSpec, ...], records: Sequence[TrialRecord]) -> RankedCombo:
+def final_combo(specs: tuple[RelSpec, ...], block: TrialBlock) -> RankedCombo:
     """One combo's success count and its per-prefix success counts
     (prefix k: the first k+1 targets all hit in one trial)."""
-    prefix_counts = [0] * len(records[0].hits) if records else []
-    wins = 0
-    for rec in records:
-        wins += rec.outcome.is_success
-        for k, hit in enumerate(rec.hits):
+    prefix_counts = [0] * len(block.table[0][1]) if block.counts else []
+    for (_, hits), n in block.counts.items():
+        for k, hit in enumerate(hits):
             if not hit:
                 break
-            prefix_counts[k] += 1
-    return RankedCombo(specs=specs, trials_run=len(records), successes=wins,
+            prefix_counts[k] += n
+    return RankedCombo(specs=specs, trials_run=len(block), successes=block.successes,
                        prefix_success_counts=tuple(prefix_counts))
 
 

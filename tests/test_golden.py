@@ -7,7 +7,8 @@ import hashlib
 
 import pytest
 
-from glitchsim.calibration import dup_register_model, shift_model
+from glitchsim.calibration import (deterministic_model, dup_register_model,
+                                   shift_model)
 from glitchsim.campaign import (CampaignConfig, SearchConfig, run_attack_flow,
                                 run_countermeasure_eval, run_exhaustive,
                                 run_wide_vs_narrow)
@@ -30,6 +31,11 @@ CASES = {
     "countermeasure": lambda out: run_countermeasure_eval(CampaignConfig(
         scenario="dup_registers_7_43", oversampling=20, model=dup_register_model(),
         trials=3000, master_seed=21), 9, out),
+    # Random stalls under a model that never draws: a constant baseline
+    # column and one verdict per stall vector, persisted.
+    "countermeasure_deterministic": lambda out: run_countermeasure_eval(CampaignConfig(
+        scenario="dup_registers_7_43", oversampling=20, model=deterministic_model(),
+        trials=3000, master_seed=13), 9, out),
     # Skip and lockup draws in every trial, one trial per combo.
     "exhaustive": lambda out: run_exhaustive(CampaignConfig(
         scenario="tzm_full_attack", oversampling=20, model=FaultResponseModel(),
@@ -51,6 +57,10 @@ GOLDEN = {
     "countermeasure": {
         "summary.json": "b91e496f46bae9a92e4089bffab682219ae3d66acb96cc7814cc0d3077cb443b",
         "results.jsonl": "5b11bd8a645d595ffb18980381c2d1a718b91f06d6a06c40315ec61ea0275a0f",
+    },
+    "countermeasure_deterministic": {
+        "summary.json": "9a27f0bdca84e6124475e718c35b2e65a55cc0e4319c2608a13f768626fcb26f",
+        "results.jsonl": "e58104fb602b6dab990f80df3e76503efceebac936ac7a4b9344cc508efc3414",
     },
     # An exhaustive campaign writes no results.jsonl.
     "exhaustive": {

@@ -1,5 +1,6 @@
 """results.jsonl and report.csv are written straight from the trial
-records.  The formatter they replace, which built each line with
+blocks a campaign holds, or from records as read_results returns them.
+The formatter they replace, which built each record's line with
 ``json.dumps`` and read the JSON back to write the CSV, is the oracle."""
 
 import csv
@@ -15,7 +16,7 @@ from glitchsim.campaign import (CampaignConfig, SearchConfig, read_results,
 from glitchsim.cli import main
 from glitchsim.errors import ConfigError
 from glitchsim.scenarios import dup_registers
-from glitchsim.search import SimContext, run_trials
+from glitchsim.search import SimContext, TrialBlock, run_trials
 from glitchsim.timing import ClockDomains
 
 FLOW = CampaignConfig(
@@ -25,9 +26,15 @@ FLOW = CampaignConfig(
     master_seed=3)
 
 
-def oracle_results(records, path):
+def as_records(data):
+    """The trials of blocks or records, as records."""
+    return [rec for item in data
+            for rec in (item if isinstance(item, TrialBlock) else (item,))]
+
+
+def oracle_results(data, path):
     with open(path, "w") as fh:
-        for i, rec in enumerate(records):
+        for i, rec in enumerate(as_records(data)):
             fh.write(json.dumps(rec.to_dict() | {"trial": i}, sort_keys=True) + "\n")
 
 
@@ -47,7 +54,7 @@ def oracle_report(results_path, csv_path):
 
 
 def persisted_records(monkeypatch, run):
-    """The records one campaign call hands to write_results."""
+    """The trial blocks one campaign call hands to write_results."""
     seen = []
     original = campaign.write_results
 
@@ -62,7 +69,7 @@ def persisted_records(monkeypatch, run):
     return records
 
 
-def escaped_records():
+def escaped_blocks():
     """Labels and a step name that JSON and CSV must escape, partial hits
     on them, and two runs starting at trials 1000 and 7, in reverse order."""
     base = dup_registers(7, 43)
@@ -71,12 +78,18 @@ def escaped_records():
                                        for t, label in zip(base.targets, labels)))
     ctx = SimContext(domains=ClockDomains(oversampling=1), model=dup_register_model())
     first = min(scen.targets[0].cycles)
-    records = run_trials(scen, [(first, 1)], 200, ctx, 'odd "step", \\ é', 11,
-                         first=1000)
-    records += run_trials(scen, [(first, 1), (43, 1)], 200, ctx, "both", 12, first=7)
+    blocks = [run_trials(scen, [(first, 1)], 200, ctx, 'odd "step",\r\n \\ é', 11,
+                         first=1000),
+              run_trials(scen, [(first, 1), (43, 1)], 200, ctx, "both", 12, first=7)]
+    records = as_records(blocks)
     assert {rec.outcome.kind for rec in records} >= {"partial_hit", "success"}
     assert any(rec.outcome.labels == {labels[0]} for rec in records)
-    return records[::-1]
+    return blocks[::-1]
+
+
+def escaped_records():
+    """The trials of the escaped blocks, as records in reverse order."""
+    return as_records(escaped_blocks()[::-1])[::-1]
 
 
 def flow_records(monkeypatch, tmp_path):
@@ -103,6 +116,7 @@ SOURCES = {
     "wide_vs_narrow": wide_records,
     "countermeasure": countermeasure_records,
     "escaped": lambda monkeypatch, tmp_path: escaped_records(),
+    "escaped_blocks": lambda monkeypatch, tmp_path: escaped_blocks(),
 }
 
 
@@ -118,14 +132,14 @@ class TestAgainstOracle:
         assert (tmp_path / "new.jsonl").read_bytes() == (tmp_path / "old.jsonl").read_bytes()
 
     def test_report_csv_bytes(self, records, tmp_path):
-        assert results_to_report(records, tmp_path / "new.csv") == len(records)
+        assert results_to_report(records, tmp_path / "new.csv") == len(as_records(records))
         oracle_results(records, tmp_path / "old.jsonl")
         oracle_report(tmp_path / "old.jsonl", tmp_path / "old.csv")
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
     def test_read_results_round_trips(self, records, tmp_path):
         write_results(records, tmp_path / "results.jsonl")
-        assert read_results(tmp_path / "results.jsonl") == records
+        assert read_results(tmp_path / "results.jsonl") == as_records(records)
 
     def test_empty(self, tmp_path):
         write_results([], tmp_path / "results.jsonl")

@@ -1,4 +1,6 @@
 import itertools
+import json
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -7,7 +9,8 @@ from hypothesis import example, given, settings, strategies as st
 from glitchsim import search
 from glitchsim.calibration import (deterministic_model, dup_register_model,
                                    shift_model)
-from glitchsim.campaign import MODEL_PRESETS
+from glitchsim.campaign import (DISTRIBUTION_COLUMNS, MODEL_PRESETS, _distribution,
+                                _shift_column, nominal_combo)
 from glitchsim.chain import ChainConfig, simulate_chain
 from glitchsim.dut import (BodModel, FaultResponseModel, RawTrialResult,
                            apply_random_delays, run_plan, stall_shift,
@@ -18,8 +21,8 @@ from glitchsim.scenarios import (SCENARIO_PRESETS, classify, dup_registers,
                                  load_scenario)
 from glitchsim.search import (RankedCombo, SearchSpace, SimContext,
                               accumulate_relative, evaluate_repeatability,
-                              exhaustive_search, fuzzyfy, integrate,
-                              run_chain_trial, run_trials, sweep,
+                              exhaustive_search, final_combo, fuzzyfy,
+                              integrate, run_chain_trial, run_trials, sweep,
                               transfer_parameters, translate_to_relative)
 from glitchsim.seeding import mix64
 from glitchsim.timing import ClockDomains
@@ -755,3 +758,97 @@ class TestDrawSlots:
         records = run_trials(scen, combo, 3, perfect_ctx(), "s", step_seed, first=first)
         assert [r.seed for r in records] == [
             mix64(step_seed, i) for i in range(first, first + 3)]
+
+
+@st.composite
+def block_cases(draw):
+    """(preset, model, bod, K, random_delay_max, combo, n, step_seed, first)
+    for run_trials, with the scenario's nominal combo half the time, so
+    that stalls move the targets out from under the windows."""
+    preset = draw(st.sampled_from(sorted(SCENARIO_PRESETS)))
+    K = draw(st.sampled_from((1, 3, 20)))
+    nominal = draw(st.booleans())
+    combo = (tuple(nominal_combo(SCENARIO_PRESETS[preset](), ClockDomains(oversampling=K)))
+             if nominal else draw(st.lists(st.tuples(st.integers(0, 60 * K),
+                                                     st.integers(1, 3 * K)),
+                                           min_size=1, max_size=4).map(tuple)))
+    return (preset, draw(st.sampled_from(SWEEP_MODELS)), draw(bods), K,
+            draw(st.sampled_from((0, 0, 2, 9))), combo, draw(st.integers(0, 40)),
+            draw(st.integers(0, 2**64 - 1)),
+            draw(st.one_of(st.just(0), st.integers(1, 2**64))))
+
+
+class TestTrialBlock:
+    """run_trials' block against the per-trial oracle, trial for trial,
+    and every count a campaign reads off the block against the same count
+    over its records."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(case=block_cases())
+    # Criterion 8's baseline arm: a fixed plan without stalls is one
+    # constant code, and no trial runs.
+    @example(case=("dup_registers_7_43", deterministic_model(), None, 20, 0,
+                   ((160, 20), (860, 20)), 30, 5, 0))
+    # Criterion 8's delayed arm: the plan of every stall vector holds its
+    # result, success or failure, so a trial is its seed, its stall draws
+    # and one lookup.
+    @example(case=("dup_registers_7_43", deterministic_model(), None, 20, 9,
+                   ((160, 20), (860, 20)), 40, 5, 3))
+    # Skip draws under stalls, and a first index past 2**64.
+    @example(case=("tzm_full_attack", dup_register_model(), None, 3, 2,
+                   ((0, 200),), 40, 7, 2**64 + 5))
+    # A detector sampling tick 5 trips on the window at every stall vector.
+    @example(case=("successive_shifts", shift_model(), BodModel(True, 7, 5), 1, 2,
+                   ((5, 2),), 10, 1, 11))
+    def test_matches_per_trial_oracle(self, case):
+        preset, model, bod, K, stalls, combo, n, step_seed, first = case
+        scen = replace(SCENARIO_PRESETS[preset](), random_delay_max=stalls)
+        ctx = SimContext(ClockDomains(oversampling=K), model, bod)
+        block = run_trials(scen, combo, n, ctx, "b", step_seed, first=first)
+        records = list(block)
+        assert len(block) == len(records) == n
+        for index, rec in enumerate(records, first):
+            seed = mix64(step_seed, index)
+            _, outcome, hits = _oracle_trial(scen, combo, ctx, seed)
+            assert (rec.step, rec.combo, rec.seed) == ("b", combo, seed), index
+            assert (rec.outcome, rec.hits) == (outcome, hits), index
+
+        # The column is one constant code exactly when no trial can draw.
+        windows, _ = simulate_chain(ChainConfig(combo), scen.trigger_cycle * K)
+        fixed = trial_plan(scen, windows, ctx.domains, model, bod).fixed is not None
+        assert isinstance(block.codes, int) == (fixed and not stalls)
+        assert len(set(block.table)) == len(block.table)
+
+        verdicts = Counter((r.outcome, r.hits) for r in records)
+        assert block.counts == verdicts
+        assert block.successes == sum(r.outcome.is_success for r in records)
+        prefixes = [sum(all(r.hits[:k + 1]) for r in records)
+                    for k in range(len(scen.targets))] if records else []
+        assert final_combo(combo, block) == RankedCombo(
+            combo, n, block.successes, tuple(prefixes))
+        earlier = scen.targets[0].label
+        columns = Counter(_shift_column(r.outcome, earlier) for r in records)
+        assert _distribution(block, earlier) == {
+            col: columns[col] for col in DISTRIBUTION_COLUMNS}
+
+    def test_many_verdicts_widen_the_code_column(self, tmp_path):
+        """Nine one-cycle targets under p_max_skip = 0.5 give up to 2**9
+        verdicts, more than a byte of code holds."""
+        spec = {
+            "schema_version": 1, "name": "nine_targets", "cooperative": True,
+            "instructions": [{"cycle": c, "effect": "store_sau_ctrl" if c % 2 else "plain"}
+                             for c in range(19)],
+            "targets": [{"label": f"T{c}", "cycles": [c]} for c in range(1, 19, 2)],
+        }
+        path = tmp_path / "nine_targets.json"
+        path.write_text(json.dumps(spec))
+        scen = load_scenario(path)
+        ctx = SimContext(DOM1, FaultResponseModel(p_max_skip=0.5, p_lockup_per_fault=0.0))
+        combo = ((1, 17),)
+        block = run_trials(scen, combo, 3000, ctx, "many", 3)
+        assert len(block.table) > 256
+        assert block.codes.typecode != "B"
+        for index, rec in enumerate(block):
+            _, outcome, hits = _oracle_trial(scen, combo, ctx, mix64(3, index))
+            assert (rec.outcome, rec.hits) == (outcome, hits), index
+        assert block.counts == Counter((r.outcome, r.hits) for r in block)
