@@ -27,6 +27,6 @@ shift = moved.specs[0][0] - combo.specs[0][0]
 print(f"only the first offset moved, by {shift} ticks "
       f"({shift // domains.oversampling} boot cycles)\n")
 
-records = run_trials(noncoop, moved.specs, 1000, ctx, "verify", 99)
-rate = sum(r.outcome.is_success for r in records) / len(records)
+block = run_trials(noncoop, moved.specs, 1000, ctx, "verify", 99)
+rate = block.successes / len(block)
 print(f"success rate on the non-cooperative target: {rate:.3f}")

@@ -226,7 +226,7 @@ def load_config(path) -> CampaignConfig:
         raise ConfigError(f"config file {path} does not exist")
     try:
         data = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # ValueError: bad JSON or UTF-8
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"config file {path} does not hold a JSON object")
@@ -292,7 +292,7 @@ def read_results(path) -> list[TrialRecord]:
                 continue
             try:
                 records.append(TrialRecord.from_dict(json.loads(line)))
-            except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            except (ValueError, KeyError, TypeError, AttributeError, RecursionError) as exc:
                 raise ConfigError(f"{path} line {lineno} is not a trial "
                                   f"record: {exc!r}") from exc
     return records
@@ -386,8 +386,7 @@ def _exhaustive(scenario: ScenarioSpec, cfg: CampaignConfig, ctx: SimContext):
     n_faults = cfg.search.n_faults or len(scenario.targets)
     return exhaustive_search(scenario, cfg.search.space(), n_faults,
                              cfg.search.exhaustive_budget, ctx,
-                             seed=mix64(cfg.master_seed, STEP_EXHAUSTIVE),
-                             max_successes=1)
+                             seed=mix64(cfg.master_seed, STEP_EXHAUSTIVE))
 
 
 def _locate(scenario: ScenarioSpec, cfg: CampaignConfig, ctx: SimContext,
@@ -463,7 +462,7 @@ def run_attack_flow(cfg: CampaignConfig, out_dir=None) -> dict:
                            mix64(cfg.master_seed, STEP_TRANSFER_FINAL))
         blocks.append(final)
         transfer_trials = len(final)
-        best = final_combo(transferred.specs, final)
+        best = final_combo(final)
 
     cascade = [c / best.trials_run for c in (best.prefix_success_counts or ())]
     summary.update({
@@ -511,7 +510,7 @@ def run_exhaustive(cfg: CampaignConfig, out_dir=None) -> dict:
     summary = _base_summary(cfg, "exhaustive", scenario)
     with _persist_on_failure(out_dir, None, summary):
         result = _exhaustive(scenario, cfg, cfg.context())
-    summary["combos"] = [c.to_dict() for c in result.combos]
+    summary["combos"] = [result.combo.to_dict()]
     summary["total_trials"] = result.trials_used
     _persist(out_dir, None, summary)
     return summary

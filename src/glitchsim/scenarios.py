@@ -380,7 +380,7 @@ def load_scenario(name_or_path) -> ScenarioSpec:
     if path.exists():
         try:
             return scenario_from_dict(json.loads(path.read_text()))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, RecursionError) as exc:
             raise ValueError(f"bad scenario file {path}: "
                              f"{type(exc).__name__}: {exc}") from exc
     raise ValueError(f"unknown scenario {key!r} (not a preset, not a file)")

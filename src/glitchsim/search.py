@@ -201,9 +201,7 @@ class TrialBlock:
     def seeds(self) -> array:
         """The seed of every trial, in order."""
         if self._seeds is None:
-            step_hash = mix64(self.step_seed)  # mix64(a, i) == _splitmix64(mix64(a) ^ i)
-            self._seeds = array("Q", [_splitmix64(step_hash ^ i)
-                                      for i in range(self.first, self.first + self.n)])
+            self._seeds = _seed_column(self.step_seed, self.first, self.n)
         return self._seeds
 
     @cached_property
@@ -228,6 +226,11 @@ class _Trials:
     blocks: list[TrialBlock]
 
     @property
+    def trials_used(self) -> int:
+        """The number of trials the step ran."""
+        return sum(map(len, self.blocks))
+
+    @property
     def records(self) -> list[TrialRecord]:
         """The trials as records, in run order."""
         return [rec for block in self.blocks for rec in block]
@@ -236,29 +239,26 @@ class _Trials:
 @dataclass
 class SweepResult(_Trials):
     params: AbsoluteParamSet
-    trials_used: int
-    blocks: list[TrialBlock] = field(default_factory=list)
+    blocks: list[TrialBlock]
 
 
 @dataclass
 class ExhaustiveResult:
-    combos: list[RankedCombo]
+    combo: RankedCombo  # the first success
     trials_used: int
 
 
 @dataclass
 class IntegrateResult(_Trials):
     combos: list[RankedCombo]
-    trials_used: int
-    blocks: list[TrialBlock] = field(default_factory=list)
+    blocks: list[TrialBlock]
 
 
 @dataclass
 class RepeatabilityResult(_Trials):
     best: RankedCombo
     ranking: list[RankedCombo]
-    trials_used: int
-    blocks: list[TrialBlock] = field(default_factory=list)
+    blocks: list[TrialBlock]
 
 
 # ---------------------------------------------------------------------------
@@ -305,6 +305,13 @@ def run_chain_trial(scenario: ScenarioSpec, rel_specs: Sequence[RelSpec],
     return (raw, *_judge(scenario, raw, {}))
 
 
+def _seed_column(step_seed: int, first: int, n: int) -> array:
+    """The seeds of trials first..first+n-1 of a step:
+    ``mix64(step_seed, i) == _splitmix64(mix64(step_seed) ^ i)``."""
+    return array("Q", map(_splitmix64, map(mix64(step_seed).__xor__,
+                                          range(first, first + n))))
+
+
 def run_trials(scenario: ScenarioSpec, combo: Sequence[RelSpec], n: int,
                ctx: SimContext, step: str, step_seed: int,
                first: int = 0) -> TrialBlock:
@@ -344,12 +351,9 @@ def run_trials(scenario: ScenarioSpec, combo: Sequence[RelSpec], n: int,
         if isinstance(by_stalls[()], int):
             return TrialBlock(step, combo, step_seed, first, n, table, by_stalls[()])
 
-    seeds = array("Q")
+    seeds = _seed_column(step_seed, first, n)
     codes = array("B")
-    step_hash = mix64(step_seed)  # mix64(a, i) == _splitmix64(mix64(a) ^ i)
-    for index in range(first, first + n):
-        seed = _splitmix64(step_hash ^ index)
-        seeds.append(seed)
+    for seed in seeds:
         stalls = stall_vector(scenario, max_delay, seed) if max_delay else ()
         code = by_stalls.get(stalls)
         if code is None:
@@ -403,7 +407,7 @@ def sweep(scenario: ScenarioSpec, space: SearchSpace, ctx: SimContext,
         raise IncompleteSweep(missing, len(blocks))
 
     params = AbsoluteParamSet({lbl: tuple(sorted(vals)) for lbl, vals in entries.items()})
-    return SweepResult(params=params, trials_used=len(blocks), blocks=blocks)
+    return SweepResult(params=params, blocks=blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -464,19 +468,14 @@ def integrate(scenario: ScenarioSpec, fuzzy: Sequence[FuzzyInterval],
         [(o, f.width) for o in range(f.lo, f.hi + 1, stride)]
         for f in fuzzy
     ]
-    blocks: list[TrialBlock] = []
-    combos: list[RankedCombo] = []
-    for i, combo in enumerate(itertools.product(*axes)):
-        block = run_trials(scenario, combo, trials_per_combo, ctx, "integrate",
-                           seed, first=i * trials_per_combo)
-        blocks.append(block)
-        if block.successes:
-            combos.append(RankedCombo(specs=tuple(combo), trials_run=trials_per_combo,
-                                      successes=block.successes))
-    trials_used = len(blocks) * trials_per_combo
+    blocks = [run_trials(scenario, combo, trials_per_combo, ctx, "integrate", seed,
+                         first=i * trials_per_combo)
+              for i, combo in enumerate(itertools.product(*axes))]
+    combos = [RankedCombo(block.combo, len(block), block.successes)
+              for block in blocks if block.successes]
     if not combos:
-        raise NoIntegratedSuccess(trials_used)
-    return IntegrateResult(combos=combos, trials_used=trials_used, blocks=blocks)
+        raise NoIntegratedSuccess(sum(map(len, blocks)))
+    return IntegrateResult(combos=combos, blocks=blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -484,19 +483,20 @@ def integrate(scenario: ScenarioSpec, fuzzy: Sequence[FuzzyInterval],
 # ---------------------------------------------------------------------------
 
 def exhaustive_search(scenario: ScenarioSpec, space: SearchSpace, n_faults: int,
-                      budget: int, ctx: SimContext, seed: int = 0,
-                      max_successes: Optional[int] = None) -> ExhaustiveResult:
+                      budget: int, ctx: SimContext, seed: int = 0) -> ExhaustiveResult:
     """Conventional baseline: walk the Cartesian product of per-fault
-    (offset, width) grids depth first in lexicographic order, judging each
-    combination by the overall SF only.  A combo that runs is trial i,
-    ``run_chain_trial`` of the i-th combo at seed ``mix64(seed, i)``.
+    (offset, width) grids depth first in lexicographic order up to the
+    first success, judging each combination by the overall SF only.  A
+    combo that runs is trial i, ``run_chain_trial`` of the i-th combo at
+    seed ``mix64(seed, i)``; the first success at trial i has used i + 1
+    trials.  With none in the budget, raises ``NotFound``.
 
     Without random stalls, a combo or a prefix of it is pruned when one
     of its target instructions ends at or before the prefix's done tick
     and no window of the prefix touches it: later windows start at or
     after that tick and only a touching window skips an instruction, so
     no combo below the prefix can succeed.  Its combos are charged to
-    ``trials_used`` (up to the budget) but never run.  With random stalls
+    the trials used (up to the budget) but never run.  With random stalls
     the targets move from trial to trial and every combo runs.
     """
     if n_faults < 1:
@@ -515,9 +515,6 @@ def exhaustive_search(scenario: ScenarioSpec, space: SearchSpace, n_faults: int,
         (c * K, (c + 1) * K) for t in scenario.targets for c in t.cycles)
     grid = space.grid
     verdicts: dict = {}
-
-    successes: list[RankedCombo] = []
-    trials_used = min(budget, len(grid) ** n_faults)
     for index, combo, windows in _live_combos(grid, n_faults, budget, trigger_tick,
                                               target_ticks):
         trial_seed = mix64(seed, index) if stalled else None
@@ -526,13 +523,8 @@ def exhaustive_search(scenario: ScenarioSpec, space: SearchSpace, n_faults: int,
         if plan.fixed is None and trial_seed is None:
             trial_seed = mix64(seed, index)
         if _judge(scenario, run_plan(plan, trial_seed), verdicts)[0].is_success:
-            successes.append(RankedCombo(specs=combo, trials_run=1, successes=1))
-            if max_successes is not None and len(successes) >= max_successes:
-                trials_used = index + 1
-                break
-    if not successes:
-        raise NotFound(trials_used)
-    return ExhaustiveResult(combos=successes, trials_used=trials_used)
+            return ExhaustiveResult(RankedCombo(combo, 1, 1), index + 1)
+    raise NotFound(min(budget, len(grid) ** n_faults))
 
 
 def _live_combos(grid: Sequence[RelSpec], n_faults: int, budget: int,
@@ -576,26 +568,19 @@ def evaluate_repeatability(scenario: ScenarioSpec, combos: Sequence[RankedCombo]
     if n_rank < 1 or n_final < 1:
         raise ValueError("n_rank and n_final must be >= 1")
 
-    blocks: list[TrialBlock] = []
-    ranking: list[RankedCombo] = []
-    for c_idx, combo in enumerate(combos):
-        block = run_trials(scenario, combo.specs, n_rank, ctx, "rank",
-                           mix64(seed, 1, c_idx))
-        blocks.append(block)
-        ranking.append(RankedCombo(specs=combo.specs, trials_run=n_rank,
-                                   successes=block.successes))
+    blocks = [run_trials(scenario, combo.specs, n_rank, ctx, "rank", mix64(seed, 1, c_idx))
+              for c_idx, combo in enumerate(combos)]
+    ranking = [RankedCombo(block.combo, len(block), block.successes) for block in blocks]
 
     best_idx = max(range(len(ranking)), key=lambda i: (ranking[i].success_rate, -i))
     winner = ranking[best_idx]
 
     final = run_trials(scenario, winner.specs, n_final, ctx, "final", mix64(seed, 2))
     blocks.append(final)
-    return RepeatabilityResult(best=final_combo(winner.specs, final), ranking=ranking,
-                               trials_used=len(combos) * n_rank + n_final,
-                               blocks=blocks)
+    return RepeatabilityResult(best=final_combo(final), ranking=ranking, blocks=blocks)
 
 
-def final_combo(specs: tuple[RelSpec, ...], block: TrialBlock) -> RankedCombo:
+def final_combo(block: TrialBlock) -> RankedCombo:
     """One combo's success count and its per-prefix success counts
     (prefix k: the first k+1 targets all hit in one trial)."""
     prefix_counts = [0] * len(block.table[0][1]) if block.counts else []
@@ -604,8 +589,7 @@ def final_combo(specs: tuple[RelSpec, ...], block: TrialBlock) -> RankedCombo:
             if not hit:
                 break
             prefix_counts[k] += n
-    return RankedCombo(specs=specs, trials_run=len(block), successes=block.successes,
-                       prefix_success_counts=tuple(prefix_counts))
+    return RankedCombo(block.combo, len(block), block.successes, tuple(prefix_counts))
 
 
 # ---------------------------------------------------------------------------

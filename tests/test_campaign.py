@@ -69,6 +69,16 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(path)
 
+    @pytest.mark.parametrize("data", [
+        pytest.param(b"\xff\xfe{}", id="not_utf8"),
+        pytest.param(b"[" * 200_000 + b"]" * 200_000, id="over_nested"),
+    ])
+    def test_undecodable_json_names_file(self, tmp_path, data):
+        path = tmp_path / "bad.json"
+        path.write_bytes(data)
+        with pytest.raises(ConfigError, match=r"bad\.json is not valid JSON"):
+            load_config(path)
+
     def test_json_array_rejected(self, tmp_path):
         path = tmp_path / "array.json"
         path.write_text(json.dumps([dup_config().to_dict()]))

@@ -176,6 +176,17 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "config error" in err and message in err
 
+    def test_over_nested_scenario_file_exit_2(self, dup_cfg_path, tmp_path, capsys):
+        save = tmp_path / "scen.json"
+        save.write_text("[" * 200_000 + "]" * 200_000)
+        data = json.loads(dup_cfg_path.read_text())
+        data["scenario"] = str(save)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        assert main(["flow", "--config", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and f"bad scenario file {save}: RecursionError" in err
+
     def test_bod_unknown_scenario_exit_2(self, tmp_path, capsys):
         data = json.loads((DEMO_CONFIGS / "bod_eval.json").read_text())
         data["scenario"] = "no_such_scenario"

@@ -166,6 +166,7 @@ class TestReadResults:
         '"outcome": {"kind": "success"}, "hits": [true], "seed": 5}',
         '{"step": "final", "combo": [[1, 2]], '
         '"outcome": {"kind": "success"}, "hits": [true], "seed": 5}',
+        pytest.param("[" * 200_000 + "]" * 200_000, id="over_nested"),
     ])
     def test_bad_line_names_file_and_line(self, line, tmp_path):
         good = escaped_records()[:1]

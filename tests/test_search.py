@@ -184,17 +184,16 @@ class TestExhaustive:
         space = SearchSpace(0, 60, width_set=(1,))
         result = exhaustive_search(solo, space, 1, 10_000, perfect_ctx(DOM1))
         assert result.trials_used <= 60
-        assert result.combos[0].specs == ((min(scen.targets[0].cycles), 1),)
+        assert result.combo.specs == ((min(scen.targets[0].cycles), 1),)
 
     def test_lexicographic_first_success_position(self):
         scen = dup_registers(33, 19)
         c1, c2 = (min(t.cycles) for t in scen.targets)
         space = SearchSpace(0, 100, width_set=(1,))
-        result = exhaustive_search(scen, space, 2, 10_000, perfect_ctx(DOM1),
-                                   max_successes=1)
+        result = exhaustive_search(scen, space, 2, 10_000, perfect_ctx(DOM1))
         r2 = c2 - c1 - 1
         assert result.trials_used == c1 * 100 + r2 + 1
-        assert result.combos[0].specs == ((c1, 1), (r2, 1))
+        assert result.combo.specs == ((c1, 1), (r2, 1))
 
     def test_budget_exhaustion(self):
         scen = dup_registers(7, 43)
@@ -218,7 +217,7 @@ class TestExhaustive:
         for seed in range(60):
             try:
                 found = exhaustive_search(scen, space, 2, 4, ctx, seed=seed)
-                won = [c.specs for c in found.combos] == [combo]
+                won = (found.combo.specs, found.trials_used) == (combo, 2)
             except NotFound:
                 won = False
             _, outcome, _ = run_chain_trial(scen, combo, ctx, mix64(seed, 1))
@@ -254,14 +253,13 @@ class TestExhaustive:
             s1, s2 = (min(t.cycles) * 20 for t in scen.targets)
             r2 = s2 - s1 - 10  # half-windows at s1 and s2: grid {s1, r2}
             space = SearchSpace(s1, r2 + 1, width_set=(10,), stride=r2 - s1)
-        combos = list(itertools.product(space.grid, repeat=2))
-        want = [c for i, c in enumerate(combos)
-                if run_chain_trial(scen, c, ctx, mix64(seed, i))[1].is_success]
+        budget = len(space.grid) ** 2
+        want = _exhaustive_oracle(scen, space, 2, budget, ctx, seed)
         try:
-            result = exhaustive_search(scen, space, 2, len(combos), ctx, seed=seed)
-            got = [c.specs for c in result.combos]
-        except NotFound:
-            got = []
+            result = exhaustive_search(scen, space, 2, budget, ctx, seed=seed)
+            got = (result.trials_used, result.combo.specs)
+        except NotFound as exc:
+            got = (exc.trials_used, None)
         assert got == want
 
 
@@ -539,19 +537,17 @@ class TestSweepOracle:
         assert result.params.entries == {lb: tuple(sorted(v)) for lb, v in entries.items()}
 
 
-def _exhaustive_oracle(scen, space, n_faults, budget, ctx, seed, max_successes):
+def _exhaustive_oracle(scen, space, n_faults, budget, ctx, seed):
     """The exhaustive search stated per combo: combo i of the grid's
     product runs as ``run_chain_trial`` at seed mix64(seed, i).  Returns
-    the trials used and the successful combos."""
-    used, wins = 0, []
+    the trials used and the first successful combo, or None."""
+    used = 0
     combos = itertools.product(space.grid, repeat=n_faults)
     for i, combo in enumerate(itertools.islice(combos, budget)):
         used = i + 1
         if run_chain_trial(scen, combo, ctx, mix64(seed, i))[1].is_success:
-            wins.append(combo)
-            if len(wins) == max_successes:
-                break
-    return used, wins
+            return used, combo
+    return used, None
 
 
 EXHAUSTIVE_PRESETS = sorted(name for name in SCENARIO_PRESETS
@@ -562,7 +558,7 @@ EXHAUSTIVE_PRESETS = sorted(name for name in SCENARIO_PRESETS
 @st.composite
 def exhaustive_cases(draw):
     """(preset, model, bod, K, random_delay_max, n_faults, space, budget,
-    max_successes, seed) with a small grid that often holds what a chain
+    seed) with a small grid that often holds what a chain
     needs to hit every target."""
     preset = draw(st.sampled_from(EXHAUSTIVE_PRESETS))
     K = draw(st.sampled_from((1, 2, 5)))
@@ -587,52 +583,48 @@ def exhaustive_cases(draw):
     return (preset, draw(st.sampled_from(SWEEP_MODELS)), draw(bods), K,
             draw(st.sampled_from((0, 0, 0, 2))), n_faults, space,
             draw(st.one_of(st.just(combos), st.integers(1, combos + 1))),
-            draw(st.sampled_from((None, 1))), draw(st.integers(0, 2**64 - 1)))
+            draw(st.integers(0, 2**64 - 1)))
 
 
 class TestExhaustivePruning:
     """The pruned walk against the per-combo oracle: outcome, trials used
-    and the successful combos."""
+    and the first successful combo."""
 
-    @settings(max_examples=400, deadline=None, derandomize=True)
+    @settings(max_examples=400, deadline=None)
     @given(case=exhaustive_cases())
     # successive_shifts at K = 1: LSRS is cycle 5, LSLS cycle 6.  A prefix
     # window [6, 7) ends where LSLS ends (the last window always touches
     # what ends at the cursor) and leaves LSRS, ending at 6, untouched:
     # pruned.  [5, 7) covers both, so its completions all succeed.
     @example(case=("successive_shifts", deterministic_model(), None, 1, 0, 2,
-                   SearchSpace(5, 7, (1, 2)), 16, None, 0))
+                   SearchSpace(5, 7, (1, 2)), 16, 0))
     # [5, 6) leaves LSLS, ending one tick after the cursor, untouched but
     # not pruned: an offset-0 window merges onto it and covers LSLS.
     @example(case=("successive_shifts", deterministic_model(), None, 1, 0, 2,
-                   SearchSpace(0, 6, (1,), 5), 4, None, 0))
+                   SearchSpace(0, 6, (1,), 5), 4, 0))
     # The offset-0 merge inside a three-fault prefix, and a budget that
     # ends inside the pruned subtree of ((5, 1), (5, 1)).
     @example(case=("successive_shifts", deterministic_model(), None, 1, 0, 3,
-                   SearchSpace(0, 6, (1,), 5), 7, None, 0))
+                   SearchSpace(0, 6, (1,), 5), 7, 0))
     # A model that bursts and locks up, over windows that cover the pair.
     @example(case=("successive_shifts", shift_model(), None, 2, 0, 2,
-                   SearchSpace(0, 11, (2, 4), 10), 16, None, 3))
+                   SearchSpace(0, 11, (2, 4), 10), 16, 3))
     # Random stalls move store 1 to cycle 8 + d: the first window at
     # cycle 9 lies past the unstalled store, yet combo 1 succeeds at this
     # seed, so nothing may be pruned.
     @example(case=("dup_registers_7_43", deterministic_model(), None, 1, 2, 2,
-                   SearchSpace(9, 44, (1,), 34), 4, None, 4))
+                   SearchSpace(9, 44, (1,), 34), 4, 4))
     def test_matches_per_combo_oracle(self, case):
-        (preset, model, bod, K, stalls, n_faults, space, budget, max_successes,
-         seed) = case
+        preset, model, bod, K, stalls, n_faults, space, budget, seed = case
         scen = replace(SCENARIO_PRESETS[preset](), random_delay_max=stalls)
         ctx = SimContext(ClockDomains(oversampling=K), model, bod)
-        used, wins = _exhaustive_oracle(scen, space, n_faults, budget, ctx, seed,
-                                        max_successes)
+        used, win = _exhaustive_oracle(scen, space, n_faults, budget, ctx, seed)
         try:
-            result = exhaustive_search(scen, space, n_faults, budget, ctx, seed,
-                                       max_successes)
+            result = exhaustive_search(scen, space, n_faults, budget, ctx, seed)
         except NotFound as exc:
-            assert (exc.trials_used, []) == (used, wins)
+            assert (exc.trials_used, None) == (used, win)
         else:
-            assert (result.trials_used, [c.specs for c in result.combos]) == (used, wins)
-            assert wins
+            assert (result.trials_used, result.combo) == (used, RankedCombo(win, 1, 1))
 
     def test_criterion_4_grid_runs_few_combos(self, monkeypatch):
         """Criterion 4's 4-fault grid charges its 1e7-trial cap but runs
@@ -648,7 +640,7 @@ class TestExhaustivePruning:
         with pytest.raises(NotFound) as exc:
             exhaustive_search(load_scenario("tzm_full_attack"),
                               SearchSpace(0, 100, (1, 2)), 4, 10_000_000,
-                              perfect_ctx(DOM1), max_successes=1)
+                              perfect_ctx(DOM1))
         assert exc.value.trials_used == 10_000_000
         assert runs <= 40_000
 
@@ -783,7 +775,7 @@ class TestTrialBlock:
     and every count a campaign reads off the block against the same count
     over its records."""
 
-    @settings(max_examples=150, deadline=None, derandomize=True)
+    @settings(max_examples=150, deadline=None)
     @given(case=block_cases())
     # Criterion 8's baseline arm: a fixed plan without stalls is one
     # constant code, and no trial runs.
@@ -824,7 +816,7 @@ class TestTrialBlock:
         assert block.successes == sum(r.outcome.is_success for r in records)
         prefixes = [sum(all(r.hits[:k + 1]) for r in records)
                     for k in range(len(scen.targets))] if records else []
-        assert final_combo(combo, block) == RankedCombo(
+        assert final_combo(block) == RankedCombo(
             combo, n, block.successes, tuple(prefixes))
         earlier = scen.targets[0].label
         columns = Counter(_shift_column(r.outcome, earlier) for r in records)
