@@ -177,6 +177,9 @@ class CampaignConfig:
         for name in ("oversampling", "master_seed", "trials", "jobs"):
             check_type(int, name, getattr(self, name))
         check_type(float, "dut_period_ns", self.dut_period_ns)
+        check_type(str, "scenario", self.scenario)
+        if self.transfer_source is not None:
+            check_type(str, "transfer_source", self.transfer_source)
         for name in ("trials", "jobs"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")

@@ -27,12 +27,16 @@ first window that locks up sets the lock tick; no instruction starting
 at or after it is skipped.  A probability of 0 or 1 decides without
 reading its slot.
 
-A trial runs in two steps.  :func:`trial_plan` does the work no draw
-decides: the BOD verdict, the window × instruction overlaps and each
-covered instruction's skip probability.  :func:`run_plan` makes only the
-draws, so a plan compiled once can run many seeds; a plan with no
-probability strictly between 0 and 1 holds its result.
-:func:`execute_trial` is the two steps in one call.
+A trial runs as plan → draw list → one draw pass → decode.
+:func:`trial_plan` does the work no draw decides (the BOD verdict, the
+window × instruction overlaps, each covered instruction's skip
+probability) and lists a (slot offset, threshold) pair per probability
+strictly between 0 and 1: each window's burst and lockup draw, then each
+covered instruction's skip draw.  :func:`run_plan` makes them in one
+pass (:func:`glitchsim.seeding.draw_key`) and decodes the key of their
+outcome bits, so a caller running many seeds decodes each key once.  A
+plan with no draws holds its result.  :func:`execute_trial` is the two
+steps in one call.
 """
 
 from __future__ import annotations
@@ -40,10 +44,10 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from enum import Enum
-from itertools import accumulate
+from itertools import accumulate, count
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .seeding import SLOT_ONE, slot
+from .seeding import SLOT_ONE, draw_key, slot_offset, stall_draws
 
 # First stall slot: far past any window or skip slot, so the ranges are
 # disjoint.
@@ -162,12 +166,15 @@ class RawTrialResult:
 class TrialPlan:
     """What no draw decides about a trial: one ``(index, start tick, window
     bitmask, p_skip)`` entry per effectful instruction a window touches, in
-    stream order, and ``fixed``, the result when nothing can draw."""
+    stream order; ``draws``, the (slot offset, threshold) pair of each
+    draw a trial makes, in the order :func:`run_plan` decodes them; and
+    ``fixed``, the result when nothing can draw."""
 
     starts: tuple[int, ...]
     p_window_burst: float
     p_lockup_per_fault: float
     entries: tuple[tuple[int, int, int, float], ...]
+    draws: tuple[tuple[int, float], ...] = ()
     fixed: Optional[RawTrialResult] = None
 
 
@@ -183,13 +190,12 @@ def trial_plan(scenario, windows, domains, model: FaultResponseModel,
     :func:`stall_shift` keeps them, for the lock tick to end a trial.
     """
     if bod is not None and bod.detects(windows):
-        return TrialPlan((), 0.0, 0.0, (), RawTrialResult(frozenset(), bod_tripped=True))
+        return TrialPlan((), 0.0, 0.0, (),
+                         fixed=RawTrialResult(frozenset(), bod_tripped=True))
 
     K = domains.oversampling
     if cycles is None:
         cycles = scenario.effectful_cycles
-    draws = bool(windows) and (0.0 < model.p_window_burst < 1.0
-                               or 0.0 < model.p_lockup_per_fault < 1.0)
     entries = []
     for ins, cycle in zip(scenario.effectful_instructions, cycles):
         ins_start = cycle * K
@@ -204,41 +210,46 @@ def trial_plan(scenario, windows, domains, model: FaultResponseModel,
                 mask |= 1 << w
                 p_noskip *= 1.0 - model.skip_probability(ins.effect, overlap / K)
         if mask:
-            p_skip = 1.0 - p_noskip
-            draws = draws or 0.0 < p_skip < 1.0
-            entries.append((ins.index, ins_start, mask, p_skip))
+            entries.append((ins.index, ins_start, mask, 1.0 - p_noskip))
 
+    W = len(windows)
+    draws = [(slot_offset(k), p * SLOT_ONE) for w in range(W) for k, p in
+             ((2 * w, model.p_window_burst), (2 * w + 1, model.p_lockup_per_fault))
+             if 0.0 < p < 1.0]
+    draws += [(slot_offset(2 * W + index), p_skip * SLOT_ONE)
+              for index, _, _, p_skip in entries if 0.0 < p_skip < 1.0]
     plan = TrialPlan(tuple(start for start, _ in windows), model.p_window_burst,
-                     model.p_lockup_per_fault, tuple(entries))
+                     model.p_lockup_per_fault, tuple(entries), tuple(draws))
     if not draws:
         plan.fixed = run_plan(plan, None)
     return plan
 
 
 def run_plan(plan: TrialPlan, seed) -> RawTrialResult:
-    """Make the plan's draws for one trial seed: burst (slot 2w) and
-    lockup (slot 2w+1) per window, then a skip draw (slot 2W + index) per
-    covered instruction that no burst took, up to the first lock tick."""
+    """Decode the draw key of the trial at ``seed``: the windows that
+    burst, the first lock tick, then each covered instruction before it
+    that a bursting window touches or whose skip draw fires."""
     if plan.fixed is not None:
         return plan.fixed
-    p_burst, p_lockup = plan.p_window_burst, plan.p_lockup_per_fault
-    bursts = (1 << len(plan.starts)) - 1 if p_burst >= 1.0 else 0
-    lock_tick = plan.starts[0] if p_lockup >= 1.0 and plan.starts else None
-    if 0.0 < p_burst < 1.0 or 0.0 < p_lockup < 1.0:
-        for w, start in enumerate(plan.starts):
-            if 0.0 < p_burst < 1.0 and slot(seed, 2 * w) < p_burst * SLOT_ONE:
-                bursts |= 1 << w
-            if (0.0 < p_lockup < 1.0 and lock_tick is None
-                    and slot(seed, 2 * w + 1) < p_lockup * SLOT_ONE):
-                lock_tick = start
+    key = draw_key(seed, plan.draws)
+    outcomes = (key >> j & 1 for j in count())
+
+    def fires(p: float) -> bool:
+        """The next draw's outcome if p draws, else whether p is 1."""
+        return next(outcomes) == 1 if 0.0 < p < 1.0 else p >= 1.0
+
+    bursts, lock_tick = 0, None
+    for w, start in enumerate(plan.starts):
+        if fires(plan.p_window_burst):
+            bursts |= 1 << w
+        if fires(plan.p_lockup_per_fault) and lock_tick is None:
+            lock_tick = start
 
     skipped = []
     for index, start, mask, p_skip in plan.entries:
         if lock_tick is not None and start >= lock_tick:
             break  # device froze in an erroneous state
-        if mask & bursts or p_skip >= 1.0:
-            skipped.append(index)
-        elif p_skip > 0.0 and slot(seed, 2 * len(plan.starts) + index) < p_skip * SLOT_ONE:
+        if fires(p_skip) or mask & bursts:
             skipped.append(index)
     return RawTrialResult(frozenset(skipped), lock_tick is not None)
 
@@ -254,9 +265,7 @@ def execute_trial(scenario, windows, domains, model: FaultResponseModel,
 def stall_vector(scenario, max_delay_cycles: int, seed: int) -> tuple[int, ...]:
     """One stall of 0..max_delay_cycles per delay point: the stall before
     point d is (m·(max+1)) >> 53 of the trial seed's slot STALL_SLOT0 + d."""
-    span = max_delay_cycles + 1
-    return tuple([(slot(seed, k) * span) >> 53
-                  for k in range(STALL_SLOT0, STALL_SLOT0 + len(scenario.delay_points))])
+    return stall_draws(seed, STALL_SLOT0, len(scenario.delay_points), max_delay_cycles + 1)
 
 
 def shift_by(scenario, stalls: Sequence[int]):

@@ -24,7 +24,7 @@ from .dut import (BodModel, FaultResponseModel, apply_random_delays,
 from .errors import (IncompleteSweep, NoIntegratedSuccess, NotFound,
                      OverlapError, TransferInvalid)
 from .scenarios import Outcome, ScenarioSpec, classify
-from .seeding import _splitmix64, mix64
+from .seeding import _splitmix64, draw_key, mix64
 from .timing import ClockDomains
 
 RelSpec = tuple[int, int]  # (relative offset, width) in ticks
@@ -322,28 +322,30 @@ def run_trials(scenario: ScenarioSpec, combo: Sequence[RelSpec], n: int,
     per stall vector.  A vector whose plan holds its result has one
     verdict code, so such a trial costs its seed and stall draws only;
     without stalls, a plan that holds its result makes the block one
-    constant code and runs no trial at all.
+    constant code and runs no trial at all.  Otherwise a trial costs its
+    seed, one draw pass and one lookup of its draw key: a trial's result
+    is a function of the key, so ``run_plan`` runs once per key a plan
+    meets.
     """
     combo = tuple(combo)
     windows = _windows(scenario, combo, ctx)
     max_delay = scenario.random_delay_max
     table: list[Verdict] = []
     positions: dict[Verdict, int] = {}
-    known: dict = {}  # raw result -> code
 
     def code_of(raw) -> int:
         verdict = _judge(scenario, raw, {})
-        code = known[raw] = positions.setdefault(verdict, len(table))
+        code = positions.setdefault(verdict, len(table))
         if code == len(table):
             table.append(verdict)
         return code
 
     def entry(stalls):
         """The code of the stall vector's plan if it holds its result,
-        else the plan."""
+        else the plan and its draw key -> code memo."""
         plan = trial_plan(scenario, windows, ctx.domains, ctx.model, ctx.bod,
                           _stalled(scenario, stalls))
-        return plan if plan.fixed is None else code_of(plan.fixed)
+        return (plan, {}) if plan.fixed is None else code_of(plan.fixed)
 
     by_stalls: dict = {}  # stall vector -> entry(stall vector)
     if not max_delay:
@@ -359,10 +361,11 @@ def run_trials(scenario: ScenarioSpec, combo: Sequence[RelSpec], n: int,
         if code is None:
             code = by_stalls[stalls] = entry(stalls)
         if not isinstance(code, int):
-            raw = run_plan(code, seed)
-            code = known.get(raw)
+            plan, memo = code
+            key = draw_key(seed, plan.draws)
+            code = memo.get(key)
             if code is None:
-                code = code_of(raw)
+                code = memo[key] = code_of(run_plan(plan, seed))
         try:
             codes.append(code)
         except OverflowError:
@@ -531,18 +534,27 @@ def _live_combos(grid: Sequence[RelSpec], n_faults: int, budget: int,
                  trigger_tick: int, target_ticks: Sequence[tuple[int, int]]):
     """(i, combo, windows) for each combo i < budget of ``grid ** n_faults``,
     in lexicographic order, that is not doomed and lies below no doomed
-    prefix."""
+    prefix.
+
+    A live prefix with done tick c touches every target that ends at or
+    before c; its child (o, w) adds a window from c + o, which touches
+    every target that ends in (c + o, c + o + w].  So the child is doomed
+    exactly when a target the prefix leaves untouched ends in (c, c + o],
+    whatever w.  ``grid`` must list its offsets in ascending order, as
+    ``SearchSpace.grid`` does: then every sibling after the first doomed
+    child is doomed too, and the walk leaves the node there."""
     def walk(prefix, first, size):  # size: combos below each child
         for spec in grid:
             if first >= budget:
                 return
             child = prefix + (spec,)
             windows, cursor = chain_windows(child, trigger_tick)
-            if not _doomed(target_ticks, windows, cursor):
-                if size == 1:
-                    yield first, child, windows
-                else:
-                    yield from walk(child, first, size // len(grid))
+            if _doomed(target_ticks, windows, cursor):
+                return
+            if len(child) == n_faults:
+                yield first, child, windows
+            else:
+                yield from walk(child, first, size // len(grid))
             first += size
     return walk((), 0, len(grid) ** (n_faults - 1))
 

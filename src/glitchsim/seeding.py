@@ -7,7 +7,9 @@ index alone, never on the order trials run in.
 
 A trial's random draws are counter-based: draw slot k of the trial at
 seed s is the (k+1)-th output of a splitmix64 stream started at s, so
-any slot can be read without the ones before it.
+any slot can be read without the ones before it (Salmon et al., SC'11).
+:func:`slot` states the rule; :func:`draw_key` and :func:`stall_draws`
+make a trial's draws by it, each in one inlined pass.
 """
 
 _MASK = 0xFFFFFFFFFFFFFFFF
@@ -34,6 +36,43 @@ def slot(seed: int, k: int) -> int:
     splitmix64 output mix of (seed + (k+1)·γ) mod 2**64 (``_splitmix64``
     adds one γ itself)."""
     return _splitmix64((seed + k * _GAMMA) & _MASK) >> 11
+
+
+def slot_offset(k: int) -> int:
+    """What slot k adds to the seed: (k+1)·γ mod 2**64."""
+    return ((k + 1) * _GAMMA) & _MASK
+
+
+def draw_key(seed: int, draws) -> int:
+    """Make every draw of ``draws``, (slot offset, threshold) pairs, for
+    the trial at ``seed``: bit j of the key is set when draw j's slot value
+    m is below its threshold.  A threshold p * SLOT_ONE makes the bit the
+    draw u < p.  Same as ``slot``, without a call per draw."""
+    key = 0
+    bit = 1
+    for offset, threshold in draws:
+        x = (seed + offset) & _MASK
+        x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+        x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK
+        if (x ^ (x >> 31)) >> 11 < threshold:
+            key |= bit
+        bit <<= 1
+    return key
+
+
+def stall_draws(seed: int, k: int, n: int, span: int) -> tuple[int, ...]:
+    """(m·span) >> 53, a uniform integer in [0, span), for each slot
+    k..k+n-1 of the trial at ``seed``, in the inlined pass of
+    :func:`draw_key`."""
+    stalls = []
+    z = (seed + k * _GAMMA) & _MASK
+    for _ in range(n):
+        z += _GAMMA
+        x = z & _MASK
+        x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+        x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK
+        stalls.append((((x ^ (x >> 31)) >> 11) * span) >> 53)
+    return tuple(stalls)
 
 
 def mix64(*parts: int) -> int:

@@ -111,6 +111,22 @@ class TestExitCodes:
         assert main([command, "--config", str(bad)]) == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [
+        ("scenario", 5),
+        ("scenario", ["dup_registers_7_43"] * 100),
+        ("transfer_source", 5),  # beside a cooperative scenario, which never reads it
+    ])
+    def test_non_string_scenario_name_exit_2(self, dup_cfg_path, tmp_path, capsys,
+                                             key, value):
+        data = json.loads(dup_cfg_path.read_text())
+        data[key] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        assert main(["flow", "--config", str(bad), "--out", str(tmp_path / "run")]) == 2
+        assert f"config error: bad campaign config: {key} must be a string" in (
+            capsys.readouterr().err)
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize("command", ["flow", "exhaustive", "countermeasure"])
     def test_target_outside_stream_exit_2(self, dup_cfg_path, tmp_path, capsys,
                                           command):

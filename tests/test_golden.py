@@ -31,6 +31,10 @@ CASES = {
     "countermeasure": lambda out: run_countermeasure_eval(CampaignConfig(
         scenario="dup_registers_7_43", oversampling=20, model=dup_register_model(),
         trials=3000, master_seed=21), 9, out),
+    # Random stalls under burst and lockup draws, persisted.
+    "countermeasure_shift": lambda out: run_countermeasure_eval(CampaignConfig(
+        scenario="successive_shifts", oversampling=20, model=shift_model(),
+        trials=3000, master_seed=17), 3, out),
     # Random stalls under a model that never draws: a constant baseline
     # column and one verdict per stall vector, persisted.
     "countermeasure_deterministic": lambda out: run_countermeasure_eval(CampaignConfig(
@@ -57,6 +61,10 @@ GOLDEN = {
     "countermeasure": {
         "summary.json": "b91e496f46bae9a92e4089bffab682219ae3d66acb96cc7814cc0d3077cb443b",
         "results.jsonl": "5b11bd8a645d595ffb18980381c2d1a718b91f06d6a06c40315ec61ea0275a0f",
+    },
+    "countermeasure_shift": {
+        "summary.json": "ecf645b1c7b78f180511322c0a50a553dc5a4d2a4582aca2b6a276099983ae05",
+        "results.jsonl": "e50aaab8d2f28c67c128f4656f5177c171663a9b79c03fe8daee161b45234d37",
     },
     "countermeasure_deterministic": {
         "summary.json": "9a27f0bdca84e6124475e718c35b2e65a55cc0e4319c2608a13f768626fcb26f",

@@ -11,7 +11,7 @@ from glitchsim.calibration import (deterministic_model, dup_register_model,
                                    shift_model)
 from glitchsim.campaign import (DISTRIBUTION_COLUMNS, MODEL_PRESETS, _distribution,
                                 _shift_column, nominal_combo)
-from glitchsim.chain import ChainConfig, simulate_chain
+from glitchsim.chain import ChainConfig, chain_windows, simulate_chain
 from glitchsim.dut import (BodModel, FaultResponseModel, RawTrialResult,
                            apply_random_delays, run_plan, stall_shift,
                            trial_plan)
@@ -626,6 +626,41 @@ class TestExhaustivePruning:
         else:
             assert (result.trials_used, result.combo) == (used, RankedCombo(win, 1, 1))
 
+    @settings(max_examples=300, deadline=None)
+    @given(offset_min=st.integers(0, 12), n_offsets=st.integers(1, 6),
+           stride=st.integers(1, 7),
+           widths=st.lists(st.integers(1, 9), min_size=1, max_size=3, unique=True),
+           n_faults=st.integers(1, 3), trigger_tick=st.integers(0, 10),
+           targets=st.lists(st.tuples(st.integers(0, 60), st.integers(1, 4)),
+                            max_size=4),
+           budget_cut=st.integers(0, 400))
+    def test_walk_matches_full_walk(self, offset_min, n_offsets, stride, widths,
+                                    n_faults, trigger_tick, targets, budget_cut):
+        """Leaving a node at its first doomed child yields what the full
+        walk yields: every combo below the budget with no doomed prefix,
+        its index and its windows, over grids of any width order."""
+        space = SearchSpace(offset_min, offset_min + stride * n_offsets, tuple(widths),
+                            stride)
+        grid = space.grid
+        budget = max(1, len(grid) ** n_faults - budget_cut)
+        target_ticks = [(s, s + n) for s, n in targets]
+
+        def doomed(windows, cursor):
+            return any(end <= cursor and not any(lo < end and start < hi
+                                                 for lo, hi in windows)
+                       for start, end in target_ticks)
+
+        want = []
+        combos = itertools.product(grid, repeat=n_faults)
+        for index, combo in enumerate(itertools.islice(combos, budget)):
+            prefixes = [chain_windows(combo[:k], trigger_tick)
+                        for k in range(1, n_faults + 1)]
+            if not any(doomed(*prefix) for prefix in prefixes):
+                want.append((index, combo, prefixes[-1][0]))
+        got = list(search._live_combos(grid, n_faults, budget, trigger_tick,
+                                       target_ticks))
+        assert got == want
+
     def test_criterion_4_grid_runs_few_combos(self, monkeypatch):
         """Criterion 4's 4-fault grid charges its 1e7-trial cap but runs
         only the combos below prefixes that can still succeed."""
@@ -692,15 +727,21 @@ class TestTrialPlan:
                 want.skipped, want.locked_up, want.bod_tripped)
 
     def test_memoised_run_trials_match_per_trial_oracle(self):
-        scen = replace(dup_registers(7, 43), random_delay_max=9)
-        combo = translate_to_relative([(min(t.cycles) * 20 + 5, 15)
-                                       for t in scen.targets])
-        ctx = SimContext(DOM20, dup_register_model())
-        records = run_trials(scen, combo, 1500, ctx, "delayed", 41)
-        for index, rec in enumerate(records):
-            _, outcome, hits = _oracle_trial(scen, combo, ctx, rec.seed)
-            assert (rec.outcome, rec.hits) == (outcome, hits), index
-        assert len({rec.outcome for rec in records}) > 1
+        """Stalls under skip draws, under burst and lockup draws, and under
+        the skip draws of the four-target stream."""
+        for scen, model, max_delay in (
+                (dup_registers(7, 43), dup_register_model(), 9),
+                (SCENARIO_PRESETS["successive_shifts"](), shift_model(), 3),
+                (SCENARIO_PRESETS["tzm_full_attack"](), MODEL_PRESETS["tzm"](), 2)):
+            scen = replace(scen, random_delay_max=max_delay)
+            combo = translate_to_relative(sorted((min(t.cycles) * 20 + 5, 15)
+                                                 for t in scen.targets))
+            ctx = SimContext(DOM20, model)
+            records = run_trials(scen, combo, 1500, ctx, "delayed", 41)
+            for index, rec in enumerate(records):
+                _, outcome, hits = _oracle_trial(scen, combo, ctx, rec.seed)
+                assert (rec.outcome, rec.hits) == (outcome, hits), (scen.name, index)
+            assert len({rec.outcome for rec in records}) > 1, scen.name
 
 
 class TestDrawSlots:
