@@ -20,6 +20,7 @@ import json
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from enum import Enum
+from itertools import count, islice
 from pathlib import Path
 from typing import Optional
 
@@ -31,7 +32,7 @@ from .search import (SearchSpace, SimContext, TrialBlock, TrialRecord,
                      evaluate_repeatability, exhaustive_search, final_combo,
                      fuzzyfy, integrate, run_trials, sweep,
                      transfer_parameters, translate_to_relative)
-from .seeding import RNG_SCHEME, mix64
+from .seeding import MAX_SPAN, RNG_SCHEME, mix64
 from .timing import ClockDomains, FaultSpec, split_fault, ticks_from_ns
 
 SUMMARY_SCHEMA_VERSION = 1
@@ -240,22 +241,32 @@ def load_config(path) -> CampaignConfig:
 # Persistence
 # ---------------------------------------------------------------------------
 
-def _rows(data, build):
-    """Yield (seed, build(step, combo, outcome, hits)) for every trial of
-    ``data``, a sequence of trial blocks or of records: all a persisted
-    line or row holds besides its seed and position.  ``build`` runs once
-    per verdict in a block's table, and once per distinct key of the
-    records."""
-    built = {}
-    for item in data:
+# Lines per write: a block's text is joined one slice at a time, never
+# whole, so a large block adds no more than a slice of text to the heap.
+_LINES = 1024
+
+
+def _runs(data, build):
+    """Yield (seeds, texts) for each run of at most _LINES consecutive
+    trials of ``data``, a sequence of trial blocks or of records, where
+    ``texts`` holds build(step, combo, outcome, hits) of each trial: all a
+    persisted line or row holds besides its seed and position.  ``build``
+    runs once per verdict in a block's table, and once per distinct key
+    of the records."""
+    built, items = {}, iter(data)
+    for item in items:
         if isinstance(item, TrialBlock):
             values = [build(item.step, item.combo, *verdict) for verdict in item.table]
-            yield from zip(item.seeds(), map(values.__getitem__, item.code_column()))
+            seeds, codes = item.seeds(), iter(item.code_column())
+            for start in range(0, item.n, _LINES):
+                run = seeds[start:start + _LINES]
+                yield run, map(values.__getitem__, islice(codes, len(run)))
         else:
-            key = (item.step, item.combo, item.outcome, item.hits)
-            if key not in built:
+            run = [item, *islice(items, _LINES - 1)]
+            keys = [(rec.step, rec.combo, rec.outcome, rec.hits) for rec in run]
+            for key in set(keys) - built.keys():
                 built[key] = build(*key)
-            yield item.seed, built[key]
+            yield [rec.seed for rec in run], map(built.__getitem__, keys)
 
 
 def _line_parts(step, combo, outcome, hits) -> tuple[str, str]:
@@ -276,8 +287,11 @@ def write_results(data, path) -> None:
     """Append-order line-delimited JSON of ``data``, trial blocks or
     records; a trial's ``trial`` is its position."""
     with open(path, "w") as fh:
-        for i, (seed, (head, middle)) in enumerate(_rows(data, _line_parts)):
-            fh.write(f"{head}{seed}{middle}{i}}}\n")
+        trial = 0
+        for seeds, parts in _runs(data, _line_parts):
+            fh.write("".join([f"{head}{seed}{middle}{i}}}\n" for i, seed, (head, middle)
+                              in zip(count(trial), seeds, parts)]))
+            trial += len(seeds)
 
 
 def read_results(path) -> list[TrialRecord]:
@@ -326,8 +340,10 @@ def results_to_report(data, csv_path) -> int:
     rows = 0
     with open(csv_path, "w", newline="") as dst:
         csv.writer(dst).writerow(REPORT_COLUMNS)
-        for rows, (seed, cells) in enumerate(_rows(data, _report_cells), 1):
-            dst.write(f"{rows - 1},{cells},{seed}\r\n")
+        for seeds, cells in _runs(data, _report_cells):
+            dst.write("".join([f"{i},{text},{seed}\r\n" for i, seed, text
+                               in zip(count(rows), seeds, cells)]))
+            rows += len(seeds)
     return rows
 
 
@@ -644,8 +660,8 @@ def run_countermeasure_eval(cfg: CampaignConfig, max_delay_cycles: int,
     The same nominal combo, trial count and seeds are used with the
     countermeasure off and on; the factor is rate_off / rate_on.
     """
-    if max_delay_cycles < 0:
-        raise ConfigError("max_delay_cycles must be >= 0")
+    if not 0 <= max_delay_cycles < MAX_SPAN:
+        raise ConfigError(f"max_delay_cycles must be in [0, {MAX_SPAN - 1}]")
     scenario = cfg.load_scenario()
     ctx = cfg.context()
     combo = nominal_combo(scenario, cfg.domains)

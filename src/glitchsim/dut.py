@@ -32,11 +32,12 @@ A trial runs as plan → draw list → one draw pass → decode.
 window × instruction overlaps, each covered instruction's skip
 probability) and lists a (slot offset, threshold) pair per probability
 strictly between 0 and 1: each window's burst and lockup draw, then each
-covered instruction's skip draw.  :func:`run_plan` makes them in one
-pass (:func:`glitchsim.seeding.draw_key`) and decodes the key of their
-outcome bits, so a caller running many seeds decodes each key once.  A
-plan with no draws holds its result.  :func:`execute_trial` is the two
-steps in one call.
+covered instruction's skip draw.  :func:`glitchsim.seeding.draw_key`
+makes them in one pass, and :func:`decode` turns the key of their
+outcome bits into the result; :func:`run_plan` is the two for one seed.
+A caller running many seeds makes their keys in lanes and decodes each
+distinct key once.  A plan with no draws holds its result.
+:func:`execute_trial` is plan and run in one call.
 """
 
 from __future__ import annotations
@@ -167,7 +168,7 @@ class TrialPlan:
     """What no draw decides about a trial: one ``(index, start tick, window
     bitmask, p_skip)`` entry per effectful instruction a window touches, in
     stream order; ``draws``, the (slot offset, threshold) pair of each
-    draw a trial makes, in the order :func:`run_plan` decodes them; and
+    draw a trial makes, in the order :func:`decode` reads them; and
     ``fixed``, the result when nothing can draw."""
 
     starts: tuple[int, ...]
@@ -221,17 +222,15 @@ def trial_plan(scenario, windows, domains, model: FaultResponseModel,
     plan = TrialPlan(tuple(start for start, _ in windows), model.p_window_burst,
                      model.p_lockup_per_fault, tuple(entries), tuple(draws))
     if not draws:
-        plan.fixed = run_plan(plan, None)
+        plan.fixed = decode(plan, 0)
     return plan
 
 
-def run_plan(plan: TrialPlan, seed) -> RawTrialResult:
-    """Decode the draw key of the trial at ``seed``: the windows that
-    burst, the first lock tick, then each covered instruction before it
-    that a bursting window touches or whose skip draw fires."""
-    if plan.fixed is not None:
-        return plan.fixed
-    key = draw_key(seed, plan.draws)
+def decode(plan: TrialPlan, key: int) -> RawTrialResult:
+    """The result of a trial of a plan that draws, when bit j of ``key`` is
+    the outcome of ``plan.draws[j]``: the windows that burst, the first
+    lock tick, then each covered instruction before it that a bursting
+    window touches or whose skip draw fires."""
     outcomes = (key >> j & 1 for j in count())
 
     def fires(p: float) -> bool:
@@ -252,6 +251,14 @@ def run_plan(plan: TrialPlan, seed) -> RawTrialResult:
         if fires(p_skip) or mask & bursts:
             skipped.append(index)
     return RawTrialResult(frozenset(skipped), lock_tick is not None)
+
+
+def run_plan(plan: TrialPlan, seed) -> RawTrialResult:
+    """The trial of ``plan`` at ``seed``: its held result, or the decode of
+    the seed's draw key."""
+    if plan.fixed is not None:
+        return plan.fixed
+    return decode(plan, draw_key(seed, plan.draws))
 
 
 def execute_trial(scenario, windows, domains, model: FaultResponseModel,

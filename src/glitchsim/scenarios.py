@@ -17,6 +17,7 @@ from typing import Callable, Optional
 
 from .dut import Effect, INERT_EFFECTS, Instruction, RawTrialResult
 from .errors import check_type
+from .seeding import MAX_SPAN
 
 SCHEMA_VERSION = 1
 
@@ -53,6 +54,8 @@ class ScenarioSpec:
         for name in ("trigger_cycle", "random_delay_max"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
+        if self.random_delay_max >= MAX_SPAN:  # stalls are drawn from 0..max
+            raise ValueError(f"random_delay_max must be <= {MAX_SPAN - 1}")
         self.target_indices  # every target must name instructions of the stream
         if any(c < self.trigger_cycle for t in self.targets for c in t.cycles):
             raise ValueError("every target cycle must lie at or after trigger_cycle")

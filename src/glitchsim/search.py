@@ -19,12 +19,13 @@ from typing import Optional, Sequence, Union
 from .chain import ChainConfig, chain_windows, simulate_chain
 # apply_random_delays and execute_trial stay bound for bench/run.py, which
 # traces the trial layers here by name; trials run on the plan instead.
-from .dut import (BodModel, FaultResponseModel, apply_random_delays,
-                  execute_trial, run_plan, shift_by, stall_vector, trial_plan)
+from .dut import (STALL_SLOT0, BodModel, FaultResponseModel, apply_random_delays,
+                  decode, execute_trial, run_plan, shift_by, stall_vector, trial_plan)
 from .errors import (IncompleteSweep, NoIntegratedSuccess, NotFound,
                      OverlapError, TransferInvalid)
 from .scenarios import Outcome, ScenarioSpec, classify
-from .seeding import _splitmix64, draw_key, mix64
+from .seeding import (LANES, draw_key, draw_key_column, mix64, seed_column,
+                      stall_column)
 from .timing import ClockDomains
 
 RelSpec = tuple[int, int]  # (relative offset, width) in ticks
@@ -175,9 +176,8 @@ class TrialBlock:
 
     Trial ``first + k`` has the verdict ``table[codes[k]]`` and the seed
     ``mix64(step_seed, first + k)``.  ``codes`` is one int when every
-    trial has the same verdict.  Seeds the trials drew from are kept;
-    otherwise they are derived when first read.  Iterating a block yields
-    its trials as records.
+    trial has the same verdict.  The seeds are derived, in lanes, when
+    first read.  Iterating a block yields its trials as records.
     """
 
     step: str
@@ -187,7 +187,7 @@ class TrialBlock:
     n: int
     table: list[Verdict]
     codes: Union[int, array]
-    _seeds: Optional[array] = field(default=None, repr=False)
+    _seeds: Optional[array] = field(default=None, init=False, repr=False)
 
     def __len__(self) -> int:
         return self.n
@@ -201,7 +201,7 @@ class TrialBlock:
     def seeds(self) -> array:
         """The seed of every trial, in order."""
         if self._seeds is None:
-            self._seeds = _seed_column(self.step_seed, self.first, self.n)
+            self._seeds = seed_column(self.step_seed, self.first, self.n)
         return self._seeds
 
     @cached_property
@@ -305,13 +305,6 @@ def run_chain_trial(scenario: ScenarioSpec, rel_specs: Sequence[RelSpec],
     return (raw, *_judge(scenario, raw, {}))
 
 
-def _seed_column(step_seed: int, first: int, n: int) -> array:
-    """The seeds of trials first..first+n-1 of a step:
-    ``mix64(step_seed, i) == _splitmix64(mix64(step_seed) ^ i)``."""
-    return array("Q", map(_splitmix64, map(mix64(step_seed).__xor__,
-                                          range(first, first + n))))
-
-
 def run_trials(scenario: ScenarioSpec, combo: Sequence[RelSpec], n: int,
                ctx: SimContext, step: str, step_seed: int,
                first: int = 0) -> TrialBlock:
@@ -319,13 +312,14 @@ def run_trials(scenario: ScenarioSpec, combo: Sequence[RelSpec], n: int,
     trial i is seeded mix64(step_seed, i).
 
     The windows are the same in every trial, so they are compiled once
-    per stall vector.  A vector whose plan holds its result has one
-    verdict code, so such a trial costs its seed and stall draws only;
-    without stalls, a plan that holds its result makes the block one
-    constant code and runs no trial at all.  Otherwise a trial costs its
-    seed, one draw pass and one lookup of its draw key: a trial's result
-    is a function of the key, so ``run_plan`` runs once per key a plan
-    meets.
+    per stall vector.  Without stalls, a plan that holds its result makes
+    the block one constant code and runs no trial; otherwise the block's
+    draw keys are made in lanes, and as a trial's result is a function of
+    its key, ``decode`` runs once per distinct key.  With stalls, the
+    stall vectors are made in lanes, ``LANES`` trials at a time; a vector
+    whose plan holds its result has one code, and a trial whose vector's
+    plan draws makes its own draw key.  No seed is kept: the block
+    derives them when they are read.
     """
     combo = tuple(combo)
     windows = _windows(scenario, combo, ctx)
@@ -347,31 +341,50 @@ def run_trials(scenario: ScenarioSpec, combo: Sequence[RelSpec], n: int,
                           _stalled(scenario, stalls))
         return (plan, {}) if plan.fixed is None else code_of(plan.fixed)
 
-    by_stalls: dict = {}  # stall vector -> entry(stall vector)
-    if not max_delay:
-        by_stalls[()] = entry(())
-        if isinstance(by_stalls[()], int):
-            return TrialBlock(step, combo, step_seed, first, n, table, by_stalls[()])
+    def learn(plan, memo: dict, keys):
+        """Decode each key of ``keys`` that ``memo`` lacks into it."""
+        for key in set(keys) - memo.keys():
+            memo[key] = code_of(decode(plan, key))
 
-    seeds = _seed_column(step_seed, first, n)
+    if not max_delay:
+        only = entry(())
+        if isinstance(only, int):
+            return TrialBlock(step, combo, step_seed, first, n, table, only)
+        plan, memo = only
+        keys = draw_key_column(step_seed, first, n, plan.draws)
+        learn(plan, memo, keys)
+        codes = _widened(array("B"), len(table))
+        codes.extend(map(memo.__getitem__, keys))
+        return TrialBlock(step, combo, step_seed, first, n, table, codes)
+
+    by_stalls: dict = {}  # stall vector -> entry(stall vector)
     codes = array("B")
-    for seed in seeds:
-        stalls = stall_vector(scenario, max_delay, seed) if max_delay else ()
-        code = by_stalls.get(stalls)
-        if code is None:
-            code = by_stalls[stalls] = entry(stalls)
-        if not isinstance(code, int):
-            plan, memo = code
-            key = draw_key(seed, plan.draws)
-            code = memo.get(key)
-            if code is None:
-                code = memo[key] = code_of(run_plan(plan, seed))
-        try:
-            codes.append(code)
-        except OverflowError:
-            codes = array(_WIDER[codes.typecode], codes)
-            codes.append(code)
-    return TrialBlock(step, combo, step_seed, first, n, table, codes, seeds)
+    for start in range(first, first + n, LANES):
+        size = min(LANES, first + n - start)
+        vectors = stall_column(step_seed, start, size, STALL_SLOT0,
+                               len(scenario.delay_points), max_delay + 1)
+        distinct = set(vectors)
+        for stalls in distinct - by_stalls.keys():
+            by_stalls[stalls] = entry(stalls)
+        column = list(map(by_stalls.__getitem__, vectors))
+        if not all(isinstance(by_stalls[stalls], int) for stalls in distinct):
+            seeds = seed_column(step_seed, start, size)
+            for i, (code, seed) in enumerate(zip(column, seeds)):
+                if not isinstance(code, int):
+                    plan, memo = code
+                    key = draw_key(seed, plan.draws)
+                    learn(plan, memo, (key,))
+                    column[i] = memo[key]
+        codes = _widened(codes, len(table))
+        codes.extend(column)
+    return TrialBlock(step, combo, step_seed, first, n, table, codes)
+
+
+def _widened(codes: array, size: int) -> array:
+    """``codes``, widened until its type holds every code below ``size``."""
+    while size > 1 << 8 * codes.itemsize:
+        codes = array(_WIDER[codes.typecode], codes)
+    return codes
 
 
 # ---------------------------------------------------------------------------

@@ -164,6 +164,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("path, value, message", [
         (("cooperative",), "false", "cooperative must be true or false"),
         (("random_delay_max",), 2.9, "random_delay_max must be an integer"),
+        (("random_delay_max",), 2**32, "random_delay_max must be <= 4294967295"),
         (("trigger_cycle",), 1.0, "trigger_cycle must be an integer"),
         (("instructions", 3, "cycle"), 3.5, "instruction cycle must be an integer"),
         (("targets", 1, "cycles", 0), True, "target cycle must be an integer"),
@@ -337,6 +338,15 @@ class TestCommands:
         assert main(["countermeasure", "--config", str(dup_cfg_path),
                      "--max-delay", "0", "--trials", "100"]) == 0
         assert "degradation factor 1.00" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("max_delay, code", [(2**32 - 1, 0), (2**32, 2)])
+    def test_max_delay_bound(self, dup_cfg_path, capsys, max_delay, code):
+        """Stalls of up to 2**32 - 1 cycles run; a longer maximum is a
+        config error, not a run whose stalls the lanes cannot hold."""
+        assert main(["countermeasure", "--config", str(dup_cfg_path),
+                     "--max-delay", str(max_delay), "--trials", "50"]) == code
+        if code:
+            assert "max_delay_cycles must be in [0, 4294967295]" in capsys.readouterr().err
 
     def test_bod(self, tmp_path, capsys):
         cfg = {"scenario": "bod_scenario",

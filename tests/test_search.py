@@ -864,6 +864,26 @@ class TestTrialBlock:
         assert _distribution(block, earlier) == {
             col: columns[col] for col in DISTRIBUTION_COLUMNS}
 
+    @pytest.mark.parametrize("scen, model, max_delay", [
+        (dup_registers(7, 43), dup_register_model(), 0),
+        (dup_registers(7, 43), deterministic_model(), 9),
+        (SCENARIO_PRESETS["successive_shifts"](), shift_model(), 0),
+    ], ids=["skip_draws", "stalls", "burst_and_lockup_draws"])
+    def test_block_across_passes_matches_per_trial_oracle(self, scen, model, max_delay):
+        """A block of more than one pass of lanes, whose indices wrap at
+        2**64 inside a pass."""
+        scen = replace(scen, random_delay_max=max_delay)
+        combo = tuple(nominal_combo(scen, DOM20))
+        ctx = SimContext(DOM20, model)
+        n, first = search.LANES + 5, 2**64 - 7
+        block = run_trials(scen, combo, n, ctx, "p", 13, first=first)
+        records = list(block)
+        assert len(records) == n
+        for index, rec in enumerate(records, first):
+            _, outcome, hits = _oracle_trial(scen, combo, ctx, mix64(13, index))
+            assert (rec.seed, rec.outcome, rec.hits) == (mix64(13, index), outcome, hits)
+        assert len(block.counts) > 1
+
     def test_many_verdicts_widen_the_code_column(self, tmp_path):
         """Nine one-cycle targets under p_max_skip = 0.5 give up to 2**9
         verdicts, more than a byte of code holds."""

@@ -1,13 +1,15 @@
-"""The inlined draw passes against the one-slot rule ``slot``."""
+"""The inlined draw passes against the one-slot rule ``slot``, and the
+lane kernel against the scalar passes."""
 
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from glitchsim.dut import STALL_SLOT0
-from glitchsim.seeding import (SLOT_ONE, draw_key, slot, slot_offset,
-                               stall_draws)
+from glitchsim.seeding import (LANES, MAX_SPAN, SLOT_ONE, _splitmix64, draw_key,
+                               draw_key_column, mix64, seed_column, slot,
+                               slot_offset, stall_column, stall_draws)
 
 MAX = 2**64 - 1
 # Window draws (2w, 2w+1), skip draws (2W + index) and stall draws.
@@ -64,3 +66,88 @@ class TestStallDraws:
 
     def test_no_points_no_stalls(self):
         assert stall_draws(MAX, STALL_SLOT0, 0, 10) == ()
+
+
+# Column lengths: empty, one lane, and either side of a full pass.
+LENGTHS = (0, 1, LANES - 1, LANES, LANES + 1)
+# Trial indices wrap mod 2**64: first indices on, below and past the wrap
+# and past 2**65, so that a pass can cross it.
+FIRSTS = (0, 7, 2**64 - 1, 2**64 - LANES // 2, 2**64, 2**64 + 3, 2**66 + 1,
+          2**128 - 3, 2**200 + 5)
+step_seeds = st.integers(-2**70, 2**70)
+firsts = st.sampled_from(FIRSTS) | st.integers(0, 2**66)
+lengths = st.sampled_from(LENGTHS) | st.integers(0, 2 * LANES + 2)
+
+
+def _seeds(step_seed, first, n):
+    return [mix64(step_seed, i) for i in range(first, first + n)]
+
+
+def _edge_thresholds(m):
+    """Thresholds whose ceiling is m or m + 1: integral floats, and the
+    floats next to them."""
+    out = {float(m), float(m + 1), math.nextafter(float(m), math.inf),
+           math.nextafter(float(m + 1), 0.0)}
+    if m:
+        out.add(math.nextafter(float(m), 0.0))
+    return sorted(t for t in out if 0.0 <= t <= SLOT_ONE)
+
+
+class TestLanes:
+    """The lane kernel against the scalar passes it stands for."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(step_seed=step_seeds, first=firsts, n=lengths)
+    @example(step_seed=-1, first=2**64 - LANES // 2, n=LANES + 1)
+    def test_seed_column_is_mix64_of_the_index(self, step_seed, first, n):
+        assert list(seed_column(step_seed, first, n)) == _seeds(step_seed, first, n)
+
+    @settings(max_examples=40, deadline=None)
+    @given(step_seed=step_seeds, first=firsts, n=st.sampled_from(LENGTHS),
+           slots=st.lists(st.sampled_from(SLOTS) | st.integers(0, 2**33),
+                          min_size=1, max_size=6),
+           probs=st.lists(st.sampled_from(PROBS) | st.floats(0.0, 1.0), max_size=70),
+           lane=st.integers(0, 2 * LANES))
+    @example(step_seed=5, first=2**64 - 3, n=LANES + 1, slots=[0, 1, STALL_SLOT0],
+             probs=[0.5, 2**-53, 0.9] * 24, lane=LANES)
+    def test_draw_keys_match_draw_key(self, step_seed, first, n, slots, probs, lane):
+        """Thresholds at the slot values of some lane put m at ceil(t) - 1
+        and at ceil(t) there; past 64 draws a key spans two lane words."""
+        seeds = _seeds(step_seed, first, n)
+        draws = [(slot_offset(slots[j % len(slots)]), p * SLOT_ONE)
+                 for j, p in enumerate(probs)]
+        for d, k in enumerate(slots):
+            m = slot(seeds[(lane + d) % n], k) if n else 0
+            draws += [(slot_offset(k), t) for t in _edge_thresholds(m)]
+        assert draw_key_column(step_seed, first, n, draws) == [
+            draw_key(seed, draws) for seed in seeds]
+
+    def test_threshold_next_to_the_whole_mixed_value(self):
+        """A lane compares its whole 64-bit mixed value x = m·2**11 + r with
+        c·2**11 for c = ceil(threshold): at r = 2**11 - 1 and c = m + 1,
+        x is one below the bound and the draw still fires."""
+        k, step_seed = 3, 11
+        first = next(i for i in range(1 << 16) if _splitmix64(
+            (mix64(step_seed, i) + k * 0x9E3779B97F4A7C15) % 2**64) & 0x7FF == 0x7FF)
+        m = slot(mix64(step_seed, first), k)
+        draws = [(slot_offset(k), float(m + 1)), (slot_offset(k), float(m))]
+        assert draw_key_column(step_seed, first, 1, draws) == [1]
+        assert draw_key(mix64(step_seed, first), draws) == 1
+
+    def test_no_draws_are_key_zero(self):
+        assert draw_key_column(3, 0, LANES + 1, ()) == [0] * (LANES + 1)
+
+    @settings(max_examples=40, deadline=None)
+    @given(step_seed=step_seeds, first=firsts, n=st.sampled_from(LENGTHS),
+           k=st.sampled_from((0, 9, STALL_SLOT0)), count=st.integers(0, 3),
+           span=st.sampled_from((1, 2, 10, MAX_SPAN)) | st.integers(1, MAX_SPAN))
+    @example(step_seed=2**70, first=2**64 - 1, n=LANES + 1, k=STALL_SLOT0, count=3,
+             span=MAX_SPAN)
+    def test_stall_columns_match_stall_draws(self, step_seed, first, n, k, count, span):
+        assert stall_column(step_seed, first, n, k, count, span) == [
+            stall_draws(seed, k, count, span) for seed in _seeds(step_seed, first, n)]
+
+    @pytest.mark.parametrize("span", [0, MAX_SPAN + 1])
+    def test_span_outside_the_lanes_is_rejected(self, span):
+        with pytest.raises(ValueError, match="stall span"):
+            stall_column(1, 0, 4, STALL_SLOT0, 2, span)
