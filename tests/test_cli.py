@@ -164,7 +164,6 @@ class TestExitCodes:
     @pytest.mark.parametrize("path, value, message", [
         (("cooperative",), "false", "cooperative must be true or false"),
         (("random_delay_max",), 2.9, "random_delay_max must be an integer"),
-        (("random_delay_max",), 2**32, "random_delay_max must be <= 4294967295"),
         (("trigger_cycle",), 1.0, "trigger_cycle must be an integer"),
         (("instructions", 3, "cycle"), 3.5, "instruction cycle must be an integer"),
         (("targets", 1, "cycles", 0), True, "target cycle must be an integer"),
@@ -175,6 +174,7 @@ class TestExitCodes:
         (("targets", 1, "cycles"), [], "a target needs at least one cycle"),
         (("instructions", 3, "effect"), "bogus", "'bogus' is not a valid Effect"),
         (("trigger_cycle",), 12, "must lie at or after trigger_cycle"),
+        (("random_delay_max",), 2**32, "random_delay_max must be <= 4294967295"),
     ])
     def test_malformed_scenario_field_exit_2(self, dup_cfg_path, tmp_path, capsys,
                                              path, value, message):
