@@ -6,8 +6,8 @@ signal of its predecessor, which coincides with the tick its fault
 window ends (zero-latency chaining).  The crowbar output is the OR of
 all unit outputs, so touching or overlapping windows merge.
 
-``chain_windows`` is the one closed form: the exhaustive baseline calls
-it per combo, every other trial through ``simulate_chain``, which
+``chain_windows`` is the one closed form: the exhaustive walk calls it
+per live child, every other trial through ``simulate_chain``, which
 validates a :class:`ChainConfig` first.  Offsets are never negative, so
 the OR-merge reduces to joining a window onto its predecessor when its
 offset is 0.  ``simulate_chain_stepped`` drives actual per-tick unit

@@ -30,12 +30,13 @@ reading its slot.
 A trial runs as plan → draw list → one draw pass → decode.
 :func:`trial_plan` does the work no draw decides (the BOD verdict, the
 window × instruction overlaps, each covered instruction's skip
-probability) and lists a (slot offset, threshold) pair per probability
-strictly between 0 and 1: each window's burst and lockup draw, then each
-covered instruction's skip draw.  :func:`glitchsim.seeding.draw_key`
-makes them in one pass, and :func:`decode` turns the key of their
-outcome bits into the result; :func:`run_plan` is the two for one seed.
-A caller running many seeds makes their keys in lanes and decodes each
+probability) and decides, once, which probabilities draw: one strictly
+between 0 and 1 becomes draw j, a (slot offset, threshold) pair, with
+key mask bit j + 1 (each window's burst and lockup, then each skip); 1
+gets bit 0 and 0 no bit.  :func:`glitchsim.seeding.draw_key` makes the
+draws in one pass, and :func:`decode` tests each mask against their key
+shifted up with bit 0 set; :func:`run_plan` is the two for one seed.  A
+caller running many seeds makes their keys in lanes and decodes each
 distinct key once.  A plan with no draws holds its result.
 :func:`execute_trial` is plan and run in one call.
 """
@@ -45,10 +46,10 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from enum import Enum
-from itertools import accumulate, count
+from itertools import accumulate
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .seeding import SLOT_ONE, draw_key, slot_offset, stall_draws
+from .seeding import SLOT_ONE, draw_key, slot_offset, stall_column, stall_draws
 
 # First stall slot: far past any window or skip slot, so the ranges are
 # disjoint.
@@ -165,18 +166,25 @@ class RawTrialResult:
 
 @dataclass(slots=True)
 class TrialPlan:
-    """What no draw decides about a trial: one ``(index, start tick, window
-    bitmask, p_skip)`` entry per effectful instruction a window touches, in
+    """What no draw decides about a trial: one ``(start tick, burst mask,
+    lockup mask)`` per window; one ``(index, start tick, window bitmask,
+    skip mask)`` entry per effectful instruction a window touches, in
     stream order; ``draws``, the (slot offset, threshold) pair of each
-    draw a trial makes, in the order :func:`decode` reads them; and
-    ``fixed``, the result when nothing can draw."""
+    draw; and ``fixed``, the result when nothing can draw."""
 
-    starts: tuple[int, ...]
-    p_window_burst: float
-    p_lockup_per_fault: float
-    entries: tuple[tuple[int, int, int, float], ...]
+    windows: tuple[tuple[int, int, int], ...]
+    entries: tuple[tuple[int, int, int, int], ...]
     draws: tuple[tuple[int, float], ...] = ()
     fixed: Optional[RawTrialResult] = None
+
+
+def _key_mask(draws: list, k: int, p: float) -> int:
+    """The key mask of probability p at slot k: bit j + 1 if p becomes draw
+    j, appended to ``draws``; else bit 0 if p is 1, no bit if p is 0."""
+    if 0.0 < p < 1.0:
+        draws.append((slot_offset(k), p * SLOT_ONE))
+        return 1 << len(draws)
+    return int(p >= 1.0)
 
 
 def trial_plan(scenario, windows, domains, model: FaultResponseModel,
@@ -188,21 +196,23 @@ def trial_plan(scenario, windows, domains, model: FaultResponseModel,
     occupancy: instruction at cycle c occupies [c*K, (c+1)*K) with
     K = domains.oversampling.  ``cycles``, when given, replaces the start
     cycles of ``scenario.effectful_instructions``; they must ascend, as
-    :func:`stall_shift` keeps them, for the lock tick to end a trial.
+    :func:`shift_by` keeps them, for the lock tick to end a trial.
     """
     if bod is not None and bod.detects(windows):
-        return TrialPlan((), 0.0, 0.0, (),
-                         fixed=RawTrialResult(frozenset(), bod_tripped=True))
+        return TrialPlan((), (), fixed=RawTrialResult(frozenset(), bod_tripped=True))
 
-    K = domains.oversampling
+    K, W = domains.oversampling, len(windows)
     if cycles is None:
         cycles = scenario.effectful_cycles
+    draws: list = []
+    plan_windows = tuple((start, _key_mask(draws, 2 * w, model.p_window_burst),
+                          _key_mask(draws, 2 * w + 1, model.p_lockup_per_fault))
+                         for w, (start, _) in enumerate(windows))
     entries = []
     for ins, cycle in zip(scenario.effectful_instructions, cycles):
         ins_start = cycle * K
         ins_end = ins_start + K
-        mask = 0
-        p_noskip = 1.0
+        mask, p_noskip = 0, 1.0
         for w, (start, end) in enumerate(windows):
             if start >= ins_end:
                 break
@@ -211,44 +221,34 @@ def trial_plan(scenario, windows, domains, model: FaultResponseModel,
                 mask |= 1 << w
                 p_noskip *= 1.0 - model.skip_probability(ins.effect, overlap / K)
         if mask:
-            entries.append((ins.index, ins_start, mask, 1.0 - p_noskip))
+            entries.append((ins.index, ins_start, mask,
+                            _key_mask(draws, 2 * W + ins.index, 1.0 - p_noskip)))
 
-    W = len(windows)
-    draws = [(slot_offset(k), p * SLOT_ONE) for w in range(W) for k, p in
-             ((2 * w, model.p_window_burst), (2 * w + 1, model.p_lockup_per_fault))
-             if 0.0 < p < 1.0]
-    draws += [(slot_offset(2 * W + index), p_skip * SLOT_ONE)
-              for index, _, _, p_skip in entries if 0.0 < p_skip < 1.0]
-    plan = TrialPlan(tuple(start for start, _ in windows), model.p_window_burst,
-                     model.p_lockup_per_fault, tuple(entries), tuple(draws))
+    plan = TrialPlan(plan_windows, tuple(entries), tuple(draws))
     if not draws:
         plan.fixed = decode(plan, 0)
     return plan
 
 
 def decode(plan: TrialPlan, key: int) -> RawTrialResult:
-    """The result of a trial of a plan that draws, when bit j of ``key`` is
-    the outcome of ``plan.draws[j]``: the windows that burst, the first
-    lock tick, then each covered instruction before it that a bursting
-    window touches or whose skip draw fires."""
-    outcomes = (key >> j & 1 for j in count())
-
-    def fires(p: float) -> bool:
-        """The next draw's outcome if p draws, else whether p is 1."""
-        return next(outcomes) == 1 if 0.0 < p < 1.0 else p >= 1.0
-
+    """The result of a trial of ``plan`` when bit j of ``key`` is the
+    outcome of ``plan.draws[j]``: the windows that burst, the first lock
+    tick, then each covered instruction before it that a bursting window
+    touches or whose skip fires.  A probability fires when its mask meets
+    ``key << 1 | 1``: always if it is 1, never if it is 0."""
+    key = key << 1 | 1
     bursts, lock_tick = 0, None
-    for w, start in enumerate(plan.starts):
-        if fires(plan.p_window_burst):
+    for w, (start, burst, lockup) in enumerate(plan.windows):
+        if key & burst:
             bursts |= 1 << w
-        if fires(plan.p_lockup_per_fault) and lock_tick is None:
+        if key & lockup and lock_tick is None:
             lock_tick = start
 
     skipped = []
-    for index, start, mask, p_skip in plan.entries:
+    for index, start, mask, skip in plan.entries:
         if lock_tick is not None and start >= lock_tick:
             break  # device froze in an erroneous state
-        if fires(p_skip) or mask & bursts:
+        if key & skip or mask & bursts:
             skipped.append(index)
     return RawTrialResult(frozenset(skipped), lock_tick is not None)
 
@@ -275,6 +275,13 @@ def stall_vector(scenario, max_delay_cycles: int, seed: int) -> tuple[int, ...]:
     return stall_draws(seed, STALL_SLOT0, len(scenario.delay_points), max_delay_cycles + 1)
 
 
+def stall_vectors(scenario, step_seed: int, first: int, n: int) -> list[tuple[int, ...]]:
+    """:func:`stall_vector` of ``random_delay_max`` at ``mix64(step_seed, i)``
+    for i = first..first+n-1, in lanes."""
+    return stall_column(step_seed, first, n, STALL_SLOT0, len(scenario.delay_points),
+                        scenario.random_delay_max + 1)
+
+
 def shift_by(scenario, stalls: Sequence[int]):
     """The map from a cycle to its position under one stall per delay
     point.  A stall only moves cycles: instruction indices and target
@@ -284,10 +291,11 @@ def shift_by(scenario, stalls: Sequence[int]):
     return lambda cycle: cycle + before[bisect_right(points, cycle)]
 
 
-def stall_shift(scenario, max_delay_cycles: int, seed: int):
-    """The cycle map of the trial at ``seed``: :func:`shift_by` its
-    :func:`stall_vector`."""
-    return shift_by(scenario, stall_vector(scenario, max_delay_cycles, seed))
+def stalled_cycles(scenario, stalls: Sequence[int]) -> tuple[int, ...]:
+    """Start cycles of the effectful instructions under a stall vector."""
+    if not stalls:
+        return scenario.effectful_cycles
+    return tuple(map(shift_by(scenario, stalls), scenario.effectful_cycles))
 
 
 def apply_random_delays(scenario, max_delay_cycles: int, seed: int):
@@ -298,14 +306,14 @@ def apply_random_delays(scenario, max_delay_cycles: int, seed: int):
     One independent draw per target, so every protected assignment moves
     on its own.  Returns a new scenario; max_delay_cycles = 0 returns
     the input unchanged.  Trials skip the rebuild: they run the scenario
-    at the cycles :func:`stall_shift` moves, which are the same.
+    at its :func:`stalled_cycles`, which are the same.
     """
     if max_delay_cycles < 0:
         raise ValueError("max_delay_cycles must be >= 0")
     if max_delay_cycles == 0:
         return scenario
 
-    shift = stall_shift(scenario, max_delay_cycles, seed)
+    shift = shift_by(scenario, stall_vector(scenario, max_delay_cycles, seed))
     new_instructions = tuple(
         Instruction(ins.index, shift(ins.cycle), ins.effect)
         for ins in scenario.instructions

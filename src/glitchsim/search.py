@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from array import array
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -19,13 +20,13 @@ from typing import Optional, Sequence, Union
 from .chain import ChainConfig, chain_windows, simulate_chain
 # apply_random_delays and execute_trial stay bound for bench/run.py, which
 # traces the trial layers here by name; trials run on the plan instead.
-from .dut import (STALL_SLOT0, BodModel, FaultResponseModel, apply_random_delays,
-                  decode, execute_trial, run_plan, shift_by, stall_vector, trial_plan)
+from .dut import (BodModel, FaultResponseModel, apply_random_delays, decode,
+                  execute_trial, run_plan, stall_vector, stall_vectors, stalled_cycles,
+                  trial_plan)
 from .errors import (IncompleteSweep, NoIntegratedSuccess, NotFound,
                      OverlapError, TransferInvalid)
 from .scenarios import Outcome, ScenarioSpec, classify
-from .seeding import (LANES, draw_key, draw_key_column, mix64, seed_column,
-                      stall_column)
+from .seeding import LANES, draw_key, draw_key_column, mix64, seed_column
 from .timing import ClockDomains
 
 RelSpec = tuple[int, int]  # (relative offset, width) in ticks
@@ -270,23 +271,12 @@ def _cycles(scenario: ScenarioSpec, seed: int) -> tuple[int, ...]:
     random stalls, drawn from the seed's stall slots, only move cycles."""
     if not scenario.random_delay_max:
         return scenario.effectful_cycles
-    return _stalled(scenario, stall_vector(scenario, scenario.random_delay_max, seed))
+    return stalled_cycles(scenario, stall_vector(scenario, scenario.random_delay_max, seed))
 
 
-def _stalled(scenario: ScenarioSpec, stalls: tuple[int, ...]) -> tuple[int, ...]:
-    """Start cycles of the effectful instructions under a stall vector;
-    the empty vector leaves them where they are."""
-    if not stalls:
-        return scenario.effectful_cycles
-    return tuple(map(shift_by(scenario, stalls), scenario.effectful_cycles))
-
-
-def _judge(scenario: ScenarioSpec, raw, verdicts: dict):
-    """(outcome, hits) of a raw result, memoised in the caller's dict."""
-    verdict = verdicts.get(raw)
-    if verdict is None:
-        verdict = verdicts[raw] = (classify(scenario, raw), scenario.hits(raw.skipped))
-    return verdict
+def _judge(scenario: ScenarioSpec, raw) -> Verdict:
+    """(outcome, hits) of a raw result."""
+    return classify(scenario, raw), scenario.hits(raw.skipped)
 
 
 def _windows(scenario: ScenarioSpec, rel_specs: Sequence[RelSpec], ctx: SimContext):
@@ -302,7 +292,7 @@ def run_chain_trial(scenario: ScenarioSpec, rel_specs: Sequence[RelSpec],
     plan = trial_plan(scenario, _windows(scenario, rel_specs, ctx), ctx.domains,
                       ctx.model, ctx.bod, _cycles(scenario, seed))
     raw = run_plan(plan, seed)
-    return (raw, *_judge(scenario, raw, {}))
+    return (raw, *_judge(scenario, raw))
 
 
 def run_trials(scenario: ScenarioSpec, combo: Sequence[RelSpec], n: int,
@@ -323,22 +313,16 @@ def run_trials(scenario: ScenarioSpec, combo: Sequence[RelSpec], n: int,
     """
     combo = tuple(combo)
     windows = _windows(scenario, combo, ctx)
-    max_delay = scenario.random_delay_max
-    table: list[Verdict] = []
-    positions: dict[Verdict, int] = {}
+    verdicts: dict[Verdict, int] = {}  # verdict -> code; its keys are the table
 
     def code_of(raw) -> int:
-        verdict = _judge(scenario, raw, {})
-        code = positions.setdefault(verdict, len(table))
-        if code == len(table):
-            table.append(verdict)
-        return code
+        return verdicts.setdefault(_judge(scenario, raw), len(verdicts))
 
     def entry(stalls):
         """The code of the stall vector's plan if it holds its result,
         else the plan and its draw key -> code memo."""
         plan = trial_plan(scenario, windows, ctx.domains, ctx.model, ctx.bod,
-                          _stalled(scenario, stalls))
+                          stalled_cycles(scenario, stalls))
         return (plan, {}) if plan.fixed is None else code_of(plan.fixed)
 
     def learn(plan, memo: dict, keys):
@@ -346,23 +330,22 @@ def run_trials(scenario: ScenarioSpec, combo: Sequence[RelSpec], n: int,
         for key in set(keys) - memo.keys():
             memo[key] = code_of(decode(plan, key))
 
-    if not max_delay:
+    if not scenario.random_delay_max:
         only = entry(())
         if isinstance(only, int):
-            return TrialBlock(step, combo, step_seed, first, n, table, only)
+            return TrialBlock(step, combo, step_seed, first, n, list(verdicts), only)
         plan, memo = only
         keys = draw_key_column(step_seed, first, n, plan.draws)
         learn(plan, memo, keys)
-        codes = _widened(array("B"), len(table))
+        codes = _widened(array("B"), len(verdicts))
         codes.extend(map(memo.__getitem__, keys))
-        return TrialBlock(step, combo, step_seed, first, n, table, codes)
+        return TrialBlock(step, combo, step_seed, first, n, list(verdicts), codes)
 
     by_stalls: dict = {}  # stall vector -> entry(stall vector)
     codes = array("B")
     for start in range(first, first + n, LANES):
         size = min(LANES, first + n - start)
-        vectors = stall_column(step_seed, start, size, STALL_SLOT0,
-                               len(scenario.delay_points), max_delay + 1)
+        vectors = stall_vectors(scenario, step_seed, start, size)
         distinct = set(vectors)
         for stalls in distinct - by_stalls.keys():
             by_stalls[stalls] = entry(stalls)
@@ -375,9 +358,9 @@ def run_trials(scenario: ScenarioSpec, combo: Sequence[RelSpec], n: int,
                     key = draw_key(seed, plan.draws)
                     learn(plan, memo, (key,))
                     column[i] = memo[key]
-        codes = _widened(codes, len(table))
+        codes = _widened(codes, len(verdicts))
         codes.extend(column)
-    return TrialBlock(step, combo, step_seed, first, n, table, codes)
+    return TrialBlock(step, combo, step_seed, first, n, list(verdicts), codes)
 
 
 def _widened(codes: array, size: int) -> array:
@@ -530,7 +513,7 @@ def exhaustive_search(scenario: ScenarioSpec, space: SearchSpace, n_faults: int,
     target_ticks = () if stalled else tuple(
         (c * K, (c + 1) * K) for t in scenario.targets for c in t.cycles)
     grid = space.grid
-    verdicts: dict = {}
+    succeeds: dict = {}  # raw result -> whether it is a success
     for index, combo, windows in _live_combos(grid, n_faults, budget, trigger_tick,
                                               target_ticks):
         trial_seed = mix64(seed, index) if stalled else None
@@ -538,7 +521,10 @@ def exhaustive_search(scenario: ScenarioSpec, space: SearchSpace, n_faults: int,
                           _cycles(scenario, trial_seed))
         if plan.fixed is None and trial_seed is None:
             trial_seed = mix64(seed, index)
-        if _judge(scenario, run_plan(plan, trial_seed), verdicts)[0].is_success:
+        success = succeeds.get(raw := run_plan(plan, trial_seed))
+        if success is None:
+            success = succeeds[raw] = classify(scenario, raw).is_success
+        if success:
             return ExhaustiveResult(RankedCombo(combo, 1, 1), index + 1)
     raise NotFound(min(budget, len(grid) ** n_faults))
 
@@ -549,34 +535,30 @@ def _live_combos(grid: Sequence[RelSpec], n_faults: int, budget: int,
     in lexicographic order, that is not doomed and lies below no doomed
     prefix.
 
-    A live prefix with done tick c touches every target that ends at or
-    before c; its child (o, w) adds a window from c + o, which touches
-    every target that ends in (c + o, c + o + w].  So the child is doomed
-    exactly when a target the prefix leaves untouched ends in (c, c + o],
-    whatever w.  ``grid`` must list its offsets in ascending order, as
-    ``SearchSpace.grid`` does: then every sibling after the first doomed
-    child is doomed too, and the walk leaves the node there."""
-    def walk(prefix, first, size):  # size: combos below each child
-        for spec in grid:
+    A live prefix with done tick c leaves untouched only targets that end
+    after c; its child (o, w) adds a window from c + o, which touches
+    every such target that ends in (c + o, c + o + w].  So the child is
+    doomed exactly when an untouched target ends at or before c + o: the
+    live children, o < e - c for the earliest untouched end e, are a
+    prefix of ``grid``, whose offsets must ascend.  A live child leaves
+    untouched the targets that start at or after its done tick."""
+    offsets = [o for o, _ in grid]
+
+    def walk(prefix, cursor, ends, first, size):  # size: combos below each child
+        live = bisect_left(offsets, min(ends, default=float("inf")) - cursor)
+        for spec in grid[:live]:
             if first >= budget:
                 return
             child = prefix + (spec,)
-            windows, cursor = chain_windows(child, trigger_tick)
-            if _doomed(target_ticks, windows, cursor):
-                return
+            windows, done = chain_windows(child, trigger_tick)
             if len(child) == n_faults:
                 yield first, child, windows
             else:
-                yield from walk(child, first, size // len(grid))
+                yield from walk(child, done, [e for s, e in target_ticks if s >= done],
+                                first, size // len(grid))
             first += size
-    return walk((), 0, len(grid) ** (n_faults - 1))
-
-
-def _doomed(target_ticks, windows, cursor: int) -> bool:
-    """Whether a [start, end) target instruction ends at or before
-    ``cursor`` with no window touching it."""
-    return any(end <= cursor and not any(lo < end and start < hi for lo, hi in windows)
-               for start, end in target_ticks)
+    return walk((), trigger_tick, [end for _, end in target_ticks], 0,
+                len(grid) ** (n_faults - 1))
 
 
 # ---------------------------------------------------------------------------

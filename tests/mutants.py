@@ -1,0 +1,156 @@
+"""Mutation gate on the trial kernel, the exhaustive walk and the draws.
+
+Each mutant is a set of exact text replacements in a copy of ``src/``
+(each replaced text must occur exactly once).  The test files of the
+module it edits then run against the copy with ``-x``; a mutant is
+killed when a test fails.  A mutant that survives needs a test that
+kills it, or, if no test can, a place in ``EQUIVALENT`` with the reason.
+The tests first run once against an unmutated copy, which must pass.
+
+Usage: python tests/mutants.py [NAME ...]  (every mutant by default)
+Exit status 0 when every mutant run is killed, 1 when one survives, 2
+when the unmutated tests fail or a mutant's run ends in neither a pass
+nor a test failure (a collection error, say).  pytest does not collect
+this file; CI runs it after tier-1.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from time import perf_counter
+
+ROOT = Path(__file__).resolve().parent.parent
+
+DUT_TESTS = ("tests/test_dut.py",)
+WALK_TESTS = ("tests/test_search.py::TestExhaustivePruning",)
+
+# name -> (file under src/glitchsim, [(text, replacement), ...], test paths)
+MUTANTS = {
+    "skip mask one bit off": (
+        "dut.py", [("_key_mask(draws, 2 * W + ins.index, 1.0 - p_noskip)))",
+                    "_key_mask(draws, 2 * W + ins.index, 1.0 - p_noskip) << 1))")],
+        DUT_TESTS),
+    "skip slot +1": (
+        "dut.py", [("_key_mask(draws, 2 * W + ins.index, ",
+                    "_key_mask(draws, 2 * W + ins.index + 1, ")],
+        DUT_TESTS),
+    "lockup reads the burst slot": (
+        "dut.py", [("_key_mask(draws, 2 * w + 1, model.p_lockup_per_fault)",
+                    "_key_mask(draws, 2 * w, model.p_lockup_per_fault)")],
+        DUT_TESTS),
+    "always bit dropped": (
+        "dut.py", [("key = key << 1 | 1", "key = key << 1")],
+        DUT_TESTS),
+    "stall slot +1": (
+        "dut.py", [("STALL_SLOT0 = 1 << 32", "STALL_SLOT0 = (1 << 32) + 1")],
+        DUT_TESTS),
+    "window overlap >=": (
+        "dut.py", [("            if overlap > 0:", "            if overlap >= 0:")],
+        DUT_TESTS),
+    "BOD sample at the window end": (
+        "dut.py", [("if phase + i * period < end:", "if phase + i * period <= end:")],
+        DUT_TESTS),
+    "walk bound by bisect_right": (
+        "search.py", [("from bisect import bisect_left", "from bisect import bisect_right"),
+                      ("live = bisect_left(", "live = bisect_right(")],
+        WALK_TESTS),
+    "walk bound +1": (
+        "search.py", [('default=float("inf")) - cursor)',
+                       'default=float("inf")) - cursor + 1)')],
+        WALK_TESTS),
+    "walk bound -1": (
+        "search.py", [('default=float("inf")) - cursor)',
+                       'default=float("inf")) - cursor - 1)')],
+        WALK_TESTS),
+    "walk root drops targets before the trigger": (
+        "search.py", [("return walk((), trigger_tick, [end for _, end in target_ticks], 0,",
+                       "return walk((), trigger_tick, [e for s, e in target_ticks"
+                       " if s >= trigger_tick], 0,")],
+        WALK_TESTS),
+    "draw fires at the threshold": (
+        "seeding.py", [("if (x ^ (x >> 31)) >> 11 < threshold:",
+                        "if (x ^ (x >> 31)) >> 11 <= threshold:")],
+        ("tests/test_seeding.py",)),
+    "seed column one index on": (
+        "seeding.py", [("index = (((first + start) & _MASK)",
+                        "index = (((first + start + 1) & _MASK)")],
+        ("tests/test_seeding.py",)),
+    "lane draw bound one step up": (
+        "seeding.py", [("bound = _MASK + (math.ceil(threshold) << 11)",
+                        "bound = _MASK + ((math.ceil(threshold) + 1) << 11)")],
+        ("tests/test_seeding.py",)),
+    "chain merges at offset 1": (
+        "chain.py", [("if offset == 0 and windows:", "if offset <= 1 and windows:")],
+        ("tests/test_chain.py",)),
+    "hits on a strict subset": (
+        "scenarios.py", [("self.target_indices[t.label] <= skipped",
+                          "self.target_indices[t.label] < skipped")],
+        ("tests/test_scenarios.py",)),
+}
+
+# Mutants no test can kill, with the reason; they are not run.
+EQUIVALENT = {
+    "window overlap guard >=": (
+        "dut.py: `if end > ins_start` -> `>=`.  When the window ends at the "
+        "instruction's start tick, min(end, ins_end) - max(start, ins_start) "
+        "is 0 as well, and a zero overlap adds no entry either way."),
+}
+
+
+def run(path: str, edits, tests) -> tuple[int, float]:
+    """(pytest exit status, seconds) of ``tests`` on a copy of src/ with
+    ``edits`` made to ``path``: 0 when they pass, 1 when a test fails."""
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp, "src")
+        shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+        target = src / "glitchsim" / path
+        text = target.read_text()
+        for old, new in edits:
+            if text.count(old) != 1:
+                sys.exit(f"mutants: {old!r} occurs {text.count(old)} times "
+                         f"in {path}, not once")
+            text = text.replace(old, new)
+        target.write_text(text)
+        env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+        t0 = perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests],
+            cwd=ROOT, env=env, capture_output=True, text=True)
+        return proc.returncode, perf_counter() - t0
+
+
+def main(names) -> int:
+    unknown = [n for n in names if n not in MUTANTS]
+    if unknown:
+        sys.exit(f"mutants: no mutant named {', '.join(map(repr, unknown))}")
+    names = names or list(MUTANTS)
+    tests = sorted({test for name in names for test in MUTANTS[name][2]})
+    status, seconds = run("__init__.py", [], tests)  # no edits: the unmutated copy
+    print(f"unmutated {seconds:5.1f} s  pytest exit {status}", flush=True)
+    if status != 0:
+        return 2
+    survivors, broken = [], []
+    for name in names:
+        status, seconds = run(*MUTANTS[name])
+        verdict = {0: "SURVIVED", 1: "killed"}.get(status, f"exit {status}")
+        print(f"{verdict:9} {seconds:5.1f} s  {name}", flush=True)
+        if status == 0:
+            survivors.append(name)
+        elif status != 1:
+            broken.append(name)
+    for name, reason in EQUIVALENT.items():
+        print(f"equivalent, not run: {name}: {reason}")
+    if broken:
+        print(f"{len(broken)} mutant run(s) ended in no test failure: {', '.join(broken)}")
+        return 2
+    if survivors:
+        print(f"{len(survivors)} mutant(s) survived: {', '.join(survivors)}")
+        return 1
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -2,9 +2,9 @@ import pytest
 
 from glitchsim.dut import (BodModel, Effect, FaultResponseModel,
                            apply_random_delays, execute_trial, run_plan,
-                           stall_shift, trial_plan)
+                           shift_by, stall_vector, trial_plan)
 from glitchsim.scenarios import load_scenario, successive_shifts
-from glitchsim.seeding import mix64
+from glitchsim.seeding import SLOT_ONE, mix64, slot, slot_offset
 from glitchsim.timing import ClockDomains
 
 DOM = ClockDomains(oversampling=20, dut_period_ns=100)
@@ -71,6 +71,18 @@ class TestExecuteTrial:
         assert raw == nominal
         assert raw.skipped == frozenset()
 
+    def test_window_ending_at_an_instruction_leaves_it_alone(self):
+        # A window that ends on the first shift's start tick does not touch
+        # it, even when every window bursts; one tick longer, it does.
+        scen = successive_shifts()
+        s1 = min(scen.targets[0].cycles) * DOM.oversampling
+        model = FaultResponseModel(p_max_skip=1.0, p_lockup_per_fault=0.0,
+                                   p_window_burst=1.0)
+        raw = execute_trial(scen, [(s1 - 10, s1)], DOM, model, seed=1)
+        assert raw.skipped == frozenset()
+        raw = execute_trial(scen, [(s1 - 10, s1 + 1)], DOM, model, seed=1)
+        assert raw.skipped == scen.target_indices["LSRS"]
+
     def test_lockup_freezes_state(self):
         scen = load_scenario("tzm_full_attack")
         model = FaultResponseModel(p_max_skip=1.0, p_lockup_per_fault=1.0)
@@ -105,6 +117,32 @@ class TestExecuteTrial:
         assert scen.target_indices["LSRS"] <= raw.skipped
 
 
+class TestDrawSlots:
+    """Each draw reads the slot of the trial seed that the module names."""
+
+    def test_burst_lockup_and_skip_slots(self):
+        # One window over half of each shift: it bursts from slot 0 and
+        # locks up from slot 1, and the instruction with index i skips
+        # from slot 2 + i, each with probability 0.5 * 1/2.
+        scen = successive_shifts()
+        s1 = min(scen.targets[0].cycles) * DOM.oversampling
+        model = FaultResponseModel(p_max_skip=0.5, p_lockup_per_fault=0.25,
+                                   p_window_burst=0.125)
+        plan = trial_plan(scen, [(s1 + 10, s1 + 30)], DOM, model)
+        (lsrs,), (lsls,) = scen.target_indices["LSRS"], scen.target_indices["LSLS"]
+        assert plan.draws == ((slot_offset(0), 0.125 * SLOT_ONE),
+                              (slot_offset(1), 0.25 * SLOT_ONE),
+                              (slot_offset(2 + lsrs), 0.25 * SLOT_ONE),
+                              (slot_offset(2 + lsls), 0.25 * SLOT_ONE))
+
+    def test_stall_slots(self):
+        # The stall before delay point d reads slot 2**32 + d.
+        scen = load_scenario("dup_registers_7_43")
+        for seed in (0, 1, 2**64 - 1):
+            assert stall_vector(scen, 9, seed) == tuple(
+                (slot(seed, 2**32 + d) * 10) >> 53 for d in range(len(scen.delay_points)))
+
+
 class TestBodModel:
     def test_disabled_never_detects(self):
         bod = BodModel(enabled=False, sample_period=1)
@@ -114,6 +152,7 @@ class TestBodModel:
         bod = BodModel(enabled=True, sample_period=100, sample_phase=50)
         assert bod.detects([(45, 55)])
         assert not bod.detects([(51, 60)])
+        assert not bod.detects([(40, 50)])  # a window's end tick is not in it
         assert bod.detects([(140, 160)])  # sample at 150
 
     def test_pigeonhole_full_detection(self):
@@ -198,7 +237,8 @@ class TestApplyRandomDelays:
         plans = {}
         hits = 0
         for i in range(trials):
-            cycles = tuple(map(stall_shift(scen, 9, i), scen.effectful_cycles))
+            cycles = tuple(map(shift_by(scen, stall_vector(scen, 9, i)),
+                               scen.effectful_cycles))
             plan = plans.get(cycles)
             if plan is None:
                 plan = plans[cycles] = trial_plan(scen, window, DOM, PERFECT,
@@ -223,7 +263,7 @@ class TestApplyRandomDelays:
         first, second = scen.delay_points
         counts = [0] * 10
         for i in range(50_000):
-            shift = stall_shift(scen, 9, mix64(0xC0FFEE, i))
+            shift = shift_by(scen, stall_vector(scen, 9, mix64(0xC0FFEE, i)))
             stall = shift(first) - first
             counts[stall] += 1
             counts[shift(second) - second - stall] += 1

@@ -13,8 +13,8 @@ from glitchsim.campaign import (DISTRIBUTION_COLUMNS, MODEL_PRESETS, _distributi
                                 _shift_column, nominal_combo)
 from glitchsim.chain import ChainConfig, chain_windows, simulate_chain
 from glitchsim.dut import (BodModel, FaultResponseModel, RawTrialResult,
-                           apply_random_delays, run_plan, stall_shift,
-                           trial_plan)
+                           apply_random_delays, run_plan, shift_by,
+                           stall_vector, trial_plan)
 from glitchsim.errors import (IncompleteSweep, NoIntegratedSuccess, NotFound,
                               OverlapError, TransferInvalid)
 from glitchsim.scenarios import (SCENARIO_PRESETS, classify, dup_registers,
@@ -24,7 +24,7 @@ from glitchsim.search import (RankedCombo, SearchSpace, SimContext,
                               exhaustive_search, final_combo, fuzzyfy,
                               integrate, run_chain_trial, run_trials, sweep,
                               transfer_parameters, translate_to_relative)
-from glitchsim.seeding import mix64
+from glitchsim.seeding import SLOT_ONE, mix64, slot_offset
 from glitchsim.timing import ClockDomains
 
 DOM1 = ClockDomains(oversampling=1)
@@ -634,9 +634,24 @@ class TestExhaustivePruning:
            targets=st.lists(st.tuples(st.integers(0, 60), st.integers(1, 4)),
                             max_size=4),
            budget_cut=st.integers(0, 400))
+    # The root's bound: [5, 6) ends 6 ticks after the trigger, so offset 6
+    # is the first doomed child and offset 5 the last live one.
+    @example(offset_min=4, n_offsets=4, stride=1, widths=[1], n_faults=1,
+             trigger_tick=0, targets=[(5, 1)], budget_cut=0)
+    # An inner node's bound on an offset that three widths share: after
+    # (0, 1) the node at tick 4 has [5, 6) untouched, so offset 2 is doomed
+    # in every width and offset 1 is live in every width.
+    @example(offset_min=0, n_offsets=4, stride=1, widths=[1, 2, 3], n_faults=2,
+             trigger_tick=3, targets=[(5, 1), (12, 2)], budget_cut=0)
+    # A target that ends at the trigger tick, and one that ends before it:
+    # no child of the root is live, not even at offset 0.
+    @example(offset_min=0, n_offsets=3, stride=1, widths=[1, 2], n_faults=2,
+             trigger_tick=10, targets=[(8, 2)], budget_cut=0)
+    @example(offset_min=0, n_offsets=3, stride=1, widths=[1, 2], n_faults=2,
+             trigger_tick=10, targets=[(4, 2), (20, 1)], budget_cut=0)
     def test_walk_matches_full_walk(self, offset_min, n_offsets, stride, widths,
                                     n_faults, trigger_tick, targets, budget_cut):
-        """Leaving a node at its first doomed child yields what the full
+        """Cutting each node's children at its bound yields what the full
         walk yields: every combo below the budget with no doomed prefix,
         its index and its windows, over grids of any width order."""
         space = SearchSpace(offset_min, offset_min + stride * n_offsets, tuple(widths),
@@ -713,7 +728,7 @@ class TestTrialPlan:
         scen = SCENARIO_PRESETS[preset]()
         K = oversampling
         windows = _scaled_windows(raw_windows, K)
-        shift = stall_shift(scen, max_delay, stall_seed)
+        shift = shift_by(scen, stall_vector(scen, max_delay, stall_seed))
         cycles = tuple(map(shift, scen.effectful_cycles))
         dom = ClockDomains(oversampling=K)
         fault_model = MODEL_PRESETS[model]()
@@ -725,6 +740,34 @@ class TestTrialPlan:
                                             seed, cycles)
             assert (got.skipped, got.locked_up, got.bod_tripped) == (
                 want.skipped, want.locked_up, want.bod_tripped)
+
+    @pytest.mark.parametrize("preset", ["successive_shifts", "tzm_full_attack"])
+    @pytest.mark.parametrize("p_max_skip, p_burst, p_lockup", [(0.0, 1.0, 0.0),
+                                                              (0.5, 1.0, 1.0)])
+    def test_certain_probabilities(self, preset, p_max_skip, p_burst, p_lockup):
+        """A probability of 1 fires in every trial and draws nothing: only
+        the probabilities strictly between 0 and 1 are listed as draws, and
+        a plan with none holds its result."""
+        scen = SCENARIO_PRESETS[preset]()
+        model = FaultResponseModel(p_max_skip=p_max_skip, p_window_burst=p_burst,
+                                   p_lockup_per_fault=p_lockup)
+        windows = sorted((min(t.cycles) * 20 + 5, min(t.cycles) * 20 + 20)
+                         for t in scen.targets)
+        plan = trial_plan(scen, windows, DOM20, model)
+        # Each window covers 15/20 of one target instruction and no other,
+        # so the only draws are skips with probability p_max_skip * 0.75.
+        assert len(plan.entries) == len(windows)
+        skips = tuple((slot_offset(2 * len(windows) + index), p_max_skip * 0.75 * SLOT_ONE)
+                      for index, *_ in plan.entries)
+        assert plan.draws == (skips if p_max_skip else ())
+        assert (plan.fixed is not None) == (p_max_skip == 0.0)
+        for i in range(64):
+            got = run_plan(plan, mix64(i))
+            assert got == _reference_execute_trial(scen, windows, DOM20, model,
+                                                   seed=mix64(i))
+            assert got.locked_up == (p_lockup == 1.0)
+            if p_max_skip == 0.0:
+                assert got.skipped == {index for index, *_ in plan.entries}
 
     def test_memoised_run_trials_match_per_trial_oracle(self):
         """Stalls under skip draws, under burst and lockup draws, and under
