@@ -4,8 +4,8 @@ seed management, trial persistence and report emission.
 Artifacts written per run directory:
 
 - ``results.jsonl``: one JSON object per trial
-  ``{trial, step, combo: [[r, w], ...], outcome, hits, seed}``,
-  dense trial indices, append-order = execution order.
+  ``{trial, step, combo: [[r, w], ...], outcome, hits, seed}``, dense
+  trial indices in execution order, read back as trial blocks.
 - ``summary.json``: step trial counts, ranking table, cascade rates and
   a full config echo (``schema_version`` 1); no timestamps, so repeated
   runs are byte-identical.
@@ -17,18 +17,19 @@ from __future__ import annotations
 import csv
 import io
 import json
+from array import array
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from enum import Enum
-from itertools import count, islice
+from itertools import count, groupby, islice
 from pathlib import Path
 from typing import Optional
 
 from . import calibration
 from .dut import BodModel, Effect, FaultResponseModel
-from .errors import ConfigError, SearchFailed, check_type
+from .errors import ConfigError, OverlapError, SearchFailed, TransferInvalid, check_type
 from .scenarios import ScenarioSpec, load_scenario
-from .search import (SearchSpace, SimContext, TrialBlock, TrialRecord,
+from .search import (SearchSpace, SimContext, TrialBlock, TrialRecord, check_transfer,
                      evaluate_repeatability, exhaustive_search, final_combo,
                      fuzzyfy, integrate, run_trials, sweep,
                      transfer_parameters, translate_to_relative)
@@ -246,27 +247,19 @@ def load_config(path) -> CampaignConfig:
 _LINES = 1024
 
 
-def _runs(data, build):
-    """Yield (seeds, texts) for each run of at most _LINES consecutive
-    trials of ``data``, a sequence of trial blocks or of records, where
-    ``texts`` holds build(step, combo, outcome, hits) of each trial: all a
-    persisted line or row holds besides its seed and position.  ``build``
-    runs once per verdict in a block's table, and once per distinct key
-    of the records."""
-    built, items = {}, iter(data)
-    for item in items:
-        if isinstance(item, TrialBlock):
-            values = [build(item.step, item.combo, *verdict) for verdict in item.table]
-            seeds, codes = item.seeds(), iter(item.code_column())
-            for start in range(0, item.n, _LINES):
-                run = seeds[start:start + _LINES]
-                yield run, map(values.__getitem__, islice(codes, len(run)))
-        else:
-            run = [item, *islice(items, _LINES - 1)]
-            keys = [(rec.step, rec.combo, rec.outcome, rec.hits) for rec in run]
-            for key in set(keys) - built.keys():
-                built[key] = build(*key)
-            yield [rec.seed for rec in run], map(built.__getitem__, keys)
+def _runs(blocks: list[TrialBlock], build):
+    """Yield the (trial, seed, text) of each trial of ``blocks`` in runs
+    of at most _LINES, where ``text`` is build(step, combo, outcome,
+    hits), all a line or row holds besides its seed and position
+    ``trial``: ``build`` runs once per verdict of a block's table."""
+    trial = 0
+    for block in blocks:
+        values = [build(block.step, block.combo, *verdict) for verdict in block.table]
+        seeds, codes = block.seeds(), iter(block.code_column())
+        for start in range(0, block.n, _LINES):
+            run = seeds[start:start + _LINES]
+            yield zip(count(trial), run, map(values.__getitem__, islice(codes, len(run))))
+            trial += len(run)
 
 
 def _line_parts(step, combo, outcome, hits) -> tuple[str, str]:
@@ -283,36 +276,46 @@ def _line_parts(step, combo, outcome, hits) -> tuple[str, str]:
     return text[:cut], text[cut + 1:-2]
 
 
-def write_results(data, path) -> None:
-    """Append-order line-delimited JSON of ``data``, trial blocks or
-    records; a trial's ``trial`` is its position."""
+def write_results(blocks: list[TrialBlock], path) -> None:
+    """Append-order line-delimited JSON of the trials of ``blocks``; a
+    trial's ``trial`` is its position."""
     with open(path, "w") as fh:
-        trial = 0
-        for seeds, parts in _runs(data, _line_parts):
-            fh.write("".join([f"{head}{seed}{middle}{i}}}\n" for i, seed, (head, middle)
-                              in zip(count(trial), seeds, parts)]))
-            trial += len(seeds)
+        for run in _runs(blocks, _line_parts):
+            fh.write("".join([f"{head}{seed}{middle}{i}}}\n"
+                              for i, seed, (head, middle) in run]))
 
 
-def read_results(path) -> list[TrialRecord]:
-    """The records of a results.jsonl (the inverse of write_results).  A
-    missing file or a line that is not a trial record raises ConfigError
-    naming the file and the line."""
+def _records(path):
+    """The trial record of each non-blank line of a results.jsonl; a line
+    that is no record raises ConfigError naming the file and the line."""
     try:
         fh = open(path, "rb")  # bytes: a bad encoding fails on its own line
     except OSError as exc:
         raise ConfigError(f"cannot read results file {path}: {exc}") from exc
-    records = []
     with fh:
         for lineno, line in enumerate(fh, 1):
             if not line.strip():
                 continue
             try:
-                records.append(TrialRecord.from_dict(json.loads(line)))
+                rec = TrialRecord.from_dict(json.loads(line))
             except (ValueError, KeyError, TypeError, AttributeError, RecursionError) as exc:
                 raise ConfigError(f"{path} line {lineno} is not a trial "
                                   f"record: {exc!r}") from exc
-    return records
+            yield rec
+
+
+def read_results(path) -> list[TrialBlock]:
+    """The trials of a results.jsonl (the inverse of write_results), one
+    block per run of consecutive lines with the same step and combo,
+    holding the seeds it read; ConfigError names a bad file or line."""
+    blocks = []
+    for (step, combo), run in groupby(_records(path), lambda rec: (rec.step, rec.combo)):
+        verdicts, codes, seeds = {}, array("Q"), array("Q")
+        for rec in run:
+            codes.append(verdicts.setdefault((rec.outcome, rec.hits), len(verdicts)))
+            seeds.append(rec.seed)
+        blocks.append(TrialBlock(step, combo, 0, 0, len(seeds), list(verdicts), codes, seeds))
+    return blocks
 
 
 def write_summary(summary: dict, path) -> None:
@@ -333,18 +336,15 @@ def _report_cells(step, combo, outcome, hits) -> str:
     return text.getvalue()[:-2]  # the "\r\n" line end
 
 
-def results_to_report(data, csv_path) -> int:
-    """Flatten ``data``, trial blocks or records, into report.csv, one row
-    per trial with the same dense ``trial`` as results.jsonl; returns the
-    row count."""
-    rows = 0
+def results_to_report(blocks: list[TrialBlock], csv_path) -> int:
+    """Flatten the trials of ``blocks`` into report.csv, one row per
+    trial with the same dense ``trial`` as results.jsonl; returns the row
+    count."""
     with open(csv_path, "w", newline="") as dst:
         csv.writer(dst).writerow(REPORT_COLUMNS)
-        for seeds, cells in _runs(data, _report_cells):
-            dst.write("".join([f"{i},{text},{seed}\r\n" for i, seed, text
-                               in zip(count(rows), seeds, cells)]))
-            rows += len(seeds)
-    return rows
+        for run in _runs(blocks, _report_cells):
+            dst.write("".join([f"{i},{text},{seed}\r\n" for i, seed, text in run]))
+    return sum(map(len, blocks))
 
 
 def _persist(out_dir, blocks: Optional[list[TrialBlock]], summary: dict) -> None:
@@ -413,13 +413,16 @@ def _locate(scenario: ScenarioSpec, cfg: CampaignConfig, ctx: SimContext,
     """Sweep -> pick -> translate -> fuzzyfy -> integrate.  Appends each
     step's trial blocks to ``blocks`` as soon as the step succeeds;
     returns (sweep result, relative combo, fuzzy intervals, integrate
-    result)."""
+    result).  Overlapping picks raise a SearchFailed that used no trials."""
     sc = cfg.search
     swept = _sweep(scenario, cfg, ctx)
     blocks.extend(swept.blocks)
     picked = sorted((swept.params.pick(t.label) for t in scenario.targets),
                     key=lambda ow: ow[0])
-    relative = translate_to_relative(picked)
+    try:
+        relative = translate_to_relative(picked)
+    except OverlapError as exc:
+        raise SearchFailed("overlapping_picks", str(exc), 0) from exc
     fuzzy = fuzzyfy(relative, sc.psi)
     integ = integrate(scenario, fuzzy, sc.integrate_trials, ctx,
                       seed=mix64(cfg.master_seed, STEP_INTEGRATE),
@@ -458,6 +461,10 @@ def run_attack_flow(cfg: CampaignConfig, out_dir=None) -> dict:
         flow_scenario = cfg.load_scenario(cfg.transfer_source)
         if not flow_scenario.cooperative:
             raise ConfigError("transfer_source must be a cooperative scenario")
+        try:
+            check_transfer(flow_scenario, scenario)
+        except TransferInvalid as exc:
+            raise ConfigError(f"transfer_source does not match the scenario: {exc}") from exc
 
     ctx = cfg.context()
     sc = cfg.search

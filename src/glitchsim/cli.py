@@ -19,14 +19,18 @@ EXIT_SEARCH_FAILED = 1
 EXIT_CONFIG_ERROR = 2
 
 
-def _add_common(parser: argparse.ArgumentParser):
+def _add_common(parser: argparse.ArgumentParser, command: str):
+    """--config, --out and the overrides of the config values ``command``
+    reads; an override left unset is absent from the parsed arguments."""
     parser.add_argument("--config", required=True, help="campaign config JSON file")
     parser.add_argument("--out", default=None,
                         help="output directory for results.jsonl / summary.json / report.csv")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="override the config's master seed")
-    parser.add_argument("--trials", type=int, default=None,
-                        help="override the config's per-evaluation trial count")
+    if command != "bod":  # the detector sweep draws nothing
+        parser.add_argument("--seed", dest="master_seed", type=int, default=argparse.SUPPRESS,
+                            help="override the config's master seed")
+    if command in ("wide-vs-narrow", "countermeasure"):  # no other reads cfg.trials
+        parser.add_argument("--trials", type=int, default=argparse.SUPPRESS,
+                            help="override the config's per-evaluation trial count")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -44,11 +48,11 @@ def build_parser() -> argparse.ArgumentParser:
         ("wide-vs-narrow", "outcome distributions of one wide fault vs two narrow ones"),
         ("bod", "brown-out-detector phase sweep for a wide fault and its split"),
     ):
-        _add_common(sub.add_parser(name, help=help_text))
+        _add_common(sub.add_parser(name, help=help_text), name)
 
     cm = sub.add_parser("countermeasure",
                         help="success-rate degradation under random delays")
-    _add_common(cm)
+    _add_common(cm, "countermeasure")
     cm.add_argument("--max-delay", type=int, default=9,
                     help="maximum random stall in DUT cycles (default 9)")
 
@@ -80,9 +84,8 @@ def main(argv=None) -> int:
             print(f"wrote {rows} rows to {args.out}")
             return EXIT_OK
 
-        overrides = {"master_seed": args.seed, "trials": args.trials}
-        cfg = replace(campaign.load_config(args.config),
-                      **{k: v for k, v in overrides.items() if v is not None})
+        overrides = {k: v for k, v in vars(args).items() if k in ("master_seed", "trials")}
+        cfg = replace(campaign.load_config(args.config), **overrides)
         out = args.out
 
         if args.command == "sweep":

@@ -48,6 +48,8 @@ class ScenarioSpec:
     def __post_init__(self):
         object.__setattr__(self, "instructions", tuple(self.instructions))
         object.__setattr__(self, "targets", tuple(self.targets))
+        if any(ins.index != i for i, ins in enumerate(self.instructions)):
+            raise ValueError("an instruction's index must be its position in the stream")
         cycles = [ins.cycle for ins in self.instructions]
         if sorted(cycles) != cycles or len(set(cycles)) != len(cycles):
             raise ValueError("instruction cycles must be strictly increasing")

@@ -153,14 +153,14 @@ class TrialRecord:
     @classmethod
     def from_dict(cls, d: dict) -> "TrialRecord":
         """Inverse of to_dict; ``trial`` must be an integer and is dropped.
-        A field of the wrong type raises ValueError."""
+        A field of the wrong type or a seed outside [0, 2**64) raises ValueError."""
         rec = cls(d["step"], tuple(tuple(s) for s in d["combo"]),
                   Outcome.from_dict(d["outcome"]), tuple(d["hits"]), d["seed"])
         ints = (d["trial"], rec.seed, *itertools.chain.from_iterable(rec.combo))
         if (not isinstance(rec.step, str) or any(len(s) != 2 for s in rec.combo)
-                or not all(isinstance(v, int) for v in ints)
-                or not all(isinstance(h, bool) for h in rec.hits)):
-            raise ValueError(f"a field of {d!r} has the wrong type")
+                or not all(type(v) is int for v in ints)  # JSON true is no int
+                or not all(isinstance(h, bool) for h in rec.hits) or rec.seed >> 64):
+            raise ValueError(f"a field of {d!r} has the wrong type or range")
         return rec
 
 
@@ -176,9 +176,9 @@ class TrialBlock:
     """``n`` trials of one combo in one step, stored as columns.
 
     Trial ``first + k`` has the verdict ``table[codes[k]]`` and the seed
-    ``mix64(step_seed, first + k)``.  ``codes`` is one int when every
-    trial has the same verdict.  The seeds are derived, in lanes, when
-    first read.  Iterating a block yields its trials as records.
+    ``mix64(step_seed, first + k)``, derived in lanes when first read, or
+    as read from a file.  ``codes`` is one int when every trial has the
+    same verdict.  Iterating a block yields its trials as records.
     """
 
     step: str
@@ -188,7 +188,7 @@ class TrialBlock:
     n: int
     table: list[Verdict]
     codes: Union[int, array]
-    _seeds: Optional[array] = field(default=None, init=False, repr=False)
+    _seeds: Optional[array] = field(default=None, repr=False)
 
     def __len__(self) -> int:
         return self.n
@@ -331,35 +331,33 @@ def run_trials(scenario: ScenarioSpec, combo: Sequence[RelSpec], n: int,
             memo[key] = code_of(decode(plan, key))
 
     if not scenario.random_delay_max:
-        only = entry(())
-        if isinstance(only, int):
-            return TrialBlock(step, combo, step_seed, first, n, list(verdicts), only)
-        plan, memo = only
-        keys = draw_key_column(step_seed, first, n, plan.draws)
-        learn(plan, memo, keys)
-        codes = _widened(array("B"), len(verdicts))
-        codes.extend(map(memo.__getitem__, keys))
-        return TrialBlock(step, combo, step_seed, first, n, list(verdicts), codes)
-
-    by_stalls: dict = {}  # stall vector -> entry(stall vector)
-    codes = array("B")
-    for start in range(first, first + n, LANES):
-        size = min(LANES, first + n - start)
-        vectors = stall_vectors(scenario, step_seed, start, size)
-        distinct = set(vectors)
-        for stalls in distinct - by_stalls.keys():
-            by_stalls[stalls] = entry(stalls)
-        column = list(map(by_stalls.__getitem__, vectors))
-        if not all(isinstance(by_stalls[stalls], int) for stalls in distinct):
-            seeds = seed_column(step_seed, start, size)
-            for i, (code, seed) in enumerate(zip(column, seeds)):
-                if not isinstance(code, int):
-                    plan, memo = code
-                    key = draw_key(seed, plan.draws)
-                    learn(plan, memo, (key,))
-                    column[i] = memo[key]
-        codes = _widened(codes, len(verdicts))
-        codes.extend(column)
+        codes = entry(())
+        if not isinstance(codes, int):
+            plan, memo = codes
+            keys = draw_key_column(step_seed, first, n, plan.draws)
+            learn(plan, memo, keys)
+            codes = _widened(array("B"), len(verdicts))
+            codes.extend(map(memo.__getitem__, keys))
+    else:
+        by_stalls: dict = {}  # stall vector -> entry(stall vector)
+        codes = array("B")
+        for start in range(first, first + n, LANES):
+            size = min(LANES, first + n - start)
+            vectors = stall_vectors(scenario, step_seed, start, size)
+            distinct = set(vectors)
+            for stalls in distinct - by_stalls.keys():
+                by_stalls[stalls] = entry(stalls)
+            column = list(map(by_stalls.__getitem__, vectors))
+            if not all(isinstance(by_stalls[stalls], int) for stalls in distinct):
+                seeds = seed_column(step_seed, start, size)
+                for i, (code, seed) in enumerate(zip(column, seeds)):
+                    if not isinstance(code, int):
+                        plan, memo = code
+                        key = draw_key(seed, plan.draws)
+                        learn(plan, memo, (key,))
+                        column[i] = memo[key]
+            codes = _widened(codes, len(verdicts))
+            codes.extend(column)
     return TrialBlock(step, combo, step_seed, first, n, list(verdicts), codes)
 
 
@@ -603,6 +601,18 @@ def final_combo(block: TrialBlock) -> RankedCombo:
 # Cooperative -> non-cooperative transfer
 # ---------------------------------------------------------------------------
 
+def check_transfer(source: ScenarioSpec, target: ScenarioSpec) -> None:
+    """Raise TransferInvalid unless both scenarios have the same target
+    labels, in the same order, and the same inter-target distances."""
+    if [t.label for t in source.targets] != [t.label for t in target.targets]:
+        raise TransferInvalid("target labels or ordering differ between scenarios")
+    src_gaps, dst_gaps = ([b[0] - a[0] for a, b in zip(s.spans, s.spans[1:])]
+                          for s in (source, target))
+    if src_gaps != dst_gaps:
+        raise TransferInvalid(
+            f"inter-target distances differ: {src_gaps} vs {dst_gaps}")
+
+
 def transfer_parameters(source: ScenarioSpec, combo: RankedCombo,
                         target: ScenarioSpec, domains: ClockDomains) -> RankedCombo:
     """Rebase a cooperative scenario's winning combo onto a scenario with
@@ -611,17 +621,8 @@ def transfer_parameters(source: ScenarioSpec, combo: RankedCombo,
     Only the first relative offset changes (by the trigger shift); every
     later fault is timed off its predecessor and carries over verbatim.
     """
-    src = [first for first, _ in source.spans]
-    dst = [first for first, _ in target.spans]
-    if [t.label for t in source.targets] != [t.label for t in target.targets]:
-        raise TransferInvalid("target labels or ordering differ between scenarios")
-    src_gaps = [b - a for a, b in zip(src, src[1:])]
-    dst_gaps = [b - a for a, b in zip(dst, dst[1:])]
-    if src_gaps != dst_gaps:
-        raise TransferInvalid(
-            f"inter-target distances differ: {src_gaps} vs {dst_gaps}")
-
-    shift = (dst[0] - src[0]) * domains.oversampling
+    check_transfer(source, target)
+    shift = (target.spans[0][0] - source.spans[0][0]) * domains.oversampling
     first_r, first_w = combo.specs[0]
     new_first = first_r + shift
     if new_first < 0:

@@ -1,4 +1,5 @@
-"""Mutation gate on the trial kernel, the exhaustive walk and the draws.
+"""Mutation gate on the trial kernel, the exhaustive walk, the draws and
+the trial blocks.
 
 Each mutant is a set of exact text replacements in a copy of ``src/``
 (each replaced text must occur exactly once).  The test files of the
@@ -26,6 +27,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 DUT_TESTS = ("tests/test_dut.py",)
 WALK_TESTS = ("tests/test_search.py::TestExhaustivePruning",)
+BLOCK_TESTS = ("tests/test_search.py::TestTrialBlock",)
 
 # name -> (file under src/glitchsim, [(text, replacement), ...], test paths)
 MUTANTS = {
@@ -46,6 +48,9 @@ MUTANTS = {
         DUT_TESTS),
     "stall slot +1": (
         "dut.py", [("STALL_SLOT0 = 1 << 32", "STALL_SLOT0 = (1 << 32) + 1")],
+        DUT_TESTS),
+    "stall slots from slot 0": (
+        "dut.py", [("STALL_SLOT0 = 1 << 32", "STALL_SLOT0 = 0")],
         DUT_TESTS),
     "window overlap >=": (
         "dut.py", [("            if overlap > 0:", "            if overlap >= 0:")],
@@ -82,6 +87,21 @@ MUTANTS = {
         "seeding.py", [("bound = _MASK + (math.ceil(threshold) << 11)",
                         "bound = _MASK + ((math.ceil(threshold) + 1) << 11)")],
         ("tests/test_seeding.py",)),
+    "lane mix without its mask before the first product": (
+        "seeding.py", [("x = ((x ^ (x >> 30)) & low) * 0xBF58476D1CE4E5B9 & low",
+                        "x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9 & low")],
+        ("tests/test_seeding.py",)),
+    "block table with two verdicts swapped": (
+        "search.py", [("first, n, list(verdicts), codes)",
+                       "first, n, [*list(verdicts)[1::-1], *list(verdicts)[2:]], codes)")],
+        BLOCK_TESTS),
+    "code column never widened": (
+        "search.py", [("    while size > 1 << 8 * codes.itemsize:\n"
+                       "        codes = array(_WIDER[codes.typecode], codes)\n", "")],
+        BLOCK_TESTS),
+    "read block derives its seeds": (
+        "campaign.py", [("list(verdicts), codes, seeds))", "list(verdicts), codes))")],
+        ("tests/test_persistence.py",)),
     "chain merges at offset 1": (
         "chain.py", [("if offset == 0 and windows:", "if offset <= 1 and windows:")],
         ("tests/test_chain.py",)),

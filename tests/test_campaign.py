@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import pytest
 
+from glitchsim import campaign
 from glitchsim.calibration import (deterministic_model, dup_register_model,
                                    shift_model)
 from glitchsim.campaign import (CampaignConfig, SearchConfig, load_config,
@@ -12,7 +13,7 @@ from glitchsim.campaign import (CampaignConfig, SearchConfig, load_config,
                                 run_countermeasure_eval, run_exhaustive,
                                 run_sweep_only, run_wide_vs_narrow)
 from glitchsim.dut import BodModel, Effect, FaultResponseModel
-from glitchsim.errors import ConfigError, IncompleteSweep
+from glitchsim.errors import ConfigError, IncompleteSweep, SearchFailed
 from glitchsim.scenarios import load_scenario, save_scenario, successive_shifts
 from glitchsim.timing import ClockDomains
 
@@ -156,6 +157,16 @@ class TestAttackFlow:
         with pytest.raises(ConfigError):
             run_attack_flow(cfg)
 
+    @pytest.mark.parametrize("twin, error", [
+        ("dup_registers_33_19", r"inter-target distances differ: \[20\] vs \[44\]"),
+        ("successive_shifts", "target labels or ordering differ"),
+    ], ids=["gaps", "labels"])
+    def test_mismatched_twin_fails_before_any_trial(self, monkeypatch, twin, error):
+        cfg = dup_config(scenario="dup_registers_noncoop", transfer_source=twin)
+        monkeypatch.setattr(campaign, "sweep", lambda *args, **kw: pytest.fail("a trial ran"))
+        with pytest.raises(ConfigError, match=error):
+            run_attack_flow(cfg)
+
     def test_noncoop_flow_via_transfer(self):
         cfg = dup_config(scenario="dup_registers_noncoop",
                          transfer_source="dup_registers_coop",
@@ -172,6 +183,34 @@ class TestAttackFlow:
         run_attack_flow(dup_config(), b)
         assert (a / "results.jsonl").read_bytes() == (b / "results.jsonl").read_bytes()
         assert (a / "summary.json").read_bytes() == (b / "summary.json").read_bytes()
+
+
+# Sweep picks 400 ticks wide for two targets 2 cycles (40 ticks) apart.
+OVERLAP = CampaignConfig(
+    scenario="dup_registers_22_1", oversampling=20, model=deterministic_model(),
+    search=SearchConfig(offset_min=0, offset_max=800, stride=20, width_set=(400,)))
+
+
+class TestOverlappingPicks:
+    """Picks that overlap end the search after the sweep, like any other
+    failed step: the flow persists the sweep's trials, and compare counts
+    them for a flow that found nothing."""
+
+    def test_flow_persists_the_sweep(self, tmp_path):
+        with pytest.raises(SearchFailed, match="overlaps its predecessor") as failed:
+            run_attack_flow(OVERLAP, tmp_path)
+        assert failed.value.trials_used == 0
+        swept = run_sweep_only(OVERLAP)["total_trials"]
+        stored = json.loads((tmp_path / "summary.json").read_text())
+        assert stored["error"] == {"kind": "overlapping_picks", "trials_used": 0}
+        assert stored["total_trials"] == swept > 0
+        assert sum(map(len, read_results(tmp_path / "results.jsonl"))) == swept
+
+    def test_compare_reports_the_flow_not_found(self):
+        summary = run_comparison(OVERLAP)
+        swept = run_sweep_only(OVERLAP)["total_trials"]
+        assert summary["flow"] == {"trials_used": swept, "found": False}
+        assert summary["ratio"] is None
 
 
 class TestComparison:

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from glitchsim.campaign import load_config
 from glitchsim.chain import chain_windows
-from glitchsim.cli import main
+from glitchsim.cli import build_parser, main
 from glitchsim.dut import trial_plan
 from glitchsim.scenarios import dup_registers, scenario_to_dict, successive_shifts
 
@@ -51,6 +51,24 @@ class TestExitCodes:
     def test_retired_jobs_flag_exit_2(self, dup_cfg_path, capsys):
         assert main(["flow", "--config", str(dup_cfg_path), "--jobs", "2"]) == 2
         assert "unrecognized arguments: --jobs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, flag", [
+        ("sweep", "--trials"), ("exhaustive", "--trials"), ("flow", "--trials"),
+        ("compare", "--trials"), ("bod", "--trials"), ("bod", "--seed")])
+    def test_option_a_command_does_not_read_exit_2(self, dup_cfg_path, capsys,
+                                                   command, flag):
+        assert main([command, "--config", str(dup_cfg_path), flag, "5"]) == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    def test_overrides_offered_where_read(self):
+        parser = build_parser()
+        for command in ("sweep", "exhaustive", "flow", "compare", "wide-vs-narrow",
+                        "countermeasure"):
+            args = parser.parse_args([command, "--config", "c.json", "--seed", "5"])
+            assert (args.master_seed, "trials" in vars(args)) == (5, False)
+        for command in ("wide-vs-narrow", "countermeasure"):
+            assert parser.parse_args([command, "--config", "c.json",
+                                      "--trials", "5"]).trials == 5
 
     @pytest.mark.parametrize("flag", ["--trials"])
     def test_non_positive_count_exit_2(self, dup_cfg_path, capsys, flag):

@@ -1,18 +1,19 @@
 """results.jsonl and report.csv are written straight from the trial
-blocks a campaign holds, or from records as read_results returns them.
-The formatter they replace, which built each record's line with
+blocks a campaign holds, or from the blocks read_results returns.  The
+formatter they replace, which built each record's line with
 ``json.dumps`` and read the JSON back to write the CSV, is the oracle."""
 
 import csv
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from glitchsim import campaign
 from glitchsim.calibration import dup_register_model, shift_model, tzm_model
-from glitchsim.campaign import (CampaignConfig, SearchConfig, read_results,
-                                results_to_report, write_results)
+from glitchsim.campaign import (CampaignConfig, SearchConfig, load_config,
+                                read_results, results_to_report, write_results)
 from glitchsim.cli import main
 from glitchsim.errors import ConfigError
 from glitchsim.scenarios import dup_registers
@@ -24,6 +25,9 @@ FLOW = CampaignConfig(
     search=SearchConfig(offset_min=0, offset_max=100, width_set=(1,), psi=2,
                         integrate_trials=20, n_rank=20, n_final=300),
     master_seed=3)
+
+
+CI_FLOW = Path(__file__).resolve().parent.parent / "demos" / "configs" / "dup_flow.json"
 
 
 def as_records(data):
@@ -92,6 +96,16 @@ def escaped_records():
     return as_records(escaped_blocks()[::-1])[::-1]
 
 
+def escaped_read(tmp_path):
+    """The escaped records, as read_results returns them from the file the
+    oracle wrote: blocks whose seeds no step seed derives."""
+    oracle_results(escaped_records(), tmp_path / "escaped.jsonl")
+    blocks = read_results(tmp_path / "escaped.jsonl")
+    assert [(b.step, len(b)) for b in blocks] == [("both", 200),
+                                                   ('odd "step",\r\n \\ é', 200)]
+    return blocks
+
+
 def flow_records(monkeypatch, tmp_path):
     return persisted_records(monkeypatch,
                              lambda: campaign.run_attack_flow(FLOW, tmp_path / "run"))
@@ -104,18 +118,28 @@ def wide_records(monkeypatch, tmp_path):
                              lambda: campaign.run_wide_vs_narrow(cfg, tmp_path / "run"))
 
 
-def countermeasure_records(monkeypatch, tmp_path):
-    cfg = CampaignConfig(scenario="tzm_full_attack", model=tzm_model(),
-                         trials=300, master_seed=2)
+TZM_COUNTERMEASURE = CampaignConfig(scenario="tzm_full_attack", model=tzm_model(),
+                                    trials=300, master_seed=2)
+
+
+def countermeasure_records(monkeypatch, tmp_path, cfg=TZM_COUNTERMEASURE):
     return persisted_records(
         monkeypatch, lambda: campaign.run_countermeasure_eval(cfg, 9, tmp_path / "run"))
+
+
+def ci_countermeasure(trials):
+    """CI's countermeasure run on dup_flow.json at ``trials`` per arm."""
+    return lambda monkeypatch, tmp_path: countermeasure_records(
+        monkeypatch, tmp_path, replace(load_config(CI_FLOW), trials=trials))
 
 
 SOURCES = {
     "flow": flow_records,
     "wide_vs_narrow": wide_records,
     "countermeasure": countermeasure_records,
-    "escaped": lambda monkeypatch, tmp_path: escaped_records(),
+    "ci_countermeasure_1000": ci_countermeasure(1000),
+    "ci_countermeasure_2500": ci_countermeasure(2500),
+    "escaped": lambda monkeypatch, tmp_path: escaped_read(tmp_path),
     "escaped_blocks": lambda monkeypatch, tmp_path: escaped_blocks(),
 }
 
@@ -138,8 +162,16 @@ class TestAgainstOracle:
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
     def test_read_results_round_trips(self, records, tmp_path):
+        """Reading a file back gives its trials, and writing them again
+        gives the file and the report byte for byte."""
         write_results(records, tmp_path / "results.jsonl")
-        assert read_results(tmp_path / "results.jsonl") == as_records(records)
+        results_to_report(records, tmp_path / "report.csv")
+        blocks = read_results(tmp_path / "results.jsonl")
+        assert as_records(blocks) == as_records(records)
+        write_results(blocks, tmp_path / "again.jsonl")
+        results_to_report(blocks, tmp_path / "again.csv")
+        for name, again in (("results.jsonl", "again.jsonl"), ("report.csv", "again.csv")):
+            assert (tmp_path / again).read_bytes() == (tmp_path / name).read_bytes()
 
     def test_empty(self, tmp_path):
         write_results([], tmp_path / "results.jsonl")
@@ -149,6 +181,17 @@ class TestAgainstOracle:
 
 
 class TestReadResults:
+    def test_read_blocks_hold_their_seeds(self, tmp_path):
+        """A read block's seeds are the ones on its lines, whichever they
+        are, down to both ends of [0, 2**64)."""
+        line = {"step": "final", "combo": [[1, 2]], "outcome": {"kind": "success"},
+                "hits": [True]}
+        path = tmp_path / "seeds.jsonl"
+        path.write_text("".join(json.dumps(line | {"seed": seed, "trial": i}) + "\n"
+                                for i, seed in enumerate((2**64 - 1, 0, 5))))
+        (block,) = read_results(path)
+        assert list(block.seeds()) == [2**64 - 1, 0, 5]
+
     @pytest.mark.parametrize("line", [
         "not json",
         '{"trial": 0}',
@@ -167,11 +210,22 @@ class TestReadResults:
         '{"step": "final", "combo": [[1, 2]], '
         '"outcome": {"kind": "success"}, "hits": [true], "seed": 5}',
         pytest.param("[" * 200_000 + "]" * 200_000, id="over_nested"),
+        pytest.param('{"trial": 0, "step": "final", "combo": [[1, 2]], '
+                     '"outcome": {"kind": "success"}, "hits": [true], "seed": -1}',
+                     id="negative_seed"),
+        pytest.param('{"trial": 0, "step": "final", "combo": [[1, 2]], '
+                     '"outcome": {"kind": "success"}, "hits": [true], '
+                     '"seed": 18446744073709551616}', id="seed_2_to_the_64"),
+        pytest.param('{"trial": 0, "step": "final", "combo": [[1, 2]], '
+                     '"outcome": {"kind": "success"}, "hits": [true], "seed": true}',
+                     id="true_seed"),
+        pytest.param('{"trial": 0, "step": "final", "combo": [[false, 2]], '
+                     '"outcome": {"kind": "success"}, "hits": [true], "seed": 5}',
+                     id="false_offset"),
     ])
     def test_bad_line_names_file_and_line(self, line, tmp_path):
-        good = escaped_records()[:1]
         path = tmp_path / "results.jsonl"
-        write_results(good, path)
+        oracle_results(escaped_records()[:1], path)
         with open(path, "ab") as fh:
             fh.write(line.encode("latin-1") + b"\n")
         with pytest.raises(ConfigError, match=r"results\.jsonl line 2 "):
@@ -182,6 +236,16 @@ class TestReadResults:
             read_results(tmp_path / "nope.jsonl")
         with pytest.raises(ConfigError, match="cannot read"):
             read_results(tmp_path)
+
+
+def test_report_command_exits_2_on_a_seed_past_2_to_the_64(tmp_path, capsys):
+    """glitchsim never writes such a seed; the line is no trial record."""
+    path = tmp_path / "results.jsonl"
+    oracle_results(escaped_records()[:2], path)
+    first, second = path.read_text().splitlines(keepends=True)
+    path.write_text(first + json.dumps(json.loads(second) | {"seed": 2**64}) + "\n")
+    assert main(["report", "--results", str(path), "--out", str(tmp_path / "r.csv")]) == 2
+    assert f"{path} line 2 is not a trial record" in capsys.readouterr().err
 
 
 def test_report_command_regenerates_flow_csv(tmp_path):

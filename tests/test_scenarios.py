@@ -190,6 +190,17 @@ class TestSerialization:
             load_scenario("no_such_scenario")
 
 
+class TestInstructionIndex:
+    def test_index_must_be_position(self):
+        """Two stores sharing index 1 would make skipping one hit both."""
+        base = dup_registers(7, 43)
+        stores = [ins.cycle for ins in base.effectful_instructions[1:]]
+        renumbered = tuple(replace(ins, index=1) if ins.cycle in stores else ins
+                           for ins in base.instructions)
+        with pytest.raises(ValueError, match="position in the stream"):
+            replace(base, instructions=renumbered)
+
+
 class TestTargetsInStream:
     @pytest.mark.parametrize("cycle", [999, 9])  # past the end; a Delay cycle
     def test_rejected_at_construction(self, cycle):
