@@ -2,8 +2,10 @@
 
 The response model has no physics in it; its knobs are fitted so the
 simulated outcome statistics match measured rates.  The constants below
-are frozen results of the fit routines in this module; the test suite
-re-runs the fits to guard against drift.
+are frozen results of those fits.  This module holds the closed-form
+predictions the fits minimise; the minimax refit of the shift-pair
+model, which needs numpy and scipy, lives in the test suite and guards
+the frozen constants against drift.
 """
 
 from __future__ import annotations
@@ -89,7 +91,7 @@ def deterministic_model() -> FaultResponseModel:
 
 
 # ---------------------------------------------------------------------------
-# Fit machinery (the oracle behind the frozen constants)
+# Closed-form predictions (the oracle behind the frozen constants)
 # ---------------------------------------------------------------------------
 
 def predict_shift_distributions(pr: float, pl: float, burst: float, lockup: float):
@@ -127,25 +129,3 @@ def shift_fit_deviation(params) -> float:
     devs = [abs(wide[k] - v) for k, v in WIDE_FAULT_DISTRIBUTION.items()]
     devs += [abs(narrow[k] - v) for k, v in NARROW_FAULT_DISTRIBUTION.items()]
     return max(devs)
-
-
-def fit_shift_model(n_restarts: int = 50, seed: int = 0):
-    """Minimax fit of the shift-pair model; returns (params, deviation)."""
-    # Imported here: nothing else in glitchsim needs numpy or scipy, and
-    # they would dominate the cost of ``import glitchsim``.
-    import numpy as np
-    from scipy import optimize
-
-    rng = np.random.default_rng(seed)
-    best_x, best_v = None, math.inf
-    for _ in range(n_restarts):
-        x0 = rng.uniform([0.1, 0.1, 0.0, 0.1], [0.6, 0.5, 0.5, 0.3])
-        res = optimize.minimize(
-            shift_fit_deviation, x0, method="Nelder-Mead",
-            options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 20000, "maxfev": 20000},
-        )
-        x = np.clip(res.x, 0.0, 1.0)
-        v = shift_fit_deviation(x)
-        if v < best_v:
-            best_x, best_v = tuple(float(p) for p in x), v
-    return best_x, best_v

@@ -20,9 +20,10 @@ own fixed slot of the seed (:func:`glitchsim.seeding.slot`, a 53-bit
 integer m read as u = m / 2**53), so no draw moves another.  With W
 windows, window w bursts when slot 2w gives u < ``p_window_burst`` and
 locks up when slot 2w+1 gives u < ``p_lockup_per_fault``; a covered
-instruction with index i is skipped when a bursting window touches it or
-slot 2W+i gives u below its skip probability; the stall before the d-th
-delay point is (m·(max+1)) >> 53 for slot ``STALL_SLOT0 + d``.  The
+instruction at stream position i is skipped when a bursting window
+touches it or slot 2W+i gives u below its skip probability; the stall
+before the d-th delay point is (m·(max+1)) >> 53 for slot
+``STALL_SLOT0 + d``, read through ``slot`` (:func:`stall_vector`).  The
 first window that locks up sets the lock tick; no instruction starting
 at or after it is skipped.  A probability of 0 or 1 decides without
 reading its slot.
@@ -49,7 +50,7 @@ from enum import Enum
 from itertools import accumulate
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .seeding import SLOT_ONE, draw_key, slot_offset, stall_column, stall_draws
+from .seeding import SLOT_ONE, draw_key, slot, slot_offset, stall_column
 
 # First stall slot: far past any window or skip slot, so the ranges are
 # disjoint.
@@ -77,13 +78,14 @@ INERT_EFFECTS = frozenset({Effect.DELAY, Effect.PLAIN})
 
 @dataclass(frozen=True)
 class Instruction:
-    index: int
+    """One instruction of a stream; its position there is its index."""
+
     cycle: int
     effect: Effect
 
     def __post_init__(self):
-        if self.index < 0 or self.cycle < 0:
-            raise ValueError("index and cycle must be non-negative")
+        if self.cycle < 0:
+            raise ValueError("cycle must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -209,7 +211,7 @@ def trial_plan(scenario, windows, domains, model: FaultResponseModel,
                           _key_mask(draws, 2 * w + 1, model.p_lockup_per_fault))
                          for w, (start, _) in enumerate(windows))
     entries = []
-    for ins, cycle in zip(scenario.effectful_instructions, cycles):
+    for (i, ins), cycle in zip(scenario.effectful_instructions, cycles):
         ins_start = cycle * K
         ins_end = ins_start + K
         mask, p_noskip = 0, 1.0
@@ -221,8 +223,8 @@ def trial_plan(scenario, windows, domains, model: FaultResponseModel,
                 mask |= 1 << w
                 p_noskip *= 1.0 - model.skip_probability(ins.effect, overlap / K)
         if mask:
-            entries.append((ins.index, ins_start, mask,
-                            _key_mask(draws, 2 * W + ins.index, 1.0 - p_noskip)))
+            entries.append((i, ins_start, mask,
+                            _key_mask(draws, 2 * W + i, 1.0 - p_noskip)))
 
     plan = TrialPlan(plan_windows, tuple(entries), tuple(draws))
     if not draws:
@@ -272,7 +274,8 @@ def execute_trial(scenario, windows, domains, model: FaultResponseModel,
 def stall_vector(scenario, max_delay_cycles: int, seed: int) -> tuple[int, ...]:
     """One stall of 0..max_delay_cycles per delay point: the stall before
     point d is (m·(max+1)) >> 53 of the trial seed's slot STALL_SLOT0 + d."""
-    return stall_draws(seed, STALL_SLOT0, len(scenario.delay_points), max_delay_cycles + 1)
+    return tuple((slot(seed, STALL_SLOT0 + d) * (max_delay_cycles + 1)) >> 53
+                 for d in range(len(scenario.delay_points)))
 
 
 def stall_vectors(scenario, step_seed: int, first: int, n: int) -> list[tuple[int, ...]]:
@@ -284,7 +287,7 @@ def stall_vectors(scenario, step_seed: int, first: int, n: int) -> list[tuple[in
 
 def shift_by(scenario, stalls: Sequence[int]):
     """The map from a cycle to its position under one stall per delay
-    point.  A stall only moves cycles: instruction indices and target
+    point.  A stall only moves cycles: instruction positions and target
     membership stay those of the undelayed scenario."""
     points = scenario.delay_points
     before = (0, *accumulate(stalls))  # before[d]: stall in front of a cycle past d points
@@ -315,7 +318,7 @@ def apply_random_delays(scenario, max_delay_cycles: int, seed: int):
 
     shift = shift_by(scenario, stall_vector(scenario, max_delay_cycles, seed))
     new_instructions = tuple(
-        Instruction(ins.index, shift(ins.cycle), ins.effect)
+        Instruction(shift(ins.cycle), ins.effect)
         for ins in scenario.instructions
     )
     new_targets = tuple(

@@ -48,8 +48,6 @@ class ScenarioSpec:
     def __post_init__(self):
         object.__setattr__(self, "instructions", tuple(self.instructions))
         object.__setattr__(self, "targets", tuple(self.targets))
-        if any(ins.index != i for i, ins in enumerate(self.instructions)):
-            raise ValueError("an instruction's index must be its position in the stream")
         cycles = [ins.cycle for ins in self.instructions]
         if sorted(cycles) != cycles or len(set(cycles)) != len(cycles):
             raise ValueError("instruction cycles must be strictly increasing")
@@ -63,12 +61,15 @@ class ScenarioSpec:
             raise ValueError("every target cycle must lie at or after trigger_cycle")
 
     @cached_property
-    def effectful_instructions(self) -> tuple[Instruction, ...]:
-        return tuple(i for i in self.instructions if i.effect not in INERT_EFFECTS)
+    def effectful_instructions(self) -> tuple[tuple[int, Instruction], ...]:
+        """(index, instruction) of each effectful instruction, in stream
+        order; an instruction's index is its position in the stream."""
+        return tuple((i, ins) for i, ins in enumerate(self.instructions)
+                     if ins.effect not in INERT_EFFECTS)
 
     @cached_property
     def effectful_cycles(self) -> tuple[int, ...]:
-        return tuple(i.cycle for i in self.effectful_instructions)
+        return tuple(ins.cycle for _, ins in self.effectful_instructions)
 
     @cached_property
     def spans(self) -> tuple[tuple[int, int], ...]:
@@ -90,7 +91,7 @@ class ScenarioSpec:
         out = {}
         for t in self.targets:
             idx = frozenset(
-                i.index for i in self.effectful_instructions if i.cycle in t.cycles
+                i for i, ins in self.effectful_instructions if ins.cycle in t.cycles
             )
             if len(idx) != len(t.cycles):
                 raise ValueError(f"target {t.label} does not match the stream: "
@@ -172,7 +173,7 @@ def classify(scenario: ScenarioSpec, raw: RawTrialResult) -> Outcome:
 # ---------------------------------------------------------------------------
 
 def _stream(entries) -> tuple[Instruction, ...]:
-    return tuple(Instruction(i, cycle, effect) for i, (cycle, effect) in enumerate(entries))
+    return tuple(Instruction(cycle, effect) for cycle, effect in entries)
 
 
 def _filled(effect_at: dict[int, Effect], last_cycle: int) -> tuple[Instruction, ...]:
@@ -352,9 +353,9 @@ def scenario_from_dict(data: dict) -> ScenarioSpec:
     if version != SCHEMA_VERSION:
         raise ValueError(f"unsupported scenario schema_version {version!r}")
     instructions = tuple(
-        Instruction(i, check_type(int, "instruction cycle", entry["cycle"]),
+        Instruction(check_type(int, "instruction cycle", entry["cycle"]),
                     Effect(entry["effect"]))
-        for i, entry in enumerate(data["instructions"])
+        for entry in data["instructions"]
     )
     targets = tuple(
         Target(check_type(str, "target label", t["label"]),

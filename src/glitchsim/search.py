@@ -21,8 +21,8 @@ from .chain import ChainConfig, chain_windows, simulate_chain
 # apply_random_delays and execute_trial stay bound for bench/run.py, which
 # traces the trial layers here by name; trials run on the plan instead.
 from .dut import (BodModel, FaultResponseModel, apply_random_delays, decode,
-                  execute_trial, run_plan, stall_vector, stall_vectors, stalled_cycles,
-                  trial_plan)
+                  execute_trial, run_plan, shift_by, stall_vector, stall_vectors,
+                  stalled_cycles, trial_plan)
 from .errors import (IncompleteSweep, NoIntegratedSuccess, NotFound,
                      OverlapError, TransferInvalid)
 from .scenarios import Outcome, ScenarioSpec, classify
@@ -488,13 +488,15 @@ def exhaustive_search(scenario: ScenarioSpec, space: SearchSpace, n_faults: int,
     seed ``mix64(seed, i)``; the first success at trial i has used i + 1
     trials.  With none in the budget, raises ``NotFound``.
 
-    Without random stalls, a combo or a prefix of it is pruned when one
-    of its target instructions ends at or before the prefix's done tick
-    and no window of the prefix touches it: later windows start at or
-    after that tick and only a touching window skips an instruction, so
-    no combo below the prefix can succeed.  Its combos are charged to
-    the trials used (up to the budget) but never run.  With random stalls
-    the targets move from trial to trial and every combo runs.
+    A target instruction's reach is every tick it can occupy: stalls
+    only delay, so it runs from the start of its cycle to the end of its
+    cycle under the longest stall at every delay point (without stalls,
+    its cycle).  A combo or a prefix of it is pruned when a reach ends at
+    or before the prefix's done tick and no window of the prefix touches
+    it: later windows start at or after that tick and only a touching
+    window skips an instruction, so no combo below the prefix can
+    succeed under any stall vector.  Its combos are charged to the
+    trials used (up to the budget) but never run.
     """
     if n_faults < 1:
         raise ValueError("n_faults must be >= 1")
@@ -504,17 +506,17 @@ def exhaustive_search(scenario: ScenarioSpec, space: SearchSpace, n_faults: int,
     # the closed form runs without a ChainConfig per combo, and a trial
     # seed is derived only when something can draw from it: a fixed plan
     # ignores its seed, and mixing would dominate the loop otherwise.
-    stalled = scenario.random_delay_max > 0
     K = ctx.domains.oversampling
     trigger_tick = scenario.trigger_cycle * K
-    # [start, end) ticks of the target instructions; stalls move them.
-    target_ticks = () if stalled else tuple(
-        (c * K, (c + 1) * K) for t in scenario.targets for c in t.cycles)
+    # The [start, end) ticks of each target instruction's reach.
+    latest = shift_by(scenario, [scenario.random_delay_max] * len(scenario.delay_points))
+    target_ticks = tuple((c * K, (latest(c) + 1) * K)
+                         for t in scenario.targets for c in t.cycles)
     grid = space.grid
     succeeds: dict = {}  # raw result -> whether it is a success
     for index, combo, windows in _live_combos(grid, n_faults, budget, trigger_tick,
                                               target_ticks):
-        trial_seed = mix64(seed, index) if stalled else None
+        trial_seed = mix64(seed, index) if scenario.random_delay_max else None
         plan = trial_plan(scenario, windows, ctx.domains, ctx.model, ctx.bod,
                           _cycles(scenario, trial_seed))
         if plan.fixed is None and trial_seed is None:
@@ -531,7 +533,8 @@ def _live_combos(grid: Sequence[RelSpec], n_faults: int, budget: int,
                  trigger_tick: int, target_ticks: Sequence[tuple[int, int]]):
     """(i, combo, windows) for each combo i < budget of ``grid ** n_faults``,
     in lexicographic order, that is not doomed and lies below no doomed
-    prefix.
+    prefix.  A target is one [start, end) of ``target_ticks``, the reach
+    of a target instruction.
 
     A live prefix with done tick c leaves untouched only targets that end
     after c; its child (o, w) adds a window from c + o, which touches

@@ -8,8 +8,9 @@ index alone, never on the order trials run in.
 A trial's random draws are counter-based: draw slot k of the trial at
 seed s is the (k+1)-th output of a splitmix64 stream started at s, so
 any slot can be read without the ones before it (Salmon et al., SC'11).
-:func:`slot` states the rule; :func:`draw_key` and :func:`stall_draws`
-make a trial's draws by it, each in one inlined pass.
+:func:`slot` states the rule, and a trial's stalls are read through it
+(:func:`glitchsim.dut.stall_vector`); :func:`draw_key` makes a trial's
+draws by it in one inlined pass.
 
 No trial's draws depend on another's, so the trials of a block are
 independent lanes.  :func:`seed_column`, :func:`draw_key_column` and
@@ -74,21 +75,6 @@ def draw_key(seed: int, draws) -> int:
             key |= bit
         bit <<= 1
     return key
-
-
-def stall_draws(seed: int, k: int, n: int, span: int) -> tuple[int, ...]:
-    """(m·span) >> 53, a uniform integer in [0, span), for each slot
-    k..k+n-1 of the trial at ``seed``, in the inlined pass of
-    :func:`draw_key`."""
-    stalls = []
-    z = (seed + k * _GAMMA) & _MASK
-    for _ in range(n):
-        z += _GAMMA
-        x = z & _MASK
-        x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-        x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK
-        stalls.append((((x ^ (x >> 31)) >> 11) * span) >> 53)
-    return tuple(stalls)
 
 
 def mix64(*parts: int) -> int:
@@ -176,7 +162,8 @@ def draw_key_column(step_seed: int, first: int, n: int, draws) -> list[int]:
 
 def stall_column(step_seed: int, first: int, n: int, k: int, count: int,
                  span: int) -> list[tuple[int, ...]]:
-    """``stall_draws(mix64(step_seed, i), k, count, span)`` for
+    """``(slot(seed, k + d) * span) >> 53``, a uniform integer in [0, span),
+    for d = 0..count-1, as one tuple per seed ``mix64(step_seed, i)`` for
     i = first..first+n-1, in lanes, for 1 <= span <= MAX_SPAN."""
     if not 1 <= span <= MAX_SPAN:
         raise ValueError(f"a stall span must be in [1, {MAX_SPAN}], got {span}")

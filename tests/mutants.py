@@ -32,12 +32,12 @@ BLOCK_TESTS = ("tests/test_search.py::TestTrialBlock",)
 # name -> (file under src/glitchsim, [(text, replacement), ...], test paths)
 MUTANTS = {
     "skip mask one bit off": (
-        "dut.py", [("_key_mask(draws, 2 * W + ins.index, 1.0 - p_noskip)))",
-                    "_key_mask(draws, 2 * W + ins.index, 1.0 - p_noskip) << 1))")],
+        "dut.py", [("_key_mask(draws, 2 * W + i, 1.0 - p_noskip)))",
+                    "_key_mask(draws, 2 * W + i, 1.0 - p_noskip) << 1))")],
         DUT_TESTS),
     "skip slot +1": (
-        "dut.py", [("_key_mask(draws, 2 * W + ins.index, ",
-                    "_key_mask(draws, 2 * W + ins.index + 1, ")],
+        "dut.py", [("_key_mask(draws, 2 * W + i, ",
+                    "_key_mask(draws, 2 * W + i + 1, ")],
         DUT_TESTS),
     "lockup reads the burst slot": (
         "dut.py", [("_key_mask(draws, 2 * w + 1, model.p_lockup_per_fault)",
@@ -70,6 +70,13 @@ MUTANTS = {
         "search.py", [('default=float("inf")) - cursor)',
                        'default=float("inf")) - cursor - 1)')],
         WALK_TESTS),
+    "walk reach ignores stalls": (
+        "search.py", [("target_ticks = tuple((c * K, (latest(c) + 1) * K)",
+                       "target_ticks = tuple((c * K, (c + 1) * K)")],
+        WALK_TESTS),
+    "walk stops one sibling early": (
+        "search.py", [("for spec in grid[:live]:", "for spec in grid[:live - 1]:")],
+        WALK_TESTS),
     "walk root drops targets before the trigger": (
         "search.py", [("return walk((), trigger_tick, [end for _, end in target_ticks], 0,",
                        "return walk((), trigger_tick, [e for s, e in target_ticks"
@@ -86,6 +93,10 @@ MUTANTS = {
     "lane draw bound one step up": (
         "seeding.py", [("bound = _MASK + (math.ceil(threshold) << 11)",
                         "bound = _MASK + ((math.ceil(threshold) + 1) << 11)")],
+        ("tests/test_seeding.py",)),
+    "stall column without its lane mask after >> 11": (
+        "seeding.py", [(">> 11)\n                           & low) * span >> 53",
+                        ">> 11)) * span >> 53")],
         ("tests/test_seeding.py",)),
     "lane mix without its mask before the first product": (
         "seeding.py", [("x = ((x ^ (x >> 30)) & low) * 0xBF58476D1CE4E5B9 & low",
@@ -117,6 +128,11 @@ EQUIVALENT = {
         "dut.py: `if end > ins_start` -> `>=`.  When the window ends at the "
         "instruction's start tick, min(end, ins_end) - max(start, ins_start) "
         "is 0 as well, and a zero overlap adds no entry either way."),
+    "writer slice of 1 023 lines": (
+        "campaign.py: `_LINES = 1024` -> `1023`.  The slice size only sets "
+        "how many lines one write call takes; the file holds the same lines "
+        "in the same order.  It survives tests/test_persistence.py, "
+        "test_campaign.py, test_golden.py and test_cli.py."),
 }
 
 

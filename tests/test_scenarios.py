@@ -161,7 +161,8 @@ class TestHits:
         cycles = [c for t in scen.targets for c in t.cycles[:skip.get(t.label, 0)]]
         raw = run_on_cycles(scen, cycles)
         assert not raw.locked_up
-        assert raw.skipped == {i.index for i in scen.instructions if i.cycle in cycles}
+        assert raw.skipped == {i for i, ins in enumerate(scen.instructions)
+                               if ins.cycle in cycles}
         assert scen.hits(raw.skipped) == hits
 
 
@@ -188,17 +189,6 @@ class TestSerialization:
     def test_unknown_name(self):
         with pytest.raises(ValueError):
             load_scenario("no_such_scenario")
-
-
-class TestInstructionIndex:
-    def test_index_must_be_position(self):
-        """Two stores sharing index 1 would make skipping one hit both."""
-        base = dup_registers(7, 43)
-        stores = [ins.cycle for ins in base.effectful_instructions[1:]]
-        renumbered = tuple(replace(ins, index=1) if ins.cycle in stores else ins
-                           for ins in base.instructions)
-        with pytest.raises(ValueError, match="position in the stream"):
-            replace(base, instructions=renumbered)
 
 
 class TestTargetsInStream:

@@ -363,9 +363,9 @@ def _reference_execute_trial(scenario, windows, domains, model,
                              bod=None, seed=None, cycles=None):
     """The slot rule stated plainly: with W windows, window w bursts when
     u(2w) < p_window_burst and locks up when u(2w+1) < p_lockup_per_fault;
-    an effectful instruction with index i, if a window touches it and it
-    starts before the first lock tick, is skipped when a touching window
-    bursts or u(2W+i) < its skip probability.  u(k) = slot k / 2**53."""
+    an effectful instruction at stream position i, if a window touches it
+    and it starts before the first lock tick, is skipped when a touching
+    window bursts or u(2W+i) < its skip probability.  u(k) = slot k / 2**53."""
     if bod is not None and bod.enabled and bod.detects(windows):
         return RawTrialResult(frozenset(), bod_tripped=True)
 
@@ -382,7 +382,7 @@ def _reference_execute_trial(scenario, windows, domains, model,
     if cycles is None:
         cycles = scenario.effectful_cycles
     skipped = set()
-    for ins, cycle in zip(scenario.effectful_instructions, cycles):
+    for (i, ins), cycle in zip(scenario.effectful_instructions, cycles):
         ins_start, ins_end = cycle * K, (cycle + 1) * K
         if lock_tick is not None and ins_start >= lock_tick:
             continue  # device froze in an erroneous state
@@ -395,8 +395,8 @@ def _reference_execute_trial(scenario, windows, domains, model,
             start, end = windows[w]
             overlap = min(end, ins_end) - max(start, ins_start)
             p_noskip *= 1.0 - model.skip_probability(ins.effect, overlap / K)
-        if any(bursts[w] for w in touching) or u(2 * W + ins.index) < 1.0 - p_noskip:
-            skipped.add(ins.index)
+        if any(bursts[w] for w in touching) or u(2 * W + i) < 1.0 - p_noskip:
+            skipped.add(i)
 
     return RawTrialResult(frozenset(skipped), locked_up=lock_tick is not None)
 
@@ -611,9 +611,14 @@ class TestExhaustivePruning:
                    SearchSpace(0, 11, (2, 4), 10), 16, 3))
     # Random stalls move store 1 to cycle 8 + d: the first window at
     # cycle 9 lies past the unstalled store, yet combo 1 succeeds at this
-    # seed, so nothing may be pruned.
+    # seed, so the walk must not prune by the unstalled cycle.
     @example(case=("dup_registers_7_43", deterministic_model(), None, 1, 2, 2,
                    SearchSpace(9, 44, (1,), 34), 4, 4))
+    # The same stalls over offsets 9..53: store 1's reach is [8, 11), so
+    # the root prunes offsets 11..53, and every win hits store 1 stalled.
+    # Combo 35, ((9, 1), (44, 1)), wins: both stalls are 1 at its seed.
+    @example(case=("dup_registers_7_43", deterministic_model(), None, 1, 2, 2,
+                   SearchSpace(9, 54, (1,)), 45 ** 2, 3))
     def test_matches_per_combo_oracle(self, case):
         preset, model, bod, K, stalls, n_faults, space, budget, seed = case
         scen = replace(SCENARIO_PRESETS[preset](), random_delay_max=stalls)
@@ -675,6 +680,23 @@ class TestExhaustivePruning:
         got = list(search._live_combos(grid, n_faults, budget, trigger_tick,
                                        target_ticks))
         assert got == want
+
+    def test_stalled_walk_compiles_few_plans(self, monkeypatch):
+        """tzm_randomized's 4-fault grid: the walk charges its budget but
+        compiles a plan only for the combos below live prefixes."""
+        plans = 0
+
+        def counted(*args):
+            nonlocal plans
+            plans += 1
+            return trial_plan(*args)
+
+        monkeypatch.setattr(search, "trial_plan", counted)
+        with pytest.raises(NotFound) as exc:
+            exhaustive_search(load_scenario("tzm_randomized"),
+                              SearchSpace(0, 100, (1, 2)), 4, 50_000, perfect_ctx(DOM1))
+        assert exc.value.trials_used == 50_000
+        assert plans <= 2_400
 
     def test_criterion_4_grid_runs_few_combos(self, monkeypatch):
         """Criterion 4's 4-fault grid charges its 1e7-trial cap but runs

@@ -1,15 +1,16 @@
-"""The inlined draw passes against the one-slot rule ``slot``, and the
-lane kernel against the scalar passes."""
+"""The inlined draw pass and a trial's stalls against the one-slot rule
+``slot``, and the lane kernel against the scalar passes and ``slot``."""
 
 import math
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from glitchsim.dut import STALL_SLOT0
+from glitchsim.dut import STALL_SLOT0, stall_vector
+from glitchsim.scenarios import load_scenario
 from glitchsim.seeding import (LANES, MAX_SPAN, SLOT_ONE, _splitmix64, draw_key,
                                draw_key_column, mix64, seed_column, slot,
-                               slot_offset, stall_column, stall_draws)
+                               slot_offset, stall_column)
 
 MAX = 2**64 - 1
 # Window draws (2w, 2w+1), skip draws (2W + index) and stall draws.
@@ -56,16 +57,25 @@ class TestDrawKey:
         assert draw_key(seed, draws) == _want_key(seed, pairs)
 
 
+def _want_stalls(seed, k, count, span):
+    """(slot(k + d) * span) >> 53, a uniform integer in [0, span), for
+    d = 0..count-1."""
+    return tuple((slot(seed, k + d) * span) >> 53 for d in range(count))
+
+
 class TestStallDraws:
+    """A trial's stalls: the stall before delay point d of the trial at
+    ``seed``, for stalls of 0..span-1, reads slot STALL_SLOT0 + d."""
+
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("span", [1, 2, 10, 2**20])
     def test_matches_slot(self, seed, span):
-        for k in SLOTS:
-            assert stall_draws(seed, k, 4, span) == tuple(
-                (slot(seed, k + d) * span) >> 53 for d in range(4))
+        scen = load_scenario("tzm_full_attack")  # four delay points
+        assert stall_vector(scen, span - 1, seed) == _want_stalls(
+            seed, STALL_SLOT0, 4, span)
 
     def test_no_points_no_stalls(self):
-        assert stall_draws(MAX, STALL_SLOT0, 0, 10) == ()
+        assert stall_column(MAX, 0, 3, STALL_SLOT0, 0, 10) == [()] * 3
 
 
 # Column lengths: empty, one lane, and either side of a full pass.
@@ -143,9 +153,14 @@ class TestLanes:
            span=st.sampled_from((1, 2, 10, MAX_SPAN)) | st.integers(1, MAX_SPAN))
     @example(step_seed=2**70, first=2**64 - 1, n=LANES + 1, k=STALL_SLOT0, count=3,
              span=MAX_SPAN)
-    def test_stall_columns_match_stall_draws(self, step_seed, first, n, k, count, span):
+    # ``>> 11`` brings lane 1's low bits down into lane 0's top.  Without
+    # the lane mask after it, lane 0's product reaches into lane 1 and adds
+    # less than the span to lane 1's, which changes lane 1's stall here.
+    @example(step_seed=0, first=2074415, n=2, k=STALL_SLOT0, count=1,
+             span=MAX_SPAN - 1)
+    def test_stall_columns_match_slot(self, step_seed, first, n, k, count, span):
         assert stall_column(step_seed, first, n, k, count, span) == [
-            stall_draws(seed, k, count, span) for seed in _seeds(step_seed, first, n)]
+            _want_stalls(seed, k, count, span) for seed in _seeds(step_seed, first, n)]
 
     @pytest.mark.parametrize("span", [0, MAX_SPAN + 1])
     def test_span_outside_the_lanes_is_rejected(self, span):
