@@ -3,9 +3,12 @@ seed management, trial persistence and report emission.
 
 Artifacts written per run directory:
 
-- ``results.jsonl``: one JSON object per trial
-  ``{trial, step, combo: [[r, w], ...], outcome, hits, seed}``, dense
-  trial indices in execution order, read back as trial blocks.
+- ``results.jsonl``: one JSON object per trial, keys sorted:
+  ``{"combo": [[r, w], ...], "hits": [bool, ...], "outcome": {"kind":
+  k, "labels": [...]}, "seed": s, "step": name, "trial": i}``, where
+  ``labels`` (sorted) appears only for a partial hit and ``trial`` is the
+  line's position in execution order.  This module alone writes and
+  reads that line; the file is read back as trial blocks.
 - ``summary.json``: step trial counts, ranking table, cascade rates and
   a full config echo (``schema_version`` 1); no timestamps, so repeated
   runs are byte-identical.
@@ -21,15 +24,16 @@ from array import array
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from enum import Enum
-from itertools import count, groupby, islice
+from itertools import chain, count, groupby, islice
+from operator import itemgetter
 from pathlib import Path
 from typing import Optional
 
 from . import calibration
 from .dut import BodModel, Effect, FaultResponseModel
 from .errors import ConfigError, OverlapError, SearchFailed, TransferInvalid, check_type
-from .scenarios import ScenarioSpec, load_scenario
-from .search import (SearchSpace, SimContext, TrialBlock, TrialRecord, check_transfer,
+from .scenarios import Outcome, ScenarioSpec, load_scenario
+from .search import (SearchSpace, SimContext, TrialBlock, check_transfer,
                      evaluate_repeatability, exhaustive_search, final_combo,
                      fuzzyfy, integrate, run_trials, sweep,
                      transfer_parameters, translate_to_relative)
@@ -268,12 +272,13 @@ def _line_parts(step, combo, outcome, hits) -> tuple[str, str]:
     With sorted keys, "seed", "step" and "trial" come after "combo",
     "hits" and "outcome", so everything up to the seed value and between
     it and the trial value depends on (step, combo, outcome, hits) alone.
-    A quote inside a string is escaped, so only the key matches '"seed": 0'.
     """
-    rec = TrialRecord(step, combo, outcome, hits, 0)
-    text = json.dumps(rec.to_dict() | {"trial": 0}, sort_keys=True)
-    cut = text.index('"seed": 0') + len('"seed": ')
-    return text[:cut], text[cut + 1:-2]
+    judged = {"kind": outcome.kind}
+    if outcome.labels:
+        judged["labels"] = sorted(outcome.labels)
+    head = json.dumps({"combo": [list(s) for s in combo], "hits": list(hits),
+                       "outcome": judged}, sort_keys=True)
+    return f'{head[:-1]}, "seed": ', f', "step": {json.dumps(step)}, "trial": '
 
 
 def write_results(blocks: list[TrialBlock], path) -> None:
@@ -285,9 +290,25 @@ def write_results(blocks: list[TrialBlock], path) -> None:
                               for i, seed, (head, middle) in run]))
 
 
-def _records(path):
-    """The trial record of each non-blank line of a results.jsonl; a line
-    that is no record raises ConfigError naming the file and the line."""
+def _trial(line: dict):
+    """The ((step, combo), verdict, seed) of a trial's parsed line; a
+    missing key, a wrong type or a seed outside [0, 2**64) raises."""
+    step, outcome, hits, seed = line["step"], line["outcome"], line["hits"], line["seed"]
+    combo = tuple(tuple(s) for s in line["combo"])
+    labels = outcome.get("labels", [])
+    ints = (line["trial"], seed, *chain.from_iterable(combo))
+    if (not isinstance(step, str) or any(len(s) != 2 for s in combo)
+            or not all(type(v) is int for v in ints)  # JSON true is no int
+            or not isinstance(hits, list) or not all(isinstance(h, bool) for h in hits)
+            or not isinstance(labels, list) or not all(isinstance(x, str) for x in labels)
+            or seed >> 64):
+        raise ValueError(f"a field of {line!r} has the wrong type or range")
+    return (step, combo), (Outcome(outcome["kind"], labels), tuple(hits)), seed
+
+
+def _trials(path):
+    """The _trial of each non-blank line of a results.jsonl; a line that
+    is no trial record raises ConfigError naming the file and the line."""
     try:
         fh = open(path, "rb")  # bytes: a bad encoding fails on its own line
     except OSError as exc:
@@ -297,11 +318,11 @@ def _records(path):
             if not line.strip():
                 continue
             try:
-                rec = TrialRecord.from_dict(json.loads(line))
+                trial = _trial(json.loads(line))
             except (ValueError, KeyError, TypeError, AttributeError, RecursionError) as exc:
                 raise ConfigError(f"{path} line {lineno} is not a trial "
                                   f"record: {exc!r}") from exc
-            yield rec
+            yield trial
 
 
 def read_results(path) -> list[TrialBlock]:
@@ -309,11 +330,11 @@ def read_results(path) -> list[TrialBlock]:
     block per run of consecutive lines with the same step and combo,
     holding the seeds it read; ConfigError names a bad file or line."""
     blocks = []
-    for (step, combo), run in groupby(_records(path), lambda rec: (rec.step, rec.combo)):
+    for (step, combo), run in groupby(_trials(path), itemgetter(0)):
         verdicts, codes, seeds = {}, array("Q"), array("Q")
-        for rec in run:
-            codes.append(verdicts.setdefault((rec.outcome, rec.hits), len(verdicts)))
-            seeds.append(rec.seed)
+        for _, verdict, seed in run:
+            codes.append(verdicts.setdefault(verdict, len(verdicts)))
+            seeds.append(seed)
         blocks.append(TrialBlock(step, combo, 0, 0, len(seeds), list(verdicts), codes, seeds))
     return blocks
 
@@ -471,24 +492,26 @@ def run_attack_flow(cfg: CampaignConfig, out_dir=None) -> dict:
     summary = _base_summary(cfg, "flow", scenario)
     blocks: list[TrialBlock] = []
 
+    transfer_trials = 0
     with _persist_on_failure(out_dir, blocks, summary):
         swept, relative, fuzzy, integ = _locate(flow_scenario, cfg, ctx, blocks)
-
-    evaluation = evaluate_repeatability(flow_scenario, integ.combos, sc.n_rank,
-                                        sc.n_final, ctx,
-                                        seed=mix64(cfg.master_seed, STEP_EVALUATE))
-    blocks.extend(evaluation.blocks)
-    best = evaluation.best
-    transfer_trials = 0
-
-    if flow_scenario is not scenario:
-        transferred = transfer_parameters(flow_scenario, best, scenario, cfg.domains)
-        final = run_trials(scenario, transferred.specs, sc.n_final, ctx,
-                           "transfer_final",
-                           mix64(cfg.master_seed, STEP_TRANSFER_FINAL))
-        blocks.append(final)
-        transfer_trials = len(final)
-        best = final_combo(final)
+        evaluation = evaluate_repeatability(flow_scenario, integ.combos, sc.n_rank,
+                                            sc.n_final, ctx,
+                                            seed=mix64(cfg.master_seed, STEP_EVALUATE))
+        blocks.extend(evaluation.blocks)
+        best = evaluation.best
+        if flow_scenario is not scenario:
+            try:  # check_transfer passed above: only the rebase can fail
+                transferred = transfer_parameters(flow_scenario, best, scenario,
+                                                  cfg.domains)
+            except TransferInvalid as exc:
+                raise SearchFailed("transfer_before_trigger", str(exc), 0) from exc
+            final = run_trials(scenario, transferred.specs, sc.n_final, ctx,
+                               "transfer_final",
+                               mix64(cfg.master_seed, STEP_TRANSFER_FINAL))
+            blocks.append(final)
+            transfer_trials = len(final)
+            best = final_combo(final)
 
     cascade = [c / best.trials_run for c in (best.prefix_success_counts or ())]
     summary.update({

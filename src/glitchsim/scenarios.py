@@ -128,19 +128,6 @@ class Outcome:
     def is_success(self) -> bool:
         return self.kind == "success"
 
-    def to_dict(self) -> dict:
-        d = {"kind": self.kind}
-        if self.labels:
-            d["labels"] = sorted(self.labels)
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Outcome":
-        labels = d.get("labels", [])
-        if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
-            raise ValueError(f"outcome labels must be a list of strings, got {labels!r}")
-        return cls(d["kind"], labels)
-
 
 FAILURE = Outcome("failure")
 SUCCESS = Outcome("success")

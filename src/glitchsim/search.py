@@ -133,35 +133,13 @@ class AbsoluteParamSet:
 
 @dataclass(frozen=True)
 class TrialRecord:
-    """One persisted trial; its number is its position in the records."""
+    """One trial of a block, as iterating the block yields it."""
 
     step: str
     combo: tuple[RelSpec, ...]
     outcome: Outcome
     hits: tuple[bool, ...]
     seed: int
-
-    def to_dict(self) -> dict:
-        return {
-            "step": self.step,
-            "combo": [list(s) for s in self.combo],
-            "outcome": self.outcome.to_dict(),
-            "hits": list(self.hits),
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrialRecord":
-        """Inverse of to_dict; ``trial`` must be an integer and is dropped.
-        A field of the wrong type or a seed outside [0, 2**64) raises ValueError."""
-        rec = cls(d["step"], tuple(tuple(s) for s in d["combo"]),
-                  Outcome.from_dict(d["outcome"]), tuple(d["hits"]), d["seed"])
-        ints = (d["trial"], rec.seed, *itertools.chain.from_iterable(rec.combo))
-        if (not isinstance(rec.step, str) or any(len(s) != 2 for s in rec.combo)
-                or not all(type(v) is int for v in ints)  # JSON true is no int
-                or not all(isinstance(h, bool) for h in rec.hits) or rec.seed >> 64):
-            raise ValueError(f"a field of {d!r} has the wrong type or range")
-        return rec
 
 
 Verdict = tuple[Outcome, tuple[bool, ...]]  # (outcome, hits) of a trial

@@ -1,5 +1,5 @@
-"""Mutation gate on the trial kernel, the exhaustive walk, the draws and
-the trial blocks.
+"""Mutation gate on the trial kernel, the exhaustive walk, the draws, the
+trial blocks and the results.jsonl reader.
 
 Each mutant is a set of exact text replacements in a copy of ``src/``
 (each replaced text must occur exactly once).  The test files of the
@@ -28,6 +28,7 @@ ROOT = Path(__file__).resolve().parent.parent
 DUT_TESTS = ("tests/test_dut.py",)
 WALK_TESTS = ("tests/test_search.py::TestExhaustivePruning",)
 BLOCK_TESTS = ("tests/test_search.py::TestTrialBlock",)
+PERSISTENCE_TESTS = ("tests/test_persistence.py",)
 
 # name -> (file under src/glitchsim, [(text, replacement), ...], test paths)
 MUTANTS = {
@@ -112,7 +113,20 @@ MUTANTS = {
         BLOCK_TESTS),
     "read block derives its seeds": (
         "campaign.py", [("list(verdicts), codes, seeds))", "list(verdicts), codes))")],
-        ("tests/test_persistence.py",)),
+        PERSISTENCE_TESTS),
+    "reader takes a non-string step": (
+        "campaign.py", [("not isinstance(step, str) or ", "")],
+        PERSISTENCE_TESTS),
+    "reader lets a seed of 2**64 through": (
+        "campaign.py", [("or seed >> 64):", "or seed >> 65):")],
+        PERSISTENCE_TESTS),
+    "reader takes a JSON true as an int": (
+        "campaign.py", [("type(v) is int for v in ints", "isinstance(v, int) for v in ints")],
+        PERSISTENCE_TESTS),
+    "reader skips the labels check": (
+        "campaign.py", [("            or not isinstance(labels, list)"
+                         " or not all(isinstance(x, str) for x in labels)\n", "")],
+        PERSISTENCE_TESTS),
     "chain merges at offset 1": (
         "chain.py", [("if offset == 0 and windows:", "if offset <= 1 and windows:")],
         ("tests/test_chain.py",)),

@@ -1,5 +1,6 @@
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -14,7 +15,8 @@ from glitchsim.campaign import (CampaignConfig, SearchConfig, load_config,
                                 run_sweep_only, run_wide_vs_narrow)
 from glitchsim.dut import BodModel, Effect, FaultResponseModel
 from glitchsim.errors import ConfigError, IncompleteSweep, SearchFailed
-from glitchsim.scenarios import load_scenario, save_scenario, successive_shifts
+from glitchsim.scenarios import (dup_registers, load_scenario, save_scenario,
+                                 successive_shifts)
 from glitchsim.timing import ClockDomains
 
 
@@ -176,6 +178,27 @@ class TestAttackFlow:
         summary = run_attack_flow(cfg)
         assert summary["best"]["success_rate"] == 1.0
         assert summary["steps"]["transfer_final"]["trials_used"] == 20
+
+    def test_transfer_before_the_trigger_persists_the_twin(self, tmp_path):
+        """The scenario's first target sits at its trigger, 8 cycles (160
+        ticks) earlier than in the twin, so a winning combo that starts
+        sooner after the twin's trigger cannot be rebased.  The flow fails
+        its search after the twin's trials, and persists them."""
+        late = replace(dup_registers(7, 43, cooperative=False), trigger_cycle=8)
+        save_scenario(late, tmp_path / "late.json")
+        base = load_config(Path(__file__).resolve().parent.parent
+                           / "demos" / "configs" / "dup_flow.json")
+        cfg = replace(base, scenario=str(tmp_path / "late.json"),
+                      transfer_source="dup_registers_7_43", model=deterministic_model(),
+                      master_seed=1, search=replace(base.search, n_rank=20, n_final=50))
+        with pytest.raises(SearchFailed, match="before the trigger") as failed:
+            run_attack_flow(cfg, tmp_path / "run")
+        assert failed.value.trials_used == 0
+        stored = json.loads((tmp_path / "run" / "summary.json").read_text())
+        assert stored["error"] == {"kind": "transfer_before_trigger", "trials_used": 0}
+        blocks = read_results(tmp_path / "run" / "results.jsonl")
+        assert stored["total_trials"] == sum(map(len, blocks)) > 0
+        assert {b.step for b in blocks} == {"sweep", "integrate", "rank", "final"}
 
     def test_rerun_is_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -36,10 +36,19 @@ def as_records(data):
             for rec in (item if isinstance(item, TrialBlock) else (item,))]
 
 
+def oracle_line(rec, trial):
+    """The JSON object of a trial's line, as the README states it."""
+    outcome = {"kind": rec.outcome.kind}
+    if rec.outcome.labels:
+        outcome["labels"] = sorted(rec.outcome.labels)
+    return {"trial": trial, "step": rec.step, "combo": [list(s) for s in rec.combo],
+            "outcome": outcome, "hits": list(rec.hits), "seed": rec.seed}
+
+
 def oracle_results(data, path):
     with open(path, "w") as fh:
         for i, rec in enumerate(as_records(data)):
-            fh.write(json.dumps(rec.to_dict() | {"trial": i}, sort_keys=True) + "\n")
+            fh.write(json.dumps(oracle_line(rec, i), sort_keys=True) + "\n")
 
 
 def oracle_report(results_path, csv_path):
@@ -205,6 +214,8 @@ class TestReadResults:
         '{"trial": 0, "step": "final", "combo": [[1, 2]], '
         '"outcome": {"kind": "partial_hit", "labels": "A"}, "hits": [true], "seed": 5}',
         '{"trial": 0, "step": "\xff"}',
+        '{"trial": 0, "step": 5, "combo": [[1, 2]], '
+        '"outcome": {"kind": "success"}, "hits": [true], "seed": 5}',
         '{"trial": "0", "step": "final", "combo": [[1, 2]], '
         '"outcome": {"kind": "success"}, "hits": [true], "seed": 5}',
         '{"step": "final", "combo": [[1, 2]], '

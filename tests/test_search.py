@@ -139,8 +139,7 @@ class TestSweep:
         r1 = sweep(scen, space, ctx, seed=9)
         r2 = sweep(scen, space, ctx, seed=9)
         assert r1.params.entries == r2.params.entries
-        assert [rec.to_dict() for rec in r1.records] == \
-               [rec.to_dict() for rec in r2.records]
+        assert r1.records == r2.records
 
 
 class TestIntegrate:
@@ -344,7 +343,7 @@ class TestRunTrials:
         ctx = SimContext(DOM20, dup_register_model())
         r1 = run_trials(scen, rel, 5000, ctx, "x", 77)
         r2 = run_trials(scen, rel, 5000, ctx, "x", 77)
-        assert [a.to_dict() for a in r1] == [b.to_dict() for b in r2]
+        assert list(r1) == list(r2)
 
 
 _STALL_SLOT0 = 2**32  # first stall slot
