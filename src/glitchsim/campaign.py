@@ -22,8 +22,7 @@ import io
 import json
 from array import array
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
-from enum import Enum
+from dataclasses import asdict, dataclass, field, replace
 from itertools import chain, count, groupby, islice
 from operator import itemgetter
 from pathlib import Path
@@ -31,7 +30,8 @@ from typing import Optional
 
 from . import calibration
 from .dut import BodModel, Effect, FaultResponseModel
-from .errors import ConfigError, OverlapError, SearchFailed, TransferInvalid, check_type
+from .errors import (ConfigError, OverlapError, SearchFailed, TransferInvalid,
+                     check_type, echo)
 from .scenarios import Outcome, ScenarioSpec, load_scenario
 from .search import (SearchSpace, SimContext, TrialBlock, check_transfer,
                      evaluate_repeatability, exhaustive_search, final_combo,
@@ -65,21 +65,6 @@ MODEL_PRESETS = {
 # ---------------------------------------------------------------------------
 # Configuration
 # ---------------------------------------------------------------------------
-
-def _echo(value):
-    """The JSON echo of a config value: a dataclass becomes an object of
-    its non-None fields, an enum its value and a tuple a list."""
-    if is_dataclass(value):
-        return {f.name: _echo(getattr(value, f.name)) for f in fields(value)
-                if getattr(value, f.name) is not None}
-    if isinstance(value, Enum):
-        return value.value
-    if isinstance(value, tuple):
-        return [_echo(v) for v in value]
-    if isinstance(value, dict):
-        return {_echo(k): _echo(v) for k, v in value.items()}
-    return value
-
 
 @dataclass(frozen=True)
 class SearchConfig:
@@ -210,7 +195,7 @@ class CampaignConfig:
             raise ConfigError(str(exc)) from exc
 
     def to_dict(self) -> dict:
-        return _echo(self)
+        return echo(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "CampaignConfig":
@@ -291,19 +276,25 @@ def write_results(blocks: list[TrialBlock], path) -> None:
 
 
 def _trial(line: dict):
-    """The ((step, combo), verdict, seed) of a trial's parsed line; a
-    missing key, a wrong type or a seed outside [0, 2**64) raises."""
+    """The ((step, combo), verdict, seed) of a trial's parsed line.  A
+    missing key, a wrong type, a seed outside [0, 2**64) or a line that
+    write_results never writes raises: the combo is a non-empty list of
+    [int, int] pairs, and labels, non-empty and strictly ascending, come
+    with a partial hit alone."""
     step, outcome, hits, seed = line["step"], line["outcome"], line["hits"], line["seed"]
-    combo = tuple(tuple(s) for s in line["combo"])
-    labels = outcome.get("labels", [])
+    combo, partial = line["combo"], outcome["kind"] == "partial_hit"
+    labels = outcome["labels"] if partial else []
     ints = (line["trial"], seed, *chain.from_iterable(combo))
-    if (not isinstance(step, str) or any(len(s) != 2 for s in combo)
+    if (not isinstance(step, str) or not combo or any(len(s) != 2 for s in combo)
             or not all(type(v) is int for v in ints)  # JSON true is no int
             or not isinstance(hits, list) or not all(isinstance(h, bool) for h in hits)
-            or not isinstance(labels, list) or not all(isinstance(x, str) for x in labels)
+            or ("labels" in outcome) != partial or partial and not labels
+            or not all(isinstance(x, str) for x in labels)
+            or labels != sorted(set(labels))  # a list, strictly ascending
             or seed >> 64):
-        raise ValueError(f"a field of {line!r} has the wrong type or range")
-    return (step, combo), (Outcome(outcome["kind"], labels), tuple(hits)), seed
+        raise ValueError(f"a field of {line!r} has a wrong type or value")
+    verdict = Outcome(outcome["kind"], labels), tuple(hits)
+    return (step, tuple(map(tuple, combo))), verdict, seed
 
 
 def _trials(path):
@@ -522,11 +513,9 @@ def run_attack_flow(cfg: CampaignConfig, out_dir=None) -> dict:
             "evaluate": {"trials_used": evaluation.trials_used},
             "transfer_final": {"trials_used": transfer_trials},
         },
-        "absolute_params": swept.params.to_dict(),
-        "relative_combo": [list(s) for s in relative],
-        "fuzzy_intervals": [
-            {"center": f.center, "psi": f.psi, "width": f.width} for f in fuzzy
-        ],
+        "absolute_params": echo(swept.params.entries),
+        "relative_combo": echo(relative),
+        "fuzzy_intervals": echo(fuzzy),
         "ranking": [c.to_dict() for c in evaluation.ranking],
         "best": best.to_dict(),
         "cascade_rates": cascade,
@@ -547,7 +536,7 @@ def run_sweep_only(cfg: CampaignConfig, out_dir=None) -> dict:
     summary = _base_summary(cfg, "sweep", scenario)
     with _persist_on_failure(out_dir, [], summary):
         result = _sweep(scenario, cfg, cfg.context())
-    summary["absolute_params"] = result.params.to_dict()
+    summary["absolute_params"] = echo(result.params.entries)
     summary["total_trials"] = result.trials_used
     _persist(out_dir, result.blocks, summary)
     return summary
@@ -670,8 +659,7 @@ def run_wide_vs_narrow(cfg: CampaignConfig, out_dir=None) -> dict:
     summary.update({
         "columns": list(DISTRIBUTION_COLUMNS),
         "distributions": table,
-        "combos": {"wide": [list(s) for s in wide_combo],
-                   "narrow": [list(s) for s in narrow_combo]},
+        "combos": echo({"wide": wide_combo, "narrow": narrow_combo}),
         "trials_per_row": cfg.trials,
         "total_trials": 2 * cfg.trials,
     })
@@ -709,7 +697,7 @@ def run_countermeasure_eval(cfg: CampaignConfig, max_delay_cycles: int,
 
     summary = _base_summary(cfg, "countermeasure", scenario)
     summary.update({
-        "combo": [list(s) for s in combo],
+        "combo": echo(combo),
         "max_delay_cycles": max_delay_cycles,
         "trials_per_arm": cfg.trials,
         "baseline_rate": rate_base,
@@ -764,8 +752,8 @@ def run_bod_eval(cfg: CampaignConfig, out_dir=None) -> dict:
     summary.update({
         "sample_period": period,
         "enabled": cfg.bod.enabled,
-        "wide_windows": [list(w) for w in wide_windows],
-        "split_windows": [list(w) for w in split_windows],
+        "wide_windows": echo(wide_windows),
+        "split_windows": echo(split_windows),
         "phases": phases,
         "wide_detection_rate": sum(p["wide_detected"] for p in phases) / n,
         "split_detection_rate": sum(p["split_detected"] for p in phases) / n,

@@ -1,5 +1,8 @@
-"""Exception types, and the type check of loaded values, shared across
-the library."""
+"""The library's exception types and its JSON boundary: the type check
+of loaded values and the echo of written ones."""
+
+from dataclasses import fields, is_dataclass
+from enum import Enum
 
 _KINDS = {int: "an integer", float: "a number", bool: "true or false",
           str: "a string", dict: "a JSON object"}
@@ -11,6 +14,22 @@ def check_type(kind: type, where: str, value):
     if type(value) is kind or (kind is float and type(value) is int):
         return value
     raise TypeError(f"{where} must be {_KINDS[kind]}, got {value!r}")
+
+
+def echo(value):
+    """The JSON value of ``value``: a dataclass becomes an object of its
+    non-None fields, an enum its value, a tuple or list a list, and a dict
+    an object of echoed keys and values."""
+    if is_dataclass(value):
+        return {f.name: echo(getattr(value, f.name)) for f in fields(value)
+                if getattr(value, f.name) is not None}
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, (tuple, list)):
+        return [echo(v) for v in value]
+    if isinstance(value, dict):
+        return {echo(k): echo(v) for k, v in value.items()}
+    return value
 
 
 class GlitchSimError(Exception):

@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Callable, Optional
 
 from .dut import Effect, INERT_EFFECTS, Instruction, RawTrialResult
-from .errors import check_type
+from .errors import check_type, echo
 from .seeding import MAX_SPAN
 
 SCHEMA_VERSION = 1
@@ -316,19 +316,7 @@ def builtin_scenarios() -> list[ScenarioSpec]:
 # ---------------------------------------------------------------------------
 
 def scenario_to_dict(spec: ScenarioSpec) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "name": spec.name,
-        "cooperative": spec.cooperative,
-        "trigger_cycle": spec.trigger_cycle,
-        "random_delay_max": spec.random_delay_max,
-        "instructions": [
-            {"cycle": i.cycle, "effect": i.effect.value} for i in spec.instructions
-        ],
-        "targets": [
-            {"label": t.label, "cycles": list(t.cycles)} for t in spec.targets
-        ],
-    }
+    return {"schema_version": SCHEMA_VERSION, **echo(spec)}
 
 
 def scenario_from_dict(data: dict) -> ScenarioSpec:

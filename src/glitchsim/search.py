@@ -24,7 +24,7 @@ from .dut import (BodModel, FaultResponseModel, apply_random_delays, decode,
                   execute_trial, run_plan, shift_by, stall_vector, stall_vectors,
                   stalled_cycles, trial_plan)
 from .errors import (IncompleteSweep, NoIntegratedSuccess, NotFound,
-                     OverlapError, TransferInvalid)
+                     OverlapError, TransferInvalid, echo)
 from .scenarios import Outcome, ScenarioSpec, classify
 from .seeding import LANES, draw_key, draw_key_column, mix64, seed_column
 from .timing import ClockDomains
@@ -106,15 +106,7 @@ class RankedCombo:
         return self.successes / self.trials_run if self.trials_run else 0.0
 
     def to_dict(self) -> dict:
-        d = {
-            "specs": [list(s) for s in self.specs],
-            "trials_run": self.trials_run,
-            "successes": self.successes,
-            "success_rate": self.success_rate,
-        }
-        if self.prefix_success_counts is not None:
-            d["prefix_success_counts"] = list(self.prefix_success_counts)
-        return d
+        return {**echo(self), "success_rate": self.success_rate}
 
 
 @dataclass(frozen=True)
@@ -126,9 +118,6 @@ class AbsoluteParamSet:
     def pick(self, label: str) -> RelSpec:
         """Deterministic representative: narrowest, then earliest."""
         return min(self.entries[label], key=lambda ow: (ow[1], ow[0]))
-
-    def to_dict(self) -> dict:
-        return {label: [list(s) for s in specs] for label, specs in self.entries.items()}
 
 
 @dataclass(frozen=True)
@@ -144,10 +133,6 @@ class TrialRecord:
 
 Verdict = tuple[Outcome, tuple[bool, ...]]  # (outcome, hits) of a trial
 
-# Code column types, narrowest first: a block widens its column when a
-# code no longer fits.
-_WIDER = {"B": "H", "H": "Q"}
-
 
 @dataclass(eq=False)
 class TrialBlock:
@@ -156,7 +141,8 @@ class TrialBlock:
     Trial ``first + k`` has the verdict ``table[codes[k]]`` and the seed
     ``mix64(step_seed, first + k)``, derived in lanes when first read, or
     as read from a file.  ``codes`` is one int when every trial has the
-    same verdict.  Iterating a block yields its trials as records.
+    same verdict, else an ``array("Q")``.  Iterating a block yields its
+    trials as records.
     """
 
     step: str
@@ -314,11 +300,10 @@ def run_trials(scenario: ScenarioSpec, combo: Sequence[RelSpec], n: int,
             plan, memo = codes
             keys = draw_key_column(step_seed, first, n, plan.draws)
             learn(plan, memo, keys)
-            codes = _widened(array("B"), len(verdicts))
-            codes.extend(map(memo.__getitem__, keys))
+            codes = array("Q", map(memo.__getitem__, keys))
     else:
         by_stalls: dict = {}  # stall vector -> entry(stall vector)
-        codes = array("B")
+        codes = array("Q")
         for start in range(first, first + n, LANES):
             size = min(LANES, first + n - start)
             vectors = stall_vectors(scenario, step_seed, start, size)
@@ -334,16 +319,8 @@ def run_trials(scenario: ScenarioSpec, combo: Sequence[RelSpec], n: int,
                         key = draw_key(seed, plan.draws)
                         learn(plan, memo, (key,))
                         column[i] = memo[key]
-            codes = _widened(codes, len(verdicts))
             codes.extend(column)
     return TrialBlock(step, combo, step_seed, first, n, list(verdicts), codes)
-
-
-def _widened(codes: array, size: int) -> array:
-    """``codes``, widened until its type holds every code below ``size``."""
-    while size > 1 << 8 * codes.itemsize:
-        codes = array(_WIDER[codes.typecode], codes)
-    return codes
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,14 @@
 """Mutation gate on the trial kernel, the exhaustive walk, the draws, the
-trial blocks and the results.jsonl reader.
+trial blocks, the results.jsonl reader and the JSON writer.
 
 Each mutant is a set of exact text replacements in a copy of ``src/``
 (each replaced text must occur exactly once).  The test files of the
 module it edits then run against the copy with ``-x``; a mutant is
 killed when a test fails.  A mutant that survives needs a test that
 kills it, or, if no test can, a place in ``EQUIVALENT`` with the reason.
-The tests first run once against an unmutated copy, which must pass.
+The tests first run once against an unmutated copy, which must pass;
+then the mutants run ``os.cpu_count()`` at a time, and their verdicts
+print in ``MUTANTS`` order.
 
 Usage: python tests/mutants.py [NAME ...]  (every mutant by default)
 Exit status 0 when every mutant run is killed, 1 when one survives, 2
@@ -20,6 +22,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from time import perf_counter
 
@@ -107,9 +110,8 @@ MUTANTS = {
         "search.py", [("first, n, list(verdicts), codes)",
                        "first, n, [*list(verdicts)[1::-1], *list(verdicts)[2:]], codes)")],
         BLOCK_TESTS),
-    "code column never widened": (
-        "search.py", [("    while size > 1 << 8 * codes.itemsize:\n"
-                       "        codes = array(_WIDER[codes.typecode], codes)\n", "")],
+    "code column of bytes": (
+        "search.py", [('array("Q", map(', 'array("B", map(')],
         BLOCK_TESTS),
     "read block derives its seeds": (
         "campaign.py", [("list(verdicts), codes, seeds))", "list(verdicts), codes))")],
@@ -124,9 +126,14 @@ MUTANTS = {
         "campaign.py", [("type(v) is int for v in ints", "isinstance(v, int) for v in ints")],
         PERSISTENCE_TESTS),
     "reader skips the labels check": (
-        "campaign.py", [("            or not isinstance(labels, list)"
-                         " or not all(isinstance(x, str) for x in labels)\n", "")],
+        "campaign.py", [("            or not all(isinstance(x, str) for x in labels)\n", "")],
         PERSISTENCE_TESTS),
+    "reader takes labels on any kind": (
+        "campaign.py", [('("labels" in outcome) != partial or ', "")],
+        PERSISTENCE_TESTS),
+    "echo keeps None fields": (
+        "errors.py", [("\n                if getattr(value, f.name) is not None}", "}")],
+        ("tests/test_golden.py",)),
     "chain merges at offset 1": (
         "chain.py", [("if offset == 0 and windows:", "if offset <= 1 and windows:")],
         ("tests/test_chain.py",)),
@@ -183,14 +190,15 @@ def main(names) -> int:
     if status != 0:
         return 2
     survivors, broken = [], []
-    for name in names:
-        status, seconds = run(*MUTANTS[name])
-        verdict = {0: "SURVIVED", 1: "killed"}.get(status, f"exit {status}")
-        print(f"{verdict:9} {seconds:5.1f} s  {name}", flush=True)
-        if status == 0:
-            survivors.append(name)
-        elif status != 1:
-            broken.append(name)
+    with ThreadPoolExecutor(os.cpu_count()) as pool:
+        runs = pool.map(lambda name: run(*MUTANTS[name]), names)
+        for name, (status, seconds) in zip(names, runs):
+            verdict = {0: "SURVIVED", 1: "killed"}.get(status, f"exit {status}")
+            print(f"{verdict:9} {seconds:5.1f} s  {name}", flush=True)
+            if status == 0:
+                survivors.append(name)
+            elif status != 1:
+                broken.append(name)
     for name, reason in EQUIVALENT.items():
         print(f"equivalent, not run: {name}: {reason}")
     if broken:

@@ -1,7 +1,7 @@
 """Golden artifacts: the sha256 of summary.json and results.jsonl of small
-campaigns at fixed seeds.  A kernel change that keeps the RNG scheme
-(``rng_scheme`` in summary.json) and its draw slots must reproduce them
-byte for byte."""
+campaigns at fixed seeds, and of the scenario file of every builtin
+preset.  A kernel change that keeps the RNG scheme (``rng_scheme`` in
+summary.json) and its draw slots must reproduce them byte for byte."""
 
 import hashlib
 
@@ -10,9 +10,10 @@ import pytest
 from glitchsim.calibration import (deterministic_model, dup_register_model,
                                    shift_model)
 from glitchsim.campaign import (CampaignConfig, SearchConfig, run_attack_flow,
-                                run_countermeasure_eval, run_exhaustive,
-                                run_wide_vs_narrow)
-from glitchsim.dut import FaultResponseModel
+                                run_bod_eval, run_countermeasure_eval,
+                                run_exhaustive, run_wide_vs_narrow)
+from glitchsim.dut import BodModel, FaultResponseModel
+from glitchsim.scenarios import SCENARIO_PRESETS, load_scenario, save_scenario
 
 CASES = {
     # Sweep, integrate and rank under the calibrated duplicate-register
@@ -47,6 +48,12 @@ CASES = {
                             width_set=(20, 500), n_faults=2,
                             exhaustive_budget=20_000),
         master_seed=5), out),
+    # Every detector phase of one wide fault and of its split, with
+    # demos/configs/bod_eval.json's settings.
+    "bod": lambda out: run_bod_eval(CampaignConfig(
+        scenario="bod_scenario", oversampling=20, dut_period_ns=100,
+        bod=BodModel(enabled=True, sample_period=80, sample_phase=0),
+        master_seed=1), out),
 }
 
 GOLDEN = {
@@ -74,6 +81,25 @@ GOLDEN = {
     "exhaustive": {
         "summary.json": "c0db81450b33a3be0395ec943bc5ac3bd70a0c486ea0471d9c99c56deffcdca5",
     },
+    # Neither does a bod campaign.
+    "bod": {
+        "summary.json": "fe40fd41638f3869aa3245e3208889f0ef9bae40f7fdad79939d3405e211b34a",
+    },
+}
+
+# The file save_scenario writes for each builtin preset.
+SCENARIO_FILES = {
+    "dup_registers_coop": "b1e56b2667481529688a2210383fe7bb22e6100e1ba05d832e13e61c03ac7a9c",
+    "dup_registers_noncoop": "e907dc72ba4c4993592d48b333e7b4a6189eaff6f52760803dd8696154c521b4",
+    "dup_registers_7_43": "eab1d1e884a3d4cea4c4aa04c000671f7dbe16f3cd298658ddddb27c6418ef04",
+    "dup_registers_33_19": "a721a1b80691585737ecbfd12da0e5522a272168c06009efd107964afb042ffe",
+    "dup_registers_4_50": "d61f63ba46824c6cb1a656c6ba4ae4385a7f21f49726d1745ff066d41ce03d50",
+    "dup_registers_22_1": "521be36320e01320c2803febb8e913fbbf4d0b9fd9de78e00aa961971a549fa5",
+    "successive_shifts": "4768dc3e341e232f562352dc69aacf07ea4849f230534c994b0dd1282a7367a4",
+    "tzm_full_attack": "01915f67a9bdc86647c79fe09bb5f56f7b4a24654297ea1b3d70680f5515afd2",
+    "tzm_full_attack_noncoop": "2d0ec130cfe45ebcb3688e3b34cc5f89272c376946351bbc2893919c976ba774",
+    "tzm_randomized": "06a3ac92429a55df2b157dd37c87758baccb926b2cf54d022f4091d93ddf11a9",
+    "bod_scenario": "23ca8419a07435ceff5e593f5c09f0b296699d026e2f01312d0f14906bfaa0c8",
 }
 
 
@@ -84,3 +110,10 @@ def test_artifacts_match_golden_digests(case, tmp_path):
            for name in ("summary.json", "results.jsonl")
            if (tmp_path / name).exists()}
     assert got == GOLDEN[case]
+
+
+@pytest.mark.parametrize("name", SCENARIO_PRESETS)
+def test_scenario_files_match_golden_digests(name, tmp_path):
+    save_scenario(load_scenario(name), tmp_path / "scenario.json")
+    got = hashlib.sha256((tmp_path / "scenario.json").read_bytes()).hexdigest()
+    assert got == SCENARIO_FILES[name]

@@ -233,14 +233,34 @@ class TestReadResults:
         pytest.param('{"trial": 0, "step": "final", "combo": [[false, 2]], '
                      '"outcome": {"kind": "success"}, "hits": [true], "seed": 5}',
                      id="false_offset"),
+        # Lines that write_results never writes: it would rewrite each one.
+        *(pytest.param('{"trial": 0, "step": "final", "combo": %s, '
+                       '"outcome": {"kind": "success"}, "hits": [true], "seed": 5}' % combo,
+                       id=f"combo_{name}")
+          for name, combo in (("empty_string", '""'), ("empty_object", "{}"),
+                              ("empty_list", "[]"))),
+        *(pytest.param('{"trial": 0, "step": "final", "combo": [[1, 2]], '
+                       '"outcome": %s, "hits": [true, false], "seed": 5}' % outcome, id=name)
+          for name, outcome in (
+              ("labels_on_a_success", '{"kind": "success", "labels": ["A"]}'),
+              ("empty_labels_on_a_failure", '{"kind": "failure", "labels": []}'),
+              ("partial_hit_without_labels", '{"kind": "partial_hit"}'),
+              ("partial_hit_with_empty_labels", '{"kind": "partial_hit", "labels": []}'),
+              ("labels_descending", '{"kind": "partial_hit", "labels": ["B", "A"]}'),
+              ("labels_repeated", '{"kind": "partial_hit", "labels": ["A", "A"]}'),
+              ("labels_not_strings", '{"kind": "partial_hit", "labels": [1]}'))),
     ])
-    def test_bad_line_names_file_and_line(self, line, tmp_path):
+    def test_bad_line_names_file_and_line(self, line, tmp_path, capsys):
+        """read_results raises on the line, and ``glitchsim report`` exits 2
+        on it; both name the file and the line."""
         path = tmp_path / "results.jsonl"
         oracle_results(escaped_records()[:1], path)
         with open(path, "ab") as fh:
             fh.write(line.encode("latin-1") + b"\n")
         with pytest.raises(ConfigError, match=r"results\.jsonl line 2 "):
             read_results(path)
+        assert main(["report", "--results", str(path), "--out", str(tmp_path / "r.csv")]) == 2
+        assert f"config error: {path} line 2 is not a trial record" in capsys.readouterr().err
 
     def test_missing_file_or_directory(self, tmp_path):
         with pytest.raises(ConfigError, match="nope.jsonl"):
