@@ -22,22 +22,22 @@ import io
 import json
 from array import array
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from itertools import chain, count, groupby, islice
 from operator import itemgetter
 from pathlib import Path
 from typing import Optional
 
 from . import calibration
-from .dut import BodModel, Effect, FaultResponseModel
+from .dut import BodModel, FaultResponseModel
 from .errors import (ConfigError, OverlapError, SearchFailed, TransferInvalid,
-                     check_type, echo)
+                     echo, parse)
 from .scenarios import Outcome, ScenarioSpec, load_scenario
-from .search import (SearchSpace, SimContext, TrialBlock, check_transfer,
-                     evaluate_repeatability, exhaustive_search, final_combo,
-                     fuzzyfy, integrate, run_trials, sweep,
+from .search import (MAX_FAULTS, SearchSpace, SimContext, TrialBlock,
+                     check_transfer, evaluate_repeatability, exhaustive_search,
+                     final_combo, fuzzyfy, integrate, run_trials, sweep,
                      transfer_parameters, translate_to_relative)
-from .seeding import MAX_SPAN, RNG_SCHEME, mix64
+from .seeding import RNG_SCHEME, mix64
 from .timing import ClockDomains, FaultSpec, split_fault, ticks_from_ns
 
 SUMMARY_SCHEMA_VERSION = 1
@@ -68,7 +68,9 @@ MODEL_PRESETS = {
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Knobs of the parameter-search flow (all times in ticks)."""
+    """Knobs of the parameter-search flow (all times in ticks).
+    ``n_faults`` is at most ``MAX_FAULTS``: the exhaustive walk recurses
+    once per fault."""
 
     offset_min: int = 0
     offset_max: int = 1
@@ -85,10 +87,6 @@ class SearchConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "width_set", tuple(self.width_set))
-        for name, value in asdict(self).items():
-            if name != "n_faults" or value is not None:  # unset: one per target
-                for v in value if name == "width_set" else (value,):
-                    check_type(int, f"search {name}", v)
         lows = {**dict.fromkeys(("stride", "fuzzy_stride", "pass_budget",
                                  "integrate_trials", "n_rank", "n_final",
                                  "exhaustive_budget", "n_faults"), 1), "psi": 0}
@@ -96,6 +94,8 @@ class SearchConfig:
             value = getattr(self, name)
             if value is not None and value < low:
                 raise ConfigError(f"search {name} must be >= {low}, got {value}")
+        if (self.n_faults or 0) > MAX_FAULTS:
+            raise ConfigError(f"search n_faults must be <= {MAX_FAULTS}, got {self.n_faults}")
         try:
             self.space()
         except ValueError as exc:
@@ -104,47 +104,6 @@ class SearchConfig:
     def space(self) -> SearchSpace:
         return SearchSpace(offset_min=self.offset_min, offset_max=self.offset_max,
                            width_set=self.width_set, stride=self.stride)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SearchConfig":
-        try:
-            return cls(**data)
-        except TypeError as exc:
-            raise ConfigError(f"bad search config: {exc}") from exc
-
-
-def model_from_dict(data: dict) -> FaultResponseModel:
-    data = dict(data)
-    preset = data.pop("preset", None)
-    if preset is not None:
-        if type(preset) is not str or preset not in MODEL_PRESETS:
-            raise ConfigError(f"unknown model preset {preset!r}")
-        if data:
-            raise ConfigError("model preset cannot be combined with explicit fields")
-        return MODEL_PRESETS[preset]()
-    try:
-        for key, value in data.items():
-            check_type(dict if key == "per_target_override" else float,
-                       f"model {key}", value)
-        if "per_target_override" in data:
-            data["per_target_override"] = {
-                Effect(k): check_type(float, f"model override {k}", v)
-                for k, v in data["per_target_override"].items()}
-        return FaultResponseModel(**data)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad fault-response model: {exc}") from exc
-
-
-def bod_from_dict(data: dict) -> BodModel:
-    data = dict(data)
-    # Retired knob that never gated detection; older configs still carry it.
-    data.pop("detect_width_threshold", None)
-    try:
-        for key, value in data.items():
-            check_type(bool if key == "enabled" else int, f"bod {key}", value)
-        return BodModel(**data)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad BOD model: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -165,12 +124,6 @@ class CampaignConfig:
     def __post_init__(self):
         # Checked here, not in from_dict: the CLI applies --seed and
         # --trials to a loaded config with dataclasses.replace.
-        for name in ("oversampling", "master_seed", "trials", "jobs"):
-            check_type(int, name, getattr(self, name))
-        check_type(float, "dut_period_ns", self.dut_period_ns)
-        check_type(str, "scenario", self.scenario)
-        if self.transfer_source is not None:
-            check_type(str, "transfer_source", self.transfer_source)
         for name in ("trials", "jobs"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
@@ -199,17 +152,20 @@ class CampaignConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "CampaignConfig":
-        data = dict(data)
-        if "scenario" not in data:
-            raise ConfigError("config needs a 'scenario' entry")
-        for key, parse in (("model", model_from_dict), ("bod", bod_from_dict),
-                           ("search", SearchConfig.from_dict)):
-            if key in data:
-                if not isinstance(data[key], dict):
-                    raise ConfigError(f"config entry {key!r} must be a JSON object")
-                data[key] = parse(data[key])
+        """The config a JSON object describes, read by ``parse``.  A model
+        ``{"preset": name}`` stands for the preset's fields; a BOD's
+        ``detect_width_threshold``, a retired knob that never gated
+        detection, is not read."""
+        model = data.get("model")
+        if isinstance(model, dict) and "preset" in model:
+            preset = model["preset"]
+            if type(preset) is not str or preset not in MODEL_PRESETS:
+                raise ConfigError(f"unknown model preset {preset!r}")
+            if len(model) > 1:
+                raise ConfigError("model preset cannot be combined with explicit fields")
+            data = {**data, "model": echo(MODEL_PRESETS[preset]())}
         try:
-            return cls(**data)
+            return parse(cls, data, "", {BodModel: ("detect_width_threshold",)})
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad campaign config: {exc}") from exc
 
@@ -678,15 +634,16 @@ def run_countermeasure_eval(cfg: CampaignConfig, max_delay_cycles: int,
     The same nominal combo, trial count and seeds are used with the
     countermeasure off and on; the factor is rate_off / rate_on.
     """
-    if not 0 <= max_delay_cycles < MAX_SPAN:
-        raise ConfigError(f"max_delay_cycles must be in [0, {MAX_SPAN - 1}]")
     scenario = cfg.load_scenario()
     ctx = cfg.context()
     combo = nominal_combo(scenario, cfg.domains)
     step_seed = mix64(cfg.master_seed, STEP_COUNTERMEASURE)
 
     baseline_scenario = replace(scenario, random_delay_max=0)
-    delayed_scenario = replace(scenario, random_delay_max=max_delay_cycles)
+    try:
+        delayed_scenario = replace(scenario, random_delay_max=max_delay_cycles)
+    except ValueError as exc:  # a stall bound the scenario refuses
+        raise ConfigError(str(exc)) from exc
 
     base = run_trials(baseline_scenario, combo, cfg.trials, ctx, "baseline", step_seed)
     delayed = run_trials(delayed_scenario, combo, cfg.trials, ctx, "delayed", step_seed)

@@ -1,11 +1,15 @@
-"""The library's exception types and its JSON boundary: the type check
-of loaded values and the echo of written ones."""
+"""The library's exception types and its JSON boundary: ``parse``, the
+one reader of config and scenario files, the type check it makes of each
+loaded value, and ``echo``, the one writer."""
 
+from collections.abc import Mapping
 from dataclasses import fields, is_dataclass
 from enum import Enum
+from functools import cache
+from typing import Union, get_args, get_origin, get_type_hints
 
 _KINDS = {int: "an integer", float: "a number", bool: "true or false",
-          str: "a string", dict: "a JSON object"}
+          str: "a string", dict: "a JSON object", list: "a JSON list"}
 
 
 def check_type(kind: type, where: str, value):
@@ -14,6 +18,50 @@ def check_type(kind: type, where: str, value):
     if type(value) is kind or (kind is float and type(value) is int):
         return value
     raise TypeError(f"{where} must be {_KINDS[kind]}, got {value!r}")
+
+
+def parse(cls, data, where: str, retired: Mapping[type, tuple[str, ...]]):
+    """The ``cls`` dataclass that the JSON object ``data`` describes, the
+    inverse of ``echo``.  Each entry is read as its field's annotation
+    says (see ``_read``), and a missing entry takes the field's default.
+    An entry that names no field raises ValueError, unless it is one of
+    ``retired[cls]``: keys that older files carry, which are dropped.
+    ``where`` is the path of ``data`` in messages, "" at a file's top."""
+    check_type(dict, where or "the top level", data)
+    names, hints = [f.name for f in fields(cls)], _hints(cls)
+    for key in data:
+        if key not in names and key not in retired.get(cls, ()):
+            raise ValueError(f"unknown entry {_join(where, key)!r}")
+    return cls(**{name: _read(hints[name], data[name], _join(where, name), retired)
+                  for name in names if name in data})
+
+
+_hints = cache(get_type_hints)  # a class's annotations, evaluated once
+
+
+def _join(where: str, name: str) -> str:
+    return f"{where}.{name}" if where else name
+
+
+def _read(kind, value, where: str, retired):
+    """``value`` read as the annotation ``kind``: ``int``, ``float``,
+    ``bool`` and ``str`` through ``check_type``, ``Optional[X]`` as null
+    or an X, ``tuple[X, ...]`` from a list, ``Mapping[K, V]`` from an
+    object, an enum by its value and a dataclass by ``parse``."""
+    origin, args = get_origin(kind), get_args(kind)
+    if origin is Union:  # Optional[X]
+        return None if value is None else _read(args[0], value, where, retired)
+    if origin is tuple:
+        return tuple(_read(args[0], v, f"{where}[{i}]", retired)
+                     for i, v in enumerate(check_type(list, where, value)))
+    if origin is Mapping:
+        return {_read(args[0], k, where, retired): _read(args[1], v, _join(where, k), retired)
+                for k, v in check_type(dict, where, value).items()}
+    if is_dataclass(kind):
+        return parse(kind, value, where, retired)
+    if issubclass(kind, Enum):
+        return kind(value)
+    return check_type(kind, where, value)
 
 
 def echo(value):

@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Callable, Optional
 
 from .dut import Effect, INERT_EFFECTS, Instruction, RawTrialResult
-from .errors import check_type, echo
+from .errors import echo, parse
 from .seeding import MAX_SPAN
 
 SCHEMA_VERSION = 1
@@ -320,32 +320,15 @@ def scenario_to_dict(spec: ScenarioSpec) -> dict:
 
 
 def scenario_from_dict(data: dict) -> ScenarioSpec:
-    """The scenario a JSON object describes; a value of the wrong type
-    raises TypeError, for no field is coerced.  The ``effect`` of a target,
-    a ``meta`` object and a ``response_kind``, which older files carry, are
-    not read."""
-    version = check_type(dict, "a scenario", data).get("schema_version")
-    if version != SCHEMA_VERSION:
-        raise ValueError(f"unsupported scenario schema_version {version!r}")
-    instructions = tuple(
-        Instruction(check_type(int, "instruction cycle", entry["cycle"]),
-                    Effect(entry["effect"]))
-        for entry in data["instructions"]
-    )
-    targets = tuple(
-        Target(check_type(str, "target label", t["label"]),
-               tuple(check_type(int, "target cycle", c) for c in t["cycles"]))
-        for t in data["targets"]
-    )
-    return ScenarioSpec(
-        name=check_type(str, "name", data["name"]),
-        instructions=instructions,
-        targets=targets,
-        cooperative=check_type(bool, "cooperative", data["cooperative"]),
-        trigger_cycle=check_type(int, "trigger_cycle", data.get("trigger_cycle", 0)),
-        random_delay_max=check_type(int, "random_delay_max",
-                                    data.get("random_delay_max", 0)),
-    )
+    """The scenario a JSON object describes, read by ``parse``: a value of
+    the wrong type raises TypeError, for no field is coerced, and an
+    unknown key ValueError.  The ``effect`` of a target, a ``meta`` object
+    and a ``response_kind``, which older files carry, are not read."""
+    if isinstance(data, dict) and data.get("schema_version") != SCHEMA_VERSION:
+        raise ValueError(f"unsupported scenario schema_version "
+                         f"{data.get('schema_version')!r}")
+    return parse(ScenarioSpec, data, "", {
+        ScenarioSpec: ("meta", "response_kind", "schema_version"), Target: ("effect",)})
 
 
 def save_scenario(spec: ScenarioSpec, path) -> None:

@@ -434,6 +434,11 @@ def integrate(scenario: ScenarioSpec, fuzzy: Sequence[FuzzyInterval],
 # Exhaustive baseline (the conventional grid search)
 # ---------------------------------------------------------------------------
 
+# Most faults in one exhaustive combo: the walk recurses once per fault,
+# so this stays far below Python's recursion limit of 1000.
+MAX_FAULTS = 64
+
+
 def exhaustive_search(scenario: ScenarioSpec, space: SearchSpace, n_faults: int,
                       budget: int, ctx: SimContext, seed: int = 0) -> ExhaustiveResult:
     """Conventional baseline: walk the Cartesian product of per-fault

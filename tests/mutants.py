@@ -1,5 +1,6 @@
 """Mutation gate on the trial kernel, the exhaustive walk, the draws, the
-trial blocks, the results.jsonl reader and the JSON writer.
+trial blocks, the results.jsonl reader, the JSON reader and the JSON
+writer.
 
 Each mutant is a set of exact text replacements in a copy of ``src/``
 (each replaced text must occur exactly once).  The test files of the
@@ -32,6 +33,7 @@ DUT_TESTS = ("tests/test_dut.py",)
 WALK_TESTS = ("tests/test_search.py::TestExhaustivePruning",)
 BLOCK_TESTS = ("tests/test_search.py::TestTrialBlock",)
 PERSISTENCE_TESTS = ("tests/test_persistence.py",)
+PARSE_TESTS = ("tests/test_campaign.py", "tests/test_scenarios.py")
 
 # name -> (file under src/glitchsim, [(text, replacement), ...], test paths)
 MUTANTS = {
@@ -131,6 +133,12 @@ MUTANTS = {
     "reader takes labels on any kind": (
         "campaign.py", [('("labels" in outcome) != partial or ', "")],
         PERSISTENCE_TESTS),
+    "parse skips unknown keys": (
+        "errors.py", [('raise ValueError(f"unknown entry', 'continue  # (f"unknown entry')],
+        PARSE_TESTS),
+    "parse takes a JSON true as an int": (
+        "errors.py", [("if type(value) is kind or", "if isinstance(value, kind) or")],
+        PARSE_TESTS),
     "echo keeps None fields": (
         "errors.py", [("\n                if getattr(value, f.name) is not None}", "}")],
         ("tests/test_golden.py",)),

@@ -7,17 +7,34 @@ import pytest
 from glitchsim import campaign
 from glitchsim.calibration import (deterministic_model, dup_register_model,
                                    shift_model)
-from glitchsim.campaign import (CampaignConfig, SearchConfig, load_config,
-                                model_from_dict, nominal_combo, read_results,
+from glitchsim.campaign import (MODEL_PRESETS, CampaignConfig, SearchConfig,
+                                load_config, nominal_combo, read_results,
                                 results_to_report, run_attack_flow,
                                 run_bod_eval, run_comparison,
                                 run_countermeasure_eval, run_exhaustive,
                                 run_sweep_only, run_wide_vs_narrow)
 from glitchsim.dut import BodModel, Effect, FaultResponseModel
-from glitchsim.errors import ConfigError, IncompleteSweep, SearchFailed
-from glitchsim.scenarios import (dup_registers, load_scenario, save_scenario,
-                                 successive_shifts)
+from glitchsim.errors import ConfigError, IncompleteSweep, SearchFailed, echo
+from glitchsim.scenarios import (SCENARIO_PRESETS, dup_registers, load_scenario,
+                                 save_scenario, successive_shifts)
+from glitchsim.search import MAX_FAULTS
 from glitchsim.timing import ClockDomains
+
+DEMO_CONFIGS = sorted(Path(__file__).resolve().parent.parent.glob("demos/configs/*.json"))
+
+
+def renamed(data):
+    """Copies of the JSON value ``data``, each with one key renamed, for
+    every key at every depth."""
+    if isinstance(data, dict):
+        for key, value in data.items():
+            yield {(k + "_x" if k == key else k): v for k, v in data.items()}
+            for inner in renamed(value):
+                yield {**data, key: inner}
+    elif isinstance(data, list):
+        for i, value in enumerate(data):
+            for inner in renamed(value):
+                yield [*data[:i], inner, *data[i + 1:]]
 
 
 def dup_config(**over):
@@ -33,20 +50,74 @@ def dup_config(**over):
     return CampaignConfig(**base)
 
 
+FULL_CONFIG = CampaignConfig(
+    scenario="tzm_full_attack",
+    model=FaultResponseModel(p_max_skip=0.3, p_lockup_per_fault=0.01,
+                             per_target_override={Effect.STORE_SAU_CTRL: 0.4}),
+    bod=BodModel(enabled=True, sample_period=80),
+    search=SearchConfig(offset_max=50, width_set=(1, 2), n_faults=3),
+    master_seed=5, jobs=4, trials=123,
+    transfer_source="dup_registers_coop",
+)
+
+
 class TestConfig:
     def test_json_round_trip(self):
-        cfg = CampaignConfig(
-            scenario="tzm_full_attack",
-            model=FaultResponseModel(p_max_skip=0.3, p_lockup_per_fault=0.01,
-                                     per_target_override={Effect.STORE_SAU_CTRL: 0.4}),
-            bod=BodModel(enabled=True, sample_period=80),
-            search=SearchConfig(offset_max=50, width_set=(1, 2)),
-            master_seed=5, jobs=4, trials=123,
-            transfer_source="dup_registers_coop",
-        )
-        clone = CampaignConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
-        assert clone.to_dict() == cfg.to_dict()
-        assert clone.model == cfg.model
+        """Every demo config and a config without a BOD read back equal
+        from their echo."""
+        null_bod = CampaignConfig.from_dict({"scenario": "bod_scenario", "bod": None})
+        assert null_bod == CampaignConfig(scenario="bod_scenario")
+        for cfg in (FULL_CONFIG, null_bod, *map(load_config, DEMO_CONFIGS)):
+            clone = CampaignConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
+            assert clone == cfg
+            assert clone.to_dict() == cfg.to_dict()
+
+    def test_summary_config_reads_back(self, tmp_path):
+        run_bod_eval(FULL_CONFIG, tmp_path)
+        stored = json.loads((tmp_path / "summary.json").read_text())["config"]
+        assert CampaignConfig.from_dict(stored) == FULL_CONFIG
+
+    @pytest.mark.parametrize("path", DEMO_CONFIGS, ids=lambda path: path.stem)
+    def test_renamed_config_key_rejected(self, tmp_path, path):
+        bad = tmp_path / "bad.json"
+        variants = list(renamed(json.loads(path.read_text())))
+        assert variants
+        for data in variants:
+            bad.write_text(json.dumps(data))
+            with pytest.raises(ConfigError):
+                load_config(bad)
+
+    @pytest.mark.parametrize("preset", SCENARIO_PRESETS)
+    def test_renamed_scenario_key_rejected(self, tmp_path, preset):
+        cfg = CampaignConfig(scenario=preset)
+        good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+        save_scenario(cfg.load_scenario(), good)
+        assert echo(cfg.load_scenario(good)) == echo(cfg.load_scenario())
+        variants = list(renamed(json.loads(good.read_text())))
+        assert variants
+        for data in variants:
+            bad.write_text(json.dumps(data))
+            with pytest.raises(ConfigError):
+                cfg.load_scenario(bad)
+
+    @pytest.mark.parametrize("section, key", [
+        (None, "trials"), (None, "master_seed"), ("search", "psi"),
+        ("search", "n_faults"), ("bod", "sample_period")])
+    def test_json_true_is_no_integer(self, section, key):
+        data = {"scenario": "bod_scenario", "bod": {"enabled": True}}
+        (data.setdefault(section, {}) if section else data)[key] = True
+        with pytest.raises(ConfigError, match="must be an integer, got True"):
+            CampaignConfig.from_dict(data)
+
+    @pytest.mark.parametrize("section, key", [
+        (None, "trails"), ("search", "n_fault"), ("model", "p_skip"),
+        ("bod", "period")])
+    def test_unknown_key_named(self, section, key):
+        data = {"scenario": "bod_scenario"}
+        (data.setdefault(section, {}) if section else data)[key] = 1
+        path = f"{section}.{key}" if section else key
+        with pytest.raises(ConfigError, match=f"unknown entry '{path}'"):
+            CampaignConfig.from_dict(data)
 
     def test_bod_config_with_retired_threshold_loads(self):
         cfg = CampaignConfig.from_dict({
@@ -99,11 +170,13 @@ class TestConfig:
         ("n_rank", 0), ("n_final", 0), ("integrate_trials", 0),
         ("pass_budget", 0), ("stride", 0), ("fuzzy_stride", 0),
         ("exhaustive_budget", 0), ("n_faults", 0), ("psi", -1),
-        ("offset_min", -1), ("offset_max", 0), ("width_set", (1, 0)),
+        ("offset_min", -1), ("offset_max", 0), ("width_set", [1, 0]),
+        ("n_faults", MAX_FAULTS + 1),
     ])
     def test_bad_search_config_rejected(self, field, value):
         with pytest.raises(ConfigError):
-            SearchConfig.from_dict({"offset_max": 100, field: value})
+            CampaignConfig.from_dict({"scenario": "dup_registers_7_43",
+                                      "search": {"offset_max": 100, field: value}})
 
     def test_missing_scenario_key(self):
         with pytest.raises(ConfigError):
@@ -114,18 +187,23 @@ class TestConfig:
         with pytest.raises(ConfigError):
             cfg.load_scenario()
 
+    @staticmethod
+    def model(data):
+        return CampaignConfig.from_dict({"scenario": "tzm_full_attack", "model": data}).model
+
     def test_model_presets(self):
-        assert model_from_dict({"preset": "dup_register"}) == dup_register_model()
-        with pytest.raises(ConfigError):
-            model_from_dict({"preset": "nope"})
-        with pytest.raises(ConfigError):
-            model_from_dict({"preset": "tzm", "p_max_skip": 1.0})
+        for name, preset in MODEL_PRESETS.items():
+            assert self.model({"preset": name}) == preset()
+        for data in ({"preset": "nope"}, {"preset": ["tzm"]},
+                     {"preset": "tzm", "p_max_skip": 1.0}):
+            with pytest.raises(ConfigError):
+                self.model(data)
 
     def test_bad_model_fields(self):
-        with pytest.raises(ConfigError):
-            model_from_dict({"p_max_skip": 2.0})
-        with pytest.raises(ConfigError):
-            model_from_dict({"per_target_override": {"not_an_effect": 0.5}})
+        for data in ({"p_max_skip": 2.0}, {"per_target_override": {"not_an_effect": 0.5}},
+                     {"per_target_override": {"store_sau_ctrl": "0.5"}}):
+            with pytest.raises(ConfigError):
+                self.model(data)
 
 
 class TestAttackFlow:

@@ -117,6 +117,7 @@ class TestExitCodes:
         ("flow", "search", "width_set", [20.5]),
         ("bod", "bod", "enabled", "yes"),
         ("flow", None, "transfer_source", "tzm_full_attack_noncoop"),
+        ("exhaustive", "search", "n_faults", 3000),  # the walk recurses once per fault
     ])
     def test_malformed_config_exit_2(self, dup_cfg_path, tmp_path, capsys,
                                      command, section, key, value):
@@ -183,9 +184,9 @@ class TestExitCodes:
         (("cooperative",), "false", "cooperative must be true or false"),
         (("random_delay_max",), 2.9, "random_delay_max must be an integer"),
         (("trigger_cycle",), 1.0, "trigger_cycle must be an integer"),
-        (("instructions", 3, "cycle"), 3.5, "instruction cycle must be an integer"),
-        (("targets", 1, "cycles", 0), True, "target cycle must be an integer"),
-        ((), [], "a scenario must be a JSON object"),
+        (("instructions", 3, "cycle"), 3.5, "instructions[3].cycle must be an integer"),
+        (("targets", 1, "cycles", 0), True, "targets[1].cycles[0] must be an integer"),
+        ((), [], "the top level must be a JSON object"),
         (("targets",), [], "one or more targets with distinct labels"),
         (("targets", 1, "label"), "FIRST", "one or more targets with distinct labels"),
         (("instructions", 3, "cycle"), 2, "instruction cycles must be strictly increasing"),
@@ -364,7 +365,7 @@ class TestCommands:
         assert main(["countermeasure", "--config", str(dup_cfg_path),
                      "--max-delay", str(max_delay), "--trials", "50"]) == code
         if code:
-            assert "max_delay_cycles must be in [0, 4294967295]" in capsys.readouterr().err
+            assert "random_delay_max must be <= 4294967295" in capsys.readouterr().err
 
     def test_bod(self, tmp_path, capsys):
         cfg = {"scenario": "bod_scenario",

@@ -6,7 +6,7 @@ import pytest
 
 from glitchsim.campaign import CampaignConfig
 from glitchsim.dut import FaultResponseModel, execute_trial
-from glitchsim.errors import ConfigError
+from glitchsim.errors import ConfigError, echo
 from glitchsim.scenarios import (SCENARIO_PRESETS, Outcome, builtin_scenarios,
                                  classify, dup_registers, load_scenario,
                                  save_scenario, scenario_from_dict,
@@ -171,6 +171,41 @@ class TestSerialization:
         for scen in builtin_scenarios():
             clone = scenario_from_dict(scenario_to_dict(scen))
             assert scenario_to_dict(clone) == scenario_to_dict(scen)
+            assert echo(clone) == echo(scen)
+
+    @pytest.mark.parametrize("path, key", [
+        ((), "random_delay_max"), ((), "cooperative"), (("targets", 3), "cycles"),
+        (("targets", 0), "label"), (("instructions", 6), "effect")])
+    def test_misspelt_key_rejected(self, path, key):
+        """A misspelt key is refused, not read as its field's default: a
+        tzm_randomized file whose random_delay_max is misspelt would
+        otherwise load unprotected."""
+        data = scenario_to_dict(load_scenario("tzm_randomized"))
+        entry = data
+        for step in path:
+            entry = entry[step]
+        entry[key + "x"] = entry.pop(key)
+        with pytest.raises(ValueError, match="unknown entry"):
+            scenario_from_dict(data)
+
+    @pytest.mark.parametrize("path, key", [
+        ((), "trigger_cycle"), ((), "random_delay_max"),
+        (("instructions", 0), "cycle"), (("targets", 0, "cycles"), 0)])
+    def test_json_true_is_no_cycle(self, path, key):
+        data = scenario_to_dict(load_scenario("tzm_randomized"))
+        entry = data
+        for step in path:
+            entry = entry[step]
+        entry[key] = True
+        with pytest.raises(TypeError, match="must be an integer, got True"):
+            scenario_from_dict(data)
+
+    def test_retired_keys_load(self):
+        scen = load_scenario("tzm_full_attack")
+        data = {**scenario_to_dict(scen), "meta": {"note": "old"}, "response_kind": "skip"}
+        for target in data["targets"]:
+            target["effect"] = "store_sau_ctrl"
+        assert echo(scenario_from_dict(data)) == echo(scen)
 
     def test_schema_version_enforced(self):
         data = scenario_to_dict(load_scenario("successive_shifts"))
