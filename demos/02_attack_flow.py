@@ -10,21 +10,23 @@ Run on the duplicate-register scenario with the noise model calibrated
 to the measured two-fault success rate.
 """
 
-from glitchsim import (ClockDomains, SearchSpace, SimContext, dup_register_model,
+from glitchsim import (ClockDomains, SearchConfig, SimContext, dup_register_model,
                        evaluate_repeatability, fuzzyfy, integrate, load_scenario,
                        sweep, translate_to_relative)
 
 scenario = load_scenario("dup_registers_7_43")
 domains = ClockDomains(oversampling=20)
 ctx = SimContext(domains=domains, model=dup_register_model())
+# The grid (ticks) and each step's budget.
+config = SearchConfig(offset_min=0, offset_max=1200, stride=20, width_set=(20,),
+                      integrate_trials=20, n_rank=1000, n_final=100_000)
 
 print(f"scenario: {scenario.name}")
 print(f"targets:  {[t.label for t in scenario.targets]}\n")
 
 # Step 1: sweep one fault across the space, recording which target each
 # (offset, width) hits.  The overall success function plays no role yet.
-space = SearchSpace(offset_min=0, offset_max=1200, stride=20, width_set=(20,))
-sw = sweep(scenario, space, ctx, seed=1)
+sw = sweep(scenario, config, ctx, seed=1)
 print(f"sweep: {sw.trials_used} trials")
 for label, entries in sw.params.entries.items():
     print(f"  {label}: absolute params {list(entries)}")
@@ -38,15 +40,14 @@ print(f"relative combo:  {relative}")
 
 # Steps 3-4: widen each relative offset by +-psi ticks and search the
 # product of the widened intervals with all faults firing at once.
-fuzzy = fuzzyfy(relative, psi=2)
+fuzzy = fuzzyfy(relative, config.psi)
 print(f"fuzzy intervals: {[(f.lo, f.hi) for f in fuzzy]}")
-integ = integrate(scenario, fuzzy, trials_per_combo=20, ctx=ctx, seed=2)
+integ = integrate(scenario, fuzzy, config, ctx, seed=2)
 print(f"integrate: {integ.trials_used} trials, "
       f"{len(integ.combos)} combo(s) with at least one success")
 
 # Step 5: rank by success rate, then requalify the winner.
-ev = evaluate_repeatability(scenario, integ.combos, n_rank=1000,
-                            n_final=100_000, ctx=ctx, seed=3)
+ev = evaluate_repeatability(scenario, integ.combos, config, ctx, seed=3)
 best = ev.best
 print(f"\nbest combo {best.specs}: success rate {best.success_rate:.4f} "
       f"over {best.trials_run} trials")

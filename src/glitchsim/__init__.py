@@ -21,13 +21,13 @@ from .dut import (BodModel, Effect, FaultResponseModel, Instruction,
 from .errors import (ConfigError, EmptyChain, EmptySplit, GlitchSimError,
                      IncompleteSweep, NoIntegratedSuccess, NotFound,
                      OverlapError, SearchFailed, TransferInvalid)
-from .campaign import (CampaignConfig, SearchConfig, load_config, nominal_combo,
+from .campaign import (CampaignConfig, load_config, nominal_combo,
                        run_attack_flow, run_bod_eval, run_comparison,
                        run_countermeasure_eval, run_exhaustive, run_sweep_only,
                        run_wide_vs_narrow)
 from .scenarios import (Outcome, ScenarioSpec, Target, builtin_scenarios,
                         classify, load_scenario, save_scenario)
-from .search import (AbsoluteParamSet, FuzzyInterval, RankedCombo, SearchSpace,
+from .search import (AbsoluteParamSet, FuzzyInterval, RankedCombo, SearchConfig,
                      SimContext, accumulate_relative, evaluate_repeatability,
                      exhaustive_search, fuzzyfy, integrate, run_chain_trial,
                      run_trials, sweep, transfer_parameters,
@@ -43,8 +43,8 @@ __all__ = [
     "FaultResponseModel", "FaultSpec", "FuzzyInterval",
     "GlitchSimError", "IncompleteSweep", "Instruction", "NoIntegratedSuccess",
     "NotFound", "Outcome", "OverlapError", "RankedCombo", "RawTrialResult",
-    "ScenarioSpec", "SearchConfig", "SearchFailed", "SearchSpace",
-    "SimContext", "Target", "TransferInvalid", "accumulate_relative",
+    "ScenarioSpec", "SearchConfig", "SearchFailed", "SimContext", "Target",
+    "TransferInvalid", "accumulate_relative",
     "apply_random_delays", "builtin_scenarios", "classify",
     "deterministic_model", "dup_register_model", "evaluate_repeatability",
     "execute_trial", "exhaustive_search", "fuzzyfy", "integrate",

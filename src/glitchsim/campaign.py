@@ -33,10 +33,10 @@ from .dut import BodModel, FaultResponseModel
 from .errors import (ConfigError, OverlapError, SearchFailed, TransferInvalid,
                      echo, parse)
 from .scenarios import Outcome, ScenarioSpec, load_scenario
-from .search import (MAX_FAULTS, SearchSpace, SimContext, TrialBlock,
-                     check_transfer, evaluate_repeatability, exhaustive_search,
-                     final_combo, fuzzyfy, integrate, run_trials, sweep,
-                     transfer_parameters, translate_to_relative)
+from .search import (SearchConfig, SimContext, TrialBlock, check_transfer,
+                     evaluate_repeatability, exhaustive_search, final_combo,
+                     fuzzyfy, integrate, run_trials, sweep, transfer_parameters,
+                     translate_to_relative)
 from .seeding import RNG_SCHEME, mix64
 from .timing import ClockDomains, FaultSpec, split_fault, ticks_from_ns
 
@@ -65,46 +65,6 @@ MODEL_PRESETS = {
 # ---------------------------------------------------------------------------
 # Configuration
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SearchConfig:
-    """Knobs of the parameter-search flow (all times in ticks).
-    ``n_faults`` is at most ``MAX_FAULTS``: the exhaustive walk recurses
-    once per fault."""
-
-    offset_min: int = 0
-    offset_max: int = 1
-    stride: int = 1
-    width_set: tuple[int, ...] = (1,)
-    psi: int = 2
-    fuzzy_stride: int = 1
-    pass_budget: int = 10
-    integrate_trials: int = 1
-    n_rank: int = 1000
-    n_final: int = 100000
-    exhaustive_budget: int = 10_000_000
-    n_faults: Optional[int] = None  # exhaustive baseline; default = #targets
-
-    def __post_init__(self):
-        object.__setattr__(self, "width_set", tuple(self.width_set))
-        lows = {**dict.fromkeys(("stride", "fuzzy_stride", "pass_budget",
-                                 "integrate_trials", "n_rank", "n_final",
-                                 "exhaustive_budget", "n_faults"), 1), "psi": 0}
-        for name, low in lows.items():
-            value = getattr(self, name)
-            if value is not None and value < low:
-                raise ConfigError(f"search {name} must be >= {low}, got {value}")
-        if (self.n_faults or 0) > MAX_FAULTS:
-            raise ConfigError(f"search n_faults must be <= {MAX_FAULTS}, got {self.n_faults}")
-        try:
-            self.space()
-        except ValueError as exc:
-            raise ConfigError(f"bad search space: {exc}") from exc
-
-    def space(self) -> SearchSpace:
-        return SearchSpace(offset_min=self.offset_min, offset_max=self.offset_max,
-                           width_set=self.width_set, stride=self.stride)
-
 
 @dataclass(frozen=True)
 class CampaignConfig:
@@ -363,16 +323,12 @@ def _sweep(scenario: ScenarioSpec, cfg: CampaignConfig, ctx: SimContext):
     if not scenario.cooperative:
         raise ConfigError(f"scenario {scenario.name!r} is non-cooperative; "
                           "sweeping needs its partial success functions")
-    return sweep(scenario, cfg.search.space(), ctx,
-                 seed=mix64(cfg.master_seed, STEP_SWEEP),
-                 pass_budget=cfg.search.pass_budget)
+    return sweep(scenario, cfg.search, ctx, seed=mix64(cfg.master_seed, STEP_SWEEP))
 
 
 def _exhaustive(scenario: ScenarioSpec, cfg: CampaignConfig, ctx: SimContext):
     """The grid search up to its first success."""
-    n_faults = cfg.search.n_faults or len(scenario.targets)
-    return exhaustive_search(scenario, cfg.search.space(), n_faults,
-                             cfg.search.exhaustive_budget, ctx,
+    return exhaustive_search(scenario, cfg.search, ctx,
                              seed=mix64(cfg.master_seed, STEP_EXHAUSTIVE))
 
 
@@ -382,7 +338,6 @@ def _locate(scenario: ScenarioSpec, cfg: CampaignConfig, ctx: SimContext,
     step's trial blocks to ``blocks`` as soon as the step succeeds;
     returns (sweep result, relative combo, fuzzy intervals, integrate
     result).  Overlapping picks raise a SearchFailed that used no trials."""
-    sc = cfg.search
     swept = _sweep(scenario, cfg, ctx)
     blocks.extend(swept.blocks)
     picked = sorted((swept.params.pick(t.label) for t in scenario.targets),
@@ -391,10 +346,9 @@ def _locate(scenario: ScenarioSpec, cfg: CampaignConfig, ctx: SimContext,
         relative = translate_to_relative(picked)
     except OverlapError as exc:
         raise SearchFailed("overlapping_picks", str(exc), 0) from exc
-    fuzzy = fuzzyfy(relative, sc.psi)
-    integ = integrate(scenario, fuzzy, sc.integrate_trials, ctx,
-                      seed=mix64(cfg.master_seed, STEP_INTEGRATE),
-                      stride=sc.fuzzy_stride)
+    fuzzy = fuzzyfy(relative, cfg.search.psi)
+    integ = integrate(scenario, fuzzy, cfg.search, ctx,
+                      seed=mix64(cfg.master_seed, STEP_INTEGRATE))
     blocks.extend(integ.blocks)
     return swept, relative, fuzzy, integ
 
@@ -435,15 +389,13 @@ def run_attack_flow(cfg: CampaignConfig, out_dir=None) -> dict:
             raise ConfigError(f"transfer_source does not match the scenario: {exc}") from exc
 
     ctx = cfg.context()
-    sc = cfg.search
     summary = _base_summary(cfg, "flow", scenario)
     blocks: list[TrialBlock] = []
 
     transfer_trials = 0
     with _persist_on_failure(out_dir, blocks, summary):
         swept, relative, fuzzy, integ = _locate(flow_scenario, cfg, ctx, blocks)
-        evaluation = evaluate_repeatability(flow_scenario, integ.combos, sc.n_rank,
-                                            sc.n_final, ctx,
+        evaluation = evaluate_repeatability(flow_scenario, integ.combos, cfg.search, ctx,
                                             seed=mix64(cfg.master_seed, STEP_EVALUATE))
         blocks.extend(evaluation.blocks)
         best = evaluation.best
@@ -453,7 +405,7 @@ def run_attack_flow(cfg: CampaignConfig, out_dir=None) -> dict:
                                                   cfg.domains)
             except TransferInvalid as exc:
                 raise SearchFailed("transfer_before_trigger", str(exc), 0) from exc
-            final = run_trials(scenario, transferred.specs, sc.n_final, ctx,
+            final = run_trials(scenario, transferred.specs, cfg.search.n_final, ctx,
                                "transfer_final",
                                mix64(cfg.master_seed, STEP_TRANSFER_FINAL))
             blocks.append(final)
@@ -515,6 +467,7 @@ def run_comparison(cfg: CampaignConfig, out_dir=None) -> dict:
     sweep + integrate flow on an identical scenario and seed.  A side
     that fails still reports every trial it spent."""
     scenario = cfg.load_scenario()
+    n_faults = cfg.search.fault_count(scenario)  # bounded before any trial runs
     ctx = cfg.context()
     summary = _base_summary(cfg, "compare", scenario)
 
@@ -539,7 +492,7 @@ def run_comparison(cfg: CampaignConfig, out_dir=None) -> dict:
     if exhaustive_found and flow_found and flow_trials:
         ratio = exhaustive_trials / flow_trials
     summary.update({
-        "n_faults": cfg.search.n_faults or len(scenario.targets),
+        "n_faults": n_faults,
         "exhaustive": {"trials_used": exhaustive_trials, "found": exhaustive_found},
         "flow": {"trials_used": flow_trials, "found": flow_found},
         "ratio": ratio,

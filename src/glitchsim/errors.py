@@ -26,14 +26,21 @@ def parse(cls, data, where: str, retired: Mapping[type, tuple[str, ...]]):
     says (see ``_read``), and a missing entry takes the field's default.
     An entry that names no field raises ValueError, unless it is one of
     ``retired[cls]``: keys that older files carry, which are dropped.
-    ``where`` is the path of ``data`` in messages, "" at a file's top."""
+    ``where`` is the path of ``data`` in messages, "" at a file's top; a
+    ValueError of ``cls`` itself is prefixed with it."""
     check_type(dict, where or "the top level", data)
     names, hints = [f.name for f in fields(cls)], _hints(cls)
     for key in data:
         if key not in names and key not in retired.get(cls, ()):
             raise ValueError(f"unknown entry {_join(where, key)!r}")
-    return cls(**{name: _read(hints[name], data[name], _join(where, name), retired)
-                  for name in names if name in data})
+    values = {name: _read(hints[name], data[name], _join(where, name), retired)
+              for name in names if name in data}
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        if not where:
+            raise
+        raise ValueError(f"{where}: {exc}") from exc
 
 
 _hints = cache(get_type_hints)  # a class's annotations, evaluated once

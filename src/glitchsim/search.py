@@ -23,8 +23,8 @@ from .chain import ChainConfig, chain_windows, simulate_chain
 from .dut import (BodModel, FaultResponseModel, apply_random_delays, decode,
                   execute_trial, run_plan, shift_by, stall_vector, stall_vectors,
                   stalled_cycles, trial_plan)
-from .errors import (IncompleteSweep, NoIntegratedSuccess, NotFound,
-                     OverlapError, TransferInvalid, echo)
+from .errors import (ConfigError, IncompleteSweep, NoIntegratedSuccess,
+                     NotFound, OverlapError, TransferInvalid, echo)
 from .scenarios import Outcome, ScenarioSpec, classify
 from .seeding import LANES, draw_key, draw_key_column, mix64, seed_column
 from .timing import ClockDomains
@@ -41,36 +41,58 @@ class SimContext:
     bod: Optional[BodModel] = None
 
 
-@dataclass(frozen=True)
-class SearchSpace:
-    """Offset/width grid swept by the searches (ticks).  Offsets are never
-    negative and widths at least 1, so every combo is a valid chain."""
+# Most faults in one exhaustive combo: the walk recurses once per fault,
+# so this stays far below Python's recursion limit of 1000.
+MAX_FAULTS = 64
 
-    offset_min: int
-    offset_max: int  # exclusive
-    width_set: tuple[int, ...]
+
+@dataclass(frozen=True)
+class SearchConfig:
+    """The offset/width grid of the searches and each step's budget (all
+    times in ticks).  Offsets are never negative and widths at least 1,
+    so every combo of the grid is a valid chain."""
+
+    offset_min: int = 0
+    offset_max: int = 1  # exclusive
     stride: int = 1
+    width_set: tuple[int, ...] = (1,)
+    psi: int = 2
+    fuzzy_stride: int = 1
+    pass_budget: int = 10
+    integrate_trials: int = 1
+    n_rank: int = 1000
+    n_final: int = 100000
+    exhaustive_budget: int = 10_000_000
+    n_faults: Optional[int] = None  # exhaustive baseline; default = #targets
 
     def __post_init__(self):
         object.__setattr__(self, "width_set", tuple(self.width_set))
-        if self.offset_min < 0:
-            raise ValueError("offset_min must be >= 0")
-        if self.offset_max <= self.offset_min:
-            raise ValueError("offset_max must exceed offset_min")
-        if not self.width_set:
-            raise ValueError("width_set must be non-empty")
-        if min(self.width_set) < 1:
-            raise ValueError("widths must be >= 1")
-        if self.stride < 1:
-            raise ValueError("stride must be >= 1")
-
-    @property
-    def offsets(self) -> range:
-        return range(self.offset_min, self.offset_max, self.stride)
+        lows = {"offset_min": 0, "offset_max": self.offset_min + 1, "psi": 0,
+                **dict.fromkeys(("stride", "fuzzy_stride", "pass_budget",
+                                 "integrate_trials", "n_rank", "n_final",
+                                 "exhaustive_budget", "n_faults"), 1)}
+        for name, low in lows.items():
+            value = getattr(self, name)
+            if value is not None and value < low:
+                raise ConfigError(f"search {name} must be >= {low}, got {value}")
+        if min(self.width_set, default=0) < 1:
+            raise ConfigError(f"search widths must be >= 1, got {list(self.width_set)}")
+        if self.n_faults:
+            self.fault_count(None)
 
     @property
     def grid(self) -> list[RelSpec]:
-        return [(o, w) for o in self.offsets for w in self.width_set]
+        """Every (offset, width) point, offset-major: offsets ascend."""
+        return [(o, w) for o in range(self.offset_min, self.offset_max, self.stride)
+                for w in self.width_set]
+
+    def fault_count(self, scenario: Optional[ScenarioSpec]) -> int:
+        """The exhaustive baseline's faults per combo: ``n_faults``, by
+        default one per target of ``scenario``.  At most ``MAX_FAULTS``."""
+        n = self.n_faults or len(scenario.targets)
+        if n > MAX_FAULTS:
+            raise ConfigError(f"search n_faults must be <= {MAX_FAULTS}, got {n}")
+        return n
 
 
 @dataclass(frozen=True)
@@ -327,14 +349,14 @@ def run_trials(scenario: ScenarioSpec, combo: Sequence[RelSpec], n: int,
 # Step 3: sweeping (single fault, PSF-guided)
 # ---------------------------------------------------------------------------
 
-def sweep(scenario: ScenarioSpec, space: SearchSpace, ctx: SimContext,
-          seed: int = 0, pass_budget: int = 10) -> SweepResult:
+def sweep(scenario: ScenarioSpec, config: SearchConfig, ctx: SimContext,
+          seed: int = 0) -> SweepResult:
     """Locate every target's absolute parameters with one fault per trial.
 
     Only the PSFs are consulted; the overall SF plays no role here.
     Passes over the grid repeat until every target has at least one
-    recorded (offset, width) entry or the pass budget runs out.  Trial i
-    is ``run_trials`` trial i of the i-th grid point of the passes.
+    recorded (offset, width) entry or ``pass_budget`` passes have run.
+    Trial i is ``run_trials`` trial i of the i-th grid point of the passes.
     """
     if not scenario.cooperative:
         raise ValueError("sweeping needs a cooperative scenario (PSFs required)")
@@ -342,7 +364,7 @@ def sweep(scenario: ScenarioSpec, space: SearchSpace, ctx: SimContext,
     labels = [t.label for t in scenario.targets]
     entries: dict[str, set[RelSpec]] = {label: set() for label in labels}
     blocks: list[TrialBlock] = []
-    passes = itertools.chain.from_iterable(itertools.repeat(space.grid, pass_budget))
+    passes = itertools.chain.from_iterable(itertools.repeat(config.grid, config.pass_budget))
     for index, spec in enumerate(passes):
         block = run_trials(scenario, (spec,), 1, ctx, "sweep", seed, first=index)
         blocks.append(block)
@@ -408,20 +430,16 @@ def fuzzyfy(relative: Sequence[RelSpec], psi: int) -> list[FuzzyInterval]:
 # ---------------------------------------------------------------------------
 
 def integrate(scenario: ScenarioSpec, fuzzy: Sequence[FuzzyInterval],
-              trials_per_combo: int, ctx: SimContext, seed: int = 0,
-              stride: int = 1) -> IntegrateResult:
+              config: SearchConfig, ctx: SimContext, seed: int = 0) -> IntegrateResult:
     """Exhaustively fire all faults at once over the fuzzyfied offsets,
+    every ``fuzzy_stride`` ticks, ``integrate_trials`` trials per combo,
     judged by the overall SF.  Keeps every combo with >= 1 success."""
-    if stride < 1:
-        raise ValueError("stride must be >= 1")
-    if trials_per_combo < 1:
-        raise ValueError("trials_per_combo must be >= 1")
+    n = config.integrate_trials
     axes = [
-        [(o, f.width) for o in range(f.lo, f.hi + 1, stride)]
+        [(o, f.width) for o in range(f.lo, f.hi + 1, config.fuzzy_stride)]
         for f in fuzzy
     ]
-    blocks = [run_trials(scenario, combo, trials_per_combo, ctx, "integrate", seed,
-                         first=i * trials_per_combo)
+    blocks = [run_trials(scenario, combo, n, ctx, "integrate", seed, first=i * n)
               for i, combo in enumerate(itertools.product(*axes))]
     combos = [RankedCombo(block.combo, len(block), block.successes)
               for block in blocks if block.successes]
@@ -434,19 +452,14 @@ def integrate(scenario: ScenarioSpec, fuzzy: Sequence[FuzzyInterval],
 # Exhaustive baseline (the conventional grid search)
 # ---------------------------------------------------------------------------
 
-# Most faults in one exhaustive combo: the walk recurses once per fault,
-# so this stays far below Python's recursion limit of 1000.
-MAX_FAULTS = 64
-
-
-def exhaustive_search(scenario: ScenarioSpec, space: SearchSpace, n_faults: int,
-                      budget: int, ctx: SimContext, seed: int = 0) -> ExhaustiveResult:
-    """Conventional baseline: walk the Cartesian product of per-fault
-    (offset, width) grids depth first in lexicographic order up to the
-    first success, judging each combination by the overall SF only.  A
-    combo that runs is trial i, ``run_chain_trial`` of the i-th combo at
-    seed ``mix64(seed, i)``; the first success at trial i has used i + 1
-    trials.  With none in the budget, raises ``NotFound``.
+def exhaustive_search(scenario: ScenarioSpec, config: SearchConfig, ctx: SimContext,
+                      seed: int = 0) -> ExhaustiveResult:
+    """Conventional baseline: walk the product of ``fault_count`` grids
+    depth first in lexicographic order up to the first success, judging
+    each combination by the overall SF only.  A combo that runs is trial
+    i, ``run_chain_trial`` of the i-th combo at seed ``mix64(seed, i)``;
+    the first success at trial i has used i + 1 trials.  With none in
+    ``exhaustive_budget`` trials, raises ``NotFound``.
 
     A target instruction's reach is every tick it can occupy: stalls
     only delay, so it runs from the start of its cycle to the end of its
@@ -458,11 +471,8 @@ def exhaustive_search(scenario: ScenarioSpec, space: SearchSpace, n_faults: int,
     succeed under any stall vector.  Its combos are charged to the
     trials used (up to the budget) but never run.
     """
-    if n_faults < 1:
-        raise ValueError("n_faults must be >= 1")
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
-    # Budgets reach 1e7 trials.  The space only holds valid chains, so
+    n_faults, budget = config.fault_count(scenario), config.exhaustive_budget
+    # Budgets reach 1e7 trials.  The grid only holds valid chains, so
     # the closed form runs without a ChainConfig per combo, and a trial
     # seed is derived only when something can draw from it: a fixed plan
     # ignores its seed, and mixing would dominate the loop otherwise.
@@ -472,7 +482,7 @@ def exhaustive_search(scenario: ScenarioSpec, space: SearchSpace, n_faults: int,
     latest = shift_by(scenario, [scenario.random_delay_max] * len(scenario.delay_points))
     target_ticks = tuple((c * K, (latest(c) + 1) * K)
                          for t in scenario.targets for c in t.cycles)
-    grid = space.grid
+    grid = config.grid
     succeeds: dict = {}  # raw result -> whether it is a success
     for index, combo, windows in _live_combos(grid, n_faults, budget, trigger_tick,
                                               target_ticks):
@@ -527,23 +537,23 @@ def _live_combos(grid: Sequence[RelSpec], n_faults: int, budget: int,
 # ---------------------------------------------------------------------------
 
 def evaluate_repeatability(scenario: ScenarioSpec, combos: Sequence[RankedCombo],
-                           n_rank: int, n_final: int, ctx: SimContext,
+                           config: SearchConfig, ctx: SimContext,
                            seed: int = 0) -> RepeatabilityResult:
-    """Rank combos by success rate over n_rank trials each, then requalify
-    the winner over n_final trials.  Ties break by enumeration order."""
+    """Rank combos by success rate over ``n_rank`` trials each, then
+    requalify the winner over ``n_final`` trials.  Ties break by
+    enumeration order."""
     if not combos:
         raise ValueError("need at least one combo to evaluate")
-    if n_rank < 1 or n_final < 1:
-        raise ValueError("n_rank and n_final must be >= 1")
 
-    blocks = [run_trials(scenario, combo.specs, n_rank, ctx, "rank", mix64(seed, 1, c_idx))
+    blocks = [run_trials(scenario, combo.specs, config.n_rank, ctx, "rank",
+                         mix64(seed, 1, c_idx))
               for c_idx, combo in enumerate(combos)]
     ranking = [RankedCombo(block.combo, len(block), block.successes) for block in blocks]
 
     best_idx = max(range(len(ranking)), key=lambda i: (ranking[i].success_rate, -i))
     winner = ranking[best_idx]
 
-    final = run_trials(scenario, winner.specs, n_final, ctx, "final", mix64(seed, 2))
+    final = run_trials(scenario, winner.specs, config.n_final, ctx, "final", mix64(seed, 2))
     blocks.append(final)
     return RepeatabilityResult(best=final_combo(final), ranking=ranking, blocks=blocks)
 

@@ -1,6 +1,6 @@
-"""Mutation gate on the trial kernel, the exhaustive walk, the draws, the
-trial blocks, the results.jsonl reader, the JSON reader and the JSON
-writer.
+"""Mutation gate on the trial kernel, the exhaustive walk and its fault
+bound, the draws, the trial blocks, the results.jsonl reader, the JSON
+reader and the JSON writer.
 
 Each mutant is a set of exact text replacements in a copy of ``src/``
 (each replaced text must occur exactly once).  The test files of the
@@ -108,6 +108,10 @@ MUTANTS = {
         "seeding.py", [("x = ((x ^ (x >> 30)) & low) * 0xBF58476D1CE4E5B9 & low",
                         "x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9 & low")],
         ("tests/test_seeding.py",)),
+    "defaulted fault count unbounded": (
+        "search.py", [("        if n > MAX_FAULTS:",
+                       "        if self.n_faults and n > MAX_FAULTS:")],
+        ("tests/test_campaign.py",)),
     "block table with two verdicts swapped": (
         "search.py", [("first, n, list(verdicts), codes)",
                        "first, n, [*list(verdicts)[1::-1], *list(verdicts)[2:]], codes)")],

@@ -19,9 +19,8 @@ from glitchsim.calibration import (NARROW_FAULT_DISTRIBUTION,
                                    WIDE_FAULT_DISTRIBUTION)
 from glitchsim.dut import BodModel
 from glitchsim.scenarios import load_scenario
-from glitchsim.search import (RankedCombo, SearchSpace, SimContext,
-                              accumulate_relative, evaluate_repeatability,
-                              sweep, translate_to_relative)
+from glitchsim.search import (RankedCombo, SimContext, accumulate_relative,
+                              evaluate_repeatability, sweep, translate_to_relative)
 from glitchsim.timing import ClockDomains
 
 
@@ -72,8 +71,9 @@ def test_criterion_03_sweep_soundness_on_dup_presets():
                    "dup_registers_4_50", "dup_registers_22_1"):
         scen = load_scenario(preset)
         c1, c2 = (min(t.cycles) for t in scen.targets)
-        space = SearchSpace(0, (c2 + 2) * 20, width_set=(20,), stride=20)
-        result = sweep(scen, space, ctx, seed=3)
+        config = SearchConfig(offset_min=0, offset_max=(c2 + 2) * 20, width_set=(20,),
+                              stride=20)
+        result = sweep(scen, config, ctx, seed=3)
         assert result.params.entries == {
             "FIRST": ((c1 * 20, 20),),
             "SECOND": ((c2 * 20, 20),),
@@ -121,7 +121,8 @@ def test_criterion_05_duplicate_register_repeatability():
     dom = ClockDomains(oversampling=20)
     ctx = SimContext(domains=dom, model=g.dup_register_model())
     combo = RankedCombo(specs=tuple(nominal_combo(scen, dom)))
-    result = evaluate_repeatability(scen, [combo], 10, 100_000, ctx, seed=3)
+    result = evaluate_repeatability(scen, [combo], SearchConfig(n_rank=10, n_final=100_000),
+                                    ctx, seed=3)
     rate = result.best.success_rate
     assert abs(rate - 0.212) < 0.01
     print(f"CRITERION 5: PASS - duplicate-register repeatability "
@@ -136,7 +137,8 @@ def test_criterion_06_cascade_calibration_and_monotonicity():
     ctx = SimContext(domains=dom, model=g.tzm_model())
     combo = RankedCombo(specs=tuple(nominal_combo(scen, dom)))
     n = 100_000
-    result = evaluate_repeatability(scen, [combo], 10, n, ctx, seed=3)
+    result = evaluate_repeatability(scen, [combo], SearchConfig(n_rank=10, n_final=n), ctx,
+                                    seed=3)
     counts = result.best.prefix_success_counts
     rates = [c / n for c in counts]
     expected = (0.451, 0.0251, 0.0023)

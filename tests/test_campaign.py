@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from glitchsim import campaign
+from glitchsim import campaign, search
 from glitchsim.calibration import (deterministic_model, dup_register_model,
                                    shift_model)
 from glitchsim.campaign import (MODEL_PRESETS, CampaignConfig, SearchConfig,
@@ -13,10 +13,10 @@ from glitchsim.campaign import (MODEL_PRESETS, CampaignConfig, SearchConfig,
                                 run_bod_eval, run_comparison,
                                 run_countermeasure_eval, run_exhaustive,
                                 run_sweep_only, run_wide_vs_narrow)
-from glitchsim.dut import BodModel, Effect, FaultResponseModel
+from glitchsim.dut import BodModel, Effect, FaultResponseModel, Instruction
 from glitchsim.errors import ConfigError, IncompleteSweep, SearchFailed, echo
-from glitchsim.scenarios import (SCENARIO_PRESETS, dup_registers, load_scenario,
-                                 save_scenario, successive_shifts)
+from glitchsim.scenarios import (SCENARIO_PRESETS, ScenarioSpec, Target, dup_registers,
+                                 load_scenario, save_scenario, successive_shifts)
 from glitchsim.search import MAX_FAULTS
 from glitchsim.timing import ClockDomains
 
@@ -171,12 +171,22 @@ class TestConfig:
         ("pass_budget", 0), ("stride", 0), ("fuzzy_stride", 0),
         ("exhaustive_budget", 0), ("n_faults", 0), ("psi", -1),
         ("offset_min", -1), ("offset_max", 0), ("width_set", [1, 0]),
-        ("n_faults", MAX_FAULTS + 1),
+        ("n_faults", MAX_FAULTS + 1), ("offset_min", 100), ("width_set", []),
     ])
     def test_bad_search_config_rejected(self, field, value):
         with pytest.raises(ConfigError):
             CampaignConfig.from_dict({"scenario": "dup_registers_7_43",
                                       "search": {"offset_max": 100, field: value}})
+
+    @pytest.mark.parametrize("section, data, message", [
+        ("bod", {"enabled": True, "sample_phase": 500},
+         "bod: sample_phase must be in [0, sample_period)"),
+        ("model", {"p_max_skip": 2.0}, "model: p_max_skip must be in [0, 1]"),
+    ], ids=["bod", "model"])
+    def test_nested_value_error_names_its_section(self, section, data, message):
+        with pytest.raises(ConfigError) as exc:
+            CampaignConfig.from_dict({"scenario": "bod_scenario", section: data})
+        assert str(exc.value) == f"bad campaign config: {message}"
 
     def test_missing_scenario_key(self):
         with pytest.raises(ConfigError):
@@ -352,6 +362,27 @@ class TestComparison:
         swept = run_sweep_only(cfg)["total_trials"]
         assert summary["flow"]["trials_used"] == swept + 1
         assert summary["total_trials"] == 10 + swept + 1
+
+    def test_defaulted_fault_count_bounded_before_any_trial(self, tmp_path, monkeypatch):
+        """Without n_faults, exhaustive and compare take one fault per
+        target; 1 000 targets are refused before any trial runs."""
+        many = ScenarioSpec("many", [Instruction(c, Effect.STORE_SAU_CTRL) for c in range(1000)],
+                            [Target(f"T{c}", (c,)) for c in range(1000)], cooperative=True)
+        path = tmp_path / "many.json"
+        save_scenario(many, path)
+        cfg = dup_config(scenario=str(path),
+                         search=SearchConfig(offset_max=2, exhaustive_budget=5))
+
+        def no_trial(*args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(search, "trial_plan", no_trial)
+        for run in (run_exhaustive, run_comparison):
+            out = tmp_path / run.__name__
+            with pytest.raises(ConfigError, match=f"n_faults must be <= {MAX_FAULTS}, "
+                                                  "got 1000$"):
+                run(cfg, out)
+            assert not out.exists()
 
     def test_capped_exhaustive_recorded(self):
         cfg = dup_config(search=SearchConfig(offset_min=0, offset_max=100,

@@ -118,6 +118,8 @@ class TestExitCodes:
         ("bod", "bod", "enabled", "yes"),
         ("flow", None, "transfer_source", "tzm_full_attack_noncoop"),
         ("exhaustive", "search", "n_faults", 3000),  # the walk recurses once per fault
+        ("flow", "search", "width_set", []),
+        ("flow", "search", "offset_min", 1200),  # the config's offset_max
     ])
     def test_malformed_config_exit_2(self, dup_cfg_path, tmp_path, capsys,
                                      command, section, key, value):
@@ -279,7 +281,7 @@ def _covering_combos(config_name):
     wanted = frozenset().union(*scenario.target_indices.values())
     n_faults = cfg.search.n_faults or len(scenario.targets)
     covering = []
-    for combo in itertools.product(cfg.search.space().grid, repeat=n_faults):
+    for combo in itertools.product(cfg.search.grid, repeat=n_faults):
         windows, _ = chain_windows(combo, trigger)
         plan = trial_plan(scenario, windows, ctx.domains, ctx.model, ctx.bod)
         if wanted <= {index for index, *_ in plan.entries}:

@@ -200,6 +200,24 @@ class TestSerialization:
         with pytest.raises(TypeError, match="must be an integer, got True"):
             scenario_from_dict(data)
 
+    @pytest.mark.parametrize("path, key, value, message", [
+        pytest.param(("instructions", 3), "cycle", -1,
+                     r"instructions\[3\]: cycle must be non-negative", id="cycle"),
+        pytest.param(("targets", 1), "cycles", [],
+                     r"targets\[1\]: a target needs at least one cycle", id="cycles")])
+    def test_value_error_names_its_path(self, tmp_path, path, key, value, message):
+        data = scenario_to_dict(load_scenario("tzm_randomized"))
+        entry = data
+        for step in path:
+            entry = entry[step]
+        entry[key] = value
+        with pytest.raises(ValueError, match=message):
+            scenario_from_dict(data)
+        file = tmp_path / "scen.json"
+        file.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match=r"scen\.json: ValueError: " + message):
+            load_scenario(file)
+
     def test_retired_keys_load(self):
         scen = load_scenario("tzm_full_attack")
         data = {**scenario_to_dict(scen), "meta": {"note": "old"}, "response_kind": "skip"}

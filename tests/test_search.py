@@ -19,7 +19,7 @@ from glitchsim.errors import (IncompleteSweep, NoIntegratedSuccess, NotFound,
                               OverlapError, TransferInvalid)
 from glitchsim.scenarios import (SCENARIO_PRESETS, classify, dup_registers,
                                  load_scenario)
-from glitchsim.search import (RankedCombo, SearchSpace, SimContext,
+from glitchsim.search import (RankedCombo, SearchConfig, SimContext,
                               accumulate_relative, evaluate_repeatability,
                               exhaustive_search, final_combo, fuzzyfy,
                               integrate, run_chain_trial, run_trials, sweep,
@@ -95,8 +95,9 @@ class TestSweep:
     def test_finds_exact_cycles(self):
         scen = dup_registers(7, 43)
         c1, c2 = (min(t.cycles) for t in scen.targets)
-        space = SearchSpace(0, (c2 + 2) * 20, width_set=(20,), stride=20)
-        result = sweep(scen, space, perfect_ctx(DOM20), seed=1)
+        config = SearchConfig(offset_min=0, offset_max=(c2 + 2) * 20, width_set=(20,),
+                              stride=20)
+        result = sweep(scen, config, perfect_ctx(DOM20), seed=1)
         assert result.params.entries == {
             "FIRST": ((c1 * 20, 20),),
             "SECOND": ((c2 * 20, 20),),
@@ -105,8 +106,8 @@ class TestSweep:
     def test_early_stop_trial_count(self):
         scen = dup_registers(7, 43)
         c2 = min(scen.targets[1].cycles)
-        space = SearchSpace(0, 1000, width_set=(1,))
-        result = sweep(scen, space, perfect_ctx(DOM1), seed=1)
+        config = SearchConfig(offset_min=0, offset_max=1000, width_set=(1,))
+        result = sweep(scen, config, perfect_ctx(DOM1), seed=1)
         # One trial per offset, stopping right when the later target is found.
         assert result.trials_used == c2 + 1
         assert len(result.records) == result.trials_used
@@ -114,30 +115,31 @@ class TestSweep:
     def test_noncooperative_rejected(self):
         scen = load_scenario("dup_registers_noncoop")
         with pytest.raises(ValueError):
-            sweep(scen, SearchSpace(0, 10, width_set=(1,)), perfect_ctx())
+            sweep(scen, SearchConfig(offset_min=0, offset_max=10, width_set=(1,)),
+                  perfect_ctx())
 
-    def test_zero_budget_incomplete(self):
+    def test_one_pass_incomplete(self):
         scen = dup_registers(7, 43)
         with pytest.raises(IncompleteSweep) as exc:
-            sweep(scen, SearchSpace(0, 10, width_set=(1,)), perfect_ctx(DOM1),
-                  pass_budget=0)
+            sweep(scen, SearchConfig(offset_min=0, offset_max=5, width_set=(1,),
+                                     pass_budget=1), perfect_ctx(DOM1))
         assert set(exc.value.missing) == {"FIRST", "SECOND"}
-        assert exc.value.trials_used == 0
+        assert exc.value.trials_used == 5  # one pass over the grid
 
     def test_space_too_small_reports_missing(self):
         scen = dup_registers(7, 43)
         c1 = min(scen.targets[0].cycles)
         with pytest.raises(IncompleteSweep) as exc:
-            sweep(scen, SearchSpace(0, c1 + 1, width_set=(1,)), perfect_ctx(DOM1),
-                  pass_budget=2)
+            sweep(scen, SearchConfig(offset_min=0, offset_max=c1 + 1, width_set=(1,),
+                                     pass_budget=2), perfect_ctx(DOM1))
         assert exc.value.missing == ("SECOND",)
 
     def test_rerun_is_identical(self):
         scen = dup_registers(7, 43)
-        space = SearchSpace(0, 1200, width_set=(20,), stride=20)
+        config = SearchConfig(offset_min=0, offset_max=1200, width_set=(20,), stride=20)
         ctx = SimContext(DOM20, dup_register_model())
-        r1 = sweep(scen, space, ctx, seed=9)
-        r2 = sweep(scen, space, ctx, seed=9)
+        r1 = sweep(scen, config, ctx, seed=9)
+        r2 = sweep(scen, config, ctx, seed=9)
         assert r1.params.entries == r2.params.entries
         assert r1.records == r2.records
 
@@ -147,29 +149,29 @@ class TestIntegrate:
         scen = dup_registers(7, 43)
         rel = translate_to_relative(
             [(min(t.cycles), 1) for t in scen.targets])
-        result = integrate(scen, fuzzyfy(rel, 2), 1, perfect_ctx(DOM1), seed=1)
+        result = integrate(scen, fuzzyfy(rel, 2), SearchConfig(), perfect_ctx(DOM1), seed=1)
         assert any(c.specs == tuple(rel) for c in result.combos)
         assert result.trials_used == 25  # (2*2+1)^2 combos, 1 trial each
 
     def test_psi_zero_single_combo(self):
         scen = dup_registers(7, 43)
         rel = translate_to_relative([(min(t.cycles), 1) for t in scen.targets])
-        result = integrate(scen, fuzzyfy(rel, 0), 1, perfect_ctx(DOM1), seed=1)
+        result = integrate(scen, fuzzyfy(rel, 0), SearchConfig(), perfect_ctx(DOM1), seed=1)
         assert result.trials_used == 1
         assert result.combos[0].specs == tuple(rel)
 
     def test_no_success(self):
         scen = dup_registers(7, 43)
         with pytest.raises(NoIntegratedSuccess) as exc:
-            integrate(scen, fuzzyfy([(500, 1), (1, 1)], 1), 1,
+            integrate(scen, fuzzyfy([(500, 1), (1, 1)], 1), SearchConfig(),
                       perfect_ctx(DOM1), seed=1)
         assert exc.value.trials_used == 9
 
     def test_stride_thins_enumeration(self):
         scen = dup_registers(7, 43)
         rel = translate_to_relative([(min(t.cycles), 1) for t in scen.targets])
-        result = integrate(scen, fuzzyfy(rel, 2), 1, perfect_ctx(DOM1),
-                           seed=1, stride=2)
+        result = integrate(scen, fuzzyfy(rel, 2), SearchConfig(fuzzy_stride=2),
+                           perfect_ctx(DOM1), seed=1)
         assert result.trials_used == 9  # 3 offsets per axis
 
 
@@ -180,25 +182,29 @@ class TestExhaustive:
         # one-target scenario by searching for the first store alone.
         from dataclasses import replace
         solo = replace(scen, targets=(scen.targets[0],))
-        space = SearchSpace(0, 60, width_set=(1,))
-        result = exhaustive_search(solo, space, 1, 10_000, perfect_ctx(DOM1))
+        config = SearchConfig(offset_min=0, offset_max=60, width_set=(1,),
+                              exhaustive_budget=10_000)
+        result = exhaustive_search(solo, config, perfect_ctx(DOM1))
         assert result.trials_used <= 60
         assert result.combo.specs == ((min(scen.targets[0].cycles), 1),)
 
     def test_lexicographic_first_success_position(self):
         scen = dup_registers(33, 19)
         c1, c2 = (min(t.cycles) for t in scen.targets)
-        space = SearchSpace(0, 100, width_set=(1,))
-        result = exhaustive_search(scen, space, 2, 10_000, perfect_ctx(DOM1))
+        config = SearchConfig(offset_min=0, offset_max=100, width_set=(1,),
+                              exhaustive_budget=10_000)
+        result = exhaustive_search(scen, config, perfect_ctx(DOM1))
         r2 = c2 - c1 - 1
         assert result.trials_used == c1 * 100 + r2 + 1
         assert result.combo.specs == ((c1, 1), (r2, 1))
 
     def test_budget_exhaustion(self):
         scen = dup_registers(7, 43)
-        space = SearchSpace(0, 5, width_set=(1,))  # cannot reach the targets
+        # The grid cannot reach the targets.
+        config = SearchConfig(offset_min=0, offset_max=5, width_set=(1,),
+                              exhaustive_budget=10_000)
         with pytest.raises(NotFound) as exc:
-            exhaustive_search(scen, space, 2, 10_000, perfect_ctx(DOM1))
+            exhaustive_search(scen, config, perfect_ctx(DOM1))
         assert exc.value.trials_used == 25  # full grid product
 
     def test_partial_coverage_draws_per_trial_seeds(self):
@@ -210,12 +216,12 @@ class TestExhaustive:
         s1, s2 = (min(t.cycles) * 20 for t in scen.targets)
         combo = ((s1, 10), (s2 - s1 - 10, 10))
         # Grid {combo[0], combo[1]}: combo is the second of four products.
-        space = SearchSpace(s1, combo[1][0] + 1, width_set=(10,),
-                            stride=combo[1][0] - s1)
+        config = SearchConfig(offset_min=s1, offset_max=combo[1][0] + 1, width_set=(10,),
+                              stride=combo[1][0] - s1, exhaustive_budget=4)
         wins = 0
         for seed in range(60):
             try:
-                found = exhaustive_search(scen, space, 2, 4, ctx, seed=seed)
+                found = exhaustive_search(scen, config, ctx, seed=seed)
                 won = (found.combo.specs, found.trials_used) == (combo, 2)
             except NotFound:
                 won = False
@@ -241,21 +247,22 @@ class TestExhaustive:
         if case == "merged_windows":
             scen = load_scenario("successive_shifts")
             ctx = SimContext(DOM1, shift_model())
-            space = SearchSpace(0, 8, width_set=(1,))
+            config = SearchConfig(offset_min=0, offset_max=8, width_set=(1,))
         elif case == "random_delays":
             scen = replace(dup_registers(7, 43), random_delay_max=9)
             ctx = perfect_ctx(DOM1)
-            space = SearchSpace(0, 70, width_set=(1,))
+            config = SearchConfig(offset_min=0, offset_max=70, width_set=(1,))
         else:
             scen = dup_registers(7, 43)
             ctx = perfect_ctx(DOM20)
             s1, s2 = (min(t.cycles) * 20 for t in scen.targets)
             r2 = s2 - s1 - 10  # half-windows at s1 and s2: grid {s1, r2}
-            space = SearchSpace(s1, r2 + 1, width_set=(10,), stride=r2 - s1)
-        budget = len(space.grid) ** 2
-        want = _exhaustive_oracle(scen, space, 2, budget, ctx, seed)
+            config = SearchConfig(offset_min=s1, offset_max=r2 + 1, width_set=(10,),
+                                  stride=r2 - s1)
+        config = replace(config, n_faults=2, exhaustive_budget=len(config.grid) ** 2)
+        want = _exhaustive_oracle(scen, config, ctx, seed)
         try:
-            result = exhaustive_search(scen, space, 2, budget, ctx, seed=seed)
+            result = exhaustive_search(scen, config, ctx, seed=seed)
             got = (result.trials_used, result.combo.specs)
         except NotFound as exc:
             got = (exc.trials_used, None)
@@ -267,7 +274,7 @@ class TestEvaluateRepeatability:
         scen = dup_registers(7, 43)
         rel = translate_to_relative([(min(t.cycles), 1) for t in scen.targets])
         combo = RankedCombo(specs=tuple(rel))
-        result = evaluate_repeatability(scen, [combo], 10, 100,
+        result = evaluate_repeatability(scen, [combo], SearchConfig(n_rank=10, n_final=100),
                                         perfect_ctx(DOM1), seed=1)
         assert result.best.specs == combo.specs
         assert result.best.success_rate == 1.0
@@ -278,7 +285,7 @@ class TestEvaluateRepeatability:
         scen = dup_registers(7, 43)
         losers = [RankedCombo(specs=((0, 1), (0, 1))),
                   RankedCombo(specs=((1, 1), (0, 1)))]
-        result = evaluate_repeatability(scen, losers, 5, 10,
+        result = evaluate_repeatability(scen, losers, SearchConfig(n_rank=5, n_final=10),
                                         perfect_ctx(DOM1), seed=1)
         assert result.best.success_rate == 0.0
         # Tie broken by enumeration order: first combo wins.
@@ -289,14 +296,23 @@ class TestEvaluateRepeatability:
         rel = translate_to_relative([(min(t.cycles), 1) for t in scen.targets])
         combos = [RankedCombo(specs=((0, 1), (0, 1))),
                   RankedCombo(specs=tuple(rel))]
-        result = evaluate_repeatability(scen, combos, 5, 20,
+        result = evaluate_repeatability(scen, combos, SearchConfig(n_rank=5, n_final=20),
                                         perfect_ctx(DOM1), seed=1)
         assert result.best.specs == tuple(rel)
 
     def test_empty_combos_rejected(self):
         scen = dup_registers(7, 43)
         with pytest.raises(ValueError):
-            evaluate_repeatability(scen, [], 1, 1, perfect_ctx(DOM1))
+            evaluate_repeatability(scen, [], SearchConfig(), perfect_ctx(DOM1))
+
+
+class TestSearchConfig:
+    """The walk's bisect and the trial indices need the grid offset-major
+    (tests/test_campaign.py checks each refused value)."""
+
+    def test_grid_is_offset_major(self):
+        config = SearchConfig(offset_min=2, offset_max=7, stride=2, width_set=(3, 1))
+        assert config.grid == [(2, 3), (2, 1), (4, 3), (4, 1), (6, 3), (6, 1)]
 
 
 class TestTransfer:
@@ -506,14 +522,15 @@ class TestSweepOracle:
         last = max(c for t in scen.targets for c in t.cycles)
         # Phase and widths come in 1/20 cycle; one offset per cycle up to the
         # last target.
-        space = SearchSpace(phase * K // 20, (last + 1) * K,
-                            tuple(max(1, w * K // 20) for w in widths), stride=K)
+        config = SearchConfig(offset_min=phase * K // 20, offset_max=(last + 1) * K,
+                              width_set=tuple(max(1, w * K // 20) for w in widths),
+                              stride=K, pass_budget=pass_budget)
         ctx = SimContext(ClockDomains(oversampling=K), model, bod)
 
         labels = [t.label for t in scen.targets]
         entries = {label: set() for label in labels}
         want, stop = [], None
-        for i, spec in enumerate(space.grid * pass_budget):
+        for i, spec in enumerate(config.grid * pass_budget):
             trial_seed = mix64(seed, i)
             _, outcome, hits = _oracle_trial(scen, (spec,), ctx, trial_seed)
             want.append((trial_seed, (spec,), outcome, hits))
@@ -525,24 +542,24 @@ class TestSweepOracle:
 
         if stop is None:
             with pytest.raises(IncompleteSweep) as exc:
-                sweep(scen, space, ctx, seed=seed, pass_budget=pass_budget)
+                sweep(scen, config, ctx, seed=seed)
             assert exc.value.trials_used == len(want)
             assert exc.value.missing == tuple(lb for lb in labels if not entries[lb])
             return
-        result = sweep(scen, space, ctx, seed=seed, pass_budget=pass_budget)
+        result = sweep(scen, config, ctx, seed=seed)
         assert result.trials_used == stop + 1
         assert [(r.seed, r.combo, r.outcome, r.hits) for r in result.records] == want
         assert {r.step for r in result.records} == {"sweep"}
         assert result.params.entries == {lb: tuple(sorted(v)) for lb, v in entries.items()}
 
 
-def _exhaustive_oracle(scen, space, n_faults, budget, ctx, seed):
-    """The exhaustive search stated per combo: combo i of the grid's
-    product runs as ``run_chain_trial`` at seed mix64(seed, i).  Returns
-    the trials used and the first successful combo, or None."""
+def _exhaustive_oracle(scen, config, ctx, seed):
+    """The exhaustive search stated per combo: combo i of the product of
+    ``n_faults`` grids runs as ``run_chain_trial`` at seed mix64(seed, i).
+    Returns the trials used and the first successful combo, or None."""
     used = 0
-    combos = itertools.product(space.grid, repeat=n_faults)
-    for i, combo in enumerate(itertools.islice(combos, budget)):
+    combos = itertools.product(config.grid, repeat=config.n_faults)
+    for i, combo in enumerate(itertools.islice(combos, config.exhaustive_budget)):
         used = i + 1
         if run_chain_trial(scen, combo, ctx, mix64(seed, i))[1].is_success:
             return used, combo
@@ -556,9 +573,9 @@ EXHAUSTIVE_PRESETS = sorted(name for name in SCENARIO_PRESETS
 
 @st.composite
 def exhaustive_cases(draw):
-    """(preset, model, bod, K, random_delay_max, n_faults, space, budget,
-    seed) with a small grid that often holds what a chain
-    needs to hit every target."""
+    """(preset, model, bod, K, random_delay_max, config, seed) with a small
+    grid, an explicit fault count and a budget, where the grid often holds
+    what a chain needs to hit every target."""
     preset = draw(st.sampled_from(EXHAUSTIVE_PRESETS))
     K = draw(st.sampled_from((1, 2, 5)))
     scen = SCENARIO_PRESETS[preset]()
@@ -575,13 +592,14 @@ def exhaustive_cases(draw):
     nudges = st.one_of(st.just(0), st.just(0), st.integers(-K, K))
     lo = max(0, a + draw(nudges))
     stride = max(1, b - a + draw(nudges))
-    space = SearchSpace(lo, lo + stride * draw(st.integers(1, 2)) + 1,
-                        tuple(widths), stride)
+    config = SearchConfig(offset_min=lo, offset_max=lo + stride * draw(st.integers(1, 2)) + 1,
+                          width_set=tuple(widths), stride=stride)
     n_faults = draw(st.sampled_from((2, 3, 1)))
-    combos = len(space.grid) ** n_faults
+    combos = len(config.grid) ** n_faults
+    budget = draw(st.one_of(st.just(combos), st.integers(1, combos + 1)))
     return (preset, draw(st.sampled_from(SWEEP_MODELS)), draw(bods), K,
-            draw(st.sampled_from((0, 0, 0, 2))), n_faults, space,
-            draw(st.one_of(st.just(combos), st.integers(1, combos + 1))),
+            draw(st.sampled_from((0, 0, 0, 2))),
+            replace(config, n_faults=n_faults, exhaustive_budget=budget),
             draw(st.integers(0, 2**64 - 1)))
 
 
@@ -595,36 +613,42 @@ class TestExhaustivePruning:
     # window [6, 7) ends where LSLS ends (the last window always touches
     # what ends at the cursor) and leaves LSRS, ending at 6, untouched:
     # pruned.  [5, 7) covers both, so its completions all succeed.
-    @example(case=("successive_shifts", deterministic_model(), None, 1, 0, 2,
-                   SearchSpace(5, 7, (1, 2)), 16, 0))
+    @example(case=("successive_shifts", deterministic_model(), None, 1, 0,
+                   SearchConfig(offset_min=5, offset_max=7, width_set=(1, 2), n_faults=2,
+                                exhaustive_budget=16), 0))
     # [5, 6) leaves LSLS, ending one tick after the cursor, untouched but
     # not pruned: an offset-0 window merges onto it and covers LSLS.
-    @example(case=("successive_shifts", deterministic_model(), None, 1, 0, 2,
-                   SearchSpace(0, 6, (1,), 5), 4, 0))
+    @example(case=("successive_shifts", deterministic_model(), None, 1, 0,
+                   SearchConfig(offset_min=0, offset_max=6, width_set=(1,), stride=5,
+                                n_faults=2, exhaustive_budget=4), 0))
     # The offset-0 merge inside a three-fault prefix, and a budget that
     # ends inside the pruned subtree of ((5, 1), (5, 1)).
-    @example(case=("successive_shifts", deterministic_model(), None, 1, 0, 3,
-                   SearchSpace(0, 6, (1,), 5), 7, 0))
+    @example(case=("successive_shifts", deterministic_model(), None, 1, 0,
+                   SearchConfig(offset_min=0, offset_max=6, width_set=(1,), stride=5,
+                                n_faults=3, exhaustive_budget=7), 0))
     # A model that bursts and locks up, over windows that cover the pair.
-    @example(case=("successive_shifts", shift_model(), None, 2, 0, 2,
-                   SearchSpace(0, 11, (2, 4), 10), 16, 3))
+    @example(case=("successive_shifts", shift_model(), None, 2, 0,
+                   SearchConfig(offset_min=0, offset_max=11, width_set=(2, 4), stride=10,
+                                n_faults=2, exhaustive_budget=16), 3))
     # Random stalls move store 1 to cycle 8 + d: the first window at
     # cycle 9 lies past the unstalled store, yet combo 1 succeeds at this
     # seed, so the walk must not prune by the unstalled cycle.
-    @example(case=("dup_registers_7_43", deterministic_model(), None, 1, 2, 2,
-                   SearchSpace(9, 44, (1,), 34), 4, 4))
+    @example(case=("dup_registers_7_43", deterministic_model(), None, 1, 2,
+                   SearchConfig(offset_min=9, offset_max=44, width_set=(1,), stride=34,
+                                n_faults=2, exhaustive_budget=4), 4))
     # The same stalls over offsets 9..53: store 1's reach is [8, 11), so
     # the root prunes offsets 11..53, and every win hits store 1 stalled.
     # Combo 35, ((9, 1), (44, 1)), wins: both stalls are 1 at its seed.
-    @example(case=("dup_registers_7_43", deterministic_model(), None, 1, 2, 2,
-                   SearchSpace(9, 54, (1,)), 45 ** 2, 3))
+    @example(case=("dup_registers_7_43", deterministic_model(), None, 1, 2,
+                   SearchConfig(offset_min=9, offset_max=54, width_set=(1,), n_faults=2,
+                                exhaustive_budget=45 ** 2), 3))
     def test_matches_per_combo_oracle(self, case):
-        preset, model, bod, K, stalls, n_faults, space, budget, seed = case
+        preset, model, bod, K, stalls, config, seed = case
         scen = replace(SCENARIO_PRESETS[preset](), random_delay_max=stalls)
         ctx = SimContext(ClockDomains(oversampling=K), model, bod)
-        used, win = _exhaustive_oracle(scen, space, n_faults, budget, ctx, seed)
+        used, win = _exhaustive_oracle(scen, config, ctx, seed)
         try:
-            result = exhaustive_search(scen, space, n_faults, budget, ctx, seed)
+            result = exhaustive_search(scen, config, ctx, seed)
         except NotFound as exc:
             assert (exc.trials_used, None) == (used, win)
         else:
@@ -658,9 +682,8 @@ class TestExhaustivePruning:
         """Cutting each node's children at its bound yields what the full
         walk yields: every combo below the budget with no doomed prefix,
         its index and its windows, over grids of any width order."""
-        space = SearchSpace(offset_min, offset_min + stride * n_offsets, tuple(widths),
-                            stride)
-        grid = space.grid
+        grid = SearchConfig(offset_min=offset_min, offset_max=offset_min + stride * n_offsets,
+                            width_set=tuple(widths), stride=stride).grid
         budget = max(1, len(grid) ** n_faults - budget_cut)
         target_ticks = [(s, s + n) for s, n in targets]
 
@@ -693,7 +716,9 @@ class TestExhaustivePruning:
         monkeypatch.setattr(search, "trial_plan", counted)
         with pytest.raises(NotFound) as exc:
             exhaustive_search(load_scenario("tzm_randomized"),
-                              SearchSpace(0, 100, (1, 2)), 4, 50_000, perfect_ctx(DOM1))
+                              SearchConfig(offset_min=0, offset_max=100, width_set=(1, 2),
+                                           exhaustive_budget=50_000),
+                              perfect_ctx(DOM1))
         assert exc.value.trials_used == 50_000
         assert plans <= 2_400
 
@@ -710,7 +735,8 @@ class TestExhaustivePruning:
         monkeypatch.setattr(search, "run_plan", counted)
         with pytest.raises(NotFound) as exc:
             exhaustive_search(load_scenario("tzm_full_attack"),
-                              SearchSpace(0, 100, (1, 2)), 4, 10_000_000,
+                              SearchConfig(offset_min=0, offset_max=100, width_set=(1, 2),
+                                           exhaustive_budget=10_000_000),
                               perfect_ctx(DOM1))
         assert exc.value.trials_used == 10_000_000
         assert runs <= 40_000
