@@ -3,8 +3,8 @@ injection against a TrustZone-M-style protected target.
 
 Layers, bottom up:
 
-- :mod:`glitchsim.timing` — tick arithmetic, fault windows, splitting.
-- :mod:`glitchsim.chain` — the chained fault-unit glitcher model.
+- :mod:`glitchsim.timing` — clock domains, ticks from nanoseconds.
+- :mod:`glitchsim.chain` — the chained fault-unit glitcher: units to fault windows.
 - :mod:`glitchsim.dut` — instruction stream, fault response, one trial.
 - :mod:`glitchsim.scenarios` — firmware scenarios, success functions, outcomes.
 - :mod:`glitchsim.calibration` — fitted noise-model presets.
@@ -15,12 +15,12 @@ Layers, bottom up:
 
 from .calibration import (deterministic_model, dup_register_model, shift_model,
                           tzm_model)
-from .chain import ChainConfig, merge_windows, simulate_chain
+from .chain import ChainConfig, simulate_chain
 from .dut import (BodModel, Effect, FaultResponseModel, Instruction,
                   RawTrialResult, apply_random_delays, execute_trial)
-from .errors import (ConfigError, EmptyChain, EmptySplit, GlitchSimError,
-                     IncompleteSweep, NoIntegratedSuccess, NotFound,
-                     OverlapError, SearchFailed, TransferInvalid)
+from .errors import (ConfigError, EmptyChain, GlitchSimError, IncompleteSweep,
+                     NoIntegratedSuccess, NotFound, OverlapError, SearchFailed,
+                     TransferInvalid)
 from .campaign import (CampaignConfig, load_config, nominal_combo,
                        run_attack_flow, run_bod_eval, run_comparison,
                        run_countermeasure_eval, run_exhaustive, run_sweep_only,
@@ -33,26 +33,24 @@ from .search import (AbsoluteParamSet, FuzzyInterval, RankedCombo, SearchConfig,
                      run_trials, sweep, transfer_parameters,
                      translate_to_relative)
 from .seeding import mix64
-from .timing import ClockDomains, FaultSpec, split_fault, ticks_from_ns
+from .timing import ClockDomains, ticks_from_ns
 
 __version__ = "1.0.0"
 
 __all__ = [
     "AbsoluteParamSet", "BodModel", "CampaignConfig", "ChainConfig",
-    "ClockDomains", "ConfigError", "Effect", "EmptyChain", "EmptySplit",
-    "FaultResponseModel", "FaultSpec", "FuzzyInterval",
-    "GlitchSimError", "IncompleteSweep", "Instruction", "NoIntegratedSuccess",
-    "NotFound", "Outcome", "OverlapError", "RankedCombo", "RawTrialResult",
-    "ScenarioSpec", "SearchConfig", "SearchFailed", "SimContext", "Target",
-    "TransferInvalid", "accumulate_relative",
-    "apply_random_delays", "builtin_scenarios", "classify",
-    "deterministic_model", "dup_register_model", "evaluate_repeatability",
-    "execute_trial", "exhaustive_search", "fuzzyfy", "integrate",
-    "load_config", "load_scenario", "merge_windows", "mix64", "nominal_combo",
+    "ClockDomains", "ConfigError", "Effect", "EmptyChain",
+    "FaultResponseModel", "FuzzyInterval", "GlitchSimError", "IncompleteSweep",
+    "Instruction", "NoIntegratedSuccess", "NotFound", "Outcome",
+    "OverlapError", "RankedCombo", "RawTrialResult", "ScenarioSpec",
+    "SearchConfig", "SearchFailed", "SimContext", "Target", "TransferInvalid",
+    "accumulate_relative", "apply_random_delays", "builtin_scenarios",
+    "classify", "deterministic_model", "dup_register_model",
+    "evaluate_repeatability", "execute_trial", "exhaustive_search", "fuzzyfy",
+    "integrate", "load_config", "load_scenario", "mix64", "nominal_combo",
     "run_attack_flow", "run_bod_eval", "run_chain_trial", "run_comparison",
     "run_countermeasure_eval", "run_exhaustive", "run_sweep_only",
     "run_trials", "run_wide_vs_narrow", "save_scenario", "shift_model",
-    "simulate_chain", "split_fault", "sweep",
-    "ticks_from_ns", "transfer_parameters", "translate_to_relative",
-    "tzm_model",
+    "simulate_chain", "sweep", "ticks_from_ns", "transfer_parameters",
+    "translate_to_relative", "tzm_model",
 ]

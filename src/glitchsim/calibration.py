@@ -2,10 +2,10 @@
 
 The response model has no physics in it; its knobs are fitted so the
 simulated outcome statistics match measured rates.  The constants below
-are frozen results of those fits.  This module holds the closed-form
-predictions the fits minimise; the minimax refit of the shift-pair
-model, which needs numpy and scipy, lives in the test suite and guards
-the frozen constants against drift.
+are frozen results of those fits.  The closed-form predictions the fits
+minimise and the minimax refit of the shift-pair model, which needs
+numpy and scipy, live in the test suite and guard the frozen constants
+against drift.
 """
 
 from __future__ import annotations
@@ -88,44 +88,3 @@ def shift_model() -> FaultResponseModel:
 def deterministic_model() -> FaultResponseModel:
     """Every touched target instruction is skipped; no lockups."""
     return FaultResponseModel(p_max_skip=1.0, p_lockup_per_fault=0.0)
-
-
-# ---------------------------------------------------------------------------
-# Closed-form predictions (the oracle behind the frozen constants)
-# ---------------------------------------------------------------------------
-
-def predict_shift_distributions(pr: float, pl: float, burst: float, lockup: float):
-    """Closed-form outcome distributions of the shift-pair experiment.
-
-    Wide = one window covering both shifts; narrow = one window per
-    shift.  A bursting window skips everything it covers; otherwise the
-    two skips are independent Bernoulli draws.
-    """
-    a = 1.0 - burst
-    s1 = 1.0 - lockup
-    wide = {
-        "invalid": lockup,
-        "both": s1 * (burst + a * pr * pl),
-        "only_lsrs": s1 * a * pr * (1 - pl),
-        "only_lsls": s1 * a * (1 - pr) * pl,
-        "none": s1 * a * (1 - pr) * (1 - pl),
-    }
-    sr = burst + a * pr
-    sl = burst + a * pl
-    s2 = s1 * s1
-    narrow = {
-        "invalid": 1.0 - s2,
-        "both": s2 * sr * sl,
-        "only_lsrs": s2 * sr * (1 - sl),
-        "only_lsls": s2 * (1 - sr) * sl,
-        "none": s2 * (1 - sr) * (1 - sl),
-    }
-    return wide, narrow
-
-
-def shift_fit_deviation(params) -> float:
-    """Worst-cell absolute deviation of the model from the measured tables."""
-    wide, narrow = predict_shift_distributions(*params)
-    devs = [abs(wide[k] - v) for k, v in WIDE_FAULT_DISTRIBUTION.items()]
-    devs += [abs(narrow[k] - v) for k, v in NARROW_FAULT_DISTRIBUTION.items()]
-    return max(devs)

@@ -29,6 +29,7 @@ from pathlib import Path
 from typing import Optional
 
 from . import calibration
+from .chain import ChainConfig, simulate_chain
 from .dut import BodModel, FaultResponseModel
 from .errors import (ConfigError, OverlapError, SearchFailed, TransferInvalid,
                      echo, parse)
@@ -38,7 +39,7 @@ from .search import (SearchConfig, SimContext, TrialBlock, check_transfer,
                      fuzzyfy, integrate, run_trials, sweep, transfer_parameters,
                      translate_to_relative)
 from .seeding import RNG_SCHEME, mix64
-from .timing import ClockDomains, FaultSpec, split_fault, ticks_from_ns
+from .timing import ClockDomains, ticks_from_ns
 
 SUMMARY_SCHEMA_VERSION = 1
 
@@ -623,11 +624,11 @@ def run_countermeasure_eval(cfg: CampaignConfig, max_delay_cycles: int,
 # Brown-out-detector evasion study
 # ---------------------------------------------------------------------------
 
-# The paper's detector-evading split: a 400 ns fault at the trigger
-# becomes 170 ns + 140 ns with a 100 ns gap.
-BOD_WIDE_NS = 400
-BOD_SPLIT_WIDTHS_NS = (170, 140)
-BOD_SPLIT_GAPS_NS = (100,)
+# The paper's detector-evading split, as chain units in ns (offset after
+# the predecessor's end, width): a 400 ns fault at the trigger becomes
+# 170 ns + 140 ns with a 100 ns gap.
+BOD_WIDE_NS = ((0, 400),)
+BOD_SPLIT_NS = ((0, 170), (100, 140))
 
 
 def run_bod_eval(cfg: CampaignConfig, out_dir=None) -> dict:
@@ -637,15 +638,16 @@ def run_bod_eval(cfg: CampaignConfig, out_dir=None) -> dict:
     if cfg.bod is None:
         raise ConfigError("bod evaluation needs a 'bod' section in the config")
     domains = cfg.domains
+
+    def fire(units):  # chain units in ns -> crowbar windows in ticks from 0
+        ticks = tuple((ticks_from_ns(domains, o), ticks_from_ns(domains, w))
+                      for o, w in units)
+        return simulate_chain(ChainConfig(ticks), 0)[0]
+
     try:
-        wide = FaultSpec(0, ticks_from_ns(domains, BOD_WIDE_NS))
-        parts = split_fault(wide,
-                            [ticks_from_ns(domains, w) for w in BOD_SPLIT_WIDTHS_NS],
-                            [ticks_from_ns(domains, g) for g in BOD_SPLIT_GAPS_NS])
+        wide_windows, split_windows = fire(BOD_WIDE_NS), fire(BOD_SPLIT_NS)
     except ValueError as exc:  # a tick so coarse that a width rounds to 0
         raise ConfigError(f"bod fault shapes do not fit the tick: {exc}") from exc
-    wide_windows = [(wide.offset, wide.end)]
-    split_windows = [(p.offset, p.end) for p in parts]
 
     period = cfg.bod.sample_period
     phases = []

@@ -91,10 +91,6 @@ class GlitchSimError(Exception):
     """Base class for all library-specific errors."""
 
 
-class EmptySplit(GlitchSimError):
-    """split_fault was called with an empty widths list."""
-
-
 class EmptyChain(GlitchSimError):
     """simulate_chain was called with a chain of no fault units."""
 

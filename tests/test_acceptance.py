@@ -14,7 +14,7 @@ import glitchsim as g
 from glitchsim.campaign import (CampaignConfig, SearchConfig, nominal_combo,
                                 run_attack_flow, run_bod_eval, run_comparison,
                                 run_countermeasure_eval, run_wide_vs_narrow)
-from glitchsim.chain import ChainConfig, merge_windows, simulate_chain
+from glitchsim.chain import ChainConfig, simulate_chain
 from glitchsim.calibration import (NARROW_FAULT_DISTRIBUTION,
                                    WIDE_FAULT_DISTRIBUTION)
 from glitchsim.dut import BodModel
@@ -22,6 +22,8 @@ from glitchsim.scenarios import load_scenario
 from glitchsim.search import (RankedCombo, SimContext, accumulate_relative,
                               evaluate_repeatability, sweep, translate_to_relative)
 from glitchsim.timing import ClockDomains
+
+from test_chain import merge_windows  # pytest puts tests/ on sys.path
 
 
 def random_disjoint_windows(rng, max_len=6):

@@ -8,6 +8,43 @@ from glitchsim import calibration as cal
 from glitchsim.dut import Effect
 
 
+def predict_shift_distributions(pr: float, pl: float, burst: float, lockup: float):
+    """Closed-form outcome distributions of the shift-pair experiment.
+
+    Wide = one window covering both shifts; narrow = one window per
+    shift.  A bursting window skips everything it covers; otherwise the
+    two skips are independent Bernoulli draws.
+    """
+    a = 1.0 - burst
+    s1 = 1.0 - lockup
+    wide = {
+        "invalid": lockup,
+        "both": s1 * (burst + a * pr * pl),
+        "only_lsrs": s1 * a * pr * (1 - pl),
+        "only_lsls": s1 * a * (1 - pr) * pl,
+        "none": s1 * a * (1 - pr) * (1 - pl),
+    }
+    sr = burst + a * pr
+    sl = burst + a * pl
+    s2 = s1 * s1
+    narrow = {
+        "invalid": 1.0 - s2,
+        "both": s2 * sr * sl,
+        "only_lsrs": s2 * sr * (1 - sl),
+        "only_lsls": s2 * (1 - sr) * sl,
+        "none": s2 * (1 - sr) * (1 - sl),
+    }
+    return wide, narrow
+
+
+def shift_fit_deviation(params) -> float:
+    """Worst-cell absolute deviation of the model from the measured tables."""
+    wide, narrow = predict_shift_distributions(*params)
+    devs = [abs(wide[k] - v) for k, v in cal.WIDE_FAULT_DISTRIBUTION.items()]
+    devs += [abs(narrow[k] - v) for k, v in cal.NARROW_FAULT_DISTRIBUTION.items()]
+    return max(devs)
+
+
 def fit_shift_model(n_restarts: int = 50, seed: int = 0):
     """Minimax fit of the shift-pair model (the fit behind the frozen
     SHIFT_* constants); returns (params, deviation)."""
@@ -16,11 +53,11 @@ def fit_shift_model(n_restarts: int = 50, seed: int = 0):
     for _ in range(n_restarts):
         x0 = rng.uniform([0.1, 0.1, 0.0, 0.1], [0.6, 0.5, 0.5, 0.3])
         res = optimize.minimize(
-            cal.shift_fit_deviation, x0, method="Nelder-Mead",
+            shift_fit_deviation, x0, method="Nelder-Mead",
             options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 20000, "maxfev": 20000},
         )
         x = np.clip(res.x, 0.0, 1.0)
-        v = cal.shift_fit_deviation(x)
+        v = shift_fit_deviation(x)
         if v < best_v:
             best_x, best_v = tuple(float(p) for p in x), v
     return best_x, best_v
@@ -51,17 +88,17 @@ class TestShiftFit:
     def test_frozen_constants_fit_tables(self):
         params = (cal.SHIFT_LSRS_SKIP, cal.SHIFT_LSLS_SKIP,
                   cal.SHIFT_WINDOW_BURST, cal.SHIFT_WINDOW_LOCKUP)
-        assert cal.shift_fit_deviation(params) <= 0.03
+        assert shift_fit_deviation(params) <= 0.03
 
     def test_predicted_distributions_normalize(self):
-        wide, narrow = cal.predict_shift_distributions(0.3, 0.25, 0.2, 0.15)
+        wide, narrow = predict_shift_distributions(0.3, 0.25, 0.2, 0.15)
         assert sum(wide.values()) == pytest.approx(1.0)
         assert sum(narrow.values()) == pytest.approx(1.0)
 
     def test_prediction_matches_table_direction(self):
         params = (cal.SHIFT_LSRS_SKIP, cal.SHIFT_LSLS_SKIP,
                   cal.SHIFT_WINDOW_BURST, cal.SHIFT_WINDOW_LOCKUP)
-        wide, narrow = cal.predict_shift_distributions(*params)
+        wide, narrow = predict_shift_distributions(*params)
         assert wide["both"] > narrow["both"]
         assert narrow["invalid"] > wide["invalid"]
 
@@ -70,14 +107,14 @@ class TestShiftFit:
         # does not find anything meaningfully better.
         frozen = (cal.SHIFT_LSRS_SKIP, cal.SHIFT_LSLS_SKIP,
                   cal.SHIFT_WINDOW_BURST, cal.SHIFT_WINDOW_LOCKUP)
-        frozen_dev = cal.shift_fit_deviation(frozen)
+        frozen_dev = shift_fit_deviation(frozen)
         params, dev = fit_shift_model(n_restarts=10, seed=0)
         # A shorter fit must land in the same minimax basin (within half a
         # percentage point of the frozen optimum, in either direction).
         assert abs(dev - frozen_dev) <= 5e-3
 
     def test_zero_noise_model_prediction(self):
-        wide, narrow = cal.predict_shift_distributions(0, 0, 0, 0)
+        wide, narrow = predict_shift_distributions(0, 0, 0, 0)
         assert wide["none"] == 1.0
         assert narrow["none"] == 1.0
 

@@ -492,6 +492,20 @@ class TestBodEval:
         assert summary["wide_detection_rate"] == 1.0
         assert summary["split_detection_rate"] == 1.0
 
+    def test_shapes_fire_through_the_chain(self):
+        # demos/configs/bod_eval.json's 5 ns ticks: 400 ns is 80 ticks, and
+        # 170 ns + 140 ns with a 100 ns gap is 34 + 28 ticks, 20 apart.
+        (bod_eval,) = (path for path in DEMO_CONFIGS if path.stem == "bod_eval")
+        summary = run_bod_eval(load_config(bod_eval))
+        assert summary["wide_windows"] == [[0, 80]]
+        assert summary["split_windows"] == [[0, 34], [54, 82]]
+        # 250 ns ticks round the gap to 0 ticks: the two 1-tick sub-faults
+        # touch, and the crowbar's OR fires them as one window.
+        cfg = CampaignConfig(scenario="bod_scenario", oversampling=1,
+                             dut_period_ns=250,
+                             bod=BodModel(enabled=True, sample_period=3))
+        assert run_bod_eval(cfg)["split_windows"] == [[0, 2]]
+
     def test_tick_too_coarse_for_split(self):
         # 1000 ns ticks round the 170 ns and 140 ns sub-faults to 0 ticks.
         cfg = CampaignConfig(scenario="bod_scenario", oversampling=1,

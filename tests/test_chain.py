@@ -1,13 +1,104 @@
+"""The chain closed form, checked against reference models: ``merge_windows``
+(the crowbar's OR of absolute windows) and ``simulate_chain_stepped``
+(per-tick single-fault-unit state machines)."""
+
+from enum import Enum
+
 import pytest
 from hypothesis import given, strategies as st
 
 from glitchsim.calibration import deterministic_model
-from glitchsim.chain import (ChainConfig, merge_windows, simulate_chain,
-                             simulate_chain_stepped)
+from glitchsim.chain import ChainConfig, Window, simulate_chain
 from glitchsim.errors import EmptyChain
 from glitchsim.scenarios import load_scenario
 from glitchsim.search import SimContext, run_trials, translate_to_relative
 from glitchsim.timing import ClockDomains
+
+
+def merge_windows(windows) -> list[Window]:
+    """OR-combine windows into disjoint maximal intervals."""
+    merged: list[list[int]] = []
+    for start, end in sorted(windows):
+        if merged and start <= merged[-1][1]:
+            merged[-1][1] = max(merged[-1][1], end)
+        else:
+            merged.append([start, end])
+    return [(s, e) for s, e in merged]
+
+
+class SfuPhase(Enum):
+    IDLE = "idle"
+    COUNTING_OFFSET = "counting_offset"
+    ASSERTING = "asserting"
+    DONE = "done"
+
+
+class SingleFaultUnit:
+    """Per-tick counter machine producing one fault window per trigger."""
+
+    def __init__(self, offset: int, width: int):
+        self.offset = offset
+        self.width = width
+        self.phase = SfuPhase.IDLE
+        self.remaining = 0
+
+    def step(self, trigger: bool) -> tuple[bool, bool]:
+        """Advance one tick; returns (fault_out, done_pulse)."""
+        if self.phase is SfuPhase.IDLE and trigger:
+            self.phase = SfuPhase.COUNTING_OFFSET
+            self.remaining = self.offset
+
+        if self.phase is SfuPhase.COUNTING_OFFSET:
+            if self.remaining > 0:
+                self.remaining -= 1
+                return False, False
+            self.phase = SfuPhase.ASSERTING
+            self.remaining = self.width
+
+        if self.phase is SfuPhase.ASSERTING:
+            self.remaining -= 1
+            if self.remaining == 0:
+                # Done pulses on the final asserting tick; the successor
+                # arms on the next tick, giving zero-latency chaining.
+                self.phase = SfuPhase.DONE
+                return True, True
+            return True, False
+
+        return False, False
+
+
+def simulate_chain_stepped(cfg: ChainConfig, trigger_tick: int) -> tuple[list[Window], int]:
+    """Reference implementation driving real unit state machines, for a
+    chain of at least one unit fired at a non-negative tick."""
+    units = [SingleFaultUnit(o, w) for o, w in cfg.units]
+    horizon = trigger_tick + sum(o + w for o, w in cfg.units) + 1
+
+    windows = []
+    open_start = None
+    done_tick = trigger_tick
+    pending_trigger = [False] * len(units)
+    for tick in range(trigger_tick, horizon + 1):
+        fault_now = False
+        # Snapshot the done pulses from the previous tick so a successor
+        # arms on the tick *after* its predecessor finishes.
+        fired, pending_trigger = pending_trigger, [False] * len(units)
+        for i, unit in enumerate(units):
+            trig = (tick == trigger_tick) if i == 0 else fired[i]
+            out, done = unit.step(trig)
+            fault_now = fault_now or out
+            if done:
+                if i + 1 < len(units):
+                    pending_trigger[i + 1] = True
+                else:
+                    done_tick = tick + 1  # window end tick (exclusive)
+        if fault_now and open_start is None:
+            open_start = tick
+        elif not fault_now and open_start is not None:
+            windows.append((open_start, tick))
+            open_start = None
+    if open_start is not None:
+        windows.append((open_start, horizon + 1))
+    return windows, done_tick
 
 
 def windows_of(units, trigger=0):

@@ -3,8 +3,7 @@ from fractions import Fraction
 
 from hypothesis import given, strategies as st
 
-from glitchsim.errors import EmptySplit
-from glitchsim.timing import ClockDomains, FaultSpec, split_fault, ticks_from_ns
+from glitchsim.timing import ClockDomains, ticks_from_ns
 
 
 class TestClockDomains:
@@ -61,64 +60,3 @@ class TestTicksFromNs:
         lo, hi = sorted((a, b))
         assert ticks_from_ns(d, lo) <= ticks_from_ns(d, hi)
 
-
-class TestFaultSpec:
-    def test_end(self):
-        assert FaultSpec(10, 5).end == 15
-
-    def test_rejects_zero_width(self):
-        with pytest.raises(ValueError):
-            FaultSpec(0, 0)
-
-    def test_rejects_negative_offset(self):
-        with pytest.raises(ValueError):
-            FaultSpec(-1, 1)
-
-
-class TestSplitFault:
-    def test_wide_fault_into_two(self):
-        # 400 ns at 5 ns ticks split into 170 ns + 140 ns with a 100 ns gap.
-        f = FaultSpec(0, 80)
-        parts = split_fault(f, [34, 28], [20])
-        assert [(p.offset, p.width) for p in parts] == [(0, 34), (54, 28)]
-
-    def test_identity_split(self):
-        f = FaultSpec(7, 5)
-        assert [(p.offset, p.width) for p in split_fault(f, [5], [])] == [(7, 5)]
-
-    def test_three_way(self):
-        f = FaultSpec(10, 9)
-        parts = split_fault(f, [3, 3, 3], [1, 1])
-        assert [(p.offset, p.width) for p in parts] == [(10, 3), (14, 3), (18, 3)]
-
-    def test_empty_widths(self):
-        with pytest.raises(EmptySplit):
-            split_fault(FaultSpec(0, 4), [], [])
-
-    def test_gap_count_mismatch(self):
-        with pytest.raises(ValueError):
-            split_fault(FaultSpec(0, 4), [2, 2], [])
-
-    @given(
-        st.integers(0, 100),
-        st.lists(st.integers(1, 20), min_size=1, max_size=5),
-    )
-    def test_zero_gap_split_covers_original(self, offset, widths):
-        f = FaultSpec(offset, sum(widths))
-        parts = split_fault(f, widths, [0] * (len(widths) - 1))
-        covered = set()
-        for p in parts:
-            covered.update(range(p.offset, p.end))
-        assert covered == set(range(f.offset, f.end))
-
-    @given(
-        st.integers(0, 100),
-        st.lists(st.integers(1, 20), min_size=2, max_size=5),
-        st.data(),
-    )
-    def test_subfaults_ordered_and_disjoint(self, offset, widths, data):
-        gaps = data.draw(st.lists(st.integers(0, 10), min_size=len(widths) - 1,
-                                  max_size=len(widths) - 1))
-        parts = split_fault(FaultSpec(offset, 1), widths, gaps)
-        for a, b in zip(parts, parts[1:]):
-            assert a.end <= b.offset
