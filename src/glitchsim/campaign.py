@@ -639,15 +639,17 @@ def run_bod_eval(cfg: CampaignConfig, out_dir=None) -> dict:
         raise ConfigError("bod evaluation needs a 'bod' section in the config")
     domains = cfg.domains
 
-    def fire(units):  # chain units in ns -> crowbar windows in ticks from 0
+    def fire(shape, units):  # chain units in ns -> crowbar windows in ticks from 0
         ticks = tuple((ticks_from_ns(domains, o), ticks_from_ns(domains, w))
                       for o, w in units)
+        for (_, ns), (_, width) in zip(units, ticks):
+            if width < 1:  # a tick so coarse that the width rounds to 0
+                raise ConfigError(
+                    f"bod fault shapes do not fit the tick: the {shape} shape's {ns} ns "
+                    f"fault rounds to 0 ticks of {float(domains.tick_period_ns):g} ns")
         return simulate_chain(ChainConfig(ticks), 0)[0]
 
-    try:
-        wide_windows, split_windows = fire(BOD_WIDE_NS), fire(BOD_SPLIT_NS)
-    except ValueError as exc:  # a tick so coarse that a width rounds to 0
-        raise ConfigError(f"bod fault shapes do not fit the tick: {exc}") from exc
+    wide_windows, split_windows = fire("wide", BOD_WIDE_NS), fire("split", BOD_SPLIT_NS)
 
     period = cfg.bod.sample_period
     phases = []

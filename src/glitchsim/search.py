@@ -464,12 +464,14 @@ def exhaustive_search(scenario: ScenarioSpec, config: SearchConfig, ctx: SimCont
     A target instruction's reach is every tick it can occupy: stalls
     only delay, so it runs from the start of its cycle to the end of its
     cycle under the longest stall at every delay point (without stalls,
-    its cycle).  A combo or a prefix of it is pruned when a reach ends at
-    or before the prefix's done tick and no window of the prefix touches
-    it: later windows start at or after that tick and only a touching
-    window skips an instruction, so no combo below the prefix can
-    succeed under any stall vector.  Its combos are charged to the
-    trials used (up to the budget) but never run.
+    its cycle).  Only a touching window skips an instruction, so a combo
+    that leaves a reach untouched cannot succeed under any stall vector.
+    The walk (branch and bound) prunes a prefix when a reach ends at or
+    before its done tick untouched, since later windows start at or
+    after that tick, or when the reaches it leaves untouched need more
+    windows than it has faults left.  So a combo runs only when its
+    windows touch every reach; the rest are charged to the trials used
+    (up to the budget) but never run.
     """
     n_faults, budget = config.fault_count(scenario), config.exhaustive_budget
     # Budgets reach 1e7 trials.  The grid only holds valid chains, so
@@ -502,33 +504,48 @@ def exhaustive_search(scenario: ScenarioSpec, config: SearchConfig, ctx: SimCont
 def _live_combos(grid: Sequence[RelSpec], n_faults: int, budget: int,
                  trigger_tick: int, target_ticks: Sequence[tuple[int, int]]):
     """(i, combo, windows) for each combo i < budget of ``grid ** n_faults``,
-    in lexicographic order, that is not doomed and lies below no doomed
-    prefix.  A target is one [start, end) of ``target_ticks``, the reach
-    of a target instruction.
+    in lexicographic order, whose windows touch every target: one
+    [start, end) of ``target_ticks``, a target instruction's reach.
 
-    A live prefix with done tick c leaves untouched only targets that end
-    after c; its child (o, w) adds a window from c + o, which touches
-    every such target that ends in (c + o, c + o + w].  So the child is
-    doomed exactly when an untouched target ends at or before c + o: the
-    live children, o < e - c for the earliest untouched end e, are a
-    prefix of ``grid``, whose offsets must ascend.  A live child leaves
-    untouched the targets that start at or after its done tick."""
+    A live prefix with done tick c has touched every target that starts
+    before c; the walk keeps the others sorted by end.  Its child (o, w)
+    adds a window from c + o, and is doomed, its combos skipped, when
+    - an untouched target ends at or before c + o: only the children
+      with o < e - c, for the earliest untouched end e, are tried, a
+      prefix of ``grid``, whose offsets must ascend;
+    - or the targets it leaves untouched, those that start at or after
+      its done tick, need more windows than it has faults left.  Windows
+      of the widest width at free starts touch at least what the chain's
+      faults touch (a merged window is tiled by its faults), and the
+      greedy count, a window at e - 1 for the earliest end e not yet
+      touched and so on, is the fewest of them.
+    So a leaf, with no fault left, runs only when it touches every target."""
     offsets = [o for o, _ in grid]
+    widest = max(w for _, w in grid)
 
-    def walk(prefix, cursor, ends, first, size):  # size: combos below each child
-        live = bisect_left(offsets, min(ends, default=float("inf")) - cursor)
+    def windows_needed(targets):  # targets sorted by end
+        n, reach = 0, float("-inf")  # reach: the first start the last window misses
+        for start, end in targets:
+            if start >= reach:
+                n, reach = n + 1, end - 1 + widest
+        return n
+
+    def walk(prefix, cursor, targets, first, size):  # size: combos below each child
+        live = bisect_left(offsets, targets[0][1] - cursor if targets else float("inf"))
+        left = n_faults - len(prefix) - 1  # faults after each child
         for spec in grid[:live]:
             if first >= budget:
                 return
             child = prefix + (spec,)
             windows, done = chain_windows(child, trigger_tick)
-            if len(child) == n_faults:
-                yield first, child, windows
-            else:
-                yield from walk(child, done, [e for s, e in target_ticks if s >= done],
-                                first, size // len(grid))
+            untouched = [(s, e) for s, e in targets if s >= done]
+            if windows_needed(untouched) <= left:
+                if left:
+                    yield from walk(child, done, untouched, first, size // len(grid))
+                else:
+                    yield first, child, windows
             first += size
-    return walk((), trigger_tick, [end for _, end in target_ticks], 0,
+    return walk((), trigger_tick, sorted(target_ticks, key=lambda t: t[1]), 0,
                 len(grid) ** (n_faults - 1))
 
 

@@ -69,12 +69,12 @@ MUTANTS = {
                       ("live = bisect_left(", "live = bisect_right(")],
         WALK_TESTS),
     "walk bound +1": (
-        "search.py", [('default=float("inf")) - cursor)',
-                       'default=float("inf")) - cursor + 1)')],
+        "search.py", [("targets[0][1] - cursor if targets",
+                       "targets[0][1] - cursor + 1 if targets")],
         WALK_TESTS),
     "walk bound -1": (
-        "search.py", [('default=float("inf")) - cursor)',
-                       'default=float("inf")) - cursor - 1)')],
+        "search.py", [("targets[0][1] - cursor if targets",
+                       "targets[0][1] - cursor - 1 if targets")],
         WALK_TESTS),
     "walk reach ignores stalls": (
         "search.py", [("target_ticks = tuple((c * K, (latest(c) + 1) * K)",
@@ -84,9 +84,21 @@ MUTANTS = {
         "search.py", [("for spec in grid[:live]:", "for spec in grid[:live - 1]:")],
         WALK_TESTS),
     "walk root drops targets before the trigger": (
-        "search.py", [("return walk((), trigger_tick, [end for _, end in target_ticks], 0,",
-                       "return walk((), trigger_tick, [e for s, e in target_ticks"
-                       " if s >= trigger_tick], 0,")],
+        "search.py", [("return walk((), trigger_tick, sorted(target_ticks, key=",
+                       "return walk((), trigger_tick, sorted([t for t in target_ticks"
+                       " if t[0] >= trigger_tick], key=")],
+        WALK_TESTS),
+    "greedy window one tick short": (
+        "search.py", [("n, reach = n + 1, end - 1 + widest",
+                       "n, reach = n + 1, end - 2 + widest")],
+        WALK_TESTS),
+    "greedy window one tick long": (
+        "search.py", [("n, reach = n + 1, end - 1 + widest",
+                       "n, reach = n + 1, end + widest")],
+        WALK_TESTS),
+    "count bound only at leaves": (
+        "search.py", [("if windows_needed(untouched) <= left:",
+                       "if left or windows_needed(untouched) <= left:")],
         WALK_TESTS),
     "draw fires at the threshold": (
         "seeding.py", [("if (x ^ (x >> 31)) >> 11 < threshold:",

@@ -514,6 +514,25 @@ class TestBodEval:
         with pytest.raises(ConfigError, match="do not fit the tick"):
             run_bod_eval(cfg)
 
+    @pytest.mark.parametrize("oversampling, period_ns, message", [
+        # 1000 ns ticks round the wide shape's 400 ns fault to 0 first.
+        (1, 1000, "the wide shape's 400 ns fault rounds to 0 ticks of 1000 ns"),
+        # 400 ns ticks keep the wide fault at 1 tick; the split's 170 ns is
+        # 0.425 of a tick.
+        (1, 400, "the split shape's 170 ns fault rounds to 0 ticks of 400 ns"),
+        # Three ticks per 1 000 ns cycle: 170 ns is 0.51 of a tick and rounds
+        # up, 140 ns is 0.42 and rounds to 0.
+        (3, 1000, "the split shape's 140 ns fault rounds to 0 ticks of 333.333 ns"),
+    ])
+    def test_tick_too_coarse_names_shape_width_and_tick(self, oversampling, period_ns,
+                                                         message):
+        cfg = CampaignConfig(scenario="bod_scenario", oversampling=oversampling,
+                             dut_period_ns=period_ns,
+                             bod=BodModel(enabled=True, sample_period=3))
+        with pytest.raises(ConfigError) as exc:
+            run_bod_eval(cfg)
+        assert message in str(exc.value)
+
 
 class TestHelpers:
     def test_nominal_combo_exactly_covers_targets(self):

@@ -677,35 +677,74 @@ class TestExhaustivePruning:
              trigger_tick=10, targets=[(8, 2)], budget_cut=0)
     @example(offset_min=0, n_offsets=3, stride=1, widths=[1, 2], n_faults=2,
              trigger_tick=10, targets=[(4, 2), (20, 1)], budget_cut=0)
+    # The count bound: after (0, 3) the one fault left must touch [5, 6)
+    # and [7, 8), which a 3-tick window at 5 does, so (0, 3) is live and
+    # ((0, 3), (2, 3)) touches both.
+    @example(offset_min=0, n_offsets=6, stride=1, widths=[3], n_faults=2,
+             trigger_tick=0, targets=[(5, 1), (7, 1)], budget_cut=0)
     def test_walk_matches_full_walk(self, offset_min, n_offsets, stride, widths,
                                     n_faults, trigger_tick, targets, budget_cut):
-        """Cutting each node's children at its bound yields what the full
-        walk yields: every combo below the budget with no doomed prefix,
-        its index and its windows, over grids of any width order."""
+        """The bounded walk yields exactly the combos below the budget
+        whose windows touch every target, with their indices and windows,
+        over grids of any width order."""
         grid = SearchConfig(offset_min=offset_min, offset_max=offset_min + stride * n_offsets,
                             width_set=tuple(widths), stride=stride).grid
         budget = max(1, len(grid) ** n_faults - budget_cut)
         target_ticks = [(s, s + n) for s, n in targets]
 
-        def doomed(windows, cursor):
-            return any(end <= cursor and not any(lo < end and start < hi
-                                                 for lo, hi in windows)
+        def touches_all(windows):
+            return all(any(lo < end and start < hi for lo, hi in windows)
                        for start, end in target_ticks)
 
         want = []
         combos = itertools.product(grid, repeat=n_faults)
         for index, combo in enumerate(itertools.islice(combos, budget)):
-            prefixes = [chain_windows(combo[:k], trigger_tick)
-                        for k in range(1, n_faults + 1)]
-            if not any(doomed(*prefix) for prefix in prefixes):
-                want.append((index, combo, prefixes[-1][0]))
+            windows, _ = chain_windows(combo, trigger_tick)
+            if touches_all(windows):
+                want.append((index, combo, windows))
         got = list(search._live_combos(grid, n_faults, budget, trigger_tick,
                                        target_ticks))
         assert got == want
 
+    @pytest.mark.parametrize("case, nodes", [
+        # exhaustive_tzm4's grid: the root's first child, (0, 1), leaves
+        # the target instructions at cycles 6, 13, 16, 26 and 27 to three
+        # faults, where 2-tick windows need four, and its subtree holds
+        # the whole budget.
+        ("tzm_full_attack", 1),
+        # Two one-tick targets, [10, 11) and [13, 14), exactly the widest
+        # width apart: one 3-tick window touches only one of them.  Each of
+        # the root's 22 live children is a node; only the 4 that touch
+        # [10, 11) and end by 13 leave one target to their one fault, and
+        # have 6, 6, 4 and 2 live children.
+        ("one_tick_pair", 22 + 18),
+    ])
+    def test_walk_visits_few_nodes(self, monkeypatch, case, nodes):
+        """A node is a ``chain_windows`` call: the walk makes one per
+        child that passes the offset bound, and descends only below
+        children whose untouched targets need no more faults than remain."""
+        calls = 0
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return chain_windows(*args)
+
+        monkeypatch.setattr(search, "chain_windows", counted)
+        if case == "tzm_full_attack":
+            with pytest.raises(NotFound):
+                exhaustive_search(load_scenario(case),
+                                  SearchConfig(offset_min=0, offset_max=100,
+                                               width_set=(1, 2), exhaustive_budget=50_000),
+                                  perfect_ctx(DOM1))
+        else:
+            grid = SearchConfig(offset_min=0, offset_max=12, width_set=(1, 3)).grid
+            list(search._live_combos(grid, 2, len(grid) ** 2, 0, [(10, 11), (13, 14)]))
+        assert calls == nodes
+
     def test_stalled_walk_compiles_few_plans(self, monkeypatch):
         """tzm_randomized's 4-fault grid: the walk charges its budget but
-        compiles a plan only for the combos below live prefixes."""
+        compiles a plan only for the combos that touch every reach."""
         plans = 0
 
         def counted(*args):
@@ -720,11 +759,11 @@ class TestExhaustivePruning:
                                            exhaustive_budget=50_000),
                               perfect_ctx(DOM1))
         assert exc.value.trials_used == 50_000
-        assert plans <= 2_400
+        assert plans <= 874
 
     def test_criterion_4_grid_runs_few_combos(self, monkeypatch):
         """Criterion 4's 4-fault grid charges its 1e7-trial cap but runs
-        only the combos below prefixes that can still succeed."""
+        no combo: none of its first 1e7 touches every target."""
         runs = 0
 
         def counted(plan, seed):
@@ -739,7 +778,28 @@ class TestExhaustivePruning:
                                            exhaustive_budget=10_000_000),
                               perfect_ctx(DOM1))
         assert exc.value.trials_used == 10_000_000
-        assert runs <= 40_000
+        assert runs == 0
+
+    def test_criterion_4_grid_first_success(self, monkeypatch):
+        """With its cap raised to 1e8, criterion 4's grid first succeeds at
+        trial 88 440 619, and that combo is the only one compiled.  No plan
+        of the grid draws under the deterministic model, so the index is
+        the same at every seed."""
+        plans = 0
+
+        def counted(*args):
+            nonlocal plans
+            plans += 1
+            return trial_plan(*args)
+
+        monkeypatch.setattr(search, "trial_plan", counted)
+        result = exhaustive_search(load_scenario("tzm_full_attack"),
+                                   SearchConfig(offset_min=0, offset_max=100,
+                                                width_set=(1, 2), exhaustive_budget=10**8),
+                                   perfect_ctx(DOM1), seed=1)
+        assert result.trials_used == 88_440_620
+        assert result.combo.specs == ((5, 2), (5, 2), (1, 2), (9, 2))
+        assert plans == 1
 
 
 def _scaled_windows(raw_windows, K):
