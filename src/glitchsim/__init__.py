@@ -11,6 +11,8 @@ Layers, bottom up:
 - :mod:`glitchsim.search` — sweep / translate / fuzzyfy / integrate / evaluate.
 - :mod:`glitchsim.campaign` — end-to-end experiments and persistence.
 - :mod:`glitchsim.cli` — the ``glitchsim`` command.
+
+Errors: :class:`ConfigError` (refused input) or :class:`SearchFailed` (no result).
 """
 
 from .calibration import (deterministic_model, dup_register_model, shift_model,
@@ -18,9 +20,8 @@ from .calibration import (deterministic_model, dup_register_model, shift_model,
 from .chain import ChainConfig, simulate_chain
 from .dut import (BodModel, Effect, FaultResponseModel, Instruction,
                   RawTrialResult, apply_random_delays, execute_trial)
-from .errors import (ConfigError, EmptyChain, GlitchSimError, IncompleteSweep,
-                     NoIntegratedSuccess, NotFound, OverlapError, SearchFailed,
-                     TransferInvalid)
+from .errors import (ConfigError, GlitchSimError, IncompleteSweep,
+                     NoIntegratedSuccess, NotFound, SearchFailed)
 from .campaign import (CampaignConfig, load_config, nominal_combo,
                        run_attack_flow, run_bod_eval, run_comparison,
                        run_countermeasure_eval, run_exhaustive, run_sweep_only,
@@ -39,11 +40,11 @@ __version__ = "1.0.0"
 
 __all__ = [
     "AbsoluteParamSet", "BodModel", "CampaignConfig", "ChainConfig",
-    "ClockDomains", "ConfigError", "Effect", "EmptyChain",
-    "FaultResponseModel", "FuzzyInterval", "GlitchSimError", "IncompleteSweep",
-    "Instruction", "NoIntegratedSuccess", "NotFound", "Outcome",
-    "OverlapError", "RankedCombo", "RawTrialResult", "ScenarioSpec",
-    "SearchConfig", "SearchFailed", "SimContext", "Target", "TransferInvalid",
+    "ClockDomains", "ConfigError", "Effect", "FaultResponseModel",
+    "FuzzyInterval", "GlitchSimError", "IncompleteSweep", "Instruction",
+    "NoIntegratedSuccess", "NotFound", "Outcome", "RankedCombo",
+    "RawTrialResult", "ScenarioSpec", "SearchConfig", "SearchFailed",
+    "SimContext", "Target",
     "accumulate_relative", "apply_random_delays", "builtin_scenarios",
     "classify", "deterministic_model", "dup_register_model",
     "evaluate_repeatability", "execute_trial", "exhaustive_search", "fuzzyfy",

@@ -31,8 +31,7 @@ from typing import Optional
 from . import calibration
 from .chain import ChainConfig, simulate_chain
 from .dut import BodModel, FaultResponseModel
-from .errors import (ConfigError, OverlapError, SearchFailed, TransferInvalid,
-                     echo, parse)
+from .errors import ConfigError, SearchFailed, echo, parse
 from .scenarios import Outcome, ScenarioSpec, load_scenario
 from .search import (SearchConfig, SimContext, TrialBlock, check_transfer,
                      evaluate_repeatability, exhaustive_search, final_combo,
@@ -321,9 +320,6 @@ def _persist_on_failure(out_dir, blocks: Optional[list[TrialBlock]],
 # ---------------------------------------------------------------------------
 
 def _sweep(scenario: ScenarioSpec, cfg: CampaignConfig, ctx: SimContext):
-    if not scenario.cooperative:
-        raise ConfigError(f"scenario {scenario.name!r} is non-cooperative; "
-                          "sweeping needs its partial success functions")
     return sweep(scenario, cfg.search, ctx, seed=mix64(cfg.master_seed, STEP_SWEEP))
 
 
@@ -345,7 +341,7 @@ def _locate(scenario: ScenarioSpec, cfg: CampaignConfig, ctx: SimContext,
                     key=lambda ow: ow[0])
     try:
         relative = translate_to_relative(picked)
-    except OverlapError as exc:
+    except ValueError as exc:
         raise SearchFailed("overlapping_picks", str(exc), 0) from exc
     fuzzy = fuzzyfy(relative, cfg.search.psi)
     integ = integrate(scenario, fuzzy, cfg.search, ctx,
@@ -360,9 +356,13 @@ def _locate(scenario: ScenarioSpec, cfg: CampaignConfig, ctx: SimContext,
 
 def nominal_combo(scenario: ScenarioSpec, domains: ClockDomains) -> list[tuple[int, int]]:
     """The relative combo that exactly covers every target's occupancy
-    (the ground-truth parameters, useful for calibrated evaluations)."""
+    (the ground-truth parameters, useful for calibrated evaluations);
+    ConfigError if two targets overlap in time."""
     K = domains.oversampling
-    return translate_to_relative([(first * K, n * K) for first, n in scenario.spans])
+    try:
+        return translate_to_relative([(first * K, n * K) for first, n in scenario.spans])
+    except ValueError as exc:
+        raise ConfigError(f"the targets of {scenario.name!r} overlap in time: {exc}") from exc
 
 
 def run_attack_flow(cfg: CampaignConfig, out_dir=None) -> dict:
@@ -382,12 +382,7 @@ def run_attack_flow(cfg: CampaignConfig, out_dir=None) -> dict:
                 f"scenario {scenario.name!r} is non-cooperative; "
                 "a cooperative 'transfer_source' is required")
         flow_scenario = cfg.load_scenario(cfg.transfer_source)
-        if not flow_scenario.cooperative:
-            raise ConfigError("transfer_source must be a cooperative scenario")
-        try:
-            check_transfer(flow_scenario, scenario)
-        except TransferInvalid as exc:
-            raise ConfigError(f"transfer_source does not match the scenario: {exc}") from exc
+        check_transfer(flow_scenario, scenario)
 
     ctx = cfg.context()
     summary = _base_summary(cfg, "flow", scenario)
@@ -401,11 +396,7 @@ def run_attack_flow(cfg: CampaignConfig, out_dir=None) -> dict:
         blocks.extend(evaluation.blocks)
         best = evaluation.best
         if flow_scenario is not scenario:
-            try:  # check_transfer passed above: only the rebase can fail
-                transferred = transfer_parameters(flow_scenario, best, scenario,
-                                                  cfg.domains)
-            except TransferInvalid as exc:
-                raise SearchFailed("transfer_before_trigger", str(exc), 0) from exc
+            transferred = transfer_parameters(flow_scenario, best, scenario, cfg.domains)
             final = run_trials(scenario, transferred.specs, cfg.search.n_final, ctx,
                                "transfer_final",
                                mix64(cfg.master_seed, STEP_TRANSFER_FINAL))
@@ -466,7 +457,7 @@ def run_exhaustive(cfg: CampaignConfig, out_dir=None) -> dict:
 def run_comparison(cfg: CampaignConfig, out_dir=None) -> dict:
     """Trial-count comparison of the exhaustive baseline against the
     sweep + integrate flow on an identical scenario and seed.  A side
-    that fails still reports every trial it spent."""
+    that fails still reports every trial it spent, and its error."""
     scenario = cfg.load_scenario()
     n_faults = cfg.search.fault_count(scenario)  # bounded before any trial runs
     ctx = cfg.context()
@@ -475,29 +466,26 @@ def run_comparison(cfg: CampaignConfig, out_dir=None) -> dict:
     flow_blocks: list[TrialBlock] = []
     try:
         _locate(scenario, cfg, ctx, flow_blocks)
-        failed_step_trials = 0
-        flow_found = True
+        flow = {"trials_used": sum(map(len, flow_blocks)), "found": True}
     except SearchFailed as exc:
-        failed_step_trials = exc.trials_used
-        flow_found = False
-    flow_trials = sum(map(len, flow_blocks)) + failed_step_trials
-
+        flow = {"trials_used": sum(map(len, flow_blocks)) + exc.trials_used,
+                "found": False, "error": exc.summary}
     try:
-        exhaustive_trials = _exhaustive(scenario, cfg, ctx).trials_used
-        exhaustive_found = True
+        exhaustive = {"trials_used": _exhaustive(scenario, cfg, ctx).trials_used,
+                      "found": True}
     except SearchFailed as exc:
-        exhaustive_trials = exc.trials_used
-        exhaustive_found = False
+        exhaustive = {"trials_used": exc.trials_used, "found": False,
+                      "error": exc.summary}
 
     ratio = None
-    if exhaustive_found and flow_found and flow_trials:
-        ratio = exhaustive_trials / flow_trials
+    if exhaustive["found"] and flow["found"] and flow["trials_used"]:
+        ratio = exhaustive["trials_used"] / flow["trials_used"]
     summary.update({
         "n_faults": n_faults,
-        "exhaustive": {"trials_used": exhaustive_trials, "found": exhaustive_found},
-        "flow": {"trials_used": flow_trials, "found": flow_found},
+        "exhaustive": exhaustive,
+        "flow": flow,
         "ratio": ratio,
-        "total_trials": exhaustive_trials + flow_trials,
+        "total_trials": exhaustive["trials_used"] + flow["trials_used"],
     })
     _persist(out_dir, None, summary)
     return summary

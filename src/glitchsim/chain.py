@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import EmptyChain, check_type
+from .errors import check_type
 
 Window = tuple[int, int]  # [start_tick, end_tick)
 
@@ -37,6 +37,8 @@ class ChainConfig:
     def __post_init__(self):
         units = tuple((o, w) for o, w in self.units)
         object.__setattr__(self, "units", units)
+        if not units:
+            raise ValueError("a chain needs at least one fault unit")
         for o, w in units:
             if check_type(int, "unit offset", o) < 0:
                 raise ValueError("unit offsets must be non-negative")
@@ -61,8 +63,6 @@ def chain_windows(units, trigger_tick: int) -> tuple[list[Window], int]:
 
 def simulate_chain(cfg: ChainConfig, trigger_tick: int) -> tuple[list[Window], int]:
     """Return the crowbar windows and the done tick for one trigger."""
-    if not cfg.units:
-        raise EmptyChain("a chain needs at least one fault unit")
     if trigger_tick < 0:
         raise ValueError("trigger_tick must be non-negative")
     return chain_windows(cfg.units, trigger_tick)

@@ -1,7 +1,7 @@
 """Command-line front end binding config files to campaign operations.
 
-Exit codes: 0 success, 1 search failure (nothing found within budget),
-2 configuration or usage error.
+Exit codes: 0 success, 1 search failure (SearchFailed), 2 refused input
+(ConfigError), an --out path that cannot be written, or a usage error.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ import sys
 from dataclasses import replace
 
 from . import campaign
-from .errors import ConfigError, GlitchSimError, SearchFailed
+from .errors import ConfigError, SearchFailed
 from .scenarios import SCENARIO_PRESETS
 
 EXIT_OK = 0
@@ -140,7 +140,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    except (GlitchSimError, OSError) as exc:
+    except OSError as exc:
         # OSError: an --out path that cannot be written, e.g. a missing
         # parent directory or an existing file where a directory goes.
         print(f"error: {exc}", file=sys.stderr)

@@ -1,6 +1,8 @@
 """The library's exception types and its JSON boundary: ``parse``, the
 one reader of config and scenario files, the type check it makes of each
-loaded value, and ``echo``, the one writer."""
+loaded value, and ``echo``, the one writer.  ``GlitchSimError`` has two
+families: ``ConfigError``, refused input (the CLI exits 2), and
+``SearchFailed``, a search without a result (exit 1)."""
 
 from collections.abc import Mapping
 from dataclasses import fields, is_dataclass
@@ -88,15 +90,7 @@ def echo(value):
 
 
 class GlitchSimError(Exception):
-    """Base class for all library-specific errors."""
-
-
-class EmptyChain(GlitchSimError):
-    """simulate_chain was called with a chain of no fault units."""
-
-
-class OverlapError(GlitchSimError):
-    """Absolute fault windows overlap or are out of order."""
+    """Base class of ``ConfigError`` and ``SearchFailed``."""
 
 
 class SearchFailed(GlitchSimError):
@@ -136,9 +130,5 @@ class NoIntegratedSuccess(SearchFailed):
                          f"succeeded in {trials_used} trials", trials_used)
 
 
-class TransferInvalid(GlitchSimError):
-    """Parameter transfer between scenarios with mismatched target layout."""
-
-
 class ConfigError(GlitchSimError):
-    """Campaign or CLI configuration is malformed."""
+    """A config, scenario or results file, or a value in it, is refused."""

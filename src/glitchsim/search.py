@@ -24,7 +24,7 @@ from .dut import (BodModel, FaultResponseModel, apply_random_delays, decode,
                   execute_trial, run_plan, shift_by, stall_vector, stall_vectors,
                   stalled_cycles, trial_plan)
 from .errors import (ConfigError, IncompleteSweep, NoIntegratedSuccess,
-                     NotFound, OverlapError, TransferInvalid, echo)
+                     NotFound, SearchFailed, echo)
 from .scenarios import Outcome, ScenarioSpec, classify
 from .seeding import LANES, draw_key, draw_key_column, mix64, seed_column
 from .timing import ClockDomains
@@ -359,7 +359,8 @@ def sweep(scenario: ScenarioSpec, config: SearchConfig, ctx: SimContext,
     Trial i is ``run_trials`` trial i of the i-th grid point of the passes.
     """
     if not scenario.cooperative:
-        raise ValueError("sweeping needs a cooperative scenario (PSFs required)")
+        raise ConfigError(f"scenario {scenario.name!r} is non-cooperative; "
+                          "sweeping needs its partial success functions")
 
     labels = [t.label for t in scenario.targets]
     entries: dict[str, set[RelSpec]] = {label: set() for label in labels}
@@ -392,6 +393,7 @@ def translate_to_relative(absolute: Sequence[RelSpec]) -> list[RelSpec]:
     """Absolute (A, W) list -> chain-ready relative (R, W) list.
 
     R_0 = A_0 and R_n = A_n - (A_{n-1} + W_{n-1}); widths carry over.
+    ValueError if a window starts before its predecessor ends.
     """
     out: list[RelSpec] = []
     prev_end = None
@@ -401,7 +403,7 @@ def translate_to_relative(absolute: Sequence[RelSpec]) -> list[RelSpec]:
         else:
             r = a - prev_end
             if r < 0:
-                raise OverlapError(f"window at {a} overlaps its predecessor (ends {prev_end})")
+                raise ValueError(f"window at {a} overlaps its predecessor (ends {prev_end})")
             out.append((r, w))
         prev_end = a + w
     return out
@@ -592,15 +594,16 @@ def final_combo(block: TrialBlock) -> RankedCombo:
 # ---------------------------------------------------------------------------
 
 def check_transfer(source: ScenarioSpec, target: ScenarioSpec) -> None:
-    """Raise TransferInvalid unless both scenarios have the same target
+    """Raise ConfigError unless both scenarios have the same target
     labels, in the same order, and the same inter-target distances."""
+    where = f"transfer source {source.name!r} does not match {target.name!r}"
     if [t.label for t in source.targets] != [t.label for t in target.targets]:
-        raise TransferInvalid("target labels or ordering differ between scenarios")
+        raise ConfigError(f"{where}: target labels or ordering differ")
     src_gaps, dst_gaps = ([b[0] - a[0] for a, b in zip(s.spans, s.spans[1:])]
                           for s in (source, target))
     if src_gaps != dst_gaps:
-        raise TransferInvalid(
-            f"inter-target distances differ: {src_gaps} vs {dst_gaps}")
+        raise ConfigError(f"{where}: inter-target distances differ: "
+                          f"{src_gaps} vs {dst_gaps}")
 
 
 def transfer_parameters(source: ScenarioSpec, combo: RankedCombo,
@@ -610,12 +613,14 @@ def transfer_parameters(source: ScenarioSpec, combo: RankedCombo,
 
     Only the first relative offset changes (by the trigger shift); every
     later fault is timed off its predecessor and carries over verbatim.
+    A first fault rebased before the trigger raises ``SearchFailed``.
     """
     check_transfer(source, target)
     shift = (target.spans[0][0] - source.spans[0][0]) * domains.oversampling
     first_r, first_w = combo.specs[0]
     new_first = first_r + shift
     if new_first < 0:
-        raise TransferInvalid("transfer would move the first fault before the trigger")
+        raise SearchFailed("transfer_before_trigger", "transfer would move the "
+                           "first fault before the trigger", 0)
     specs = ((new_first, first_w),) + tuple(combo.specs[1:])
     return RankedCombo(specs=specs)

@@ -1,6 +1,6 @@
 """Mutation gate on the trial kernel, the exhaustive walk and its fault
 bound, the draws, the trial blocks, the results.jsonl reader, the JSON
-reader and the JSON writer.
+reader and the JSON writer, and the sweep's and the transfer's refusals.
 
 Each mutant is a set of exact text replacements in a copy of ``src/``
 (each replaced text must occur exactly once).  The test files of the
@@ -161,6 +161,12 @@ MUTANTS = {
     "chain merges at offset 1": (
         "chain.py", [("if offset == 0 and windows:", "if offset <= 1 and windows:")],
         ("tests/test_chain.py",)),
+    "sweep takes a non-cooperative scenario": (
+        "search.py", [("if not scenario.cooperative:", "if False:  # no check")],
+        ("tests/test_search.py::TestSweep",)),
+    "rebase lets the first fault start before the trigger": (
+        "search.py", [("if new_first < 0:", "if new_first < -1:")],
+        ("tests/test_search.py::TestTransfer",)),
     "hits on a strict subset": (
         "scenarios.py", [("self.target_indices[t.label] <= skipped",
                           "self.target_indices[t.label] < skipped")],

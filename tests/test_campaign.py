@@ -320,7 +320,8 @@ class TestOverlappingPicks:
     def test_compare_reports_the_flow_not_found(self):
         summary = run_comparison(OVERLAP)
         swept = run_sweep_only(OVERLAP)["total_trials"]
-        assert summary["flow"] == {"trials_used": swept, "found": False}
+        assert summary["flow"] == {"trials_used": swept, "found": False, "error": {
+            "kind": "overlapping_picks", "trials_used": 0}}
         assert summary["ratio"] is None
 
 
@@ -470,6 +471,20 @@ class TestCountermeasure:
         cfg = CampaignConfig(scenario="dup_registers_7_43")
         with pytest.raises(ConfigError):
             run_countermeasure_eval(cfg, -1)
+
+    def test_overlapping_targets_rejected(self, tmp_path):
+        """Targets sharing cycle 4 have no nominal combo: the refusal
+        names the scenario, and no trial runs."""
+        stream = [Instruction(c, Effect.STORE_AHB_ORIGINAL if c in (3, 4) else Effect.DELAY)
+                  for c in range(8)]
+        scen = ScenarioSpec("twin_targets", stream,
+                            (Target("A", (3, 4)), Target("B", (4,))), cooperative=True)
+        save_scenario(scen, tmp_path / "twin.json")
+        cfg = CampaignConfig(scenario=str(tmp_path / "twin.json"), trials=10)
+        with pytest.raises(ConfigError, match="the targets of 'twin_targets' overlap "
+                           "in time: window at 80 overlaps its predecessor"):
+            run_countermeasure_eval(cfg, 9, tmp_path / "run")
+        assert not (tmp_path / "run").exists()
 
 
 class TestBodEval:

@@ -9,7 +9,6 @@ from hypothesis import given, strategies as st
 
 from glitchsim.calibration import deterministic_model
 from glitchsim.chain import ChainConfig, Window, simulate_chain
-from glitchsim.errors import EmptyChain
 from glitchsim.scenarios import load_scenario
 from glitchsim.search import SimContext, run_trials, translate_to_relative
 from glitchsim.timing import ClockDomains
@@ -117,7 +116,7 @@ class TestSimulateChain:
         assert windows_of([(0, 4), (0, 4)], trigger=5) == ([(5, 13)], 13)
 
     def test_empty_chain(self):
-        with pytest.raises(EmptyChain):
+        with pytest.raises(ValueError, match="at least one fault unit"):
             simulate_chain(ChainConfig(()), 0)
 
     def test_negative_trigger(self):

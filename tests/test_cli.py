@@ -8,6 +8,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import glitchsim
+from glitchsim import campaign, errors
 from glitchsim.campaign import load_config
 from glitchsim.chain import chain_windows
 from glitchsim.cli import build_parser, main
@@ -270,6 +272,36 @@ class TestExitCodes:
         assert main(["bod", "--config", str(cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(out) in err
+
+
+class TestErrorModel:
+    """Two error families: a refused input (exit 2) and a search that
+    ended without a result (exit 1)."""
+
+    def test_the_classes_errors_defines(self):
+        defined = {name for name, obj in vars(errors).items()
+                   if isinstance(obj, type) and obj.__module__ == errors.__name__}
+        assert defined == {"GlitchSimError", "ConfigError", "SearchFailed", "NotFound",
+                           "IncompleteSweep", "NoIntegratedSuccess"}
+        assert set(errors.GlitchSimError.__subclasses__()) == {errors.ConfigError,
+                                                              errors.SearchFailed}
+        assert not {"EmptyChain", "OverlapError", "TransferInvalid"} & (
+            set(glitchsim.__all__) | set(vars(glitchsim)))
+
+    @pytest.mark.parametrize("exc, code, prefix", [
+        (errors.ConfigError("refused"), 2, "config error: "),
+        (OSError("unwritable"), 2, "error: "),
+        (errors.SearchFailed("kind", "ended", 0), 1, "search failed: "),
+        (errors.NotFound(5), 1, "search failed: "),
+        (errors.IncompleteSweep(["A"], 3), 1, "search failed: "),
+        (errors.NoIntegratedSuccess(4), 1, "search failed: "),
+    ], ids=lambda v: type(v).__name__ if isinstance(v, Exception) else None)
+    def test_cli_exit_code_of_each_family(self, monkeypatch, capsys, exc, code, prefix):
+        def refuse(path):
+            raise exc
+        monkeypatch.setattr(campaign, "load_config", refuse)
+        assert main(["flow", "--config", "any.json"]) == code
+        assert capsys.readouterr().err == f"{prefix}{exc}\n"
 
 
 def _covering_combos(config_name):

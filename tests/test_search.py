@@ -15,8 +15,8 @@ from glitchsim.chain import ChainConfig, chain_windows, simulate_chain
 from glitchsim.dut import (BodModel, FaultResponseModel, RawTrialResult,
                            apply_random_delays, run_plan, shift_by,
                            stall_vector, trial_plan)
-from glitchsim.errors import (IncompleteSweep, NoIntegratedSuccess, NotFound,
-                              OverlapError, TransferInvalid)
+from glitchsim.errors import (ConfigError, IncompleteSweep, NoIntegratedSuccess,
+                              NotFound, SearchFailed)
 from glitchsim.scenarios import (SCENARIO_PRESETS, classify, dup_registers,
                                  load_scenario)
 from glitchsim.search import (RankedCombo, SearchConfig, SimContext,
@@ -61,11 +61,11 @@ class TestTranslate:
         assert translate_to_relative([(10, 5), (15, 3)]) == [(10, 5), (0, 3)]
 
     def test_overlap_rejected(self):
-        with pytest.raises(OverlapError):
+        with pytest.raises(ValueError):
             translate_to_relative([(10, 5), (12, 3)])
 
     def test_unordered_rejected(self):
-        with pytest.raises(OverlapError):
+        with pytest.raises(ValueError):
             translate_to_relative([(100, 5), (20, 5)])
 
     @given(disjoint_absolute)
@@ -114,7 +114,7 @@ class TestSweep:
 
     def test_noncooperative_rejected(self):
         scen = load_scenario("dup_registers_noncoop")
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             sweep(scen, SearchConfig(offset_min=0, offset_max=10, width_set=(1,)),
                   perfect_ctx())
 
@@ -341,14 +341,27 @@ class TestTransfer:
         a = dup_registers(7, 43)
         b = dup_registers(7, 44, cooperative=False)
         rel = translate_to_relative([(min(t.cycles), 1) for t in a.targets])
-        with pytest.raises(TransferInvalid):
+        with pytest.raises(ConfigError):
             transfer_parameters(a, RankedCombo(specs=tuple(rel)), b, DOM1)
 
     def test_mismatched_labels(self):
         a = dup_registers(7, 43)
         b = load_scenario("successive_shifts")
-        with pytest.raises(TransferInvalid):
+        with pytest.raises(ConfigError):
             transfer_parameters(a, RankedCombo(specs=((1, 1), (1, 1))), b, DOM1)
+
+
+    def test_rebase_onto_the_trigger_and_no_earlier(self):
+        """The scenario's trigger sits 8 cycles later than the twin's, at
+        its first target: a first fault 8 ticks after the twin's trigger
+        moves onto the trigger, one 7 ticks after it cannot move."""
+        coop = dup_registers(7, 43)
+        late = replace(dup_registers(7, 43, cooperative=False), trigger_cycle=8)
+        moved = transfer_parameters(coop, RankedCombo(specs=((8, 1), (42, 1))), late, DOM1)
+        assert moved.specs == ((0, 1), (42, 1))
+        with pytest.raises(SearchFailed, match="before the trigger") as failed:
+            transfer_parameters(coop, RankedCombo(specs=((7, 1), (42, 1))), late, DOM1)
+        assert failed.value.summary == {"kind": "transfer_before_trigger", "trials_used": 0}
 
 
 class TestRunTrials:
