@@ -47,9 +47,10 @@ print(f"integrate: {integ.trials_used} trials, "
       f"{len(integ.combos)} combo(s) with at least one success")
 
 # Step 5: rank by success rate, then requalify the winner.
-ev = evaluate_repeatability(scenario, integ.combos, config, ctx, seed=3)
+ev = evaluate_repeatability(scenario, [b.combo for b in integ.combos], config, ctx,
+                            seed=3)
 best = ev.best
-print(f"\nbest combo {best.specs}: success rate {best.success_rate:.4f} "
-      f"over {best.trials_run} trials")
+print(f"\nbest combo {best.combo}: success rate {best.successes / len(best):.4f} "
+      f"over {len(best)} trials")
 print("per-prefix hit rates:",
-      [round(c / best.trials_run, 4) for c in best.prefix_success_counts])
+      [round(c / len(best), 4) for c in best.prefix_successes])

@@ -28,8 +28,8 @@ from .campaign import (CampaignConfig, load_config, nominal_combo,
                        run_wide_vs_narrow)
 from .scenarios import (Outcome, ScenarioSpec, Target, builtin_scenarios,
                         classify, load_scenario, save_scenario)
-from .search import (AbsoluteParamSet, FuzzyInterval, RankedCombo, SearchConfig,
-                     SimContext, accumulate_relative, evaluate_repeatability,
+from .search import (AbsoluteParamSet, FuzzyInterval, SearchConfig, SimContext,
+                     TrialBlock, accumulate_relative, evaluate_repeatability,
                      exhaustive_search, fuzzyfy, integrate, run_chain_trial,
                      run_trials, sweep, transfer_parameters,
                      translate_to_relative)
@@ -42,9 +42,9 @@ __all__ = [
     "AbsoluteParamSet", "BodModel", "CampaignConfig", "ChainConfig",
     "ClockDomains", "ConfigError", "Effect", "FaultResponseModel",
     "FuzzyInterval", "GlitchSimError", "IncompleteSweep", "Instruction",
-    "NoIntegratedSuccess", "NotFound", "Outcome", "RankedCombo",
-    "RawTrialResult", "ScenarioSpec", "SearchConfig", "SearchFailed",
-    "SimContext", "Target",
+    "NoIntegratedSuccess", "NotFound", "Outcome", "RawTrialResult",
+    "ScenarioSpec", "SearchConfig", "SearchFailed", "SimContext", "Target",
+    "TrialBlock",
     "accumulate_relative", "apply_random_delays", "builtin_scenarios",
     "classify", "deterministic_model", "dup_register_model",
     "evaluate_repeatability", "execute_trial", "exhaustive_search", "fuzzyfy",

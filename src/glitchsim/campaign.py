@@ -33,8 +33,8 @@ from .chain import ChainConfig, simulate_chain
 from .dut import BodModel, FaultResponseModel
 from .errors import ConfigError, SearchFailed, echo, parse
 from .scenarios import Outcome, ScenarioSpec, load_scenario
-from .search import (SearchConfig, SimContext, TrialBlock, check_transfer,
-                     evaluate_repeatability, exhaustive_search, final_combo,
+from .search import (RelSpec, SearchConfig, SimContext, TrialBlock,
+                     check_transfer, evaluate_repeatability, exhaustive_search,
                      fuzzyfy, integrate, run_trials, sweep, transfer_parameters,
                      translate_to_relative)
 from .seeding import RNG_SCHEME, mix64
@@ -286,6 +286,12 @@ def _persist(out_dir, blocks: Optional[list[TrialBlock]], summary: dict) -> None
     write_summary(summary, out / "summary.json")
 
 
+def _combo_entry(combo: tuple[RelSpec, ...], trials: int, successes: int) -> dict:
+    """A combo's entry in summary.json: its specs, trials and successes."""
+    return {"specs": echo(combo), "trials_run": trials, "successes": successes,
+            "success_rate": successes / trials}
+
+
 def _base_summary(cfg: CampaignConfig, operation: str,
                   scenario: Optional[ScenarioSpec] = None) -> dict:
     summary = {
@@ -391,20 +397,20 @@ def run_attack_flow(cfg: CampaignConfig, out_dir=None) -> dict:
     transfer_trials = 0
     with _persist_on_failure(out_dir, blocks, summary):
         swept, relative, fuzzy, integ = _locate(flow_scenario, cfg, ctx, blocks)
-        evaluation = evaluate_repeatability(flow_scenario, integ.combos, cfg.search, ctx,
+        evaluation = evaluate_repeatability(flow_scenario,
+                                            [block.combo for block in integ.combos],
+                                            cfg.search, ctx,
                                             seed=mix64(cfg.master_seed, STEP_EVALUATE))
         blocks.extend(evaluation.blocks)
         best = evaluation.best
         if flow_scenario is not scenario:
-            transferred = transfer_parameters(flow_scenario, best, scenario, cfg.domains)
-            final = run_trials(scenario, transferred.specs, cfg.search.n_final, ctx,
-                               "transfer_final",
-                               mix64(cfg.master_seed, STEP_TRANSFER_FINAL))
-            blocks.append(final)
-            transfer_trials = len(final)
-            best = final_combo(final)
+            combo = transfer_parameters(flow_scenario, best.combo, scenario, cfg.domains)
+            best = run_trials(scenario, combo, cfg.search.n_final, ctx, "transfer_final",
+                              mix64(cfg.master_seed, STEP_TRANSFER_FINAL))
+            blocks.append(best)
+            transfer_trials = len(best)
 
-    cascade = [c / best.trials_run for c in (best.prefix_success_counts or ())]
+    prefixes = best.prefix_successes
     summary.update({
         "steps": {
             "sweep": {"trials_used": swept.trials_used},
@@ -416,9 +422,11 @@ def run_attack_flow(cfg: CampaignConfig, out_dir=None) -> dict:
         "absolute_params": echo(swept.params.entries),
         "relative_combo": echo(relative),
         "fuzzy_intervals": echo(fuzzy),
-        "ranking": [c.to_dict() for c in evaluation.ranking],
-        "best": best.to_dict(),
-        "cascade_rates": cascade,
+        "ranking": [_combo_entry(block.combo, len(block), block.successes)
+                    for block in evaluation.ranking],
+        "best": {**_combo_entry(best.combo, len(best), best.successes),
+                 "prefix_success_counts": echo(prefixes)},
+        "cascade_rates": [c / len(best) for c in prefixes],
         "target_order": [t.label for t in scenario.targets],
         "total_trials": sum(map(len, blocks)),
     })
@@ -448,7 +456,7 @@ def run_exhaustive(cfg: CampaignConfig, out_dir=None) -> dict:
     summary = _base_summary(cfg, "exhaustive", scenario)
     with _persist_on_failure(out_dir, None, summary):
         result = _exhaustive(scenario, cfg, cfg.context())
-    summary["combos"] = [result.combo.to_dict()]
+    summary["combos"] = [_combo_entry(result.combo, 1, 1)]
     summary["total_trials"] = result.trials_used
     _persist(out_dir, None, summary)
     return summary

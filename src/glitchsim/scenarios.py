@@ -135,24 +135,28 @@ INVALID = Outcome("invalid")
 BOD_RESET = Outcome("bod_reset")
 
 
-def classify(scenario: ScenarioSpec, raw: RawTrialResult) -> Outcome:
-    """Map one raw trial onto exactly one outcome class.
+Verdict = tuple[Outcome, tuple[bool, ...]]  # (outcome, hits) of a trial
+
+
+def classify(scenario: ScenarioSpec, raw: RawTrialResult) -> Verdict:
+    """The verdict of one raw trial: exactly one outcome class, and
+    whether each target, in target order, was hit.
 
     Success is the SF: every target hit at once.  PartialHit is only
     reachable in cooperative scenarios, where PSFs exist to tell
     individual targets apart.  Each target is checked once.
     """
-    if raw.bod_tripped:
-        return BOD_RESET
-    if raw.locked_up:
-        return INVALID
     hits = scenario.hits(raw.skipped)
+    if raw.bod_tripped:
+        return BOD_RESET, hits
+    if raw.locked_up:
+        return INVALID, hits
     if all(hits):
-        return SUCCESS
+        return SUCCESS, hits
     if any(hits) and scenario.cooperative:
         labels = [t.label for t, hit in zip(scenario.targets, hits) if hit]
-        return Outcome("partial_hit", labels)
-    return FAILURE
+        return Outcome("partial_hit", labels), hits
+    return FAILURE, hits
 
 
 # ---------------------------------------------------------------------------

@@ -24,8 +24,8 @@ from .dut import (BodModel, FaultResponseModel, apply_random_delays, decode,
                   execute_trial, run_plan, shift_by, stall_vector, stall_vectors,
                   stalled_cycles, trial_plan)
 from .errors import (ConfigError, IncompleteSweep, NoIntegratedSuccess,
-                     NotFound, SearchFailed, echo)
-from .scenarios import Outcome, ScenarioSpec, classify
+                     NotFound, SearchFailed)
+from .scenarios import Outcome, ScenarioSpec, Verdict, classify
 from .seeding import LANES, draw_key, draw_key_column, mix64, seed_column
 from .timing import ClockDomains
 
@@ -113,25 +113,6 @@ class FuzzyInterval:
 
 
 @dataclass(frozen=True)
-class RankedCombo:
-    """One multi-fault parameter combination and its measured quality."""
-
-    specs: tuple[RelSpec, ...]
-    trials_run: int = 0
-    successes: int = 0
-    # Per-prefix success counts over the scenario's target order
-    # (prefix k = targets[0..k] all hit in one trial).
-    prefix_success_counts: Optional[tuple[int, ...]] = None
-
-    @property
-    def success_rate(self) -> float:
-        return self.successes / self.trials_run if self.trials_run else 0.0
-
-    def to_dict(self) -> dict:
-        return {**echo(self), "success_rate": self.success_rate}
-
-
-@dataclass(frozen=True)
 class AbsoluteParamSet:
     """Per-target sets of absolute (offset, width) parameters."""
 
@@ -151,9 +132,6 @@ class TrialRecord:
     outcome: Outcome
     hits: tuple[bool, ...]
     seed: int
-
-
-Verdict = tuple[Outcome, tuple[bool, ...]]  # (outcome, hits) of a trial
 
 
 @dataclass(eq=False)
@@ -202,6 +180,18 @@ class TrialBlock:
     def successes(self) -> int:
         return sum(k for (outcome, _), k in self.counts.items() if outcome.is_success)
 
+    @property
+    def prefix_successes(self) -> tuple[int, ...]:
+        """The number of trials that hit each prefix of the targets
+        (prefix k: the first k+1 targets all hit in one trial)."""
+        counts = [0] * len(self.table[0][1]) if self.counts else []
+        for (_, hits), n in self.counts.items():
+            for k, hit in enumerate(hits):
+                if not hit:
+                    break
+                counts[k] += n
+        return tuple(counts)
+
     def __iter__(self):
         for seed, code in zip(self.seeds(), self.code_column()):
             yield TrialRecord(self.step, self.combo, *self.table[code], seed)
@@ -231,21 +221,27 @@ class SweepResult(_Trials):
 
 @dataclass
 class ExhaustiveResult:
-    combo: RankedCombo  # the first success
+    combo: tuple[RelSpec, ...]  # the first success
     trials_used: int
 
 
 @dataclass
 class IntegrateResult(_Trials):
-    combos: list[RankedCombo]
+    combos: list[TrialBlock]  # the blocks with a success
     blocks: list[TrialBlock]
 
 
 @dataclass
 class RepeatabilityResult(_Trials):
-    best: RankedCombo
-    ranking: list[RankedCombo]
-    blocks: list[TrialBlock]
+    blocks: list[TrialBlock]  # the rank blocks, then the final block
+
+    @property
+    def ranking(self) -> list[TrialBlock]:
+        return self.blocks[:-1]
+
+    @property
+    def best(self) -> TrialBlock:
+        return self.blocks[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -258,11 +254,6 @@ def _cycles(scenario: ScenarioSpec, seed: int) -> tuple[int, ...]:
     if not scenario.random_delay_max:
         return scenario.effectful_cycles
     return stalled_cycles(scenario, stall_vector(scenario, scenario.random_delay_max, seed))
-
-
-def _judge(scenario: ScenarioSpec, raw) -> Verdict:
-    """(outcome, hits) of a raw result."""
-    return classify(scenario, raw), scenario.hits(raw.skipped)
 
 
 def _windows(scenario: ScenarioSpec, rel_specs: Sequence[RelSpec], ctx: SimContext):
@@ -278,7 +269,7 @@ def run_chain_trial(scenario: ScenarioSpec, rel_specs: Sequence[RelSpec],
     plan = trial_plan(scenario, _windows(scenario, rel_specs, ctx), ctx.domains,
                       ctx.model, ctx.bod, _cycles(scenario, seed))
     raw = run_plan(plan, seed)
-    return (raw, *_judge(scenario, raw))
+    return (raw, *classify(scenario, raw))
 
 
 def run_trials(scenario: ScenarioSpec, combo: Sequence[RelSpec], n: int,
@@ -302,7 +293,7 @@ def run_trials(scenario: ScenarioSpec, combo: Sequence[RelSpec], n: int,
     verdicts: dict[Verdict, int] = {}  # verdict -> code; its keys are the table
 
     def code_of(raw) -> int:
-        return verdicts.setdefault(_judge(scenario, raw), len(verdicts))
+        return verdicts.setdefault(classify(scenario, raw), len(verdicts))
 
     def entry(stalls):
         """The code of the stall vector's plan if it holds its result,
@@ -443,8 +434,7 @@ def integrate(scenario: ScenarioSpec, fuzzy: Sequence[FuzzyInterval],
     ]
     blocks = [run_trials(scenario, combo, n, ctx, "integrate", seed, first=i * n)
               for i, combo in enumerate(itertools.product(*axes))]
-    combos = [RankedCombo(block.combo, len(block), block.successes)
-              for block in blocks if block.successes]
+    combos = [block for block in blocks if block.successes]
     if not combos:
         raise NoIntegratedSuccess(sum(map(len, blocks)))
     return IntegrateResult(combos=combos, blocks=blocks)
@@ -497,9 +487,9 @@ def exhaustive_search(scenario: ScenarioSpec, config: SearchConfig, ctx: SimCont
             trial_seed = mix64(seed, index)
         success = succeeds.get(raw := run_plan(plan, trial_seed))
         if success is None:
-            success = succeeds[raw] = classify(scenario, raw).is_success
+            success = succeeds[raw] = classify(scenario, raw)[0].is_success
         if success:
-            return ExhaustiveResult(RankedCombo(combo, 1, 1), index + 1)
+            return ExhaustiveResult(combo, index + 1)
     raise NotFound(min(budget, len(grid) ** n_faults))
 
 
@@ -555,7 +545,8 @@ def _live_combos(grid: Sequence[RelSpec], n_faults: int, budget: int,
 # Step 7: repeatability ranking
 # ---------------------------------------------------------------------------
 
-def evaluate_repeatability(scenario: ScenarioSpec, combos: Sequence[RankedCombo],
+def evaluate_repeatability(scenario: ScenarioSpec,
+                           combos: Sequence[Sequence[RelSpec]],
                            config: SearchConfig, ctx: SimContext,
                            seed: int = 0) -> RepeatabilityResult:
     """Rank combos by success rate over ``n_rank`` trials each, then
@@ -564,29 +555,14 @@ def evaluate_repeatability(scenario: ScenarioSpec, combos: Sequence[RankedCombo]
     if not combos:
         raise ValueError("need at least one combo to evaluate")
 
-    blocks = [run_trials(scenario, combo.specs, config.n_rank, ctx, "rank",
-                         mix64(seed, 1, c_idx))
-              for c_idx, combo in enumerate(combos)]
-    ranking = [RankedCombo(block.combo, len(block), block.successes) for block in blocks]
-
-    best_idx = max(range(len(ranking)), key=lambda i: (ranking[i].success_rate, -i))
-    winner = ranking[best_idx]
-
-    final = run_trials(scenario, winner.specs, config.n_final, ctx, "final", mix64(seed, 2))
-    blocks.append(final)
-    return RepeatabilityResult(best=final_combo(final), ranking=ranking, blocks=blocks)
-
-
-def final_combo(block: TrialBlock) -> RankedCombo:
-    """One combo's success count and its per-prefix success counts
-    (prefix k: the first k+1 targets all hit in one trial)."""
-    prefix_counts = [0] * len(block.table[0][1]) if block.counts else []
-    for (_, hits), n in block.counts.items():
-        for k, hit in enumerate(hits):
-            if not hit:
-                break
-            prefix_counts[k] += n
-    return RankedCombo(block.combo, len(block), block.successes, tuple(prefix_counts))
+    ranking = [run_trials(scenario, combo, config.n_rank, ctx, "rank",
+                          mix64(seed, 1, c_idx))
+               for c_idx, combo in enumerate(combos)]
+    # Every rank block holds n_rank trials: more successes, a higher rate.
+    best_idx = max(range(len(ranking)), key=lambda i: (ranking[i].successes, -i))
+    final = run_trials(scenario, ranking[best_idx].combo, config.n_final, ctx, "final",
+                       mix64(seed, 2))
+    return RepeatabilityResult([*ranking, final])
 
 
 # ---------------------------------------------------------------------------
@@ -606,8 +582,9 @@ def check_transfer(source: ScenarioSpec, target: ScenarioSpec) -> None:
                           f"{src_gaps} vs {dst_gaps}")
 
 
-def transfer_parameters(source: ScenarioSpec, combo: RankedCombo,
-                        target: ScenarioSpec, domains: ClockDomains) -> RankedCombo:
+def transfer_parameters(source: ScenarioSpec, combo: Sequence[RelSpec],
+                        target: ScenarioSpec,
+                        domains: ClockDomains) -> tuple[RelSpec, ...]:
     """Rebase a cooperative scenario's winning combo onto a scenario with
     a different trigger position but identical inter-target spacing.
 
@@ -617,10 +594,9 @@ def transfer_parameters(source: ScenarioSpec, combo: RankedCombo,
     """
     check_transfer(source, target)
     shift = (target.spans[0][0] - source.spans[0][0]) * domains.oversampling
-    first_r, first_w = combo.specs[0]
+    first_r, first_w = combo[0]
     new_first = first_r + shift
     if new_first < 0:
         raise SearchFailed("transfer_before_trigger", "transfer would move the "
                            "first fault before the trigger", 0)
-    specs = ((new_first, first_w),) + tuple(combo.specs[1:])
-    return RankedCombo(specs=specs)
+    return ((new_first, first_w), *combo[1:])

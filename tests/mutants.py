@@ -1,6 +1,7 @@
 """Mutation gate on the trial kernel, the exhaustive walk and its fault
-bound, the draws, the trial blocks, the results.jsonl reader, the JSON
-reader and the JSON writer, and the sweep's and the transfer's refusals.
+bound, the draws, the trial blocks and their prefix counts, the
+ranking's tie-break, the results.jsonl reader, the JSON reader and the
+JSON writer, and the sweep's and the transfer's refusals.
 
 Each mutant is a set of exact text replacements in a copy of ``src/``
 (each replaced text must occur exactly once).  The test files of the
@@ -131,6 +132,13 @@ MUTANTS = {
     "code column of bytes": (
         "search.py", [('array("Q", map(', 'array("B", map(')],
         BLOCK_TESTS),
+    "prefix count past a missed target": (
+        "search.py", [("                    break\n                counts[k] += n",
+                       "                    continue\n                counts[k] += n")],
+        BLOCK_TESTS),
+    "ranking tie to the last combo": (
+        "search.py", [("(ranking[i].successes, -i)", "(ranking[i].successes, i)")],
+        ("tests/test_search.py::TestEvaluateRepeatability",)),
     "read block derives its seeds": (
         "campaign.py", [("list(verdicts), codes, seeds))", "list(verdicts), codes))")],
         PERSISTENCE_TESTS),

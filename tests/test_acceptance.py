@@ -19,7 +19,7 @@ from glitchsim.calibration import (NARROW_FAULT_DISTRIBUTION,
                                    WIDE_FAULT_DISTRIBUTION)
 from glitchsim.dut import BodModel
 from glitchsim.scenarios import load_scenario
-from glitchsim.search import (RankedCombo, SimContext, accumulate_relative,
+from glitchsim.search import (SimContext, accumulate_relative,
                               evaluate_repeatability, sweep, translate_to_relative)
 from glitchsim.timing import ClockDomains
 
@@ -122,10 +122,10 @@ def test_criterion_05_duplicate_register_repeatability():
     scen = load_scenario("dup_registers_7_43")
     dom = ClockDomains(oversampling=20)
     ctx = SimContext(domains=dom, model=g.dup_register_model())
-    combo = RankedCombo(specs=tuple(nominal_combo(scen, dom)))
+    combo = tuple(nominal_combo(scen, dom))
     result = evaluate_repeatability(scen, [combo], SearchConfig(n_rank=10, n_final=100_000),
                                     ctx, seed=3)
-    rate = result.best.success_rate
+    rate = result.best.successes / len(result.best)
     assert abs(rate - 0.212) < 0.01
     print(f"CRITERION 5: PASS - duplicate-register repeatability "
           f"{rate:.4f} within 0.212 +- 0.01 at 100000 trials")
@@ -137,11 +137,11 @@ def test_criterion_06_cascade_calibration_and_monotonicity():
     scen = load_scenario("tzm_full_attack")
     dom = ClockDomains(oversampling=20)
     ctx = SimContext(domains=dom, model=g.tzm_model())
-    combo = RankedCombo(specs=tuple(nominal_combo(scen, dom)))
+    combo = tuple(nominal_combo(scen, dom))
     n = 100_000
     result = evaluate_repeatability(scen, [combo], SearchConfig(n_rank=10, n_final=n), ctx,
                                     seed=3)
-    counts = result.best.prefix_success_counts
+    counts = result.best.prefix_successes
     rates = [c / n for c in counts]
     expected = (0.451, 0.0251, 0.0023)
     for rate, exp in zip(rates, expected):

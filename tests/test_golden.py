@@ -24,6 +24,15 @@ CASES = {
                             width_set=(20,), psi=2, integrate_trials=20,
                             n_rank=200, n_final=3000),
         master_seed=7), out),
+    # The same flow on the cooperative twin of a non-cooperative scenario,
+    # its winner rebased onto the later trigger and requalified there.
+    "transfer_flow": lambda out: run_attack_flow(CampaignConfig(
+        scenario="dup_registers_noncoop", transfer_source="dup_registers_coop",
+        oversampling=20, model=dup_register_model(),
+        search=SearchConfig(offset_min=0, offset_max=1200, stride=20,
+                            width_set=(20,), psi=2, integrate_trials=20,
+                            n_rank=200, n_final=3000),
+        master_seed=7), out),
     # Burst and lockup draws.
     "wide_vs_narrow": lambda out: run_wide_vs_narrow(CampaignConfig(
         scenario="successive_shifts", oversampling=20, model=shift_model(),
@@ -60,6 +69,10 @@ GOLDEN = {
     "dup_flow": {
         "summary.json": "9d9ba014e95fabdfb047b39382ca0e393b55d962a0dd76b20765cf5b8a536dc2",
         "results.jsonl": "f44a7b51fdc49709bf8ca88b0b7a2d554a181a9fe313b5884bbebeb770af3666",
+    },
+    "transfer_flow": {
+        "summary.json": "af8f604c88fafdda6b37b31b11c74185e47b5f002b72d36e58053556afdc920d",
+        "results.jsonl": "384f6ae3feab7efddd533dd72602a847a3037cd6d5dec4fab39bef8c339d1ed0",
     },
     "wide_vs_narrow": {
         "summary.json": "248d43ac151ab6e63a5b63ca16c7608644dd9abf003fcc4a188f2cb71a19d0d2",

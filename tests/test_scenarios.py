@@ -38,7 +38,8 @@ class TestBuiltins:
     def test_zero_fault_trial_never_succeeds(self):
         for scen in builtin_scenarios():
             raw = execute_trial(scen, [], DOM, PERFECT, seed=0)
-            assert classify(scen, raw).kind == "failure"
+            out, hits = classify(scen, raw)
+            assert out.kind == "failure" and not any(hits)
 
     def test_noncoop_shares_stream_shape_with_coop(self):
         coop = load_scenario("dup_registers_coop")
@@ -52,47 +53,52 @@ class TestClassify:
     def test_both_stores_skipped_is_success(self):
         scen = load_scenario("dup_registers_7_43")
         raw = run_on_cycles(scen, [min(t.cycles) for t in scen.targets])
-        assert classify(scen, raw).kind == "success"
-        assert scen.hits(raw.skipped) == (True, True)
+        out, hits = classify(scen, raw)
+        assert out.kind == "success"
+        assert hits == scen.hits(raw.skipped) == (True, True)
 
     def test_only_first_is_partial(self):
         scen = load_scenario("dup_registers_7_43")
         raw = run_on_cycles(scen, [min(scen.targets[0].cycles)])
-        out = classify(scen, raw)
+        out, hits = classify(scen, raw)
         assert out.kind == "partial_hit" and out.labels == {"FIRST"}
-        assert scen.hits(raw.skipped) == (True, False)
+        assert hits == scen.hits(raw.skipped) == (True, False)
 
     def test_only_second_response(self):
         scen = load_scenario("dup_registers_7_43")
         raw = run_on_cycles(scen, [min(scen.targets[1].cycles)])
-        out = classify(scen, raw)
+        out, hits = classify(scen, raw)
         assert out.kind == "partial_hit" and out.labels == {"SECOND"}
-        assert scen.hits(raw.skipped) == (False, True)
+        assert hits == scen.hits(raw.skipped) == (False, True)
 
     def test_nothing_skipped_response(self):
         scen = load_scenario("dup_registers_7_43")
         raw = run_on_cycles(scen, [])
         assert raw.skipped == frozenset()
-        assert scen.hits(raw.skipped) == (False, False)
-        assert classify(scen, raw).kind == "failure"
+        out, hits = classify(scen, raw)
+        assert hits == scen.hits(raw.skipped) == (False, False)
+        assert out.kind == "failure"
 
     def test_tzm_subset_partial(self):
         scen = load_scenario("tzm_full_attack")
         sau = min(scen.targets[0].cycles)
         ahb = min(scen.targets[1].cycles)
         raw = run_on_cycles(scen, [sau, ahb])
-        out = classify(scen, raw)
+        out, hits = classify(scen, raw)
         assert out.kind == "partial_hit" and out.labels == {"SAU", "AHB_CTRL"}
+        assert hits == (True, True, False, False)
 
     def test_noncoop_never_partial(self):
         scen = load_scenario("dup_registers_noncoop")
         raw = run_on_cycles(scen, [min(scen.targets[0].cycles)])
-        assert classify(scen, raw).kind == "failure"
+        out, hits = classify(scen, raw)
+        assert out.kind == "failure" and hits == (True, False)
 
     def test_noncoop_success_still_reported(self):
         scen = load_scenario("dup_registers_noncoop")
         raw = run_on_cycles(scen, [min(t.cycles) for t in scen.targets])
-        assert classify(scen, raw).kind == "success"
+        out, hits = classify(scen, raw)
+        assert out.kind == "success" and hits == (True, True)
 
     def test_every_trial_maps_to_one_class(self):
         scen = load_scenario("successive_shifts")
@@ -102,7 +108,7 @@ class TestClassify:
         kinds = set()
         for seed in range(200):
             raw = execute_trial(scen, windows, DOM, model, seed=seed)
-            out = classify(scen, raw)
+            out, _ = classify(scen, raw)
             assert out.kind in Outcome.KINDS
             kinds.add(out.kind)
         assert "invalid" in kinds  # lockups do occur at p=0.2
@@ -131,9 +137,10 @@ class TestClassify:
                 picked = [c for c in cycles if rng.random() < 0.6]
                 windows = [(c * 20, (c + 1) * 20) for c in picked]
                 raw = execute_trial(scen, windows, DOM, model, seed=seed)
-                out = classify(scen, raw)
+                out, hits = classify(scen, raw)
                 kinds.add(out.kind)
                 assert reference(scen, raw) in (out, None)
+                assert hits == scen.hits(raw.skipped)
         assert {"success", "partial_hit", "failure", "invalid"} <= kinds
 
     def test_pe_target_needs_both_shifts(self):

@@ -19,9 +19,9 @@ from glitchsim.errors import (ConfigError, IncompleteSweep, NoIntegratedSuccess,
                               NotFound, SearchFailed)
 from glitchsim.scenarios import (SCENARIO_PRESETS, classify, dup_registers,
                                  load_scenario)
-from glitchsim.search import (RankedCombo, SearchConfig, SimContext,
+from glitchsim.search import (SearchConfig, SimContext,
                               accumulate_relative, evaluate_repeatability,
-                              exhaustive_search, final_combo, fuzzyfy,
+                              exhaustive_search, fuzzyfy,
                               integrate, run_chain_trial, run_trials, sweep,
                               transfer_parameters, translate_to_relative)
 from glitchsim.seeding import SLOT_ONE, mix64, slot_offset
@@ -150,7 +150,7 @@ class TestIntegrate:
         rel = translate_to_relative(
             [(min(t.cycles), 1) for t in scen.targets])
         result = integrate(scen, fuzzyfy(rel, 2), SearchConfig(), perfect_ctx(DOM1), seed=1)
-        assert any(c.specs == tuple(rel) for c in result.combos)
+        assert any(c.combo == tuple(rel) for c in result.combos)
         assert result.trials_used == 25  # (2*2+1)^2 combos, 1 trial each
 
     def test_psi_zero_single_combo(self):
@@ -158,7 +158,7 @@ class TestIntegrate:
         rel = translate_to_relative([(min(t.cycles), 1) for t in scen.targets])
         result = integrate(scen, fuzzyfy(rel, 0), SearchConfig(), perfect_ctx(DOM1), seed=1)
         assert result.trials_used == 1
-        assert result.combos[0].specs == tuple(rel)
+        assert result.combos[0].combo == tuple(rel)
 
     def test_no_success(self):
         scen = dup_registers(7, 43)
@@ -186,7 +186,7 @@ class TestExhaustive:
                               exhaustive_budget=10_000)
         result = exhaustive_search(solo, config, perfect_ctx(DOM1))
         assert result.trials_used <= 60
-        assert result.combo.specs == ((min(scen.targets[0].cycles), 1),)
+        assert result.combo == ((min(scen.targets[0].cycles), 1),)
 
     def test_lexicographic_first_success_position(self):
         scen = dup_registers(33, 19)
@@ -196,7 +196,7 @@ class TestExhaustive:
         result = exhaustive_search(scen, config, perfect_ctx(DOM1))
         r2 = c2 - c1 - 1
         assert result.trials_used == c1 * 100 + r2 + 1
-        assert result.combo.specs == ((c1, 1), (r2, 1))
+        assert result.combo == ((c1, 1), (r2, 1))
 
     def test_budget_exhaustion(self):
         scen = dup_registers(7, 43)
@@ -222,7 +222,7 @@ class TestExhaustive:
         for seed in range(60):
             try:
                 found = exhaustive_search(scen, config, ctx, seed=seed)
-                won = (found.combo.specs, found.trials_used) == (combo, 2)
+                won = (found.combo, found.trials_used) == (combo, 2)
             except NotFound:
                 won = False
             _, outcome, _ = run_chain_trial(scen, combo, ctx, mix64(seed, 1))
@@ -263,7 +263,7 @@ class TestExhaustive:
         want = _exhaustive_oracle(scen, config, ctx, seed)
         try:
             result = exhaustive_search(scen, config, ctx, seed=seed)
-            got = (result.trials_used, result.combo.specs)
+            got = (result.trials_used, result.combo)
         except NotFound as exc:
             got = (exc.trials_used, None)
         assert got == want
@@ -273,32 +273,30 @@ class TestEvaluateRepeatability:
     def test_single_combo_passthrough(self):
         scen = dup_registers(7, 43)
         rel = translate_to_relative([(min(t.cycles), 1) for t in scen.targets])
-        combo = RankedCombo(specs=tuple(rel))
+        combo = tuple(rel)
         result = evaluate_repeatability(scen, [combo], SearchConfig(n_rank=10, n_final=100),
                                         perfect_ctx(DOM1), seed=1)
-        assert result.best.specs == combo.specs
-        assert result.best.success_rate == 1.0
-        assert result.best.prefix_success_counts == (100, 100)
+        assert result.best.combo == combo
+        assert result.best.successes == len(result.best) == 100
+        assert result.best.prefix_successes == (100, 100)
         assert result.trials_used == 10 + 100
 
     def test_all_zero_combos(self):
         scen = dup_registers(7, 43)
-        losers = [RankedCombo(specs=((0, 1), (0, 1))),
-                  RankedCombo(specs=((1, 1), (0, 1)))]
+        losers = [((0, 1), (0, 1)), ((1, 1), (0, 1))]
         result = evaluate_repeatability(scen, losers, SearchConfig(n_rank=5, n_final=10),
                                         perfect_ctx(DOM1), seed=1)
-        assert result.best.success_rate == 0.0
+        assert result.best.successes == 0
         # Tie broken by enumeration order: first combo wins.
-        assert result.best.specs == losers[0].specs
+        assert result.best.combo == losers[0]
 
     def test_ranking_prefers_higher_rate(self):
         scen = dup_registers(7, 43)
         rel = translate_to_relative([(min(t.cycles), 1) for t in scen.targets])
-        combos = [RankedCombo(specs=((0, 1), (0, 1))),
-                  RankedCombo(specs=tuple(rel))]
+        combos = [((0, 1), (0, 1)), tuple(rel)]
         result = evaluate_repeatability(scen, combos, SearchConfig(n_rank=5, n_final=20),
                                         perfect_ctx(DOM1), seed=1)
-        assert result.best.specs == tuple(rel)
+        assert result.best.combo == tuple(rel)
 
     def test_empty_combos_rejected(self):
         scen = dup_registers(7, 43)
@@ -322,19 +320,17 @@ class TestTransfer:
         c1 = min(coop.targets[0].cycles)
         rel = translate_to_relative([(min(t.cycles) * 20, 20)
                                      for t in coop.targets])
-        combo = RankedCombo(specs=tuple(rel))
-        moved = transfer_parameters(coop, combo, noncoop, DOM20)
+        moved = transfer_parameters(coop, tuple(rel), noncoop, DOM20)
         delta = min(noncoop.targets[0].cycles) - c1
-        assert moved.specs[0] == (rel[0][0] + delta * 20, 20)
-        assert moved.specs[1:] == tuple(rel[1:])
+        assert moved[0] == (rel[0][0] + delta * 20, 20)
+        assert moved[1:] == tuple(rel[1:])
 
     def test_transferred_combo_succeeds(self):
         coop = load_scenario("dup_registers_coop")
         noncoop = load_scenario("dup_registers_noncoop")
         rel = translate_to_relative([(min(t.cycles), 1) for t in coop.targets])
-        moved = transfer_parameters(coop, RankedCombo(specs=tuple(rel)),
-                                    noncoop, DOM1)
-        recs = run_trials(noncoop, moved.specs, 5, perfect_ctx(DOM1), "t", 1)
+        moved = transfer_parameters(coop, tuple(rel), noncoop, DOM1)
+        recs = run_trials(noncoop, moved, 5, perfect_ctx(DOM1), "t", 1)
         assert all(r.outcome.is_success for r in recs)
 
     def test_mismatched_distances(self):
@@ -342,13 +338,13 @@ class TestTransfer:
         b = dup_registers(7, 44, cooperative=False)
         rel = translate_to_relative([(min(t.cycles), 1) for t in a.targets])
         with pytest.raises(ConfigError):
-            transfer_parameters(a, RankedCombo(specs=tuple(rel)), b, DOM1)
+            transfer_parameters(a, tuple(rel), b, DOM1)
 
     def test_mismatched_labels(self):
         a = dup_registers(7, 43)
         b = load_scenario("successive_shifts")
         with pytest.raises(ConfigError):
-            transfer_parameters(a, RankedCombo(specs=((1, 1), (1, 1))), b, DOM1)
+            transfer_parameters(a, ((1, 1), (1, 1)), b, DOM1)
 
 
     def test_rebase_onto_the_trigger_and_no_earlier(self):
@@ -357,10 +353,10 @@ class TestTransfer:
         moves onto the trigger, one 7 ticks after it cannot move."""
         coop = dup_registers(7, 43)
         late = replace(dup_registers(7, 43, cooperative=False), trigger_cycle=8)
-        moved = transfer_parameters(coop, RankedCombo(specs=((8, 1), (42, 1))), late, DOM1)
-        assert moved.specs == ((0, 1), (42, 1))
+        moved = transfer_parameters(coop, ((8, 1), (42, 1)), late, DOM1)
+        assert moved == ((0, 1), (42, 1))
         with pytest.raises(SearchFailed, match="before the trigger") as failed:
-            transfer_parameters(coop, RankedCombo(specs=((7, 1), (42, 1))), late, DOM1)
+            transfer_parameters(coop, ((7, 1), (42, 1)), late, DOM1)
         assert failed.value.summary == {"kind": "transfer_before_trigger", "trials_used": 0}
 
 
@@ -455,7 +451,8 @@ def _oracle_trial(scenario, combo, ctx, seed):
     raw = _reference_execute_trial(scen, windows, ctx.domains, ctx.model,
                                    ctx.bod, seed)
     hits = tuple(scen.target_indices[t.label] <= raw.skipped for t in scen.targets)
-    return raw, classify(scen, raw), hits
+    outcome, _ = classify(scen, raw)
+    return raw, outcome, hits
 
 
 bods = st.one_of(
@@ -665,7 +662,7 @@ class TestExhaustivePruning:
         except NotFound as exc:
             assert (exc.trials_used, None) == (used, win)
         else:
-            assert (result.trials_used, result.combo) == (used, RankedCombo(win, 1, 1))
+            assert (result.trials_used, result.combo) == (used, win)
 
     @settings(max_examples=300, deadline=None)
     @given(offset_min=st.integers(0, 12), n_offsets=st.integers(1, 6),
@@ -811,7 +808,7 @@ class TestExhaustivePruning:
                                                 width_set=(1, 2), exhaustive_budget=10**8),
                                    perfect_ctx(DOM1), seed=1)
         assert result.trials_used == 88_440_620
-        assert result.combo.specs == ((5, 2), (5, 2), (1, 2), (9, 2))
+        assert result.combo == ((5, 2), (5, 2), (1, 2), (9, 2))
         assert plans == 1
 
 
@@ -1020,8 +1017,7 @@ class TestTrialBlock:
         assert block.successes == sum(r.outcome.is_success for r in records)
         prefixes = [sum(all(r.hits[:k + 1]) for r in records)
                     for k in range(len(scen.targets))] if records else []
-        assert final_combo(block) == RankedCombo(
-            combo, n, block.successes, tuple(prefixes))
+        assert block.prefix_successes == tuple(prefixes)
         earlier = scen.targets[0].label
         columns = Counter(_shift_column(r.outcome, earlier) for r in records)
         assert _distribution(block, earlier) == {
