@@ -28,12 +28,12 @@ print(f"targets:  {[t.label for t in scenario.targets]}\n")
 # (offset, width) hits.  The overall success function plays no role yet.
 sw = sweep(scenario, config, ctx, seed=1)
 print(f"sweep: {sw.trials_used} trials")
-for label, entries in sw.params.entries.items():
+for label, entries in sw.entries.items():
     print(f"  {label}: absolute params {list(entries)}")
 
 # Step 2: pick one representative per target and translate to the
 # relative frame (R_0 = A_0; R_n = A_n - (A_n-1 + W_n-1)).
-picked = sorted((sw.params.pick(t.label) for t in scenario.targets))
+picked = sorted((sw.pick(t.label) for t in scenario.targets))
 relative = translate_to_relative(picked)
 print(f"\npicked absolute: {picked}")
 print(f"relative combo:  {relative}")

@@ -17,7 +17,7 @@ Errors: :class:`ConfigError` (refused input) or :class:`SearchFailed` (no result
 
 from .calibration import (deterministic_model, dup_register_model, shift_model,
                           tzm_model)
-from .chain import ChainConfig, simulate_chain
+from .chain import simulate_chain
 from .dut import (BodModel, Effect, FaultResponseModel, Instruction,
                   RawTrialResult, apply_random_delays, execute_trial)
 from .errors import (ConfigError, GlitchSimError, IncompleteSweep,
@@ -28,8 +28,8 @@ from .campaign import (CampaignConfig, load_config, nominal_combo,
                        run_wide_vs_narrow)
 from .scenarios import (Outcome, ScenarioSpec, Target, builtin_scenarios,
                         classify, load_scenario, save_scenario)
-from .search import (AbsoluteParamSet, FuzzyInterval, SearchConfig, SimContext,
-                     TrialBlock, accumulate_relative, evaluate_repeatability,
+from .search import (FuzzyInterval, SearchConfig, SimContext, TrialBlock,
+                     accumulate_relative, evaluate_repeatability,
                      exhaustive_search, fuzzyfy, integrate, run_chain_trial,
                      run_trials, sweep, transfer_parameters,
                      translate_to_relative)
@@ -39,12 +39,11 @@ from .timing import ClockDomains, ticks_from_ns
 __version__ = "1.0.0"
 
 __all__ = [
-    "AbsoluteParamSet", "BodModel", "CampaignConfig", "ChainConfig",
-    "ClockDomains", "ConfigError", "Effect", "FaultResponseModel",
-    "FuzzyInterval", "GlitchSimError", "IncompleteSweep", "Instruction",
-    "NoIntegratedSuccess", "NotFound", "Outcome", "RawTrialResult",
-    "ScenarioSpec", "SearchConfig", "SearchFailed", "SimContext", "Target",
-    "TrialBlock",
+    "BodModel", "CampaignConfig", "ClockDomains", "ConfigError", "Effect",
+    "FaultResponseModel", "FuzzyInterval", "GlitchSimError", "IncompleteSweep",
+    "Instruction", "NoIntegratedSuccess", "NotFound", "Outcome",
+    "RawTrialResult", "ScenarioSpec", "SearchConfig", "SearchFailed",
+    "SimContext", "Target", "TrialBlock",
     "accumulate_relative", "apply_random_delays", "builtin_scenarios",
     "classify", "deterministic_model", "dup_register_model",
     "evaluate_repeatability", "execute_trial", "exhaustive_search", "fuzzyfy",

@@ -29,7 +29,7 @@ from pathlib import Path
 from typing import Optional
 
 from . import calibration
-from .chain import ChainConfig, simulate_chain
+from .chain import simulate_chain
 from .dut import BodModel, FaultResponseModel
 from .errors import ConfigError, SearchFailed, echo, parse
 from .scenarios import Outcome, ScenarioSpec, load_scenario
@@ -343,7 +343,7 @@ def _locate(scenario: ScenarioSpec, cfg: CampaignConfig, ctx: SimContext,
     result).  Overlapping picks raise a SearchFailed that used no trials."""
     swept = _sweep(scenario, cfg, ctx)
     blocks.extend(swept.blocks)
-    picked = sorted((swept.params.pick(t.label) for t in scenario.targets),
+    picked = sorted((swept.pick(t.label) for t in scenario.targets),
                     key=lambda ow: ow[0])
     try:
         relative = translate_to_relative(picked)
@@ -419,7 +419,7 @@ def run_attack_flow(cfg: CampaignConfig, out_dir=None) -> dict:
             "evaluate": {"trials_used": evaluation.trials_used},
             "transfer_final": {"trials_used": transfer_trials},
         },
-        "absolute_params": echo(swept.params.entries),
+        "absolute_params": echo(swept.entries),
         "relative_combo": echo(relative),
         "fuzzy_intervals": echo(fuzzy),
         "ranking": [_combo_entry(block.combo, len(block), block.successes)
@@ -444,7 +444,7 @@ def run_sweep_only(cfg: CampaignConfig, out_dir=None) -> dict:
     summary = _base_summary(cfg, "sweep", scenario)
     with _persist_on_failure(out_dir, [], summary):
         result = _sweep(scenario, cfg, cfg.context())
-    summary["absolute_params"] = echo(result.params.entries)
+    summary["absolute_params"] = echo(result.entries)
     summary["total_trials"] = result.trials_used
     _persist(out_dir, result.blocks, summary)
     return summary
@@ -643,7 +643,7 @@ def run_bod_eval(cfg: CampaignConfig, out_dir=None) -> dict:
                 raise ConfigError(
                     f"bod fault shapes do not fit the tick: the {shape} shape's {ns} ns "
                     f"fault rounds to 0 ticks of {float(domains.tick_period_ns):g} ns")
-        return simulate_chain(ChainConfig(ticks), 0)[0]
+        return simulate_chain(ticks, 0)[0]
 
     wide_windows, split_windows = fire("wide", BOD_WIDE_NS), fire("split", BOD_SPLIT_NS)
 

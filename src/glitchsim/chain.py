@@ -1,14 +1,15 @@
 """Tick-accurate model of the chained multi-fault glitcher.
 
-A chain is an ordered list of single fault units.  The first unit is
-armed by the external trigger; each later unit is armed by the done
-signal of its predecessor, which coincides with the tick its fault
-window ends (zero-latency chaining).  The crowbar output is the OR of
-all unit outputs, so touching or overlapping windows merge.
+A chain is its units: one (offset, width) pair per single fault unit.
+The first unit is armed by the external trigger; each later unit is
+armed by the done signal of its predecessor, which coincides with the
+tick its fault window ends (zero-latency chaining).  An offset counts
+ticks from the unit's arming.  The crowbar output is the OR of all unit
+outputs, so touching or overlapping windows merge.
 
 ``chain_windows`` is the one closed form: the exhaustive walk calls it
 per live child, every other trial through ``simulate_chain``, which
-validates a :class:`ChainConfig` first.  Offsets are never negative, so
+checks the units and the trigger first.  Offsets are never negative, so
 the OR-merge reduces to joining a window onto its predecessor when its
 offset is 0.  The per-tick unit state machines that cross-check this
 closed form live in the test suite.
@@ -16,34 +17,9 @@ closed form live in the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import check_type
 
 Window = tuple[int, int]  # [start_tick, end_tick)
-
-
-@dataclass(frozen=True)
-class ChainConfig:
-    """Demux state of the glitcher: one (offset, width) per chained unit;
-    the chain's length is the number of units.
-
-    Unit offsets are relative-frame values (ticks from the predecessor's
-    done signal; the first unit counts from the trigger).
-    """
-
-    units: tuple[tuple[int, int], ...]  # (offset, width) per unit
-
-    def __post_init__(self):
-        units = tuple((o, w) for o, w in self.units)
-        object.__setattr__(self, "units", units)
-        if not units:
-            raise ValueError("a chain needs at least one fault unit")
-        for o, w in units:
-            if check_type(int, "unit offset", o) < 0:
-                raise ValueError("unit offsets must be non-negative")
-            if check_type(int, "unit width", w) < 1:
-                raise ValueError("unit widths must be >= 1")
 
 
 def chain_windows(units, trigger_tick: int) -> tuple[list[Window], int]:
@@ -61,9 +37,16 @@ def chain_windows(units, trigger_tick: int) -> tuple[list[Window], int]:
     return windows, end
 
 
-def simulate_chain(cfg: ChainConfig, trigger_tick: int) -> tuple[list[Window], int]:
-    """Return the crowbar windows and the done tick for one trigger."""
+def simulate_chain(units, trigger_tick: int) -> tuple[list[Window], int]:
+    """Return the crowbar windows and the done tick of ``units`` fired at
+    ``trigger_tick``, after checking both."""
+    if not units:
+        raise ValueError("a chain needs at least one fault unit")
+    for o, w in units:
+        if check_type(int, "unit offset", o) < 0:
+            raise ValueError("unit offsets must be non-negative")
+        if check_type(int, "unit width", w) < 1:
+            raise ValueError("unit widths must be >= 1")
     if trigger_tick < 0:
         raise ValueError("trigger_tick must be non-negative")
-    return chain_windows(cfg.units, trigger_tick)
-
+    return chain_windows(units, trigger_tick)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional, Sequence, Union
 
-from .chain import ChainConfig, chain_windows, simulate_chain
+from .chain import chain_windows, simulate_chain
 # apply_random_delays and execute_trial stay bound for bench/run.py, which
 # traces the trial layers here by name; trials run on the plan instead.
 from .dut import (BodModel, FaultResponseModel, apply_random_delays, decode,
@@ -113,17 +113,6 @@ class FuzzyInterval:
 
 
 @dataclass(frozen=True)
-class AbsoluteParamSet:
-    """Per-target sets of absolute (offset, width) parameters."""
-
-    entries: dict[str, tuple[RelSpec, ...]]
-
-    def pick(self, label: str) -> RelSpec:
-        """Deterministic representative: narrowest, then earliest."""
-        return min(self.entries[label], key=lambda ow: (ow[1], ow[0]))
-
-
-@dataclass(frozen=True)
 class TrialRecord:
     """One trial of a block, as iterating the block yields it."""
 
@@ -215,8 +204,12 @@ class _Trials:
 
 @dataclass
 class SweepResult(_Trials):
-    params: AbsoluteParamSet
+    entries: dict[str, tuple[RelSpec, ...]]  # label -> sorted absolute (offset, width)s
     blocks: list[TrialBlock]
+
+    def pick(self, label: str) -> RelSpec:
+        """The target's representative entry: narrowest, then earliest."""
+        return min(self.entries[label], key=lambda ow: (ow[1], ow[0]))
 
 
 @dataclass
@@ -258,7 +251,7 @@ def _cycles(scenario: ScenarioSpec, seed: int) -> tuple[int, ...]:
 
 def _windows(scenario: ScenarioSpec, rel_specs: Sequence[RelSpec], ctx: SimContext):
     trigger_tick = scenario.trigger_cycle * ctx.domains.oversampling
-    windows, _ = simulate_chain(ChainConfig(tuple(rel_specs)), trigger_tick)
+    windows, _ = simulate_chain(rel_specs, trigger_tick)
     return windows
 
 
@@ -372,8 +365,7 @@ def sweep(scenario: ScenarioSpec, config: SearchConfig, ctx: SimContext,
     if missing:
         raise IncompleteSweep(missing, len(blocks))
 
-    params = AbsoluteParamSet({lbl: tuple(sorted(vals)) for lbl, vals in entries.items()})
-    return SweepResult(params=params, blocks=blocks)
+    return SweepResult({lbl: tuple(sorted(vals)) for lbl, vals in entries.items()}, blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -466,10 +458,8 @@ def exhaustive_search(scenario: ScenarioSpec, config: SearchConfig, ctx: SimCont
     (up to the budget) but never run.
     """
     n_faults, budget = config.fault_count(scenario), config.exhaustive_budget
-    # Budgets reach 1e7 trials.  The grid only holds valid chains, so
-    # the closed form runs without a ChainConfig per combo, and a trial
-    # seed is derived only when something can draw from it: a fixed plan
-    # ignores its seed, and mixing would dominate the loop otherwise.
+    # The grid only holds valid chains, so the walk runs the closed form
+    # without checking the units of each combo.
     K = ctx.domains.oversampling
     trigger_tick = scenario.trigger_cycle * K
     # The [start, end) ticks of each target instruction's reach.
@@ -480,11 +470,9 @@ def exhaustive_search(scenario: ScenarioSpec, config: SearchConfig, ctx: SimCont
     succeeds: dict = {}  # raw result -> whether it is a success
     for index, combo, windows in _live_combos(grid, n_faults, budget, trigger_tick,
                                               target_ticks):
-        trial_seed = mix64(seed, index) if scenario.random_delay_max else None
+        trial_seed = mix64(seed, index)
         plan = trial_plan(scenario, windows, ctx.domains, ctx.model, ctx.bod,
                           _cycles(scenario, trial_seed))
-        if plan.fixed is None and trial_seed is None:
-            trial_seed = mix64(seed, index)
         success = succeeds.get(raw := run_plan(plan, trial_seed))
         if success is None:
             success = succeeds[raw] = classify(scenario, raw)[0].is_success

@@ -1,7 +1,9 @@
 """Mutation gate on the trial kernel, the exhaustive walk and its fault
 bound, the draws, the trial blocks and their prefix counts, the
 ranking's tie-break, the results.jsonl reader, the JSON reader and the
-JSON writer, and the sweep's and the transfer's refusals.
+JSON writer, the chain's merge and its range checks (a zero width, a
+negative offset), the sweep's pick (narrowest, then earliest), and the
+sweep's and the transfer's refusals.
 
 Each mutant is a set of exact text replacements in a copy of ``src/``
 (each replaced text must occur exactly once).  The test files of the
@@ -169,6 +171,17 @@ MUTANTS = {
     "chain merges at offset 1": (
         "chain.py", [("if offset == 0 and windows:", "if offset <= 1 and windows:")],
         ("tests/test_chain.py",)),
+    "chain takes a zero width": (
+        "chain.py", [('check_type(int, "unit width", w) < 1:',
+                      'check_type(int, "unit width", w) < 0:')],
+        ("tests/test_chain.py",)),
+    "chain takes a negative offset": (
+        "chain.py", [('check_type(int, "unit offset", o) < 0:',
+                      'check_type(int, "unit offset", o) < -1:')],
+        ("tests/test_chain.py",)),
+    "pick earliest first": (
+        "search.py", [("key=lambda ow: (ow[1], ow[0])", "key=lambda ow: (ow[0], ow[1])")],
+        ("tests/test_search.py::TestSweep",)),
     "sweep takes a non-cooperative scenario": (
         "search.py", [("if not scenario.cooperative:", "if False:  # no check")],
         ("tests/test_search.py::TestSweep",)),

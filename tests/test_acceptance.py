@@ -14,7 +14,7 @@ import glitchsim as g
 from glitchsim.campaign import (CampaignConfig, SearchConfig, nominal_combo,
                                 run_attack_flow, run_bod_eval, run_comparison,
                                 run_countermeasure_eval, run_wide_vs_narrow)
-from glitchsim.chain import ChainConfig, simulate_chain
+from glitchsim.chain import simulate_chain
 from glitchsim.calibration import (NARROW_FAULT_DISTRIBUTION,
                                    WIDE_FAULT_DISTRIBUTION)
 from glitchsim.dut import BodModel
@@ -58,7 +58,7 @@ def test_criterion_02_chain_reproduces_absolute_windows():
     for _ in range(1000):
         absolute = random_disjoint_windows(rng)
         rel = translate_to_relative(absolute)
-        windows, _ = simulate_chain(ChainConfig(tuple(rel)), 0)
+        windows, _ = simulate_chain(rel, 0)
         assert windows == merge_windows([(a, a + w) for a, w in absolute])
     print("CRITERION 2: PASS - chain simulation reproduces the absolute "
           "windows for 1000 translated cases")
@@ -76,7 +76,7 @@ def test_criterion_03_sweep_soundness_on_dup_presets():
         config = SearchConfig(offset_min=0, offset_max=(c2 + 2) * 20, width_set=(20,),
                               stride=20)
         result = sweep(scen, config, ctx, seed=3)
-        assert result.params.entries == {
+        assert result.entries == {
             "FIRST": ((c1 * 20, 20),),
             "SECOND": ((c2 * 20, 20),),
         }, preset

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from glitchsim.calibration import deterministic_model
-from glitchsim.chain import ChainConfig, Window, simulate_chain
+from glitchsim.chain import Window, simulate_chain
 from glitchsim.scenarios import load_scenario
 from glitchsim.search import SimContext, run_trials, translate_to_relative
 from glitchsim.timing import ClockDomains
@@ -66,11 +66,11 @@ class SingleFaultUnit:
         return False, False
 
 
-def simulate_chain_stepped(cfg: ChainConfig, trigger_tick: int) -> tuple[list[Window], int]:
+def simulate_chain_stepped(chain, trigger_tick: int) -> tuple[list[Window], int]:
     """Reference implementation driving real unit state machines, for a
     chain of at least one unit fired at a non-negative tick."""
-    units = [SingleFaultUnit(o, w) for o, w in cfg.units]
-    horizon = trigger_tick + sum(o + w for o, w in cfg.units) + 1
+    units = [SingleFaultUnit(o, w) for o, w in chain]
+    horizon = trigger_tick + sum(o + w for o, w in chain) + 1
 
     windows = []
     open_start = None
@@ -101,7 +101,7 @@ def simulate_chain_stepped(cfg: ChainConfig, trigger_tick: int) -> tuple[list[Wi
 
 
 def windows_of(units, trigger=0):
-    return simulate_chain(ChainConfig(tuple(units)), trigger)
+    return simulate_chain(units, trigger)
 
 
 class TestSimulateChain:
@@ -117,11 +117,11 @@ class TestSimulateChain:
 
     def test_empty_chain(self):
         with pytest.raises(ValueError, match="at least one fault unit"):
-            simulate_chain(ChainConfig(()), 0)
+            simulate_chain((), 0)
 
     def test_negative_trigger(self):
         with pytest.raises(ValueError):
-            simulate_chain(ChainConfig(((0, 1),)), -1)
+            simulate_chain(((0, 1),), -1)
 
     def test_done_after_trigger(self):
         windows, done = windows_of([(0, 1)], trigger=7)
@@ -129,13 +129,26 @@ class TestSimulateChain:
 
 
 class TestChainConfig:
+    """The checks ``simulate_chain`` makes on the units, called directly
+    and through ``run_trials``."""
+
+    @staticmethod
+    def refused(unit, error, match):
+        with pytest.raises(error, match=match):
+            simulate_chain(((1, 1), unit), 0)
+        ctx = SimContext(ClockDomains(1), deterministic_model())
+        with pytest.raises(error, match=match):
+            run_trials(load_scenario("dup_registers_7_43"), [unit], 1, ctx, "t", 0)
+
     @pytest.mark.parametrize("unit", [(8.9, 1.7), (8, 1.0), (True, 1), (0, False)])
     def test_non_integer_unit_rejected(self, unit):
-        with pytest.raises(TypeError, match="must be an integer"):
-            ChainConfig(((1, 1), unit))
-        ctx = SimContext(ClockDomains(1), deterministic_model())
-        with pytest.raises(TypeError, match="must be an integer"):
-            run_trials(load_scenario("dup_registers_7_43"), [unit], 1, ctx, "t", 0)
+        self.refused(unit, TypeError, "must be an integer")
+
+    def test_zero_width_rejected(self):
+        self.refused((1, 0), ValueError, "unit widths must be >= 1")
+
+    def test_negative_offset_rejected(self):
+        self.refused((-1, 1), ValueError, "unit offsets must be non-negative")
 
 
 class TestMergeWindows:
@@ -159,14 +172,13 @@ class TestSteppedCrossCheck:
 
     @given(units_strategy, st.integers(0, 20))
     def test_equivalence(self, units, trigger):
-        cfg = ChainConfig(tuple(units))
-        assert simulate_chain_stepped(cfg, trigger) == simulate_chain(cfg, trigger)
+        assert simulate_chain_stepped(units, trigger) == simulate_chain(units, trigger)
 
 
 class TestProperties:
     @given(units_strategy, st.integers(0, 20))
     def test_total_asserted_ticks(self, units, trigger):
-        windows, _ = simulate_chain(ChainConfig(tuple(units)), trigger)
+        windows, _ = simulate_chain(units, trigger)
         asserted = sum(e - s for s, e in windows)
         if all(o > 0 for o, _ in units[1:]):  # disjoint windows
             assert asserted == sum(w for _, w in units)
@@ -188,6 +200,6 @@ class TestProperties:
         # ...then the translated chain must reproduce it exactly (when
         # windows are separated; touching ones merge at the crowbar).
         rel = translate_to_relative(absolute)
-        windows, done = simulate_chain(ChainConfig(tuple(rel)), 0)
+        windows, done = simulate_chain(rel, 0)
         assert windows == merge_windows([(a, a + w) for a, w in absolute])
         assert done == absolute[-1][0] + absolute[-1][1]

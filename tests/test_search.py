@@ -11,7 +11,7 @@ from glitchsim.calibration import (deterministic_model, dup_register_model,
                                    shift_model)
 from glitchsim.campaign import (DISTRIBUTION_COLUMNS, MODEL_PRESETS, _distribution,
                                 _shift_column, nominal_combo)
-from glitchsim.chain import ChainConfig, chain_windows, simulate_chain
+from glitchsim.chain import chain_windows, simulate_chain
 from glitchsim.dut import (BodModel, FaultResponseModel, RawTrialResult,
                            apply_random_delays, run_plan, shift_by,
                            stall_vector, trial_plan)
@@ -19,7 +19,7 @@ from glitchsim.errors import (ConfigError, IncompleteSweep, NoIntegratedSuccess,
                               NotFound, SearchFailed)
 from glitchsim.scenarios import (SCENARIO_PRESETS, classify, dup_registers,
                                  load_scenario)
-from glitchsim.search import (SearchConfig, SimContext,
+from glitchsim.search import (SearchConfig, SimContext, SweepResult,
                               accumulate_relative, evaluate_repeatability,
                               exhaustive_search, fuzzyfy,
                               integrate, run_chain_trial, run_trials, sweep,
@@ -98,7 +98,7 @@ class TestSweep:
         config = SearchConfig(offset_min=0, offset_max=(c2 + 2) * 20, width_set=(20,),
                               stride=20)
         result = sweep(scen, config, perfect_ctx(DOM20), seed=1)
-        assert result.params.entries == {
+        assert result.entries == {
             "FIRST": ((c1 * 20, 20),),
             "SECOND": ((c2 * 20, 20),),
         }
@@ -140,8 +140,21 @@ class TestSweep:
         ctx = SimContext(DOM20, dup_register_model())
         r1 = sweep(scen, config, ctx, seed=9)
         r2 = sweep(scen, config, ctx, seed=9)
-        assert r1.params.entries == r2.params.entries
+        assert r1.entries == r2.entries
         assert r1.records == r2.records
+
+    def test_pick_narrowest_then_earliest(self):
+        # A 40-tick window one cycle early hits FIRST too: its entries
+        # hold a wider earlier point than the narrowest.
+        scen = dup_registers(7, 43)
+        c1, c2 = (min(t.cycles) for t in scen.targets)
+        config = SearchConfig(offset_min=0, offset_max=(c2 + 2) * 20, width_set=(20, 40),
+                              stride=20)
+        result = sweep(scen, config, perfect_ctx(DOM20), seed=1)
+        assert result.entries["FIRST"] == (((c1 - 1) * 20, 40), (c1 * 20, 20), (c1 * 20, 40))
+        assert result.pick("FIRST") == (c1 * 20, 20)
+        swept = SweepResult({"T": ((0, 40), (20, 20), (40, 20))}, [])
+        assert swept.pick("T") == (20, 20)
 
 
 class TestIntegrate:
@@ -447,7 +460,7 @@ def _oracle_trial(scenario, combo, ctx, seed):
     """Reference delayed trial: rebuild the scenario with the stalls."""
     scen = _reference_delays(scenario, scenario.random_delay_max, seed)
     trigger = scen.trigger_cycle * ctx.domains.oversampling
-    windows, _ = simulate_chain(ChainConfig(tuple(combo)), trigger)
+    windows, _ = simulate_chain(combo, trigger)
     raw = _reference_execute_trial(scen, windows, ctx.domains, ctx.model,
                                    ctx.bod, seed)
     hits = tuple(scen.target_indices[t.label] <= raw.skipped for t in scen.targets)
@@ -560,7 +573,7 @@ class TestSweepOracle:
         assert result.trials_used == stop + 1
         assert [(r.seed, r.combo, r.outcome, r.hits) for r in result.records] == want
         assert {r.step for r in result.records} == {"sweep"}
-        assert result.params.entries == {lb: tuple(sorted(v)) for lb, v in entries.items()}
+        assert result.entries == {lb: tuple(sorted(v)) for lb, v in entries.items()}
 
 
 def _exhaustive_oracle(scen, config, ctx, seed):
@@ -1007,7 +1020,7 @@ class TestTrialBlock:
             assert (rec.outcome, rec.hits) == (outcome, hits), index
 
         # The column is one constant code exactly when no trial can draw.
-        windows, _ = simulate_chain(ChainConfig(combo), scen.trigger_cycle * K)
+        windows, _ = simulate_chain(combo, scen.trigger_cycle * K)
         fixed = trial_plan(scen, windows, ctx.domains, model, bod).fixed is not None
         assert isinstance(block.codes, int) == (fixed and not stalls)
         assert len(set(block.table)) == len(block.table)
