@@ -1,6 +1,15 @@
 """Campaign orchestration: end-to-end experiment flows, deterministic
 seed management, trial persistence and report emission.
 
+Every campaign runs in one frame, ``_campaign``, that builds its summary
+and persists it into the run directory, if one is given.  ``flow``,
+``sweep``, ``wide-vs-narrow`` and ``countermeasure`` keep their trials
+and write the three files below; ``exhaustive``, ``compare`` and ``bod``
+write ``summary.json`` alone.  A failed search step persists too: the
+trial files hold the trials of the steps before it, and ``summary.json``
+carries the error, with the failed step's own trials counted only in
+``total_trials``.  A refused input writes nothing.
+
 Artifacts written per run directory:
 
 - ``results.jsonl``: one JSON object per trial, keys sorted:
@@ -292,8 +301,15 @@ def _combo_entry(combo: tuple[RelSpec, ...], trials: int, successes: int) -> dic
             "success_rate": successes / trials}
 
 
-def _base_summary(cfg: CampaignConfig, operation: str,
-                  scenario: Optional[ScenarioSpec] = None) -> dict:
+@contextmanager
+def _campaign(cfg: CampaignConfig, operation: str, scenario: Optional[ScenarioSpec],
+              out_dir, blocks: Optional[list[TrialBlock]]):
+    """The frame of every campaign: yields its base summary and ``blocks``,
+    the list its steps fill, or None for a campaign that keeps no trials.
+    On exit it sets ``total_trials`` from the blocks, if any, and persists.
+    A failed search step persists the trials so far and its error, with its
+    own trials in ``total_trials``, and re-raises; any other error writes
+    nothing."""
     summary = {
         "schema_version": SUMMARY_SCHEMA_VERSION,
         "operation": operation,
@@ -303,22 +319,16 @@ def _base_summary(cfg: CampaignConfig, operation: str,
     }
     if scenario is not None:
         summary["scenario"] = scenario.name
-    return summary
-
-
-@contextmanager
-def _persist_on_failure(out_dir, blocks: Optional[list[TrialBlock]],
-                        summary: dict):
-    """On a failed search step, persist the trials run so far and a
-    summary carrying the error; ``total_trials`` adds the failed step's
-    trials to them.  The error propagates."""
     try:
-        yield
+        yield summary, blocks
     except SearchFailed as exc:
         summary["error"] = exc.summary
         summary["total_trials"] = sum(map(len, blocks or ())) + exc.trials_used
         _persist(out_dir, blocks, summary)
         raise
+    if blocks is not None:
+        summary["total_trials"] = sum(map(len, blocks))
+    _persist(out_dir, blocks, summary)
 
 
 # ---------------------------------------------------------------------------
@@ -391,11 +401,8 @@ def run_attack_flow(cfg: CampaignConfig, out_dir=None) -> dict:
         check_transfer(flow_scenario, scenario)
 
     ctx = cfg.context()
-    summary = _base_summary(cfg, "flow", scenario)
-    blocks: list[TrialBlock] = []
-
     transfer_trials = 0
-    with _persist_on_failure(out_dir, blocks, summary):
+    with _campaign(cfg, "flow", scenario, out_dir, []) as (summary, blocks):
         swept, relative, fuzzy, integ = _locate(flow_scenario, cfg, ctx, blocks)
         evaluation = evaluate_repeatability(flow_scenario,
                                             [block.combo for block in integ.combos],
@@ -410,27 +417,25 @@ def run_attack_flow(cfg: CampaignConfig, out_dir=None) -> dict:
             blocks.append(best)
             transfer_trials = len(best)
 
-    prefixes = best.prefix_successes
-    summary.update({
-        "steps": {
-            "sweep": {"trials_used": swept.trials_used},
-            "integrate": {"trials_used": integ.trials_used,
-                          "combos_found": len(integ.combos)},
-            "evaluate": {"trials_used": evaluation.trials_used},
-            "transfer_final": {"trials_used": transfer_trials},
-        },
-        "absolute_params": echo(swept.entries),
-        "relative_combo": echo(relative),
-        "fuzzy_intervals": echo(fuzzy),
-        "ranking": [_combo_entry(block.combo, len(block), block.successes)
-                    for block in evaluation.ranking],
-        "best": {**_combo_entry(best.combo, len(best), best.successes),
-                 "prefix_success_counts": echo(prefixes)},
-        "cascade_rates": [c / len(best) for c in prefixes],
-        "target_order": [t.label for t in scenario.targets],
-        "total_trials": sum(map(len, blocks)),
-    })
-    _persist(out_dir, blocks, summary)
+        prefixes = best.prefix_successes
+        summary.update({
+            "steps": {
+                "sweep": {"trials_used": swept.trials_used},
+                "integrate": {"trials_used": integ.trials_used,
+                              "combos_found": len(integ.combos)},
+                "evaluate": {"trials_used": evaluation.trials_used},
+                "transfer_final": {"trials_used": transfer_trials},
+            },
+            "absolute_params": echo(swept.entries),
+            "relative_combo": echo(relative),
+            "fuzzy_intervals": echo(fuzzy),
+            "ranking": [_combo_entry(block.combo, len(block), block.successes)
+                        for block in evaluation.ranking],
+            "best": {**_combo_entry(best.combo, len(best), best.successes),
+                     "prefix_success_counts": echo(prefixes)},
+            "cascade_rates": [c / len(best) for c in prefixes],
+            "target_order": [t.label for t in scenario.targets],
+        })
     return summary
 
 
@@ -441,24 +446,20 @@ def run_attack_flow(cfg: CampaignConfig, out_dir=None) -> dict:
 def run_sweep_only(cfg: CampaignConfig, out_dir=None) -> dict:
     """Just the sweeping step; summary carries the absolute sets."""
     scenario = cfg.load_scenario()
-    summary = _base_summary(cfg, "sweep", scenario)
-    with _persist_on_failure(out_dir, [], summary):
+    with _campaign(cfg, "sweep", scenario, out_dir, []) as (summary, blocks):
         result = _sweep(scenario, cfg, cfg.context())
-    summary["absolute_params"] = echo(result.entries)
-    summary["total_trials"] = result.trials_used
-    _persist(out_dir, result.blocks, summary)
+        blocks.extend(result.blocks)
+        summary["absolute_params"] = echo(result.entries)
     return summary
 
 
 def run_exhaustive(cfg: CampaignConfig, out_dir=None) -> dict:
     """The conventional grid-search baseline as a standalone campaign."""
     scenario = cfg.load_scenario()
-    summary = _base_summary(cfg, "exhaustive", scenario)
-    with _persist_on_failure(out_dir, None, summary):
+    with _campaign(cfg, "exhaustive", scenario, out_dir, None) as (summary, _):
         result = _exhaustive(scenario, cfg, cfg.context())
-    summary["combos"] = [_combo_entry(result.combo, 1, 1)]
-    summary["total_trials"] = result.trials_used
-    _persist(out_dir, None, summary)
+        summary["combos"] = [_combo_entry(result.combo, 1, 1)]
+        summary["total_trials"] = result.trials_used
     return summary
 
 
@@ -469,33 +470,31 @@ def run_comparison(cfg: CampaignConfig, out_dir=None) -> dict:
     scenario = cfg.load_scenario()
     n_faults = cfg.search.fault_count(scenario)  # bounded before any trial runs
     ctx = cfg.context()
-    summary = _base_summary(cfg, "compare", scenario)
+    with _campaign(cfg, "compare", scenario, out_dir, None) as (summary, _):
+        flow_blocks: list[TrialBlock] = []
+        try:
+            _locate(scenario, cfg, ctx, flow_blocks)
+            flow = {"trials_used": sum(map(len, flow_blocks)), "found": True}
+        except SearchFailed as exc:
+            flow = {"trials_used": sum(map(len, flow_blocks)) + exc.trials_used,
+                    "found": False, "error": exc.summary}
+        try:
+            exhaustive = {"trials_used": _exhaustive(scenario, cfg, ctx).trials_used,
+                          "found": True}
+        except SearchFailed as exc:
+            exhaustive = {"trials_used": exc.trials_used, "found": False,
+                          "error": exc.summary}
 
-    flow_blocks: list[TrialBlock] = []
-    try:
-        _locate(scenario, cfg, ctx, flow_blocks)
-        flow = {"trials_used": sum(map(len, flow_blocks)), "found": True}
-    except SearchFailed as exc:
-        flow = {"trials_used": sum(map(len, flow_blocks)) + exc.trials_used,
-                "found": False, "error": exc.summary}
-    try:
-        exhaustive = {"trials_used": _exhaustive(scenario, cfg, ctx).trials_used,
-                      "found": True}
-    except SearchFailed as exc:
-        exhaustive = {"trials_used": exc.trials_used, "found": False,
-                      "error": exc.summary}
-
-    ratio = None
-    if exhaustive["found"] and flow["found"] and flow["trials_used"]:
-        ratio = exhaustive["trials_used"] / flow["trials_used"]
-    summary.update({
-        "n_faults": n_faults,
-        "exhaustive": exhaustive,
-        "flow": flow,
-        "ratio": ratio,
-        "total_trials": exhaustive["trials_used"] + flow["trials_used"],
-    })
-    _persist(out_dir, None, summary)
+        ratio = None
+        if exhaustive["found"] and flow["found"] and flow["trials_used"]:
+            ratio = exhaustive["trials_used"] / flow["trials_used"]
+        summary.update({
+            "n_faults": n_faults,
+            "exhaustive": exhaustive,
+            "flow": flow,
+            "ratio": ratio,
+            "total_trials": exhaustive["trials_used"] + flow["trials_used"],
+        })
     return summary
 
 
@@ -551,25 +550,21 @@ def run_wide_vs_narrow(cfg: CampaignConfig, out_dir=None) -> dict:
     # while each still covers (almost all of) its own instruction cycle.
     narrow_combo = [(first_cycle * K, K - 1), (1, K - 1)]
 
-    blocks: list[TrialBlock] = []
-    table: dict[str, dict[str, float]] = {}
-    for row, combo, step_id in (("wide", wide_combo, STEP_WIDE),
-                                ("narrow", narrow_combo, STEP_NARROW)):
-        block = run_trials(scenario, combo, cfg.trials, ctx, row,
-                           mix64(cfg.master_seed, step_id))
-        blocks.append(block)
-        counts = _distribution(block, earlier)
-        table[row] = {col: counts[col] / cfg.trials for col in DISTRIBUTION_COLUMNS}
-
-    summary = _base_summary(cfg, "wide-vs-narrow", scenario)
-    summary.update({
-        "columns": list(DISTRIBUTION_COLUMNS),
-        "distributions": table,
-        "combos": echo({"wide": wide_combo, "narrow": narrow_combo}),
-        "trials_per_row": cfg.trials,
-        "total_trials": 2 * cfg.trials,
-    })
-    _persist(out_dir, blocks, summary)
+    with _campaign(cfg, "wide-vs-narrow", scenario, out_dir, []) as (summary, blocks):
+        table: dict[str, dict[str, float]] = {}
+        for row, combo, step_id in (("wide", wide_combo, STEP_WIDE),
+                                    ("narrow", narrow_combo, STEP_NARROW)):
+            block = run_trials(scenario, combo, cfg.trials, ctx, row,
+                               mix64(cfg.master_seed, step_id))
+            blocks.append(block)
+            counts = _distribution(block, earlier)
+            table[row] = {col: counts[col] / cfg.trials for col in DISTRIBUTION_COLUMNS}
+        summary.update({
+            "columns": list(DISTRIBUTION_COLUMNS),
+            "distributions": table,
+            "combos": echo({"wide": wide_combo, "narrow": narrow_combo}),
+            "trials_per_row": cfg.trials,
+        })
     return summary
 
 
@@ -595,24 +590,21 @@ def run_countermeasure_eval(cfg: CampaignConfig, max_delay_cycles: int,
     except ValueError as exc:  # a stall bound the scenario refuses
         raise ConfigError(str(exc)) from exc
 
-    base = run_trials(baseline_scenario, combo, cfg.trials, ctx, "baseline", step_seed)
-    delayed = run_trials(delayed_scenario, combo, cfg.trials, ctx, "delayed", step_seed)
+    with _campaign(cfg, "countermeasure", scenario, out_dir, []) as (summary, blocks):
+        base = run_trials(baseline_scenario, combo, cfg.trials, ctx, "baseline", step_seed)
+        delayed = run_trials(delayed_scenario, combo, cfg.trials, ctx, "delayed", step_seed)
+        blocks += base, delayed
 
-    rate_base = base.successes / cfg.trials
-    rate_delayed = delayed.successes / cfg.trials
-    factor = rate_base / rate_delayed if rate_delayed else None
-
-    summary = _base_summary(cfg, "countermeasure", scenario)
-    summary.update({
-        "combo": echo(combo),
-        "max_delay_cycles": max_delay_cycles,
-        "trials_per_arm": cfg.trials,
-        "baseline_rate": rate_base,
-        "delayed_rate": rate_delayed,
-        "degradation_factor": factor,
-        "total_trials": len(base) + len(delayed),
-    })
-    _persist(out_dir, [base, delayed], summary)
+        rate_base = base.successes / cfg.trials
+        rate_delayed = delayed.successes / cfg.trials
+        summary.update({
+            "combo": echo(combo),
+            "max_delay_cycles": max_delay_cycles,
+            "trials_per_arm": cfg.trials,
+            "baseline_rate": rate_base,
+            "delayed_rate": rate_delayed,
+            "degradation_factor": rate_base / rate_delayed if rate_delayed else None,
+        })
     return summary
 
 
@@ -648,26 +640,24 @@ def run_bod_eval(cfg: CampaignConfig, out_dir=None) -> dict:
     wide_windows, split_windows = fire("wide", BOD_WIDE_NS), fire("split", BOD_SPLIT_NS)
 
     period = cfg.bod.sample_period
-    phases = []
-    for phase in range(period):
-        bod = replace(cfg.bod, sample_phase=phase)
-        phases.append({
-            "phase": phase,
-            "wide_detected": bod.detects(wide_windows),
-            "split_detected": bod.detects(split_windows),
+    with _campaign(cfg, "bod", None, out_dir, None) as (summary, _):
+        phases = []
+        for phase in range(period):
+            bod = replace(cfg.bod, sample_phase=phase)
+            phases.append({
+                "phase": phase,
+                "wide_detected": bod.detects(wide_windows),
+                "split_detected": bod.detects(split_windows),
+            })
+        summary.update({
+            "sample_period": period,
+            "enabled": cfg.bod.enabled,
+            "wide_windows": echo(wide_windows),
+            "split_windows": echo(split_windows),
+            "phases": phases,
+            "wide_detection_rate": sum(p["wide_detected"] for p in phases) / period,
+            "split_detection_rate": sum(p["split_detected"] for p in phases) / period,
+            "split_evading_phases": [p["phase"] for p in phases
+                                     if not p["split_detected"]],
         })
-
-    n = len(phases)
-    summary = _base_summary(cfg, "bod")
-    summary.update({
-        "sample_period": period,
-        "enabled": cfg.bod.enabled,
-        "wide_windows": echo(wide_windows),
-        "split_windows": echo(split_windows),
-        "phases": phases,
-        "wide_detection_rate": sum(p["wide_detected"] for p in phases) / n,
-        "split_detection_rate": sum(p["split_detected"] for p in phases) / n,
-        "split_evading_phases": [p["phase"] for p in phases if not p["split_detected"]],
-    })
-    _persist(out_dir, None, summary)
     return summary

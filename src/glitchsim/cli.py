@@ -24,7 +24,8 @@ def _add_common(parser: argparse.ArgumentParser, command: str):
     reads; an override left unset is absent from the parsed arguments."""
     parser.add_argument("--config", required=True, help="campaign config JSON file")
     parser.add_argument("--out", default=None,
-                        help="output directory for results.jsonl / summary.json / report.csv")
+                        help="output directory for summary.json, and results.jsonl and "
+                             "report.csv where the campaign keeps its trials")
     if command != "bod":  # the detector sweep draws nothing
         parser.add_argument("--seed", dest="master_seed", type=int, default=argparse.SUPPRESS,
                             help="override the config's master seed")

@@ -2,8 +2,10 @@
 bound, the draws, the trial blocks and their prefix counts, the
 ranking's tie-break, the results.jsonl reader, the JSON reader and the
 JSON writer, the chain's merge and its range checks (a zero width, a
-negative offset), the sweep's pick (narrowest, then earliest), and the
-sweep's and the transfer's refusals.
+negative offset), the sweep's pick (narrowest, then earliest), the
+sweep's and the transfer's refusals, and the campaign frame (a refused
+input persisted, a failed step's trials dropped from ``total_trials`` or
+the earlier steps' trials from the trial files).
 
 Each mutant is a set of exact text replacements in a copy of ``src/``
 (each replaced text must occur exactly once).  The test files of the
@@ -159,6 +161,23 @@ MUTANTS = {
     "reader takes labels on any kind": (
         "campaign.py", [('("labels" in outcome) != partial or ', "")],
         PERSISTENCE_TESTS),
+    "campaign frame persists a refused input": (
+        "campaign.py", [("from .errors import ConfigError, SearchFailed,",
+                         "from .errors import ConfigError, GlitchSimError, SearchFailed,"),
+                        ("except SearchFailed as exc:\n        summary[",
+                         "except GlitchSimError as exc:\n        summary["),
+                        ('summary["error"] = exc.summary',
+                         'summary["error"] = getattr(exc, "summary", None)'),
+                        ("or ())) + exc.trials_used",
+                         'or ())) + getattr(exc, "trials_used", 0)')],
+        ("tests/test_campaign.py",)),
+    "campaign frame drops the failed step's trials": (
+        "campaign.py", [("or ())) + exc.trials_used", "or ()))")],
+        ("tests/test_campaign.py",)),
+    "campaign frame persists no trial file on a failed step": (
+        "campaign.py", [("_persist(out_dir, blocks, summary)\n        raise",
+                         "_persist(out_dir, None, summary)\n        raise")],
+        ("tests/test_campaign.py",)),
     "parse skips unknown keys": (
         "errors.py", [('raise ValueError(f"unknown entry', 'continue  # (f"unknown entry')],
         PARSE_TESTS),

@@ -14,7 +14,7 @@ from glitchsim.campaign import (MODEL_PRESETS, CampaignConfig, SearchConfig,
                                 run_countermeasure_eval, run_exhaustive,
                                 run_sweep_only, run_wide_vs_narrow)
 from glitchsim.dut import BodModel, Effect, FaultResponseModel, Instruction
-from glitchsim.errors import ConfigError, IncompleteSweep, SearchFailed, echo
+from glitchsim.errors import ConfigError, IncompleteSweep, NotFound, SearchFailed, echo
 from glitchsim.scenarios import (SCENARIO_PRESETS, ScenarioSpec, Target, dup_registers,
                                  load_scenario, save_scenario, successive_shifts)
 from glitchsim.search import MAX_FAULTS
@@ -580,3 +580,101 @@ class TestHelpers:
         sw = run_sweep_only(cfg, tmp_path / "sw")
         assert set(sw["absolute_params"]) == {"FIRST", "SECOND"}
         assert (tmp_path / "sw" / "results.jsonl").exists()
+
+
+def _many_targets(tmp_path, n: int) -> str:
+    """A scenario file of ``n`` one-cycle targets on consecutive cycles."""
+    stream = [Instruction(c, Effect.STORE_SAU_CTRL) for c in range(n)]
+    targets = [Target(f"T{c}", (c,)) for c in range(n)]
+    save_scenario(ScenarioSpec("many", stream, targets, cooperative=True),
+                  tmp_path / "many.json")
+    return str(tmp_path / "many.json")
+
+
+BOD_CONFIG = CampaignConfig(scenario="bod_scenario",
+                            bod=BodModel(enabled=True, sample_period=8))
+SHIFT_CONFIG = CampaignConfig(scenario="successive_shifts", model=shift_model(), trials=100)
+
+# Every campaign on a small input -> whether it keeps trial files.
+CAMPAIGNS = {
+    "flow": (lambda out: run_attack_flow(dup_config(), out), True),
+    "sweep": (lambda out: run_sweep_only(dup_config(), out), True),
+    "exhaustive": (lambda out: run_exhaustive(dup_config(), out), False),
+    "compare": (lambda out: run_comparison(dup_config(), out), False),
+    "wide-vs-narrow": (lambda out: run_wide_vs_narrow(SHIFT_CONFIG, out), True),
+    "countermeasure": (lambda out: run_countermeasure_eval(dup_config(trials=100), 3, out),
+                       True),
+    "bod": (lambda out: run_bod_eval(BOD_CONFIG, out), False),
+}
+
+# Every campaign on an input it refuses, some only after a step has begun.
+REFUSED = {
+    # The twin is non-cooperative too: its sweep refuses it.
+    "flow": lambda tmp_path, out: run_attack_flow(dup_config(
+        scenario="dup_registers_noncoop", transfer_source="dup_registers_noncoop"), out),
+    "sweep": lambda tmp_path, out: run_sweep_only(
+        dup_config(scenario="dup_registers_noncoop"), out),
+    # One fault per target is past the bound, checked as the walk starts.
+    "exhaustive": lambda tmp_path, out: run_exhaustive(
+        dup_config(scenario=_many_targets(tmp_path, MAX_FAULTS + 1)), out),
+    "compare": lambda tmp_path, out: run_comparison(
+        dup_config(scenario="dup_registers_noncoop", search=SearchConfig(n_faults=2)), out),
+    "wide-vs-narrow": lambda tmp_path, out: run_wide_vs_narrow(dup_config(), out),
+    "countermeasure": lambda tmp_path, out: run_countermeasure_eval(dup_config(), -1, out),
+    "bod": lambda tmp_path, out: run_bod_eval(dup_config(), out),
+}
+
+TRIAL_FILES = {"results.jsonl", "report.csv", "summary.json"}
+
+
+class TestCampaignFrame:
+    """What every campaign persists: summary.json, which is the summary it
+    returns, and the trial files of the campaigns that keep its trials.  A
+    failed search persists the trials of the steps before the failed one
+    and counts the failed step's own in total_trials; a refused input
+    writes nothing."""
+
+    @pytest.mark.parametrize("operation", sorted(CAMPAIGNS))
+    def test_files_hold_the_returned_summary(self, tmp_path, operation):
+        run, keeps_trials = CAMPAIGNS[operation]
+        summary = run(tmp_path)
+        assert summary["operation"] == operation
+        assert {p.name for p in tmp_path.iterdir()} == (
+            TRIAL_FILES if keeps_trials else {"summary.json"})
+        assert json.loads((tmp_path / "summary.json").read_text()) == summary
+        if keeps_trials:
+            lines = (tmp_path / "results.jsonl").read_text().splitlines()
+            _, *rows = (tmp_path / "report.csv").read_text().splitlines()
+            assert len(lines) == len(rows) == summary["total_trials"] > 0
+
+    def test_failed_sweep_persists_no_trial_and_counts_its_own(self, tmp_path):
+        # Both targets lie beyond the grid: two passes of 5 trials miss them.
+        cfg = dup_config(search=SearchConfig(offset_min=0, offset_max=5,
+                                             width_set=(1,), pass_budget=2))
+        with pytest.raises(IncompleteSweep):
+            run_sweep_only(cfg, tmp_path)
+        assert {p.name for p in tmp_path.iterdir()} == TRIAL_FILES
+        assert (tmp_path / "results.jsonl").read_text() == ""
+        assert (tmp_path / "report.csv").read_text().splitlines() == [
+            ",".join(campaign.REPORT_COLUMNS)]
+        stored = json.loads((tmp_path / "summary.json").read_text())
+        assert stored["error"] == {"kind": "incomplete_sweep", "trials_used": 10,
+                                   "missing": ["FIRST", "SECOND"]}
+        assert stored["total_trials"] == 10
+
+    def test_failed_exhaustive_persists_its_summary_alone(self, tmp_path):
+        cfg = dup_config(search=SearchConfig(offset_min=0, offset_max=100, width_set=(1,),
+                                             exhaustive_budget=10))
+        with pytest.raises(NotFound):
+            run_exhaustive(cfg, tmp_path)
+        assert [p.name for p in tmp_path.iterdir()] == ["summary.json"]
+        stored = json.loads((tmp_path / "summary.json").read_text())
+        assert stored["error"] == {"kind": "not_found", "trials_used": 10}
+        assert stored["total_trials"] == 10
+        assert stored["operation"] == "exhaustive"
+
+    @pytest.mark.parametrize("operation", sorted(REFUSED))
+    def test_refused_input_writes_nothing(self, tmp_path, operation):
+        with pytest.raises(ConfigError):
+            REFUSED[operation](tmp_path, tmp_path / "run")
+        assert not (tmp_path / "run").exists()
