@@ -32,7 +32,7 @@ import json
 from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from itertools import chain, count, groupby, islice
+from itertools import chain, count, groupby
 from operator import itemgetter
 from pathlib import Path
 from typing import Optional
@@ -42,7 +42,7 @@ from .chain import simulate_chain
 from .dut import BodModel, FaultResponseModel
 from .errors import ConfigError, SearchFailed, echo, parse
 from .scenarios import Outcome, ScenarioSpec, load_scenario
-from .search import (RelSpec, SearchConfig, SimContext, TrialBlock,
+from .search import (RelSpec, SearchConfig, SimContext, TrialBlock, _code_array,
                      check_transfer, evaluate_repeatability, exhaustive_search,
                      fuzzyfy, integrate, run_trials, sweep, transfer_parameters,
                      translate_to_relative)
@@ -169,10 +169,10 @@ def _runs(blocks: list[TrialBlock], build):
     trial = 0
     for block in blocks:
         values = [build(block.step, block.combo, *verdict) for verdict in block.table]
-        seeds, codes = block.seeds(), iter(block.code_column())
-        for start in range(0, block.n, _LINES):
+        seeds, codes = block.seeds(), block.codes
+        for start in range(0, len(codes), _LINES):
             run = seeds[start:start + _LINES]
-            yield zip(count(trial), run, map(values.__getitem__, islice(codes, len(run))))
+            yield zip(count(trial), run, map(values.__getitem__, codes[start:start + _LINES]))
             trial += len(run)
 
 
@@ -202,21 +202,22 @@ def write_results(blocks: list[TrialBlock], path) -> None:
 
 def _trial(line: dict):
     """The ((step, combo), verdict, seed) of a trial's parsed line.  A
-    missing key, a wrong type, a seed outside [0, 2**64) or a line that
-    write_results never writes raises: the combo is a non-empty list of
-    [int, int] pairs, and labels, non-empty and strictly ascending, come
-    with a partial hit alone."""
+    missing or unknown key, a wrong type, a negative trial, a seed outside
+    [0, 2**64) or a line that write_results never writes raises: the combo
+    is a non-empty list of [int, int] pairs, and labels, non-empty and
+    strictly ascending, come with a partial hit alone."""
     step, outcome, hits, seed = line["step"], line["outcome"], line["hits"], line["seed"]
-    combo, partial = line["combo"], outcome["kind"] == "partial_hit"
+    combo, partial, trial = line["combo"], outcome["kind"] == "partial_hit", line["trial"]
     labels = outcome["labels"] if partial else []
-    ints = (line["trial"], seed, *chain.from_iterable(combo))
-    if (not isinstance(step, str) or not combo or any(len(s) != 2 for s in combo)
+    ints = (trial, seed, *chain.from_iterable(combo))
+    if (len(line) != 6 or len(outcome) != 1 + partial  # a key write_results never writes
+            or not isinstance(step, str) or not combo or any(len(s) != 2 for s in combo)
             or not all(type(v) is int for v in ints)  # JSON true is no int
             or not isinstance(hits, list) or not all(isinstance(h, bool) for h in hits)
-            or ("labels" in outcome) != partial or partial and not labels
+            or partial and not labels
             or not all(isinstance(x, str) for x in labels)
             or labels != sorted(set(labels))  # a list, strictly ascending
-            or seed >> 64):
+            or trial < 0 or seed >> 64):
         raise ValueError(f"a field of {line!r} has a wrong type or value")
     verdict = Outcome(outcome["kind"], labels), tuple(hits)
     return (step, tuple(map(tuple, combo))), verdict, seed
@@ -247,11 +248,14 @@ def read_results(path) -> list[TrialBlock]:
     holding the seeds it read; ConfigError names a bad file or line."""
     blocks = []
     for (step, combo), run in groupby(_trials(path), itemgetter(0)):
-        verdicts, codes, seeds = {}, array("Q"), array("Q")
+        verdicts, codes, seeds = {}, array("B"), array("Q")
         for _, verdict, seed in run:
-            codes.append(verdicts.setdefault(verdict, len(verdicts)))
+            if (code := verdicts.get(verdict)) is None:
+                code = verdicts[verdict] = len(verdicts)
+                codes = _code_array(codes, len(verdicts))
+            codes.append(code)
             seeds.append(seed)
-        blocks.append(TrialBlock(step, combo, 0, 0, len(seeds), list(verdicts), codes, seeds))
+        blocks.append(TrialBlock(step, combo, 0, 0, list(verdicts), codes, seeds))
     return blocks
 
 

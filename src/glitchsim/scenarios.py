@@ -163,14 +163,10 @@ def classify(scenario: ScenarioSpec, raw: RawTrialResult) -> Verdict:
 # Builtin scenario factories
 # ---------------------------------------------------------------------------
 
-def _stream(entries) -> tuple[Instruction, ...]:
-    return tuple(Instruction(cycle, effect) for cycle, effect in entries)
-
-
 def _filled(effect_at: dict[int, Effect], last_cycle: int) -> tuple[Instruction, ...]:
     """Dense one-instruction-per-cycle stream, Delay everywhere else."""
-    entries = [(c, effect_at.get(c, Effect.DELAY)) for c in range(last_cycle + 1)]
-    return _stream(entries)
+    return tuple(Instruction(c, effect_at.get(c, Effect.DELAY))
+                 for c in range(last_cycle + 1))
 
 
 def dup_registers(delay1: int, delay2: int, cooperative: bool = True,
@@ -281,18 +277,10 @@ def tzm_attack(cooperative: bool = True, boot_cycles: int = 0,
 def bod_region() -> ScenarioSpec:
     """Single critical region used by the brown-out-detector studies."""
     region = (1, 2, 3, 4)
-    entries = [(0, Effect.PLAIN)]
-    entries += [(c, Effect.STORE_AHB_ORIGINAL) for c in region]
-    entries += [(region[-1] + 1, Effect.DELAY), (region[-1] + 2, Effect.DELAY)]
-    instructions = _stream(entries)
-    targets = (Target("REGION", region),)
-    return ScenarioSpec(
-        name="bod_scenario",
-        instructions=instructions,
-        targets=targets,
-        cooperative=True,
-        trigger_cycle=0,
-    )
+    instructions = _filled(
+        {0: Effect.PLAIN, **dict.fromkeys(region, Effect.STORE_AHB_ORIGINAL)}, region[-1] + 2)
+    return ScenarioSpec(name="bod_scenario", instructions=instructions,
+                        targets=(Target("REGION", region),), cooperative=True)
 
 
 SCENARIO_PRESETS: dict[str, Callable[[], ScenarioSpec]] = {

@@ -15,7 +15,7 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .chain import chain_windows, simulate_chain
 # apply_random_delays and execute_trial stay bound for bench/run.py, which
@@ -123,46 +123,47 @@ class TrialRecord:
     seed: int
 
 
+def _code_array(codes, size: int) -> array:
+    """``codes`` as an array holding ``size - 1``: itself if it does, else the narrowest."""
+    if isinstance(codes, array) and size <= 256 ** codes.itemsize:
+        return codes
+    return (array("B", bytes(codes)) if size <= 1 << 8  # bytes() converts at C speed
+            else array("H" if size <= 1 << 16 else "Q", codes))
+
+
 @dataclass(eq=False)
 class TrialBlock:
-    """``n`` trials of one combo in one step, stored as columns.
+    """Trials of one combo in one step, stored as columns.
 
     Trial ``first + k`` has the verdict ``table[codes[k]]`` and the seed
     ``mix64(step_seed, first + k)``, derived in lanes when first read, or
-    as read from a file.  ``codes`` is one int when every trial has the
-    same verdict, else an ``array("Q")``.  Iterating a block yields its
-    trials as records.
+    as read from a file.  ``codes``, one per trial, is an array of the
+    narrowest typecode that holds ``len(table) - 1``: a byte for up to
+    256 verdicts.  Iterating a block yields its trials as records.
     """
 
     step: str
     combo: tuple[RelSpec, ...]
     step_seed: int
     first: int
-    n: int
     table: list[Verdict]
-    codes: Union[int, array]
+    codes: array
     _seeds: Optional[array] = field(default=None, repr=False)
 
     def __len__(self) -> int:
-        return self.n
-
-    def code_column(self):
-        """The code of every trial, in order."""
-        if isinstance(self.codes, int):
-            return itertools.repeat(self.codes, self.n)
-        return self.codes
+        return len(self.codes)
 
     def seeds(self) -> array:
         """The seed of every trial, in order."""
         if self._seeds is None:
-            self._seeds = seed_column(self.step_seed, self.first, self.n)
+            self._seeds = seed_column(self.step_seed, self.first, len(self.codes))
         return self._seeds
 
     @cached_property
     def counts(self) -> dict[Verdict, int]:
         """The number of trials of each verdict that occurs."""
-        if isinstance(self.codes, int):
-            return {self.table[self.codes]: self.n} if self.n else {}
+        if len(self.table) == 1 and self.codes:  # every trial has code 0
+            return {self.table[0]: len(self.codes)}
         return {self.table[code]: k for code, k in Counter(self.codes).items()}
 
     @property
@@ -182,7 +183,7 @@ class TrialBlock:
         return tuple(counts)
 
     def __iter__(self):
-        for seed, code in zip(self.seeds(), self.code_column()):
+        for seed, code in zip(self.seeds(), self.codes):
             yield TrialRecord(self.step, self.combo, *self.table[code], seed)
 
 
@@ -220,8 +221,11 @@ class ExhaustiveResult:
 
 @dataclass
 class IntegrateResult(_Trials):
-    combos: list[TrialBlock]  # the blocks with a success
     blocks: list[TrialBlock]
+
+    @property
+    def combos(self) -> list[TrialBlock]:  # the blocks with a success
+        return [block for block in self.blocks if block.successes]
 
 
 @dataclass
@@ -273,7 +277,7 @@ def run_trials(scenario: ScenarioSpec, combo: Sequence[RelSpec], n: int,
 
     The windows are the same in every trial, so they are compiled once
     per stall vector.  Without stalls, a plan that holds its result makes
-    the block one constant code and runs no trial; otherwise the block's
+    the block one repeated code and runs no trial; otherwise the block's
     draw keys are made in lanes, and as a trial's result is a function of
     its key, ``decode`` runs once per distinct key.  With stalls, the
     stall vectors are made in lanes, ``LANES`` trials at a time; a vector
@@ -301,15 +305,17 @@ def run_trials(scenario: ScenarioSpec, combo: Sequence[RelSpec], n: int,
             memo[key] = code_of(decode(plan, key))
 
     if not scenario.random_delay_max:
-        codes = entry(())
-        if not isinstance(codes, int):
-            plan, memo = codes
+        fixed = entry(())
+        if isinstance(fixed, int):
+            codes = _code_array((fixed,), len(verdicts)) * n
+        else:
+            plan, memo = fixed
             keys = draw_key_column(step_seed, first, n, plan.draws)
             learn(plan, memo, keys)
-            codes = array("Q", map(memo.__getitem__, keys))
+            codes = _code_array(map(memo.__getitem__, keys), len(verdicts))
     else:
         by_stalls: dict = {}  # stall vector -> entry(stall vector)
-        codes = array("Q")
+        codes = array("B")
         for start in range(first, first + n, LANES):
             size = min(LANES, first + n - start)
             vectors = stall_vectors(scenario, step_seed, start, size)
@@ -325,8 +331,9 @@ def run_trials(scenario: ScenarioSpec, combo: Sequence[RelSpec], n: int,
                         key = draw_key(seed, plan.draws)
                         learn(plan, memo, (key,))
                         column[i] = memo[key]
-            codes.extend(column)
-    return TrialBlock(step, combo, step_seed, first, n, list(verdicts), codes)
+            codes = _code_array(codes, len(verdicts))
+            codes += _code_array(column, len(verdicts))
+    return TrialBlock(step, combo, step_seed, first, list(verdicts), codes)
 
 
 # ---------------------------------------------------------------------------
@@ -424,12 +431,12 @@ def integrate(scenario: ScenarioSpec, fuzzy: Sequence[FuzzyInterval],
         [(o, f.width) for o in range(f.lo, f.hi + 1, config.fuzzy_stride)]
         for f in fuzzy
     ]
-    blocks = [run_trials(scenario, combo, n, ctx, "integrate", seed, first=i * n)
-              for i, combo in enumerate(itertools.product(*axes))]
-    combos = [block for block in blocks if block.successes]
-    if not combos:
-        raise NoIntegratedSuccess(sum(map(len, blocks)))
-    return IntegrateResult(combos=combos, blocks=blocks)
+    result = IntegrateResult([
+        run_trials(scenario, combo, n, ctx, "integrate", seed, first=i * n)
+        for i, combo in enumerate(itertools.product(*axes))])
+    if not result.combos:
+        raise NoIntegratedSuccess(result.trials_used)
+    return result
 
 
 # ---------------------------------------------------------------------------

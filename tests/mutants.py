@@ -1,5 +1,6 @@
 """Mutation gate on the trial kernel, the exhaustive walk and its fault
-bound, the draws, the trial blocks and their prefix counts, the
+bound, the draws, the trial blocks (their verdict table, their code
+column's widening, their one-verdict counts and their prefix counts), the
 ranking's tie-break, the results.jsonl reader, the JSON reader and the
 JSON writer, the chain's merge and its range checks (a zero width, a
 negative offset), the sweep's pick (narrowest, then earliest), the
@@ -19,7 +20,8 @@ print in ``MUTANTS`` order.
 Usage: python tests/mutants.py [NAME ...]  (every mutant by default)
 Exit status 0 when every mutant run is killed, 1 when one survives, 2
 when the unmutated tests fail or a mutant's run ends in neither a pass
-nor a test failure (a collection error, say).  pytest does not collect
+nor a test failure (a collection error, or a replaced text that does
+not occur exactly once, say).  pytest does not collect
 this file; CI runs it after tier-1.
 """
 
@@ -130,11 +132,15 @@ MUTANTS = {
                        "        if self.n_faults and n > MAX_FAULTS:")],
         ("tests/test_campaign.py",)),
     "block table with two verdicts swapped": (
-        "search.py", [("first, n, list(verdicts), codes)",
-                       "first, n, [*list(verdicts)[1::-1], *list(verdicts)[2:]], codes)")],
+        "search.py", [("first, list(verdicts), codes)",
+                       "first, [*list(verdicts)[1::-1], *list(verdicts)[2:]], codes)")],
         BLOCK_TESTS),
     "code column of bytes": (
-        "search.py", [('array("Q", map(', 'array("B", map(')],
+        "search.py", [('array("H" if size <= 1 << 16 else "Q", codes)', 'array("B", codes)')],
+        BLOCK_TESTS),
+    "one-verdict counts of an empty block": (
+        "search.py", [("if len(self.table) == 1 and self.codes:",
+                       "if len(self.table) == 1:")],
         BLOCK_TESTS),
     "prefix count past a missed target": (
         "search.py", [("                    break\n                counts[k] += n",
@@ -159,7 +165,11 @@ MUTANTS = {
         "campaign.py", [("            or not all(isinstance(x, str) for x in labels)\n", "")],
         PERSISTENCE_TESTS),
     "reader takes labels on any kind": (
-        "campaign.py", [('("labels" in outcome) != partial or ', "")],
+        "campaign.py", [("len(outcome) != 1 + partial",
+                         'len(outcome) != 1 + ("labels" in outcome)')],
+        PERSISTENCE_TESTS),
+    "reader takes an unknown key": (
+        "campaign.py", [("len(line) != 6 or ", "len(line) < 6 or ")],
         PERSISTENCE_TESTS),
     "campaign frame persists a refused input": (
         "campaign.py", [("from .errors import ConfigError, SearchFailed,",
@@ -229,16 +239,18 @@ EQUIVALENT = {
 
 def run(path: str, edits, tests) -> tuple[int, float]:
     """(pytest exit status, seconds) of ``tests`` on a copy of src/ with
-    ``edits`` made to ``path``: 0 when they pass, 1 when a test fails."""
+    ``edits`` made to ``path``: 0 when they pass, 1 when a test fails,
+    and (2, 0.0), with no run, when an edit's text is not there once."""
     with tempfile.TemporaryDirectory() as tmp:
         src = Path(tmp, "src")
         shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
         target = src / "glitchsim" / path
         text = target.read_text()
         for old, new in edits:
-            if text.count(old) != 1:
-                sys.exit(f"mutants: {old!r} occurs {text.count(old)} times "
-                         f"in {path}, not once")
+            if text.count(old) != 1:  # a stale mutant: its run is broken
+                print(f"mutants: {old!r} occurs {text.count(old)} times "
+                      f"in {path}, not once", file=sys.stderr, flush=True)
+                return 2, 0.0
             text = text.replace(old, new)
         target.write_text(text)
         env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")

@@ -201,6 +201,12 @@ class TestReadResults:
         (block,) = read_results(path)
         assert list(block.seeds()) == [2**64 - 1, 0, 5]
 
+    def test_read_column_is_narrowed(self, tmp_path):
+        """A read block's codes take a byte a trial, as a run block's do."""
+        for block in escaped_read(tmp_path):
+            assert block.codes.typecode == "B"
+            assert sorted(set(block.codes)) == list(range(len(block.table)))
+
     @pytest.mark.parametrize("line", [
         "not json",
         '{"trial": 0}',
@@ -248,7 +254,14 @@ class TestReadResults:
               ("partial_hit_with_empty_labels", '{"kind": "partial_hit", "labels": []}'),
               ("labels_descending", '{"kind": "partial_hit", "labels": ["B", "A"]}'),
               ("labels_repeated", '{"kind": "partial_hit", "labels": ["A", "A"]}'),
-              ("labels_not_strings", '{"kind": "partial_hit", "labels": [1]}'))),
+              ("labels_not_strings", '{"kind": "partial_hit", "labels": [1]}'),
+              ("unknown_outcome_key", '{"kind": "success", "x": 1}'))),
+        pytest.param('{"trial": 0, "step": "final", "combo": [[1, 2]], '
+                     '"outcome": {"kind": "success"}, "hits": [true], "seed": 5, "foo": 1}',
+                     id="unknown_key"),
+        pytest.param('{"trial": -1, "step": "final", "combo": [[1, 2]], '
+                     '"outcome": {"kind": "success"}, "hits": [true], "seed": 5}',
+                     id="negative_trial"),
     ])
     def test_bad_line_names_file_and_line(self, line, tmp_path, capsys):
         """read_results raises on the line, and ``glitchsim report`` exits 2

@@ -1,5 +1,6 @@
 import itertools
 import json
+from array import array
 from collections import Counter
 from dataclasses import replace
 
@@ -10,7 +11,8 @@ from glitchsim import search
 from glitchsim.calibration import (deterministic_model, dup_register_model,
                                    shift_model)
 from glitchsim.campaign import (DISTRIBUTION_COLUMNS, MODEL_PRESETS, _distribution,
-                                _shift_column, nominal_combo)
+                                _shift_column, nominal_combo, read_results,
+                                results_to_report, write_results)
 from glitchsim.chain import chain_windows, simulate_chain
 from glitchsim.dut import (BodModel, FaultResponseModel, RawTrialResult,
                            apply_random_delays, run_plan, shift_by,
@@ -1019,10 +1021,13 @@ class TestTrialBlock:
             assert (rec.step, rec.combo, rec.seed) == ("b", combo, seed), index
             assert (rec.outcome, rec.hits) == (outcome, hits), index
 
-        # The column is one constant code exactly when no trial can draw.
+        # These tables hold at most 256 verdicts, so a byte a trial holds
+        # their codes; the column is one repeated code when no trial can draw.
+        assert len(block.table) <= 256 and block.codes.typecode == "B"
         windows, _ = simulate_chain(combo, scen.trigger_cycle * K)
         fixed = trial_plan(scen, windows, ctx.domains, model, bod).fixed is not None
-        assert isinstance(block.codes, int) == (fixed and not stalls)
+        if fixed and not stalls:
+            assert len(block.table) == 1 and block.codes == array("B", bytes(n))
         assert len(set(block.table)) == len(block.table)
 
         verdicts = Counter((r.outcome, r.hits) for r in records)
@@ -1056,6 +1061,26 @@ class TestTrialBlock:
             assert (rec.seed, rec.outcome, rec.hits) == (mix64(13, index), outcome, hits)
         assert len(block.counts) > 1
 
+    @pytest.mark.parametrize("model, max_delay, table_size", [
+        (deterministic_model(), 0, 1),
+        (dup_register_model(), 0, 0),
+        (deterministic_model(), 9, 0),
+    ], ids=["fixed", "drawing", "stalls"])
+    def test_empty_block(self, model, max_delay, table_size, tmp_path):
+        """A block of no trial counts no verdict and writes no line, even
+        where its plan holds a result and the table has its verdict."""
+        scen = replace(dup_registers(7, 43), random_delay_max=max_delay)
+        ctx = SimContext(DOM20, model)
+        block = run_trials(scen, tuple(nominal_combo(scen, DOM20)), 0, ctx, "e", 5)
+        assert len(block.table) == table_size
+        assert len(block) == 0 and list(block) == []
+        assert block.counts == {} and block.successes == 0
+        assert block.prefix_successes == ()
+        write_results([block], tmp_path / "results.jsonl")
+        assert (tmp_path / "results.jsonl").read_bytes() == b""
+        assert results_to_report([block], tmp_path / "report.csv") == 0
+        assert (tmp_path / "report.csv").read_text().count("\n") == 1  # the header
+
     def test_many_verdicts_widen_the_code_column(self, tmp_path):
         """Nine one-cycle targets under p_max_skip = 0.5 give up to 2**9
         verdicts, more than a byte of code holds."""
@@ -1072,8 +1097,12 @@ class TestTrialBlock:
         combo = ((1, 17),)
         block = run_trials(scen, combo, 3000, ctx, "many", 3)
         assert len(block.table) > 256
-        assert block.codes.typecode != "B"
+        assert block.codes.typecode == "H"
         for index, rec in enumerate(block):
             _, outcome, hits = _oracle_trial(scen, combo, ctx, mix64(3, index))
             assert (rec.outcome, rec.hits) == (outcome, hits), index
         assert block.counts == Counter((r.outcome, r.hits) for r in block)
+        # Read back, the column widens at its 257th verdict.
+        write_results([block], tmp_path / "results.jsonl")
+        (read,) = read_results(tmp_path / "results.jsonl")
+        assert read.codes.typecode == "H" and list(read) == list(block)
