@@ -26,13 +26,12 @@ from .campaign import (CampaignConfig, load_config, nominal_combo,
                        run_attack_flow, run_bod_eval, run_comparison,
                        run_countermeasure_eval, run_exhaustive, run_sweep_only,
                        run_wide_vs_narrow)
-from .scenarios import (Outcome, ScenarioSpec, Target, builtin_scenarios,
-                        classify, load_scenario, save_scenario)
+from .scenarios import (Outcome, ScenarioSpec, Target, classify, load_scenario,
+                        save_scenario)
 from .search import (FuzzyInterval, SearchConfig, SimContext, TrialBlock,
-                     accumulate_relative, evaluate_repeatability,
-                     exhaustive_search, fuzzyfy, integrate, run_chain_trial,
-                     run_trials, sweep, transfer_parameters,
-                     translate_to_relative)
+                     evaluate_repeatability, exhaustive_search, fuzzyfy,
+                     integrate, run_chain_trial, run_trials, sweep,
+                     transfer_parameters, translate_to_relative)
 from .seeding import mix64
 from .timing import ClockDomains, ticks_from_ns
 
@@ -43,8 +42,7 @@ __all__ = [
     "FaultResponseModel", "FuzzyInterval", "GlitchSimError", "IncompleteSweep",
     "Instruction", "NoIntegratedSuccess", "NotFound", "Outcome",
     "RawTrialResult", "ScenarioSpec", "SearchConfig", "SearchFailed",
-    "SimContext", "Target", "TrialBlock",
-    "accumulate_relative", "apply_random_delays", "builtin_scenarios",
+    "SimContext", "Target", "TrialBlock", "apply_random_delays",
     "classify", "deterministic_model", "dup_register_model",
     "evaluate_repeatability", "execute_trial", "exhaustive_search", "fuzzyfy",
     "integrate", "load_config", "load_scenario", "mix64", "nominal_combo",

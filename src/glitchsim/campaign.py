@@ -200,12 +200,13 @@ def write_results(blocks: list[TrialBlock], path) -> None:
                               for i, seed, (head, middle) in run]))
 
 
-def _trial(line: dict):
-    """The ((step, combo), verdict, seed) of a trial's parsed line.  A
-    missing or unknown key, a wrong type, a negative trial, a seed outside
-    [0, 2**64) or a line that write_results never writes raises: the combo
-    is a non-empty list of [int, int] pairs, and labels, non-empty and
-    strictly ascending, come with a partial hit alone."""
+def _trial(line: dict, position: int):
+    """The ((step, combo), verdict, seed) of the parsed line at ``position``
+    among a file's trials.  A missing or unknown key, a wrong type, a trial
+    that is not the position, a seed outside [0, 2**64) or a line that
+    write_results never writes raises: the combo is a non-empty list of
+    [int, int] pairs, and labels, non-empty and strictly ascending, come
+    with a partial hit alone."""
     step, outcome, hits, seed = line["step"], line["outcome"], line["hits"], line["seed"]
     combo, partial, trial = line["combo"], outcome["kind"] == "partial_hit", line["trial"]
     labels = outcome["labels"] if partial else []
@@ -217,7 +218,7 @@ def _trial(line: dict):
             or partial and not labels
             or not all(isinstance(x, str) for x in labels)
             or labels != sorted(set(labels))  # a list, strictly ascending
-            or trial < 0 or seed >> 64):
+            or trial != position or seed >> 64):
         raise ValueError(f"a field of {line!r} has a wrong type or value")
     verdict = Outcome(outcome["kind"], labels), tuple(hits)
     return (step, tuple(map(tuple, combo))), verdict, seed
@@ -231,14 +232,16 @@ def _trials(path):
     except OSError as exc:
         raise ConfigError(f"cannot read results file {path}: {exc}") from exc
     with fh:
+        position = 0  # among the non-blank lines
         for lineno, line in enumerate(fh, 1):
             if not line.strip():
                 continue
             try:
-                trial = _trial(json.loads(line))
+                trial = _trial(json.loads(line), position)
             except (ValueError, KeyError, TypeError, AttributeError, RecursionError) as exc:
                 raise ConfigError(f"{path} line {lineno} is not a trial "
                                   f"record: {exc!r}") from exc
+            position += 1
             yield trial
 
 

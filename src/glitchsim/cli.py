@@ -131,8 +131,6 @@ def main(argv=None) -> int:
             print(f"wide detection rate {summary['wide_detection_rate']:.3f}, "
                   f"split detection rate {summary['split_detection_rate']:.3f}, "
                   f"split-evading phases: {summary['split_evading_phases']}")
-        else:  # pragma: no cover - argparse enforces the choices
-            parser.error(f"unknown command {args.command!r}")
         return EXIT_OK
 
     except SearchFailed as exc:

@@ -299,10 +299,6 @@ SCENARIO_PRESETS: dict[str, Callable[[], ScenarioSpec]] = {
 }
 
 
-def builtin_scenarios() -> list[ScenarioSpec]:
-    return [factory() for factory in SCENARIO_PRESETS.values()]
-
-
 # ---------------------------------------------------------------------------
 # Scenario definition files (JSON, schema_version 1)
 # ---------------------------------------------------------------------------

@@ -20,9 +20,9 @@ from typing import Optional, Sequence
 from .chain import chain_windows, simulate_chain
 # apply_random_delays and execute_trial stay bound for bench/run.py, which
 # traces the trial layers here by name; trials run on the plan instead.
-from .dut import (BodModel, FaultResponseModel, apply_random_delays, decode,
-                  execute_trial, run_plan, shift_by, stall_vector, stall_vectors,
-                  stalled_cycles, trial_plan)
+from .dut import (BodModel, FaultResponseModel, RawTrialResult, apply_random_delays,
+                  decode, execute_trial, run_plan, shift_by, stall_vector,
+                  stall_vectors, stalled_cycles, trial_plan)
 from .errors import (ConfigError, IncompleteSweep, NoIntegratedSuccess,
                      NotFound, SearchFailed)
 from .scenarios import Outcome, ScenarioSpec, Verdict, classify
@@ -245,27 +245,26 @@ class RepeatabilityResult(_Trials):
 # Trial execution
 # ---------------------------------------------------------------------------
 
-def _cycles(scenario: ScenarioSpec, seed: int) -> tuple[int, ...]:
-    """Start cycles of the effectful instructions in the trial at ``seed``:
-    random stalls, drawn from the seed's stall slots, only move cycles."""
-    if not scenario.random_delay_max:
-        return scenario.effectful_cycles
-    return stalled_cycles(scenario, stall_vector(scenario, scenario.random_delay_max, seed))
-
-
 def _windows(scenario: ScenarioSpec, rel_specs: Sequence[RelSpec], ctx: SimContext):
     trigger_tick = scenario.trigger_cycle * ctx.domains.oversampling
     windows, _ = simulate_chain(rel_specs, trigger_tick)
     return windows
 
 
+def _run_trial(scenario: ScenarioSpec, windows, ctx: SimContext, seed: int) -> RawTrialResult:
+    """The trial of ``windows`` at ``seed``: random stalls, drawn from the
+    seed's stall slots, only move the cycles of the effectful instructions."""
+    cycles = (stalled_cycles(scenario, stall_vector(scenario, scenario.random_delay_max, seed))
+              if scenario.random_delay_max else scenario.effectful_cycles)
+    plan = trial_plan(scenario, windows, ctx.domains, ctx.model, ctx.bod, cycles)
+    return run_plan(plan, seed)
+
+
 def run_chain_trial(scenario: ScenarioSpec, rel_specs: Sequence[RelSpec],
                     ctx: SimContext, seed: int):
     """Fire the whole chain once; returns (raw, outcome, hits).  Random
     stalls, if any, are ``apply_random_delays``' draws for ``seed``."""
-    plan = trial_plan(scenario, _windows(scenario, rel_specs, ctx), ctx.domains,
-                      ctx.model, ctx.bod, _cycles(scenario, seed))
-    raw = run_plan(plan, seed)
+    raw = _run_trial(scenario, _windows(scenario, rel_specs, ctx), ctx, seed)
     return (raw, *classify(scenario, raw))
 
 
@@ -399,17 +398,6 @@ def translate_to_relative(absolute: Sequence[RelSpec]) -> list[RelSpec]:
     return out
 
 
-def accumulate_relative(relative: Sequence[RelSpec]) -> list[RelSpec]:
-    """Inverse of translate_to_relative: relative -> absolute."""
-    out: list[RelSpec] = []
-    cursor = 0
-    for r, w in relative:
-        start = cursor + r
-        out.append((start, w))
-        cursor = start + w
-    return out
-
-
 def fuzzyfy(relative: Sequence[RelSpec], psi: int) -> list[FuzzyInterval]:
     """Widen every relative offset to +-psi ticks; widths untouched."""
     if psi < 0:
@@ -448,9 +436,9 @@ def exhaustive_search(scenario: ScenarioSpec, config: SearchConfig, ctx: SimCont
     """Conventional baseline: walk the product of ``fault_count`` grids
     depth first in lexicographic order up to the first success, judging
     each combination by the overall SF only.  A combo that runs is trial
-    i, ``run_chain_trial`` of the i-th combo at seed ``mix64(seed, i)``;
-    the first success at trial i has used i + 1 trials.  With none in
-    ``exhaustive_budget`` trials, raises ``NotFound``.
+    i, ``run_chain_trial``'s trial step on the i-th combo at seed
+    ``mix64(seed, i)``; the first success at trial i has used i + 1
+    trials.  With none in ``exhaustive_budget`` trials, raises ``NotFound``.
 
     A target instruction's reach is every tick it can occupy: stalls
     only delay, so it runs from the start of its cycle to the end of its
@@ -474,13 +462,12 @@ def exhaustive_search(scenario: ScenarioSpec, config: SearchConfig, ctx: SimCont
     target_ticks = tuple((c * K, (latest(c) + 1) * K)
                          for t in scenario.targets for c in t.cycles)
     grid = config.grid
+    # Few raw results recur over many leaves: without this memo CI's stalled
+    # walk (tzm_randomized) ran 12 % slower on a 2-core x86-64, Python 3.11.
     succeeds: dict = {}  # raw result -> whether it is a success
     for index, combo, windows in _live_combos(grid, n_faults, budget, trigger_tick,
                                               target_ticks):
-        trial_seed = mix64(seed, index)
-        plan = trial_plan(scenario, windows, ctx.domains, ctx.model, ctx.bod,
-                          _cycles(scenario, trial_seed))
-        success = succeeds.get(raw := run_plan(plan, trial_seed))
+        success = succeeds.get(raw := _run_trial(scenario, windows, ctx, mix64(seed, index)))
         if success is None:
             success = succeeds[raw] = classify(scenario, raw)[0].is_success
         if success:

@@ -107,6 +107,9 @@ MUTANTS = {
         "search.py", [("if windows_needed(untouched) <= left:",
                        "if left or windows_needed(untouched) <= left:")],
         WALK_TESTS),
+    "walk seeds leaf i as i + 1": (
+        "search.py", [("mix64(seed, index)", "mix64(seed, index + 1)")],
+        ("tests/test_search.py::TestExhaustive",)),
     "draw fires at the threshold": (
         "seeding.py", [("if (x ^ (x >> 31)) >> 11 < threshold:",
                         "if (x ^ (x >> 31)) >> 11 <= threshold:")],
@@ -170,6 +173,9 @@ MUTANTS = {
         PERSISTENCE_TESTS),
     "reader takes an unknown key": (
         "campaign.py", [("len(line) != 6 or ", "len(line) < 6 or ")],
+        PERSISTENCE_TESTS),
+    "reader takes any trial number": (
+        "campaign.py", [("or trial != position or", "or trial < 0 or")],
         PERSISTENCE_TESTS),
     "campaign frame persists a refused input": (
         "campaign.py", [("from .errors import ConfigError, SearchFailed,",

@@ -19,11 +19,12 @@ from glitchsim.calibration import (NARROW_FAULT_DISTRIBUTION,
                                    WIDE_FAULT_DISTRIBUTION)
 from glitchsim.dut import BodModel
 from glitchsim.scenarios import load_scenario
-from glitchsim.search import (SimContext, accumulate_relative,
-                              evaluate_repeatability, sweep, translate_to_relative)
+from glitchsim.search import (SimContext, evaluate_repeatability, sweep,
+                              translate_to_relative)
 from glitchsim.timing import ClockDomains
 
 from test_chain import merge_windows  # pytest puts tests/ on sys.path
+from test_search import accumulate_relative
 
 
 def random_disjoint_windows(rng, max_len=6):

@@ -20,6 +20,8 @@ from glitchsim.scenarios import (SCENARIO_PRESETS, ScenarioSpec, Target, dup_reg
 from glitchsim.search import MAX_FAULTS
 from glitchsim.timing import ClockDomains
 
+from test_search import accumulate_relative  # pytest puts tests/ on sys.path
+
 DEMO_CONFIGS = sorted(Path(__file__).resolve().parent.parent.glob("demos/configs/*.json"))
 
 
@@ -555,7 +557,6 @@ class TestHelpers:
         dom = ClockDomains(20)
         combo = nominal_combo(scen, dom)
         # Reconstruct absolute windows and check each target is covered.
-        from glitchsim.search import accumulate_relative
         absolute = accumulate_relative(combo)
         covered = set()
         for a, w in absolute:

@@ -265,11 +265,11 @@ class TestReadResults:
     ])
     def test_bad_line_names_file_and_line(self, line, tmp_path, capsys):
         """read_results raises on the line, and ``glitchsim report`` exits 2
-        on it; both name the file and the line."""
+        on it; both name the file and the line.  A blank line 1 makes it
+        line 2 and the file's trial 0, so each line is refused for its own
+        defect, not for its trial."""
         path = tmp_path / "results.jsonl"
-        oracle_results(escaped_records()[:1], path)
-        with open(path, "ab") as fh:
-            fh.write(line.encode("latin-1") + b"\n")
+        path.write_bytes(b"\n" + line.encode("latin-1") + b"\n")
         with pytest.raises(ConfigError, match=r"results\.jsonl line 2 "):
             read_results(path)
         assert main(["report", "--results", str(path), "--out", str(tmp_path / "r.csv")]) == 2
@@ -288,6 +288,22 @@ def test_report_command_exits_2_on_a_seed_past_2_to_the_64(tmp_path, capsys):
     oracle_results(escaped_records()[:2], path)
     first, second = path.read_text().splitlines(keepends=True)
     path.write_text(first + json.dumps(json.loads(second) | {"seed": 2**64}) + "\n")
+    assert main(["report", "--results", str(path), "--out", str(tmp_path / "r.csv")]) == 2
+    assert f"{path} line 2 is not a trial record" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("trial", [pytest.param(0, id="trial_repeated"),
+                                   pytest.param(2, id="trial_skips_a_position")])
+def test_report_command_exits_2_on_a_trial_that_is_not_its_position(trial, tmp_path,
+                                                                      capsys):
+    """A trial is its line's position among the file's trials: line 2 is
+    trial 1, and glitchsim never writes another number there."""
+    path = tmp_path / "results.jsonl"
+    oracle_results(escaped_records()[:2], path)
+    first, second = path.read_text().splitlines(keepends=True)
+    path.write_text(first + json.dumps(json.loads(second) | {"trial": trial}) + "\n")
+    with pytest.raises(ConfigError, match=r"results\.jsonl line 2 "):
+        read_results(path)
     assert main(["report", "--results", str(path), "--out", str(tmp_path / "r.csv")]) == 2
     assert f"{path} line 2 is not a trial record" in capsys.readouterr().err
 

@@ -7,10 +7,9 @@ import pytest
 from glitchsim.campaign import CampaignConfig
 from glitchsim.dut import FaultResponseModel, execute_trial
 from glitchsim.errors import ConfigError, echo
-from glitchsim.scenarios import (SCENARIO_PRESETS, Outcome, builtin_scenarios,
-                                 classify, dup_registers, load_scenario,
-                                 save_scenario, scenario_from_dict,
-                                 scenario_to_dict)
+from glitchsim.scenarios import (SCENARIO_PRESETS, Outcome, classify,
+                                 dup_registers, load_scenario, save_scenario,
+                                 scenario_from_dict, scenario_to_dict)
 from glitchsim.timing import ClockDomains
 
 DOM = ClockDomains(oversampling=20)
@@ -36,7 +35,8 @@ class TestBuiltins:
         assert [t.label for t in scen.targets] == ["SAU", "AHB_CTRL", "DUPL", "PE"]
 
     def test_zero_fault_trial_never_succeeds(self):
-        for scen in builtin_scenarios():
+        for factory in SCENARIO_PRESETS.values():
+            scen = factory()
             raw = execute_trial(scen, [], DOM, PERFECT, seed=0)
             out, hits = classify(scen, raw)
             assert out.kind == "failure" and not any(hits)
@@ -131,7 +131,8 @@ class TestClassify:
         model = FaultResponseModel(p_max_skip=0.7, p_lockup_per_fault=0.02)
         rng = random.Random(4)
         kinds = set()
-        for scen in builtin_scenarios():
+        for factory in SCENARIO_PRESETS.values():
+            scen = factory()
             cycles = sorted({c for t in scen.targets for c in t.cycles})
             for seed in range(300):
                 picked = [c for c in cycles if rng.random() < 0.6]
@@ -175,7 +176,8 @@ class TestHits:
 
 class TestSerialization:
     def test_round_trip(self):
-        for scen in builtin_scenarios():
+        for factory in SCENARIO_PRESETS.values():
+            scen = factory()
             clone = scenario_from_dict(scenario_to_dict(scen))
             assert scenario_to_dict(clone) == scenario_to_dict(scen)
             assert echo(clone) == echo(scen)

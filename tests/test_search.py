@@ -22,8 +22,7 @@ from glitchsim.errors import (ConfigError, IncompleteSweep, NoIntegratedSuccess,
 from glitchsim.scenarios import (SCENARIO_PRESETS, classify, dup_registers,
                                  load_scenario)
 from glitchsim.search import (SearchConfig, SimContext, SweepResult,
-                              accumulate_relative, evaluate_repeatability,
-                              exhaustive_search, fuzzyfy,
+                              evaluate_repeatability, exhaustive_search, fuzzyfy,
                               integrate, run_chain_trial, run_trials, sweep,
                               transfer_parameters, translate_to_relative)
 from glitchsim.seeding import SLOT_ONE, mix64, slot_offset
@@ -37,10 +36,11 @@ def perfect_ctx(dom=DOM1):
     return SimContext(domains=dom, model=deterministic_model())
 
 
-def _build(raw):
-    """Fold (gap, width) pairs into a disjoint ordered absolute list."""
+def accumulate_relative(relative):
+    """The inverse of translate_to_relative: fold relative (gap, width)
+    pairs into a disjoint ordered absolute list."""
     out, cursor = [], 0
-    for gap, width in raw:
+    for gap, width in relative:
         start = cursor + gap
         out.append((start, width))
         cursor = start + width
@@ -49,7 +49,7 @@ def _build(raw):
 
 disjoint_absolute = st.lists(
     st.tuples(st.integers(0, 25), st.integers(1, 12)), min_size=1, max_size=6
-).map(_build)
+).map(accumulate_relative)
 
 
 class TestTranslate:
@@ -258,7 +258,8 @@ class TestExhaustive:
     ])
     def test_agrees_with_run_chain_trial(self, case, seed):
         """Exhaustive trial i judges combo i exactly as run_chain_trial
-        does at seed mix64(seed, i)."""
+        does at seed mix64(seed, i), which shares the walk's trial step,
+        and as trial i of run_trials at seed, which does not."""
         if case == "merged_windows":
             scen = load_scenario("successive_shifts")
             ctx = SimContext(DOM1, shift_model())
@@ -281,7 +282,7 @@ class TestExhaustive:
             got = (result.trials_used, result.combo)
         except NotFound as exc:
             got = (exc.trials_used, None)
-        assert got == want
+        assert got == want == _exhaustive_oracle(scen, config, ctx, seed, in_blocks=True)
 
 
 class TestEvaluateRepeatability:
@@ -578,15 +579,19 @@ class TestSweepOracle:
         assert result.entries == {lb: tuple(sorted(v)) for lb, v in entries.items()}
 
 
-def _exhaustive_oracle(scen, config, ctx, seed):
+def _exhaustive_oracle(scen, config, ctx, seed, in_blocks=False):
     """The exhaustive search stated per combo: combo i of the product of
-    ``n_faults`` grids runs as ``run_chain_trial`` at seed mix64(seed, i).
-    Returns the trials used and the first successful combo, or None."""
+    ``n_faults`` grids runs as ``run_chain_trial`` at seed mix64(seed, i),
+    or with ``in_blocks`` as trial i of a one-trial ``run_trials`` block at
+    ``seed``, whose stalls and draw keys are derived in lanes.  Returns
+    the trials used and the first successful combo, or None."""
     used = 0
     combos = itertools.product(config.grid, repeat=config.n_faults)
     for i, combo in enumerate(itertools.islice(combos, config.exhaustive_budget)):
         used = i + 1
-        if run_chain_trial(scen, combo, ctx, mix64(seed, i))[1].is_success:
+        if (run_trials(scen, combo, 1, ctx, "exhaustive", seed, first=i).successes
+                if in_blocks else
+                run_chain_trial(scen, combo, ctx, mix64(seed, i))[1].is_success):
             return used, combo
     return used, None
 
