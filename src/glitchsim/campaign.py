@@ -200,13 +200,21 @@ def write_results(blocks: list[TrialBlock], path) -> None:
                               for i, seed, (head, middle) in run]))
 
 
+def _hits_fit(kind: str, hits: list, labels: list) -> bool:
+    """Whether ``classify`` gives some outcome of ``kind`` with ``hits``
+    (one per target) and, on a partial hit, ``labels`` (one per hit)."""
+    n, k = len(hits), sum(hits)
+    return n > 0 and {"success": k == n, "failure": k < n, "bod_reset": k == 0,
+                      "partial_hit": 0 < k < n and len(labels) == k}.get(kind, True)
+
+
 def _trial(line: dict, position: int):
     """The ((step, combo), verdict, seed) of the parsed line at ``position``
     among a file's trials.  A missing or unknown key, a wrong type, a trial
     that is not the position, a seed outside [0, 2**64) or a line that
     write_results never writes raises: the combo is a non-empty list of
-    [int, int] pairs, and labels, non-empty and strictly ascending, come
-    with a partial hit alone."""
+    [offset >= 0, width >= 1] pairs, the hits fit the outcome (_hits_fit),
+    and labels, strictly ascending, come with a partial hit alone."""
     step, outcome, hits, seed = line["step"], line["outcome"], line["hits"], line["seed"]
     combo, partial, trial = line["combo"], outcome["kind"] == "partial_hit", line["trial"]
     labels = outcome["labels"] if partial else []
@@ -214,8 +222,9 @@ def _trial(line: dict, position: int):
     if (len(line) != 6 or len(outcome) != 1 + partial  # a key write_results never writes
             or not isinstance(step, str) or not combo or any(len(s) != 2 for s in combo)
             or not all(type(v) is int for v in ints)  # JSON true is no int
+            or any(o < 0 or w < 1 for o, w in combo)
             or not isinstance(hits, list) or not all(isinstance(h, bool) for h in hits)
-            or partial and not labels
+            or not _hits_fit(outcome["kind"], hits, labels)
             or not all(isinstance(x, str) for x in labels)
             or labels != sorted(set(labels))  # a list, strictly ascending
             or trial != position or seed >> 64):

@@ -39,7 +39,8 @@ draws in one pass, and :func:`decode` tests each mask against their key
 shifted up with bit 0 set; :func:`run_plan` is the two for one seed.  A
 caller running many seeds makes their keys in lanes and decodes each
 distinct key once.  A plan with no draws holds its result.
-:func:`execute_trial` is plan and run in one call.
+:func:`execute_trial`, the one scalar trial step, runs the plan of the
+seed's stall vector (:func:`stall_vector`) at the seed.
 """
 
 from __future__ import annotations
@@ -48,9 +49,10 @@ from bisect import bisect_right
 from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import accumulate
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .seeding import SLOT_ONE, draw_key, slot, slot_offset, stall_column
+from .timing import ClockDomains
 
 # First stall slot: far past any window or skip slot, so the ranges are
 # disjoint.
@@ -166,6 +168,15 @@ class RawTrialResult:
     bod_tripped: bool = False
 
 
+@dataclass(frozen=True)
+class SimContext:
+    """Everything besides the scenario needed to run one trial."""
+
+    domains: ClockDomains
+    model: FaultResponseModel
+    bod: Optional[BodModel] = None
+
+
 @dataclass(slots=True)
 class TrialPlan:
     """What no draw decides about a trial: one ``(start tick, burst mask,
@@ -189,23 +200,19 @@ def _key_mask(draws: list, k: int, p: float) -> int:
     return int(p >= 1.0)
 
 
-def trial_plan(scenario, windows, domains, model: FaultResponseModel,
-               bod: Optional[BodModel] = None,
-               cycles: Optional[Iterable[int]] = None) -> TrialPlan:
-    """Compile the (disjoint, ordered) windows against the scenario.
+def trial_plan(scenario, windows, ctx: SimContext, stalls: Sequence[int]) -> TrialPlan:
+    """Compile the (disjoint, ordered) windows against the scenario under
+    one stall per delay point (``()`` for none).
 
     ``windows`` are absolute ticks on the same timeline as instruction
     occupancy: instruction at cycle c occupies [c*K, (c+1)*K) with
-    K = domains.oversampling.  ``cycles``, when given, replaces the start
-    cycles of ``scenario.effectful_instructions``; they must ascend, as
-    :func:`shift_by` keeps them, for the lock tick to end a trial.
+    K = ctx.domains.oversampling, c its :func:`stalled_cycles`.
     """
-    if bod is not None and bod.detects(windows):
+    if ctx.bod is not None and ctx.bod.detects(windows):
         return TrialPlan((), (), fixed=RawTrialResult(frozenset(), bod_tripped=True))
 
-    K, W = domains.oversampling, len(windows)
-    if cycles is None:
-        cycles = scenario.effectful_cycles
+    K, W, model = ctx.domains.oversampling, len(windows), ctx.model
+    cycles = stalled_cycles(scenario, stalls)
     draws: list = []
     plan_windows = tuple((start, _key_mask(draws, 2 * w, model.p_window_burst),
                           _key_mask(draws, 2 * w + 1, model.p_lockup_per_fault))
@@ -263,12 +270,12 @@ def run_plan(plan: TrialPlan, seed) -> RawTrialResult:
     return decode(plan, draw_key(seed, plan.draws))
 
 
-def execute_trial(scenario, windows, domains, model: FaultResponseModel,
-                  bod: Optional[BodModel] = None, *, seed: int,
-                  cycles: Optional[Iterable[int]] = None) -> RawTrialResult:
+def execute_trial(scenario, windows, ctx: SimContext, seed: int) -> RawTrialResult:
     """Run the scenario once under the given windows with the trial's
-    seed (see :func:`trial_plan`)."""
-    return run_plan(trial_plan(scenario, windows, domains, model, bod, cycles), seed)
+    seed; random stalls, read from the seed, move only effectful cycles."""
+    stalls = (stall_vector(scenario, scenario.random_delay_max, seed)
+              if scenario.random_delay_max else ())
+    return run_plan(trial_plan(scenario, windows, ctx, stalls), seed)
 
 
 def stall_vector(scenario, max_delay_cycles: int, seed: int) -> tuple[int, ...]:

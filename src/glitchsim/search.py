@@ -18,11 +18,10 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 from .chain import chain_windows, simulate_chain
-# apply_random_delays and execute_trial stay bound for bench/run.py, which
-# traces the trial layers here by name; trials run on the plan instead.
-from .dut import (BodModel, FaultResponseModel, RawTrialResult, apply_random_delays,
-                  decode, execute_trial, run_plan, shift_by, stall_vector,
-                  stall_vectors, stalled_cycles, trial_plan)
+# bench/run.py traces the trial layers by the names bound here; of these,
+# apply_random_delays is bound for the tracer alone.
+from .dut import (SimContext, apply_random_delays, decode, execute_trial, shift_by,
+                  stall_vectors, trial_plan)
 from .errors import (ConfigError, IncompleteSweep, NoIntegratedSuccess,
                      NotFound, SearchFailed)
 from .scenarios import Outcome, ScenarioSpec, Verdict, classify
@@ -30,15 +29,6 @@ from .seeding import LANES, draw_key, draw_key_column, mix64, seed_column
 from .timing import ClockDomains
 
 RelSpec = tuple[int, int]  # (relative offset, width) in ticks
-
-
-@dataclass(frozen=True)
-class SimContext:
-    """Everything besides the scenario needed to run one trial."""
-
-    domains: ClockDomains
-    model: FaultResponseModel
-    bod: Optional[BodModel] = None
 
 
 # Most faults in one exhaustive combo: the walk recurses once per fault,
@@ -251,20 +241,11 @@ def _windows(scenario: ScenarioSpec, rel_specs: Sequence[RelSpec], ctx: SimConte
     return windows
 
 
-def _run_trial(scenario: ScenarioSpec, windows, ctx: SimContext, seed: int) -> RawTrialResult:
-    """The trial of ``windows`` at ``seed``: random stalls, drawn from the
-    seed's stall slots, only move the cycles of the effectful instructions."""
-    cycles = (stalled_cycles(scenario, stall_vector(scenario, scenario.random_delay_max, seed))
-              if scenario.random_delay_max else scenario.effectful_cycles)
-    plan = trial_plan(scenario, windows, ctx.domains, ctx.model, ctx.bod, cycles)
-    return run_plan(plan, seed)
-
-
 def run_chain_trial(scenario: ScenarioSpec, rel_specs: Sequence[RelSpec],
                     ctx: SimContext, seed: int):
-    """Fire the whole chain once; returns (raw, outcome, hits).  Random
-    stalls, if any, are ``apply_random_delays``' draws for ``seed``."""
-    raw = _run_trial(scenario, _windows(scenario, rel_specs, ctx), ctx, seed)
+    """Fire the whole chain once through the walk's step, ``execute_trial``;
+    returns (raw, outcome, hits).  Stalls are ``apply_random_delays``' draws."""
+    raw = execute_trial(scenario, _windows(scenario, rel_specs, ctx), ctx, seed)
     return (raw, *classify(scenario, raw))
 
 
@@ -294,8 +275,7 @@ def run_trials(scenario: ScenarioSpec, combo: Sequence[RelSpec], n: int,
     def entry(stalls):
         """The code of the stall vector's plan if it holds its result,
         else the plan and its draw key -> code memo."""
-        plan = trial_plan(scenario, windows, ctx.domains, ctx.model, ctx.bod,
-                          stalled_cycles(scenario, stalls))
+        plan = trial_plan(scenario, windows, ctx, stalls)
         return (plan, {}) if plan.fixed is None else code_of(plan.fixed)
 
     def learn(plan, memo: dict, keys):
@@ -436,8 +416,8 @@ def exhaustive_search(scenario: ScenarioSpec, config: SearchConfig, ctx: SimCont
     """Conventional baseline: walk the product of ``fault_count`` grids
     depth first in lexicographic order up to the first success, judging
     each combination by the overall SF only.  A combo that runs is trial
-    i, ``run_chain_trial``'s trial step on the i-th combo at seed
-    ``mix64(seed, i)``; the first success at trial i has used i + 1
+    i, ``execute_trial`` on the i-th combo at seed ``mix64(seed, i)``, as
+    in ``run_chain_trial``; the first success at trial i has used i + 1
     trials.  With none in ``exhaustive_budget`` trials, raises ``NotFound``.
 
     A target instruction's reach is every tick it can occupy: stalls
@@ -467,7 +447,7 @@ def exhaustive_search(scenario: ScenarioSpec, config: SearchConfig, ctx: SimCont
     succeeds: dict = {}  # raw result -> whether it is a success
     for index, combo, windows in _live_combos(grid, n_faults, budget, trigger_tick,
                                               target_ticks):
-        success = succeeds.get(raw := _run_trial(scenario, windows, ctx, mix64(seed, index)))
+        success = succeeds.get(raw := execute_trial(scenario, windows, ctx, mix64(seed, index)))
         if success is None:
             success = succeeds[raw] = classify(scenario, raw)[0].is_success
         if success:

@@ -1,8 +1,9 @@
-"""Mutation gate on the trial kernel, the exhaustive walk and its fault
-bound, the draws, the trial blocks (their verdict table, their code
-column's widening, their one-verdict counts and their prefix counts), the
-ranking's tie-break, the results.jsonl reader, the JSON reader and the
-JSON writer, the chain's merge and its range checks (a zero width, a
+"""Mutation gate on the trial kernel and its scalar step's stalls, the
+exhaustive walk and its fault bound, the draws, the trial blocks (their
+verdict table, their code column's widening, their one-verdict counts
+and their prefix counts), the ranking's tie-break, the results.jsonl
+reader (its types, labels, trial numbers and hits), the JSON reader and
+the JSON writer, the chain's merge and its range checks (a zero width, a
 negative offset), the sweep's pick (narrowest, then earliest), the
 sweep's and the transfer's refusals, and the campaign frame (a refused
 input persisted, a failed step's trials dropped from ``total_trials`` or
@@ -37,6 +38,7 @@ from time import perf_counter
 ROOT = Path(__file__).resolve().parent.parent
 
 DUT_TESTS = ("tests/test_dut.py",)
+SHIFT_TESTS = ("tests/test_search.py::TestShiftPath",)
 WALK_TESTS = ("tests/test_search.py::TestExhaustivePruning",)
 BLOCK_TESTS = ("tests/test_search.py::TestTrialBlock",)
 PERSISTENCE_TESTS = ("tests/test_persistence.py",)
@@ -71,6 +73,14 @@ MUTANTS = {
     "BOD sample at the window end": (
         "dut.py", [("if phase + i * period < end:", "if phase + i * period <= end:")],
         DUT_TESTS),
+    "scalar step draws no stalls": (
+        "dut.py", [("(stall_vector(scenario, scenario.random_delay_max, seed)\n"
+                    "              if scenario.random_delay_max else ())", "()")],
+        SHIFT_TESTS),
+    "plan ignores its stall vector": (
+        "dut.py", [("cycles = stalled_cycles(scenario, stalls)",
+                    "cycles = scenario.effectful_cycles")],
+        SHIFT_TESTS),
     "walk bound by bisect_right": (
         "search.py", [("from bisect import bisect_left", "from bisect import bisect_right"),
                       ("live = bisect_left(", "live = bisect_right(")],
@@ -173,6 +183,9 @@ MUTANTS = {
         PERSISTENCE_TESTS),
     "reader takes an unknown key": (
         "campaign.py", [("len(line) != 6 or ", "len(line) < 6 or ")],
+        PERSISTENCE_TESTS),
+    "reader takes any hits": (
+        "campaign.py", [('            or not _hits_fit(outcome["kind"], hits, labels)\n', "")],
         PERSISTENCE_TESTS),
     "reader takes any trial number": (
         "campaign.py", [("or trial != position or", "or trial < 0 or")],

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from glitchsim import campaign, search
+from glitchsim import campaign, dut, search
 from glitchsim.calibration import (deterministic_model, dup_register_model,
                                    shift_model)
 from glitchsim.campaign import (MODEL_PRESETS, CampaignConfig, SearchConfig,
@@ -379,7 +379,9 @@ class TestComparison:
         def no_trial(*args):
             raise AssertionError("a trial ran")
 
-        monkeypatch.setattr(search, "trial_plan", no_trial)
+        # The walk compiles through dut's name, the blocks through search's.
+        for module in (dut, search):
+            monkeypatch.setattr(module, "trial_plan", no_trial)
         for run in (run_exhaustive, run_comparison):
             out = tmp_path / run.__name__
             with pytest.raises(ConfigError, match=f"n_faults must be <= {MAX_FAULTS}, "

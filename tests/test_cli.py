@@ -315,7 +315,7 @@ def _covering_combos(config_name):
     covering = []
     for combo in itertools.product(cfg.search.grid, repeat=n_faults):
         windows, _ = chain_windows(combo, trigger)
-        plan = trial_plan(scenario, windows, ctx.domains, ctx.model, ctx.bod)
+        plan = trial_plan(scenario, windows, ctx, ())
         if wanted <= {index for index, *_ in plan.entries}:
             covering.append(combo)
     return covering

@@ -1,6 +1,8 @@
+from dataclasses import replace
+
 import pytest
 
-from glitchsim.dut import (BodModel, Effect, FaultResponseModel,
+from glitchsim.dut import (BodModel, Effect, FaultResponseModel, SimContext,
                            apply_random_delays, execute_trial, run_plan,
                            shift_by, stall_vector, trial_plan)
 from glitchsim.scenarios import load_scenario, successive_shifts
@@ -9,6 +11,7 @@ from glitchsim.timing import ClockDomains
 
 DOM = ClockDomains(oversampling=20, dut_period_ns=100)
 PERFECT = FaultResponseModel(p_max_skip=1.0, p_lockup_per_fault=0.0)
+CTX = SimContext(DOM, PERFECT)
 
 
 def shift_window(scenario, which, dom=DOM):
@@ -25,26 +28,26 @@ def shift_window(scenario, which, dom=DOM):
 class TestExecuteTrial:
     def test_no_windows_nominal_response(self):
         scen = successive_shifts()
-        raw = execute_trial(scen, [], DOM, PERFECT, seed=1)
+        raw = execute_trial(scen, [], CTX, 1)
         assert raw.skipped == frozenset()
         assert scen.hits(raw.skipped) == (False, False)
         assert not raw.locked_up
 
     def test_both_shifts_skipped(self):
         scen = successive_shifts()
-        raw = execute_trial(scen, shift_window(scen, "both"), DOM, PERFECT, seed=1)
+        raw = execute_trial(scen, shift_window(scen, "both"), CTX, 1)
         assert raw.skipped == scen.target_indices["LSRS"] | scen.target_indices["LSLS"]
         assert scen.hits(raw.skipped) == (True, True)
 
     def test_only_first_shift_skipped(self):
         scen = successive_shifts()
-        raw = execute_trial(scen, shift_window(scen, "first"), DOM, PERFECT, seed=1)
+        raw = execute_trial(scen, shift_window(scen, "first"), CTX, 1)
         assert raw.skipped == scen.target_indices["LSRS"]
         assert scen.hits(raw.skipped) == (True, False)
 
     def test_only_second_shift_skipped(self):
         scen = successive_shifts()
-        raw = execute_trial(scen, shift_window(scen, "second"), DOM, PERFECT, seed=1)
+        raw = execute_trial(scen, shift_window(scen, "second"), CTX, 1)
         assert raw.skipped == scen.target_indices["LSLS"]
         assert scen.hits(raw.skipped) == (False, True)
 
@@ -52,22 +55,22 @@ class TestExecuteTrial:
         scen = successive_shifts()
         model = FaultResponseModel(p_max_skip=0.5, p_lockup_per_fault=0.1)
         windows = shift_window(scen, "both")
-        results = [execute_trial(scen, windows, DOM, model, seed=99) for _ in range(5)]
+        results = [execute_trial(scen, windows, SimContext(DOM, model), 99) for _ in range(5)]
         assert all(r == results[0] for r in results)
 
     def test_seeds_vary_outcomes(self):
         scen = successive_shifts()
         model = FaultResponseModel(p_max_skip=0.5, p_lockup_per_fault=0.0)
         windows = shift_window(scen, "both")
-        skipped_sets = {execute_trial(scen, windows, DOM, model, seed=s).skipped
+        skipped_sets = {execute_trial(scen, windows, SimContext(DOM, model), s).skipped
                         for s in range(64)}
         assert len(skipped_sets) > 1
 
     def test_window_missing_everything_changes_nothing(self):
         scen = load_scenario("tzm_full_attack")
         far = [(10_000, 10_020)]
-        raw = execute_trial(scen, far, DOM, PERFECT, seed=1)
-        nominal = execute_trial(scen, [], DOM, PERFECT, seed=1)
+        raw = execute_trial(scen, far, CTX, 1)
+        nominal = execute_trial(scen, [], CTX, 1)
         assert raw == nominal
         assert raw.skipped == frozenset()
 
@@ -78,9 +81,9 @@ class TestExecuteTrial:
         s1 = min(scen.targets[0].cycles) * DOM.oversampling
         model = FaultResponseModel(p_max_skip=1.0, p_lockup_per_fault=0.0,
                                    p_window_burst=1.0)
-        raw = execute_trial(scen, [(s1 - 10, s1)], DOM, model, seed=1)
+        raw = execute_trial(scen, [(s1 - 10, s1)], SimContext(DOM, model), 1)
         assert raw.skipped == frozenset()
-        raw = execute_trial(scen, [(s1 - 10, s1 + 1)], DOM, model, seed=1)
+        raw = execute_trial(scen, [(s1 - 10, s1 + 1)], SimContext(DOM, model), 1)
         assert raw.skipped == scen.target_indices["LSRS"]
 
     def test_lockup_freezes_state(self):
@@ -89,7 +92,7 @@ class TestExecuteTrial:
         # A window over the whole stream locks up from tick 0: the device
         # freezes before the first instruction, so nothing is skipped.
         end = (scen.instructions[-1].cycle + 1) * DOM.oversampling
-        raw = execute_trial(scen, [(0, end)], DOM, model, seed=1)
+        raw = execute_trial(scen, [(0, end)], SimContext(DOM, model), 1)
         assert raw.locked_up
         assert raw.skipped == frozenset()
 
@@ -100,7 +103,7 @@ class TestExecuteTrial:
         model = FaultResponseModel(p_max_skip=1.0, p_lockup_per_fault=0.0)
         hits = sum(
             scen.target_indices["LSRS"]
-            <= execute_trial(scen, half, DOM, model, seed=s).skipped
+            <= execute_trial(scen, half, SimContext(DOM, model), s).skipped
             for s in range(4000)
         )
         # Expected skip probability = p_max_skip * coverage = 0.5.
@@ -113,7 +116,7 @@ class TestExecuteTrial:
             p_max_skip=0.0, p_lockup_per_fault=0.0,
             per_target_override={Effect.CLEAR_LSB_SHIFT1: 1.0})
         one_tick = [(s1 * 20, s1 * 20 + 1)]
-        raw = execute_trial(scen, one_tick, DOM, model, seed=1)
+        raw = execute_trial(scen, one_tick, SimContext(DOM, model), 1)
         assert scen.target_indices["LSRS"] <= raw.skipped
 
 
@@ -128,7 +131,7 @@ class TestDrawSlots:
         s1 = min(scen.targets[0].cycles) * DOM.oversampling
         model = FaultResponseModel(p_max_skip=0.5, p_lockup_per_fault=0.25,
                                    p_window_burst=0.125)
-        plan = trial_plan(scen, [(s1 + 10, s1 + 30)], DOM, model)
+        plan = trial_plan(scen, [(s1 + 10, s1 + 30)], SimContext(DOM, model), ())
         (lsrs,), (lsls,) = scen.target_indices["LSRS"], scen.target_indices["LSLS"]
         assert plan.draws == ((slot_offset(0), 0.125 * SLOT_ONE),
                               (slot_offset(1), 0.25 * SLOT_ONE),
@@ -166,8 +169,7 @@ class TestBodModel:
     def test_trial_ends_in_bod_reset(self):
         scen = successive_shifts()
         bod = BodModel(enabled=True, sample_period=1)
-        raw = execute_trial(scen, shift_window(scen, "both"), DOM, PERFECT,
-                            bod=bod, seed=1)
+        raw = execute_trial(scen, shift_window(scen, "both"), SimContext(DOM, PERFECT, bod), 1)
         assert raw.bod_tripped and not raw.locked_up
         assert raw.skipped == frozenset()
 
@@ -227,8 +229,10 @@ class TestApplyRandomDelays:
         # Fixed fault at the nominal target cycle, p=1 skip, 0-9 delays:
         # the target is hit only when its delay draw is 0.  Trials run as
         # run_trials runs them, on one plan per stall vector; the first
-        # 1 000 also on the scenario apply_random_delays rebuilds.
+        # 1 000 also as execute_trial runs them, and on the scenario
+        # apply_random_delays rebuilds.
         scen = load_scenario("dup_registers_7_43")
+        stalled = replace(scen, random_delay_max=9)
         K = DOM.oversampling
         c1 = min(scen.targets[0].cycles)
         window = [(c1 * K, (c1 + 1) * K)]
@@ -237,16 +241,15 @@ class TestApplyRandomDelays:
         plans = {}
         hits = 0
         for i in range(trials):
-            cycles = tuple(map(shift_by(scen, stall_vector(scen, 9, i)),
-                               scen.effectful_cycles))
-            plan = plans.get(cycles)
+            stalls = stall_vector(scen, 9, i)
+            plan = plans.get(stalls)
             if plan is None:
-                plan = plans[cycles] = trial_plan(scen, window, DOM, PERFECT,
-                                                  cycles=cycles)
+                plan = plans[stalls] = trial_plan(scen, window, CTX, stalls)
             raw = run_plan(plan, i)
             if i < 1000:
+                assert execute_trial(stalled, window, CTX, i) == raw
                 moved = apply_random_delays(scen, 9, seed=i)
-                assert execute_trial(moved, window, DOM, PERFECT, seed=i) == raw
+                assert execute_trial(moved, window, CTX, i) == raw
             hits += first <= raw.skipped
         rate = hits / trials
         assert abs(rate - 0.1) < 3 * (0.1 * 0.9 / trials) ** 0.5 + 1e-9

@@ -16,7 +16,7 @@ from glitchsim.campaign import (CampaignConfig, SearchConfig, load_config,
                                 read_results, results_to_report, write_results)
 from glitchsim.cli import main
 from glitchsim.errors import ConfigError
-from glitchsim.scenarios import dup_registers
+from glitchsim.scenarios import Outcome, dup_registers
 from glitchsim.search import SimContext, TrialBlock, run_trials
 from glitchsim.timing import ClockDomains
 
@@ -207,6 +207,25 @@ class TestReadResults:
             assert block.codes.typecode == "B"
             assert sorted(set(block.codes)) == list(range(len(block.table)))
 
+    def test_reads_every_verdict_classify_gives(self, tmp_path):
+        """The hit rules refuse no verdict ``classify`` can give: an invalid
+        trial with any hits, a failure with some, a bod_reset with none, a
+        partial hit with one label per hit, on a combo at offset 0, width 1."""
+        verdicts = [("invalid", [], [True, True]), ("invalid", [], [False, False]),
+                    ("failure", [], [True, False]), ("bod_reset", [], [False, False]),
+                    ("partial_hit", ["B"], [False, True, False]),
+                    ("success", [], [True])]
+        lines = []
+        for i, (kind, labels, hits) in enumerate(verdicts):
+            outcome = {"kind": kind} | ({"labels": labels} if labels else {})
+            lines.append(json.dumps({"trial": i, "step": "final", "combo": [[0, 1]],
+                                     "outcome": outcome, "hits": hits, "seed": i}) + "\n")
+        path = tmp_path / "verdicts.jsonl"
+        path.write_text("".join(lines))
+        (block,) = read_results(path)
+        assert [(r.outcome, list(r.hits)) for r in block] == [
+            (Outcome(kind, labels), hits) for kind, labels, hits in verdicts]
+
     @pytest.mark.parametrize("line", [
         "not json",
         '{"trial": 0}',
@@ -218,7 +237,7 @@ class TestReadResults:
         '{"trial": 0, "step": "final", "combo": [[1, 2]], '
         '"outcome": {"kind": "success"}, "hits": [1], "seed": 5}',
         '{"trial": 0, "step": "final", "combo": [[1, 2]], '
-        '"outcome": {"kind": "partial_hit", "labels": "A"}, "hits": [true], "seed": 5}',
+        '"outcome": {"kind": "partial_hit", "labels": "A"}, "hits": [true, false], "seed": 5}',
         '{"trial": 0, "step": "\xff"}',
         '{"trial": 0, "step": 5, "combo": [[1, 2]], '
         '"outcome": {"kind": "success"}, "hits": [true], "seed": 5}',
@@ -244,18 +263,38 @@ class TestReadResults:
                        '"outcome": {"kind": "success"}, "hits": [true], "seed": 5}' % combo,
                        id=f"combo_{name}")
           for name, combo in (("empty_string", '""'), ("empty_object", "{}"),
-                              ("empty_list", "[]"))),
+                              ("empty_list", "[]"), ("negative_offset", "[[-1, 2]]"),
+                              ("zero_width", "[[1, 0]]"), ("negative_width", "[[1, -2]]"))),
+        # Each outcome comes with hits that fit its kind, unless the hits
+        # are its defect.
         *(pytest.param('{"trial": 0, "step": "final", "combo": [[1, 2]], '
-                       '"outcome": %s, "hits": [true, false], "seed": 5}' % outcome, id=name)
-          for name, outcome in (
-              ("labels_on_a_success", '{"kind": "success", "labels": ["A"]}'),
-              ("empty_labels_on_a_failure", '{"kind": "failure", "labels": []}'),
-              ("partial_hit_without_labels", '{"kind": "partial_hit"}'),
-              ("partial_hit_with_empty_labels", '{"kind": "partial_hit", "labels": []}'),
-              ("labels_descending", '{"kind": "partial_hit", "labels": ["B", "A"]}'),
-              ("labels_repeated", '{"kind": "partial_hit", "labels": ["A", "A"]}'),
-              ("labels_not_strings", '{"kind": "partial_hit", "labels": [1]}'),
-              ("unknown_outcome_key", '{"kind": "success", "x": 1}'))),
+                       '"outcome": %s, "hits": %s, "seed": 5}' % (outcome, hits), id=name)
+          for name, outcome, hits in (
+              ("labels_on_a_success", '{"kind": "success", "labels": ["A"]}', "[true, true]"),
+              ("empty_labels_on_a_failure", '{"kind": "failure", "labels": []}',
+               "[true, false]"),
+              ("partial_hit_without_labels", '{"kind": "partial_hit"}', "[true, false]"),
+              ("partial_hit_with_empty_labels", '{"kind": "partial_hit", "labels": []}',
+               "[true, false]"),
+              ("labels_descending", '{"kind": "partial_hit", "labels": ["B", "A"]}',
+               "[true, true, false]"),
+              ("labels_repeated", '{"kind": "partial_hit", "labels": ["A", "A"]}',
+               "[true, true, false]"),
+              ("labels_not_strings", '{"kind": "partial_hit", "labels": [1]}',
+               "[true, false]"),
+              ("unknown_outcome_key", '{"kind": "success", "x": 1}', "[true, true]"),
+              ("empty_hits", '{"kind": "success"}', "[]"),
+              ("success_without_every_hit", '{"kind": "success"}', "[true, false]"),
+              ("failure_with_every_hit", '{"kind": "failure"}', "[true, true]"),
+              ("bod_reset_with_a_hit", '{"kind": "bod_reset"}', "[false, true]"),
+              ("partial_hit_with_every_hit", '{"kind": "partial_hit", "labels": ["A", "B"]}',
+               "[true, true]"),
+              ("partial_hit_with_no_hit", '{"kind": "partial_hit", "labels": []}',
+               "[false, false]"),
+              ("partial_hit_with_more_labels_than_hits",
+               '{"kind": "partial_hit", "labels": ["A", "B"]}', "[true, false, false]"),
+              ("partial_hit_with_fewer_labels_than_hits",
+               '{"kind": "partial_hit", "labels": ["A"]}', "[true, true, false]"))),
         pytest.param('{"trial": 0, "step": "final", "combo": [[1, 2]], '
                      '"outcome": {"kind": "success"}, "hits": [true], "seed": 5, "foo": 1}',
                      id="unknown_key"),

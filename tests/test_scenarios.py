@@ -5,7 +5,7 @@ from dataclasses import replace
 import pytest
 
 from glitchsim.campaign import CampaignConfig
-from glitchsim.dut import FaultResponseModel, execute_trial
+from glitchsim.dut import FaultResponseModel, SimContext, execute_trial
 from glitchsim.errors import ConfigError, echo
 from glitchsim.scenarios import (SCENARIO_PRESETS, Outcome, classify,
                                  dup_registers, load_scenario, save_scenario,
@@ -14,13 +14,14 @@ from glitchsim.timing import ClockDomains
 
 DOM = ClockDomains(oversampling=20)
 PERFECT = FaultResponseModel(p_max_skip=1.0, p_lockup_per_fault=0.0)
+CTX = SimContext(DOM, PERFECT)
 
 
 def run_on_cycles(scenario, cycles):
     """Perfect-model trial with one window per listed DUT cycle."""
     K = DOM.oversampling
     windows = sorted((c * K, (c + 1) * K) for c in cycles)
-    return execute_trial(scenario, windows, DOM, PERFECT, seed=0)
+    return execute_trial(scenario, windows, CTX, 0)
 
 
 class TestBuiltins:
@@ -37,7 +38,7 @@ class TestBuiltins:
     def test_zero_fault_trial_never_succeeds(self):
         for factory in SCENARIO_PRESETS.values():
             scen = factory()
-            raw = execute_trial(scen, [], DOM, PERFECT, seed=0)
+            raw = execute_trial(scen, [], CTX, 0)
             out, hits = classify(scen, raw)
             assert out.kind == "failure" and not any(hits)
 
@@ -107,7 +108,7 @@ class TestClassify:
         windows = [(s1 * 20, (s1 + 2) * 20)]
         kinds = set()
         for seed in range(200):
-            raw = execute_trial(scen, windows, DOM, model, seed=seed)
+            raw = execute_trial(scen, windows, SimContext(DOM, model), seed)
             out, _ = classify(scen, raw)
             assert out.kind in Outcome.KINDS
             kinds.add(out.kind)
@@ -137,7 +138,7 @@ class TestClassify:
             for seed in range(300):
                 picked = [c for c in cycles if rng.random() < 0.6]
                 windows = [(c * 20, (c + 1) * 20) for c in picked]
-                raw = execute_trial(scen, windows, DOM, model, seed=seed)
+                raw = execute_trial(scen, windows, SimContext(DOM, model), seed)
                 out, hits = classify(scen, raw)
                 kinds.add(out.kind)
                 assert reference(scen, raw) in (out, None)

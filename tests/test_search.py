@@ -7,7 +7,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from glitchsim import search
+from glitchsim import dut, search
 from glitchsim.calibration import (deterministic_model, dup_register_model,
                                    shift_model)
 from glitchsim.campaign import (DISTRIBUTION_COLUMNS, MODEL_PRESETS, _distribution,
@@ -15,8 +15,8 @@ from glitchsim.campaign import (DISTRIBUTION_COLUMNS, MODEL_PRESETS, _distributi
                                 results_to_report, write_results)
 from glitchsim.chain import chain_windows, simulate_chain
 from glitchsim.dut import (BodModel, FaultResponseModel, RawTrialResult,
-                           apply_random_delays, run_plan, shift_by,
-                           stall_vector, trial_plan)
+                           apply_random_delays, execute_trial, run_plan,
+                           shift_by, stall_vector, trial_plan)
 from glitchsim.errors import (ConfigError, IncompleteSweep, NoIntegratedSuccess,
                               NotFound, SearchFailed)
 from glitchsim.scenarios import (SCENARIO_PRESETS, classify, dup_registers,
@@ -501,7 +501,10 @@ class TestShiftPath:
         ctx = SimContext(ClockDomains(oversampling=K), MODEL_PRESETS[model](), bod)
 
         raw, outcome, hits = run_chain_trial(scen, combo, ctx, seed)
-        assert (raw, outcome, hits) == _oracle_trial(scen, combo, ctx, seed)
+        want_raw, *want_verdict = _oracle_trial(scen, combo, ctx, seed)
+        assert (raw, outcome, hits) == (want_raw, *want_verdict)
+        windows, _ = simulate_chain(combo, scen.trigger_cycle * K)
+        assert execute_trial(scen, windows, ctx, seed) == want_raw
         moved = apply_random_delays(scen, max_delay, seed)
         want = _reference_delays(scen, max_delay, seed)
         assert (moved.instructions, moved.targets) == (want.instructions, want.targets)
@@ -774,7 +777,8 @@ class TestExhaustivePruning:
 
     def test_stalled_walk_compiles_few_plans(self, monkeypatch):
         """tzm_randomized's 4-fault grid: the walk charges its budget but
-        compiles a plan only for the combos that touch every reach."""
+        compiles a plan only for the combos that touch every reach.  Its
+        trial step, ``execute_trial``, compiles through ``dut``'s names."""
         plans = 0
 
         def counted(*args):
@@ -782,14 +786,14 @@ class TestExhaustivePruning:
             plans += 1
             return trial_plan(*args)
 
-        monkeypatch.setattr(search, "trial_plan", counted)
+        monkeypatch.setattr(dut, "trial_plan", counted)
         with pytest.raises(NotFound) as exc:
             exhaustive_search(load_scenario("tzm_randomized"),
                               SearchConfig(offset_min=0, offset_max=100, width_set=(1, 2),
                                            exhaustive_budget=50_000),
                               perfect_ctx(DOM1))
         assert exc.value.trials_used == 50_000
-        assert plans <= 874
+        assert plans == 874
 
     def test_criterion_4_grid_runs_few_combos(self, monkeypatch):
         """Criterion 4's 4-fault grid charges its 1e7-trial cap but runs
@@ -801,7 +805,7 @@ class TestExhaustivePruning:
             runs += 1
             return run_plan(plan, seed)
 
-        monkeypatch.setattr(search, "run_plan", counted)
+        monkeypatch.setattr(dut, "run_plan", counted)
         with pytest.raises(NotFound) as exc:
             exhaustive_search(load_scenario("tzm_full_attack"),
                               SearchConfig(offset_min=0, offset_max=100, width_set=(1, 2),
@@ -822,7 +826,7 @@ class TestExhaustivePruning:
             plans += 1
             return trial_plan(*args)
 
-        monkeypatch.setattr(search, "trial_plan", counted)
+        monkeypatch.setattr(dut, "trial_plan", counted)
         result = exhaustive_search(load_scenario("tzm_full_attack"),
                                    SearchConfig(offset_min=0, offset_max=100,
                                                 width_set=(1, 2), exhaustive_budget=10**8),
@@ -865,12 +869,12 @@ class TestTrialPlan:
         scen = SCENARIO_PRESETS[preset]()
         K = oversampling
         windows = _scaled_windows(raw_windows, K)
-        shift = shift_by(scen, stall_vector(scen, max_delay, stall_seed))
-        cycles = tuple(map(shift, scen.effectful_cycles))
+        stalls = stall_vector(scen, max_delay, stall_seed)
+        cycles = tuple(map(shift_by(scen, stalls), scen.effectful_cycles))
         dom = ClockDomains(oversampling=K)
         fault_model = MODEL_PRESETS[model]()
 
-        plan = trial_plan(scen, windows, dom, fault_model, bod, cycles)
+        plan = trial_plan(scen, windows, SimContext(dom, fault_model, bod), stalls)
         for seed in seeds:
             got = run_plan(plan, seed)
             want = _reference_execute_trial(scen, windows, dom, fault_model, bod,
@@ -890,7 +894,7 @@ class TestTrialPlan:
                                    p_lockup_per_fault=p_lockup)
         windows = sorted((min(t.cycles) * 20 + 5, min(t.cycles) * 20 + 20)
                          for t in scen.targets)
-        plan = trial_plan(scen, windows, DOM20, model)
+        plan = trial_plan(scen, windows, SimContext(DOM20, model), ())
         # Each window covers 15/20 of one target instruction and no other,
         # so the only draws are skips with probability p_max_skip * 0.75.
         assert len(plan.entries) == len(windows)
@@ -947,8 +951,8 @@ class TestDrawSlots:
         dom = ClockDomains(oversampling=K)
         quiet = FaultResponseModel(p_max_skip=p_max_skip, p_lockup_per_fault=0.0)
         noisy = replace(quiet, p_window_burst=p_burst, p_lockup_per_fault=p_lockup)
-        plan = trial_plan(scen, windows, dom, quiet)
-        noisy_plan = trial_plan(scen, windows, dom, noisy)
+        plan = trial_plan(scen, windows, SimContext(dom, quiet), ())
+        noisy_plan = trial_plan(scen, windows, SimContext(dom, noisy), ())
         start_of = {index: start for index, start, *_ in plan.entries}
         touched_by = [{index for index, _, mask, *_ in plan.entries if mask >> w & 1}
                       for w in range(len(windows))]
@@ -1030,7 +1034,7 @@ class TestTrialBlock:
         # their codes; the column is one repeated code when no trial can draw.
         assert len(block.table) <= 256 and block.codes.typecode == "B"
         windows, _ = simulate_chain(combo, scen.trigger_cycle * K)
-        fixed = trial_plan(scen, windows, ctx.domains, model, bod).fixed is not None
+        fixed = trial_plan(scen, windows, ctx, ()).fixed is not None
         if fixed and not stalls:
             assert len(block.table) == 1 and block.codes == array("B", bytes(n))
         assert len(set(block.table)) == len(block.table)
